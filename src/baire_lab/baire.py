@@ -150,17 +150,17 @@ def _dp(x, params):
         f[v] = _s_max([m, ksum])
         pick_chain[v] = m[1] >= ksum[1]
 
-    def collect(v, out):
+    # picked chains in depth-first order, children in sorted order
+    family = []
+    stack = [()]
+    while stack:
+        v = stack.pop()
         if pick_chain[v]:
             seg = _trim_to_support(tree, chain_of(v), x.support)
             if seg is not None:
-                out.append(seg)
+                family.append(seg)
         else:
-            for k in tree.children(v):
-                collect(k, out)
-
-    family = []
-    collect((), family)
+            stack.extend(reversed(tree.children(v)))
     return f[()], 1 / Fraction(p), family
 
 

@@ -8,7 +8,6 @@ codes: 0 pass, 1 verification failure, 2 usage/input error.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +41,11 @@ from baire_lab.verify import (
 
 class InputError(Exception):
     """Malformed file or flag value; maps to exit code 2."""
+
+
+# n_3 has 1,517 decimal digits; n_4 would have about 2.8 million, far past
+# the int-to-str conversion limit
+SCHEDULE_JMAX = 3
 
 
 def _load_json(path):
@@ -195,6 +199,11 @@ def _parse_pairs(text):
 
 def cmd_hi(args):
     if args.hi_command == "schedule":
+        if args.jmax > SCHEDULE_JMAX:
+            raise InputError(
+                "--jmax %d is too large: entries past j = %d do not print"
+                % (args.jmax, SCHEDULE_JMAX)
+            )
         try:
             sched = schedule(args.jmax)
         except ValueError as e:
@@ -324,8 +333,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # honored for interface compatibility; all computations are single-thread
-    os.environ.setdefault("BAIRE_LAB_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

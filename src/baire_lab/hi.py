@@ -122,14 +122,14 @@ def ground_norm(x):
     if not tree.nodes:
         raise ValueError("ground norm of a vector on the empty tree")
 
-    def down(v):
-        here = abs(x[v])
-        kids = tree.children(v)
-        if not kids:
-            return here
-        return here + max(down(k) for k in kids)
-
-    return down(())
+    # chain sums only grow downwards, so the best node is a leaf
+    best = Fraction(0)
+    stack = [((), abs(x[()]))]
+    while stack:
+        v, total = stack.pop()
+        best = max(best, total)
+        stack.extend((k, total + abs(x[k])) for k in tree.children(v))
+    return best
 
 
 def _sign(v):

@@ -54,10 +54,10 @@ class FiniteTree:
 
     def __init__(self, nodes):
         nodes = frozenset(tuple(n) for n in nodes)
+        # every parent present implies every prefix present, by induction
         for t in nodes:
-            for i in range(len(t)):
-                if t[:i] not in nodes:
-                    raise ValueError("tree is not prefix-closed: missing %r" % (t[:i],))
+            if t and t[:-1] not in nodes:
+                raise ValueError("tree is not prefix-closed: missing %r" % (t[:-1],))
         if nodes and () not in nodes:
             raise ValueError("nonempty tree must contain the root ()")
         self.nodes = nodes
@@ -105,7 +105,10 @@ def make_tree(paths):
     closed = set()
     for p in paths:
         p = tuple(p)
-        for i in range(len(p) + 1):
+        # closed stays prefix-closed, so stop at the first prefix present
+        for i in range(len(p), -1, -1):
+            if p[:i] in closed:
+                break
             closed.add(p[:i])
     return FiniteTree(closed)
 
@@ -160,17 +163,13 @@ def maximal_chains(tree):
 
 
 def rank(tree):
-    """Finite ordinal rank: 0 for {()}, else 1 + max rank of child subtrees."""
+    """Finite ordinal rank: 0 for {()}, else 1 + max rank of child subtrees.
+
+    For a prefix-closed tree that is the length of its longest node.
+    """
     if not tree.nodes:
         raise ValueError("empty tree has no rank")
-
-    def depth_below(node):
-        kids = tree.children(node)
-        if not kids:
-            return 0
-        return 1 + max(depth_below(k) for k in kids)
-
-    return depth_below(())
+    return max(len(t) for t in tree.nodes)
 
 
 def chain_tree(n):

@@ -13,15 +13,27 @@ Families with k = 1 are dropped: (1/2)|E_1 x| <= (1/2)|x| can never
 realize the outer max, and dropping them guarantees termination of the
 subset recursion (k >= 2 disjoint nonempty sets are proper subsets).
 
-The INCOMPARABLE search walks the support in enumeration order, growing
-one set at a time and pruning with the l_1 upper bound.  The STANDARD
-norm only ever needs contiguous index intervals of the support: the
-subset norm is monotone under inclusion, so gap elements between or
-after admissible sets can always be absorbed into a neighboring set
-without hurting admissibility.
+Each variant has one engine, which computes the fixed point (level None)
+and the m-th iterate (level m) alike.
+
+The INCOMPARABLE engine walks the support in enumeration order, growing
+one set at a time and pruning with the l_1 upper bound, and records the
+optimal family of every subset.
+
+The STANDARD norm only ever needs contiguous index intervals of the
+support: the subset norm is monotone under inclusion, so gap elements
+between or after admissible sets can always be absorbed into a neighboring
+set without hurting admissibility.  Its engine is an interval DP that
+records, for each interval, the first optimal family start and size
+(l, k) and, for each split into k runs, the first optimal cut.  The
+witness tree is read back from these records, and the fixed-point check
+is one more pass over (l, k) on the full interval plus a replay of the
+recorded family.  The reduction to intervals itself is checked against
+an enumeration of every admissible family in the tests.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from baire_lab.trees import comparable
@@ -56,16 +68,14 @@ class _Ctx:
                 best = self.vals[i]
         return best
 
-    def l1(self, mask):
-        total = Fraction(0)
-        for i in range(self.n):
-            if (mask >> i) & 1:
-                total += self.vals[i]
-        return total
+    def leaf(self, value, positions):
+        """Witness leaf: the first position of largest value."""
+        i = max(positions, key=self.vals.__getitem__)
+        return {"value": str(value), "node": list(self.nodes[i])}
 
 
-def _family_search(ctx, mask, childf, incomparable, incumbent):
-    """Best sum of childf over admissible families inside mask.
+def _family_search(ctx, mask, childf, incumbent):
+    """Best sum of childf over INCOMPARABLE-admissible families inside mask.
 
     Returns (best_sum, blocks) where the recorded candidate value is the
     plain sum (the caller halves it); blocks is the best family as a list
@@ -89,7 +99,7 @@ def _family_search(ctx, mask, childf, incomparable, incumbent):
     for p in positions:
         v = ctx.vals[p] * scale
         ivals[p] = v.numerator
-    comp = ctx.comp if incomparable else [0] * ctx.n
+    comp = ctx.comp
 
     def comp_of(block_mask):
         out = 0
@@ -166,46 +176,32 @@ def _family_search(ctx, mask, childf, incomparable, incumbent):
 
 
 class _IncEngine:
-    """Memoized fixed-point norm for the INCOMPARABLE variant."""
+    """Memoized norm of the INCOMPARABLE variant on support subsets.
+
+    Level None means the implicit fixed point, memoized under the bare
+    mask with its optimal family (or None) in `family`; an integer means
+    the corresponding iterate, memoized under (mask, level).
+    """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.memo = {}
         self.family = {}
 
-    def f(self, mask):
-        if mask in self.memo:
-            return self.memo[mask]
+    def f(self, mask, level=None):
+        key = mask if level is None else (mask, level)
+        value = self.memo.get(key)
+        if value is not None:
+            return value
         sup = self.ctx.sup(mask)
-        total, blocks = _family_search(self.ctx, mask, self.f, True, sup)
-        if blocks is not None:
-            value = total / 2
-            self.family[mask] = blocks
-        else:
-            value = sup
-            self.family[mask] = None
-        self.memo[mask] = value
-        return value
-
-
-class _IncIterEngine:
-    """Memoized finite iterates for the INCOMPARABLE variant."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.memo = {}
-
-    def f(self, mask, m):
-        key = (mask, m)
-        if key in self.memo:
-            return self.memo[key]
-        sup = self.ctx.sup(mask)
-        if m == 0:
+        if level == 0:
             value = sup
         else:
-            child = lambda b: self.f(b, m - 1)
-            total, blocks = _family_search(self.ctx, mask, child, True, sup)
+            child = self.f if level is None else partial(self.f, level=level - 1)
+            total, blocks = _family_search(self.ctx, mask, child, sup)
             value = total / 2 if blocks is not None else sup
+            if level is None:
+                self.family[mask] = blocks
         self.memo[key] = value
         return value
 
@@ -215,13 +211,17 @@ class _StdEngine:
 
     Works on contiguous position intervals [i, j) of the sorted support;
     level None means the implicit fixed point, an integer means the
-    corresponding iterate.
+    corresponding iterate.  `split` holds the first optimal family start
+    and size (l, k) of each interval whose family beats its sup, `cut`
+    the first optimal cut t of each split into runs.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.memo = {}
         self.part_memo = {}
+        self.split = {}
+        self.cut = {}
 
     def f(self, i, j, level):
         if i >= j:
@@ -233,17 +233,27 @@ class _StdEngine:
         if level == 0:
             self.memo[key] = sup
             return sup
-        sub = None if level is None else level - 1
+        best, arg = self.best_split(i, j, None if level is None else level - 1)
+        if best / 2 > sup:
+            value = best / 2
+            self.split[key] = arg
+        else:
+            value = sup
+        self.memo[key] = value
+        return value
+
+    def best_split(self, i, j, level):
+        """Best run-sum over admissible (l, k) in [i, j), with its argmax."""
         best = Fraction(0)
+        arg = None
         for l in range(i, j):
             kmax = min(self.ctx.idx[l], j - l)
             for k in range(2, kmax + 1):
-                cand = self.partition(l, j, k, sub)
+                cand = self.partition(l, j, k, level)
                 if cand > best:
                     best = cand
-        value = max(sup, best / 2)
-        self.memo[key] = value
-        return value
+                    arg = (l, k)
+        return best, arg
 
     def partition(self, s, j, parts, level):
         """Best sum splitting [s, j) into exactly `parts` nonempty runs."""
@@ -253,28 +263,30 @@ class _StdEngine:
         if parts == 1:
             value = self.f(s, j, level)
         else:
-            value = Fraction(0)
+            value, cut = Fraction(0), None
             for t in range(s + 1, j - parts + 2):
                 cand = self.f(s, t, level) + self.partition(t, j, parts - 1, level)
                 if cand > value:
                     value = cand
+                    cut = t
+            self.cut[key] = cut
         self.part_memo[key] = value
         return value
 
-    def on_mask(self, mask, level=None):
-        """Norm of the sub-support selected by mask (positions relabeled)."""
-        positions = [i for i in range(self.ctx.n) if (mask >> i) & 1]
-        if not positions:
-            return Fraction(0)
-        sub = _Ctx.__new__(_Ctx)
-        sub.nodes = [self.ctx.nodes[i] for i in positions]
-        sub.vals = [self.ctx.vals[i] for i in positions]
-        sub.idx = [self.ctx.idx[i] for i in positions]
-        sub.n = len(positions)
-        sub.comp = [0] * sub.n
-        sub.full = (1 << sub.n) - 1
-        eng = _StdEngine(sub)
-        return eng.f(0, sub.n, level)
+    def family(self, i, j):
+        """The recorded optimal family of [i, j) at the fixed point, as
+        runs [s, t), or None when the sup wins."""
+        split = self.split.get((i, j, None))
+        if split is None:
+            return None
+        s, parts = split
+        runs = []
+        while parts > 1:
+            t = self.cut[s, j, parts, None]
+            runs.append((s, t))
+            s, parts = t, parts - 1
+        runs.append((s, j))
+        return runs
 
 
 def _check_cap(x, cap):
@@ -289,16 +301,19 @@ def _check_variant(variant):
         raise ValueError("unknown variant %r" % (variant,))
 
 
+def _value(ctx, variant, level):
+    if variant == INCOMPARABLE:
+        return _IncEngine(ctx).f(ctx.full, level)
+    return _StdEngine(ctx).f(0, ctx.n, level)
+
+
 def tsirelson_norm(x, variant, cap=DEFAULT_SUPPORT_CAP):
     """Exact rational value of the implicit Tsirelson norm."""
     _check_variant(variant)
     _check_cap(x, cap)
     if not x.support:
         return Fraction(0)
-    ctx = _Ctx(x)
-    if variant == INCOMPARABLE:
-        return _IncEngine(ctx).f(ctx.full)
-    return _StdEngine(ctx).f(0, ctx.n, None)
+    return _value(_Ctx(x), variant, None)
 
 
 def tsirelson_iterate(x, variant, m, cap=DEFAULT_SUPPORT_CAP):
@@ -309,10 +324,7 @@ def tsirelson_iterate(x, variant, m, cap=DEFAULT_SUPPORT_CAP):
         raise ValueError("iterate level must be >= 0")
     if not x.support:
         return Fraction(0)
-    ctx = _Ctx(x)
-    if variant == INCOMPARABLE:
-        return _IncIterEngine(ctx).f(ctx.full, m)
-    return _StdEngine(ctx).f(0, ctx.n, m)
+    return _value(_Ctx(x), variant, m)
 
 
 def tsirelson_witness_tree(x, variant, cap=DEFAULT_SUPPORT_CAP):
@@ -330,32 +342,22 @@ def tsirelson_witness_tree(x, variant, cap=DEFAULT_SUPPORT_CAP):
             value = eng.memo[mask]
             blocks = eng.family[mask]
             if blocks is None:
-                i = max(
-                    (i for i in range(ctx.n) if (mask >> i) & 1),
-                    key=lambda i: ctx.vals[i],
-                )
-                return {"value": str(value), "node": list(ctx.nodes[i])}
+                return ctx.leaf(value, (i for i in range(ctx.n) if (mask >> i) & 1))
             return {"value": str(value), "family": [build(b) for b in blocks]}
 
         return build(ctx.full)
 
     eng = _StdEngine(ctx)
+    eng.f(0, ctx.n, None)
 
-    def build_std(mask):
-        value = eng.on_mask(mask)
-        sup = ctx.sup(mask)
-        total, blocks = _family_search(
-            ctx, mask, lambda b: eng.on_mask(b), False, sup
-        )
-        if blocks is None:
-            i = max(
-                (i for i in range(ctx.n) if (mask >> i) & 1),
-                key=lambda i: ctx.vals[i],
-            )
-            return {"value": str(value), "node": list(ctx.nodes[i])}
-        return {"value": str(value), "family": [build_std(b) for b in blocks]}
+    def build_std(i, j):
+        value = eng.memo[i, j, None]
+        runs = eng.family(i, j)
+        if runs is None:
+            return ctx.leaf(value, range(i, j))
+        return {"value": str(value), "family": [build_std(s, t) for s, t in runs]}
 
-    return build_std(ctx.full)
+    return build_std(0, ctx.n)
 
 
 def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
@@ -366,32 +368,25 @@ def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
     if not x.support:
         return True
     ctx = _Ctx(x)
+    # no admissible family may strictly beat the converged value ...
     if variant == INCOMPARABLE:
         eng = _IncEngine(ctx)
         value = eng.f(ctx.full)
-        childf = eng.f
+        if _family_search(ctx, ctx.full, eng.f, value)[1] is not None:
+            return False
+        family = eng.family[ctx.full]
+        members = None if family is None else [eng.f(b) for b in family]
     else:
         eng = _StdEngine(ctx)
         value = eng.f(0, ctx.n, None)
-        childf = eng.on_mask
-    sup = ctx.sup(ctx.full)
-    # no admissible family may strictly beat the converged value ...
-    total, blocks = _family_search(
-        ctx, ctx.full, childf, variant == INCOMPARABLE, value
-    )
-    if blocks is not None:
-        return False
-    # ... and the value must be attained by the sup or by some family
-    if value == sup:
-        return True
-    if variant == INCOMPARABLE:
-        family = eng.family[ctx.full]
-        if family is None:
+        if eng.best_split(0, ctx.n, None)[0] > 2 * value:
             return False
-        return sum(eng.f(b) for b in family) / 2 == value
-    eps = value / 2**20
-    total, blocks = _family_search(ctx, ctx.full, childf, False, value - eps)
-    return blocks is not None and total / 2 == value
+        runs = eng.family(0, ctx.n)
+        members = None if runs is None else [eng.f(s, t, None) for s, t in runs]
+    # ... and the value must be attained by the sup or by the recorded family
+    if value == ctx.sup(ctx.full):
+        return True
+    return members is not None and sum(members) / 2 == value
 
 
 class InequalityReport:

@@ -13,7 +13,6 @@ from baire_lab.baire import (
     baire_norm_power,
 )
 from baire_lab.hi import DESK_PAIRS, dg_lower_bound, dg_upper_bound, ground_norm, schedule
-from baire_lab.trees import random_tree
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
@@ -28,6 +27,7 @@ from baire_lab.verify import (
     run_hi_suite,
     run_tsirelson_suite,
 )
+from util import random_case
 
 L1 = BaseNorm.ell(1)
 
@@ -39,25 +39,12 @@ def _report(name, ok, elapsed, limit):
     assert elapsed < limit, "time budget exceeded: %.1fs" % elapsed
 
 
-def _seeded_case(seed, max_nodes, max_support):
-    rng = random.Random(seed)
-    tree = random_tree(seed=rng.randrange(2**32), max_nodes=max_nodes, max_branch=3)
-    nodes = sorted(tree.nodes, key=tree.index)
-    k = rng.randint(1, min(max_support, len(nodes)))
-    supp = rng.sample(nodes, k)
-    entries = {
-        t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-        for t in supp
-    }
-    return tree, TreeVector(tree, entries)
-
-
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
     params = [BaireParams(p, L1) for p in (ZERO, 1, 2)]
     ok = True
     for seed in range(500):
-        _, x = _seeded_case(seed, max_nodes=10, max_support=8)
+        _, x = random_case(seed, max_nodes=10, max_support=8)
         for pr in params:
             got = baire_norm_power(x, pr)
             want = baire_norm_oracle_report(x, pr, cap=8).power
@@ -79,7 +66,7 @@ def test_criterion_3_fixed_point_and_stabilization():
     ok = True
     for _ in range(200):
         while True:
-            tree, x = _seeded_case(rng.randrange(2**32), max_nodes=16, max_support=12)
+            tree, x = random_case(rng.randrange(2**32), max_nodes=16, max_support=12)
             if x.support:
                 break
         m = len(x.support)
@@ -135,7 +122,7 @@ def test_criterion_8_bracketing_and_unconditionality():
     # suites 1-3 style cases: sign flips never change any norm, interval
     # values always bracket, and ground <= dg_lower <= l1 holds
     for seed in range(0, 500, 10):
-        tree, x = _seeded_case(seed, max_nodes=10, max_support=8)
+        tree, x = random_case(seed, max_nodes=10, max_support=8)
         flipped = TreeVector(tree, {t: -v for t, v in x.entries.items()})
         if baire_norm(x, p1) != baire_norm(flipped, p1):
             ok = False

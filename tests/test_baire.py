@@ -100,6 +100,17 @@ def test_report_family_is_valid_witness():
             assert total == report.value.exact
 
 
+def test_deep_comb_family():
+    # the best family takes every tooth, so the witness walk descends
+    # the whole 1,500-deep spine; spine children come first, so the
+    # deepest tooth is collected first
+    t = comb_tree(1500)
+    teeth = [(0,) * i + (1,) for i in range(1500)]
+    report = baire_norm_report(TreeVector(t, {s: 1 for s in teeth}), P1)
+    assert report.value.exact == 1500
+    assert [seg.chain for seg in report.family] == [[s] for s in reversed(teeth)]
+
+
 @pytest.mark.parametrize("params", [P1, P2, P0], ids=["p1", "p2", "p0"])
 def test_oracle_equivalence_seeded(params):
     for seed in range(60):

@@ -81,6 +81,11 @@ def test_hi_schedule(capsys):
     data = json.loads(out)
     assert data["m"] == ["2", "32"]
     assert data["n"] == ["4", str(20**15)]
+    code, out, _ = run(capsys, "hi", "schedule", "--jmax", "3")
+    assert code == 0 and len(out.split()[-1]) == 1517
+    # n_4 would not print; refused before it is computed
+    code, out, err = run(capsys, "hi", "schedule", "--jmax", "4")
+    assert code == 2 and out == "" and err.startswith("error: --jmax 4")
 
 
 def test_hi_witness_csv(capsys):

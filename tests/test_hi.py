@@ -49,6 +49,10 @@ def test_ground_norm_examples():
     s = star_tree(4)
     y = TreeVector(s, {(i,): 1 for i in range(4)})
     assert ground_norm(y) == 1  # every chain hits one leaf
+    # 3,000 nodes deep, past the recursion limit
+    d = chain_tree(3000)
+    z = TreeVector(d, {(0,) * i: (-1) ** i * Fraction(1, 1 + i % 3) for i in range(3000)})
+    assert ground_norm(z) == sum(abs(v) for v in z.entries.values())
 
 
 def test_ground_norm_is_baire_zero_l1():

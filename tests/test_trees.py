@@ -68,6 +68,8 @@ def test_enumeration_extends_prefix_order(s, t):
 def test_tree_requires_prefix_closure():
     with pytest.raises(ValueError):
         FiniteTree([(), (0, 1)])
+    with pytest.raises(ValueError, match=r"missing \(0, 0\)"):
+        FiniteTree([(), (0,), (0, 0, 0)])
 
 
 def test_make_tree_closes():
@@ -107,6 +109,9 @@ def test_rank_values():
     assert rank(comb_tree(4)) == 4
     with pytest.raises(ValueError):
         rank(FiniteTree([]))
+    # 3,000 nodes deep: building stays fast and rank does not recurse
+    assert rank(chain_tree(3000)) == 2999
+    assert rank(comb_tree(1500)) == 1500
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -25,13 +26,14 @@ def naive_norm(x, variant, level):
     tree = x.tree
     idx = {t: tree.index(t) for t in x.support}
 
+    @functools.lru_cache(maxsize=None)
     def norm(supp, lev):
+        # supp is a tuple of support nodes sorted by enumeration index
         if not supp:
             return Fraction(0)
         best = max(abs(x[t]) for t in supp)
         if lev == 0:
             return best
-        supp = sorted(supp, key=lambda t: idx[t])
         n = len(supp)
         for r in range(2, n + 1):
             for sub in itertools.combinations(supp, r):
@@ -53,7 +55,7 @@ def naive_norm(x, variant, level):
                             best = total / 2
         return best
 
-    return norm(tuple(sorted(x.support, key=len)), level)
+    return norm(tuple(sorted(x.support, key=idx.__getitem__)), level)
 
 
 def test_unknown_variant():
@@ -117,7 +119,7 @@ def test_iterates_monotone_and_stabilize():
 
 def test_matches_naive_enumeration():
     for seed in range(30):
-        _, x = random_nonroot_case(seed, max_nodes=9, max_support=6)
+        _, x = random_nonroot_case(seed, max_nodes=9, max_support=8)
         for variant in (INCOMPARABLE, STANDARD):
             got = tsirelson_norm(x, variant)
             assert got == naive_norm(x, variant, len(x.support) + 1), (
@@ -158,20 +160,38 @@ def test_norm_dominates_sup_and_below_half_l1():
 
 
 def test_witness_tree_replays():
-    def replay(node, x):
+    def leaves(node):
         if "node" in node:
-            return abs(x[tuple(node["node"])])
-        total = sum(replay(ch, x) for ch in node["family"])
-        return total / 2
+            return [tuple(node["node"])]
+        return [t for member in node["family"] for t in leaves(member)]
+
+    def replay(node, x, variant):
+        """Value of a witness node, checking every family node on the way."""
+        tree = x.tree
+        if "node" in node:
+            value = abs(x[tuple(node["node"])])
+        else:
+            members = node["family"]
+            groups = [sorted(leaves(m), key=tree.index) for m in members]
+            flat = [t for g in groups for t in g]
+            # k >= 2 disjoint members E_1 < ... < E_k with k <= min E_1
+            assert len(members) >= 2
+            assert len(set(flat)) == len(flat)
+            for a, b in zip(groups, groups[1:]):
+                assert tree.index(a[-1]) < tree.index(b[0])
+            assert len(members) <= tree.index(groups[0][0])
+            if variant == INCOMPARABLE:
+                for a, b in itertools.combinations(groups, 2):
+                    assert not any(comparable(s, t) for s in a for t in b)
+            value = sum(replay(m, x, variant) for m in members) / 2
+        assert Fraction(node["value"]) == value
+        return value
 
     for seed in range(15):
         _, x = random_nonroot_case(seed, max_support=8)
         for variant in (INCOMPARABLE, STANDARD):
             wt = tsirelson_witness_tree(x, variant)
-            value = Fraction(wt["value"])
-            assert value == tsirelson_norm(x, variant)
-            if "family" in wt or "node" in wt:
-                assert replay(wt, x) == value
+            assert replay(wt, x, variant) == tsirelson_norm(x, variant)
 
 
 def _unit_blocks(n, base_label):
