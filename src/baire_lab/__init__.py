@@ -24,6 +24,7 @@ from baire_lab.vectors import (
     NormValue,
     TreeVector,
     base_norm_of_segment,
+    linear_combination,
 )
 from baire_lab.baire import BaireParams, ZERO, baire_norm, baire_norm_oracle
 from baire_lab.tsirelson import (
@@ -41,7 +42,6 @@ from baire_lab.hi import (
 )
 from baire_lab.sequences import (
     FiniteBlockSequence,
-    NormContext,
     equivalence_ratio_bounds,
     generate_incomparable_blocks,
     unconditionality_constant_lower,
@@ -58,11 +58,12 @@ __all__ = [
     "completely_incomparable", "maximal_chains", "rank",
     "chain_tree", "star_tree", "comb_tree", "random_tree",
     "TreeVector", "BaseNorm", "NormValue", "base_norm_of_segment",
+    "linear_combination",
     "BaireParams", "ZERO", "baire_norm", "baire_norm_oracle",
     "INCOMPARABLE", "STANDARD", "tsirelson_norm", "tsirelson_iterate",
     "ground_norm", "schedule", "dg_lower_bound", "dg_upper_bound",
     "strict_singularity_witness",
-    "FiniteBlockSequence", "NormContext", "generate_incomparable_blocks",
+    "FiniteBlockSequence", "generate_incomparable_blocks",
     "equivalence_ratio_bounds", "unconditionality_constant_lower",
     "ExperimentReport", "run_branch_isometry", "run_tsirelson_suite",
     "run_hi_suite",

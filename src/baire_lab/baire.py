@@ -22,7 +22,7 @@ lower == upper throughout.
 from fractions import Fraction
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
-from baire_lab.vectors import NormValue, pow_bounds
+from baire_lab.vectors import NormValue, linear_combination, pow_bounds
 
 
 class _Zero:
@@ -288,10 +288,7 @@ def incomparable_block_profile(blocks, coeffs, params):
                 raise ValueError(
                     "blocks %d and %d have comparable supports" % (i, j)
                 )
-    combo = blocks[0].scale(coeffs[0])
-    for b, c in zip(blocks[1:], coeffs[1:]):
-        combo = combo.add(b.scale(c))
-    norm = baire_norm(combo, params)
+    norm = baire_norm(linear_combination(blocks[0].tree, blocks, coeffs), params)
 
     terms = []
     for b, c in zip(blocks, coeffs):

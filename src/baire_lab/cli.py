@@ -124,15 +124,14 @@ def cmd_baire(args):
 def cmd_tsirelson(args):
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    variant = INCOMPARABLE if args.variant == "incomparable" else STANDARD
     try:
         if args.iterate is not None:
-            value = tsirelson_iterate(x, variant, args.iterate)
+            value = tsirelson_iterate(x, args.variant, args.iterate)
             data = {"value": rational_str(value), "iterate": args.iterate}
             _emit(data, args, ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
             return 0
-        value = tsirelson_norm(x, variant)
-        witness = tsirelson_witness_tree(x, variant)
+        value = tsirelson_norm(x, args.variant)
+        witness = tsirelson_witness_tree(x, args.variant)
     except ValueError as e:
         raise InputError(str(e))
     data = {"value": rational_str(value), "witness_family_tree": witness}
@@ -282,7 +281,7 @@ def build_parser():
     p.add_argument("--tree", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument(
-        "--variant", choices=["incomparable", "standard"], default="incomparable"
+        "--variant", choices=[INCOMPARABLE, STANDARD], default=INCOMPARABLE
     )
     p.add_argument("--iterate", type=int, default=None)
     p.add_argument("--json", action="store_true")

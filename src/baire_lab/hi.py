@@ -19,6 +19,7 @@ That makes the whole search polynomial in the support size.
 from fractions import Fraction
 
 from baire_lab.trees import is_prefix
+from baire_lab.vectors import TreeVector
 
 #: small admissible (m, n) pairs for desk-scale experiments
 DESK_PAIRS = [(2, 4), (2, 8), (2, 16), (4, 64)]
@@ -190,14 +191,14 @@ class _Search:
         value, witness = self.ground(i, j)
         if depth > 0:
             for m, cap in self.ops:
-                total, parts = self._combine(i, j, depth - 1, cap)
+                total, parts = self._combo(i, j, depth - 1, cap)
                 if parts and Fraction(total, m) > value:
                     value = Fraction(total, m)
                     witness = even_op_functional(m, cap, parts)
         self.memo[key] = (value, witness)
         return value, witness
 
-    def _combine(self, i, j, depth, cap):
+    def _combo(self, i, j, depth, cap):
         """Best sum of <= cap successively windowed functionals on [i, j)."""
         key = (i, j, depth, cap)
         if key in self.combo_memo:
@@ -212,7 +213,7 @@ class _Search:
                 head, hwit = self.best(i, t, depth)
                 if hwit is None:
                     continue
-                tail, tparts = self._combine(t, j, depth, cap - 1)
+                tail, tparts = self._combo(t, j, depth, cap - 1)
                 if tparts and head + tail > best_total:
                     best_total = head + tail
                     best_parts = [hwit] + tparts
@@ -243,14 +244,6 @@ def dg_upper_bound(x):
     return x.l1()
 
 
-class WitnessReport:
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __repr__(self):
-        return "WitnessReport(%d rows)" % len(self.rows)
-
-
 def incomparable_nodes(tree, count):
     """The first `count` leaves in enumeration order (leaves are pairwise
     incomparable)."""
@@ -267,8 +260,6 @@ def strict_singularity_witness(tree, n, m):
     """Ratio between the depth-1 norming-set bound and the ground norm on a
     sum of n incomparable unit vectors: the finite shadow of the strict
     singularity of the identity into the ground-norm space."""
-    from baire_lab.vectors import TreeVector
-
     if m < 2:
         raise ValueError("m must be >= 2")
     targets = incomparable_nodes(tree, n)

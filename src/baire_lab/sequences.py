@@ -7,62 +7,31 @@ here compares two exactly computed norms at explicit coefficient
 vectors, where a lower bound is what is needed.  The sampling family is
 fixed (sign patterns, indicator patterns, seeded rationals) so that all
 outputs are deterministic functions of (inputs, seed).
+
+Every norm argument is a plain callable x -> Fraction | NormValue, such
+as ground_norm or partial(tsirelson_norm, variant=INCOMPARABLE).
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from baire_lab.baire import baire_norm
-from baire_lab.hi import dg_lower_bound, ground_norm
-from baire_lab.tsirelson import tsirelson_norm
-from baire_lab.vectors import NormValue, TreeVector
+from baire_lab.hi import ground_norm
+from baire_lab.vectors import NormValue, TreeVector, linear_combination
 
 SIGN_PATTERN_LENGTH_CAP = 10
 UNCONDITIONAL_CAP = 12
 
 
-class NormContext:
-    """A norm evaluable on one tree: Baire, Tsirelson, Ground or DGLower."""
-
-    def __init__(self, tree, kind, **params):
-        self.tree = tree
-        self.kind = kind
-        self.params = params
-
-    @classmethod
-    def baire(cls, tree, params):
-        return cls(tree, "baire", params=params)
-
-    @classmethod
-    def tsirelson(cls, tree, variant):
-        return cls(tree, "tsirelson", variant=variant)
-
-    @classmethod
-    def ground(cls, tree):
-        return cls(tree, "ground")
-
-    @classmethod
-    def dg_lower(cls, tree, depth, ops):
-        return cls(tree, "dg_lower", depth=depth, ops=ops)
-
-    def norm(self, x):
-        if self.kind == "baire":
-            return baire_norm(x, self.params["params"])
-        if self.kind == "tsirelson":
-            return NormValue(tsirelson_norm(x, self.params["variant"]))
-        if self.kind == "ground":
-            return NormValue(ground_norm(x))
-        if self.kind == "dg_lower":
-            value, _ = dg_lower_bound(x, self.params["depth"], self.params["ops"])
-            return NormValue(value)
-        raise ValueError("unknown norm context kind %r" % (self.kind,))
+def _value(norm, x):
+    v = norm(x)
+    return v if isinstance(v, NormValue) else NormValue(v)
 
 
 class FiniteBlockSequence:
     """Blocks with strictly increasing enumeration-index windows."""
 
-    def __init__(self, blocks, windows, incomparable_supports):
+    def __init__(self, blocks, windows):
         if len(blocks) != len(windows):
             raise ValueError("blocks and windows length mismatch")
         for b, (lo, hi) in zip(blocks, windows):
@@ -77,28 +46,22 @@ class FiniteBlockSequence:
                 raise ValueError("windows must be strictly increasing")
         self.blocks = list(blocks)
         self.windows = list(windows)
-        self.incomparable_supports = incomparable_supports
 
     def __len__(self):
         return len(self.blocks)
 
     def combine(self, coeffs):
-        combo = TreeVector(self.blocks[0].tree, {})
-        for b, c in zip(self.blocks, coeffs):
-            combo = combo.add(b.scale(c))
-        return combo
+        return linear_combination(self.blocks[0].tree, self.blocks, coeffs)
 
 
-def generate_incomparable_blocks(tree, count, seed, context=None):
+def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
     """Deterministic-in-seed semi-normalized blocks on disjoint leaf groups.
 
     Leaves are pairwise incomparable, so grouping them by enumeration
     order yields completely incomparable supports in increasing windows.
-    Each block is rescaled so its context norm is exactly 1 when the norm
-    is rational, and lands in [1/2, 2] otherwise.
+    Each block is rescaled so its norm is exactly 1 when the norm is
+    rational, and lands in [1/2, 2] otherwise.
     """
-    if context is None:
-        context = NormContext.ground(tree)
     leaves = sorted(tree.leaves(), key=tree.index)
     if len(leaves) < count:
         raise ValueError(
@@ -121,7 +84,7 @@ def generate_incomparable_blocks(tree, count, seed, context=None):
         if not entries:
             entries = {group[0]: Fraction(1)}
         block = TreeVector(tree, entries)
-        value = context.norm(block)
+        value = _value(norm, block)
         if value.is_exact:
             block = block.scale(1 / value.exact)
         else:
@@ -132,7 +95,7 @@ def generate_incomparable_blocks(tree, count, seed, context=None):
         hi = tree.index(max(block.support, key=tree.index))
         blocks.append(block)
         windows.append((lo, hi))
-    return FiniteBlockSequence(blocks, windows, incomparable_supports=True)
+    return FiniteBlockSequence(blocks, windows)
 
 
 def _coefficient_family(n, trials, seed):
@@ -164,7 +127,7 @@ def _coefficient_family(n, trials, seed):
     return out
 
 
-def equivalence_ratio_bounds(A, ctxA, B, ctxB, trials, seed):
+def equivalence_ratio_bounds(A, normA, B, normB, trials, seed):
     """Certified lower bound on the equivalence constant between two block
     sequences, with the witnessing coefficient vector."""
     if len(A) != len(B):
@@ -173,8 +136,8 @@ def equivalence_ratio_bounds(A, ctxA, B, ctxB, trials, seed):
     best = Fraction(0)
     witness = None
     for coeffs in _coefficient_family(n, trials, seed):
-        va = ctxA.norm(A.combine(coeffs))
-        vb = ctxB.norm(B.combine(coeffs))
+        va = _value(normA, A.combine(coeffs))
+        vb = _value(normB, B.combine(coeffs))
         if vb.upper > 0:
             ratio = va.lower / vb.upper
             if ratio > best:
@@ -186,7 +149,7 @@ def equivalence_ratio_bounds(A, ctxA, B, ctxB, trials, seed):
     return best, witness
 
 
-def unconditionality_constant_lower(A, ctx, trials=5, seed=0):
+def unconditionality_constant_lower(A, norm, trials=5, seed=0):
     """Lower bound for the unconditionality constant of a block sequence:
     max of |sum eps_i a_i A_i| / |sum a_i A_i| over sign patterns in
     {-1, 0, 1}^n and sampled coefficients.  Every norm here is
@@ -206,14 +169,14 @@ def unconditionality_constant_lower(A, ctx, trials=5, seed=0):
         )
     best = Fraction(0)
     for coeffs in samples:
-        base = ctx.norm(A.combine(coeffs))
+        base = _value(norm, A.combine(coeffs))
         if base.upper == 0:
             continue
         for signs in itertools.product((-1, 0, 1), repeat=n):
             flipped = [s * c for s, c in zip(signs, coeffs)]
             if not any(flipped):
                 continue
-            value = ctx.norm(A.combine(flipped))
+            value = _value(norm, A.combine(flipped))
             ratio = value.lower / base.upper
             if ratio > best:
                 best = ratio

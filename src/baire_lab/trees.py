@@ -6,6 +6,7 @@ such a tree, and admissibility conditions refer to the canonical
 (length, lexicographic) enumeration over the tree's own alphabet bound.
 """
 
+import bisect
 import random
 
 
@@ -31,17 +32,18 @@ def enumeration_index(node, alphabet_bound):
     The root () always has index 0.
     """
     base = alphabet_bound + 1
+    n = len(node)
+    # count of strictly shorter sequences: 1 + base + ... + base**(n-1)
+    shorter = n if base == 1 else (base**n - 1) // (base - 1)
+    # lexicographic rank among sequences of the same length, by Horner
+    lex = 0
     for entry in node:
         if entry > alphabet_bound:
             raise ValueError(
                 "node entry %d exceeds alphabet bound %d" % (entry, alphabet_bound)
             )
-    # count of strictly shorter sequences
-    idx = sum(base**length for length in range(len(node)))
-    # lexicographic rank among sequences of the same length
-    for i, entry in enumerate(node):
-        idx += entry * base ** (len(node) - 1 - i)
-    return idx
+        lex = lex * base + entry
+    return shorter + lex
 
 
 class FiniteTree:
@@ -207,10 +209,13 @@ def random_tree(seed, max_nodes, max_branch):
         raise ValueError("random_tree needs max_nodes >= 1")
     rng = random.Random(seed)
     nodes = {()}
+    order = [()]  # the nodes, kept sorted so each choice matches the seed
     while len(nodes) < max_nodes:
-        parent = rng.choice(sorted(nodes))
+        parent = rng.choice(order)
         child = parent + (rng.randrange(max_branch),)
-        nodes.add(child)
+        if child not in nodes:
+            nodes.add(child)
+            bisect.insort(order, child)
     return FiniteTree(nodes)
 
 

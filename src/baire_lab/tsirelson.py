@@ -36,7 +36,8 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from baire_lab.trees import comparable
+from baire_lab.trees import comparable, completely_incomparable
+from baire_lab.vectors import TreeVector, linear_combination
 
 INCOMPARABLE = "incomparable"
 STANDARD = "standard"
@@ -45,21 +46,15 @@ DEFAULT_SUPPORT_CAP = 14
 
 
 class _Ctx:
-    """Sorted support, absolute values, enumeration indices, comparability."""
+    """Sorted support, absolute values and enumeration indices."""
 
     def __init__(self, x):
         tree = x.tree
         self.nodes = sorted(x.support, key=tree.index)
         self.vals = [abs(x[t]) for t in self.nodes]
         self.idx = [tree.index(t) for t in self.nodes]
-        n = len(self.nodes)
-        self.n = n
-        self.comp = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if comparable(self.nodes[i], self.nodes[j]):
-                    self.comp[i] |= 1 << j
-        self.full = (1 << n) - 1
+        self.n = len(self.nodes)
+        self.full = (1 << self.n) - 1
 
     def sup(self, mask):
         best = Fraction(0)
@@ -74,8 +69,10 @@ class _Ctx:
         return {"value": str(value), "node": list(self.nodes[i])}
 
 
-def _family_search(ctx, mask, childf, incumbent):
+def _family_search(ctx, comp, mask, childf, incumbent):
     """Best sum of childf over INCOMPARABLE-admissible families inside mask.
+
+    comp[i] is the bitmask of the support positions comparable with i.
 
     Returns (best_sum, blocks) where the recorded candidate value is the
     plain sum (the caller halves it); blocks is the best family as a list
@@ -99,7 +96,6 @@ def _family_search(ctx, mask, childf, incumbent):
     for p in positions:
         v = ctx.vals[p] * scale
         ivals[p] = v.numerator
-    comp = ctx.comp
 
     def comp_of(block_mask):
         out = 0
@@ -185,6 +181,10 @@ class _IncEngine:
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.comp = [
+            sum(1 << j for j, t in enumerate(ctx.nodes) if comparable(s, t))
+            for s in ctx.nodes
+        ]
         self.memo = {}
         self.family = {}
 
@@ -198,7 +198,7 @@ class _IncEngine:
             value = sup
         else:
             child = self.f if level is None else partial(self.f, level=level - 1)
-            total, blocks = _family_search(self.ctx, mask, child, sup)
+            total, blocks = _family_search(self.ctx, self.comp, mask, child, sup)
             value = total / 2 if blocks is not None else sup
             if level is None:
                 self.family[mask] = blocks
@@ -372,7 +372,7 @@ def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
     if variant == INCOMPARABLE:
         eng = _IncEngine(ctx)
         value = eng.f(ctx.full)
-        if _family_search(ctx, ctx.full, eng.f, value)[1] is not None:
+        if _family_search(ctx, eng.comp, ctx.full, eng.f, value)[1] is not None:
             return False
         family = eng.family[ctx.full]
         members = None if family is None else [eng.f(b) for b in family]
@@ -402,7 +402,8 @@ class InequalityReport:
 
 
 def _block_sequence_setup(tree, blocks, coeffs, cap):
-    """Validate a finite block sequence and return its window-start nodes."""
+    """Validate a finite block sequence; return its window-start nodes, the
+    coefficient vector placed at them, and the block combination."""
     if not blocks:
         raise ValueError("empty block sequence")
     if len(blocks) != len(coeffs):
@@ -424,38 +425,24 @@ def _block_sequence_setup(tree, blocks, coeffs, cap):
             )
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            for s in supports[i]:
-                for t in supports[j]:
-                    if comparable(s, t):
-                        raise ValueError(
-                            "blocks %d and %d have comparable supports" % (i, j)
-                        )
+            if not completely_incomparable(supports[i], supports[j]):
+                raise ValueError(
+                    "blocks %d and %d have comparable supports" % (i, j)
+                )
     for i, b in enumerate(blocks):
         if tsirelson_norm(b, INCOMPARABLE, cap) != 1:
             raise ValueError("block %d is not normalized" % i)
-    return [supports[i][0] for i in range(len(blocks))]
-
-
-def _combine(tree, blocks, coeffs):
-    from baire_lab.vectors import TreeVector
-
-    combo = TreeVector(tree, {})
-    for b, c in zip(blocks, coeffs):
-        combo = combo.add(b.scale(c))
-    return combo
+    starts = [s[0] for s in supports]
+    index_vec = TreeVector(tree, dict(zip(starts, coeffs)))
+    return starts, index_vec, linear_combination(tree, blocks, coeffs)
 
 
 def verify_lemma_II1(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
     """Index-vector domination: the norm of the coefficient vector placed at
     the window-start nodes is at most the norm of the block combination."""
-    from baire_lab.vectors import TreeVector
-
-    starts = _block_sequence_setup(tree, blocks, coeffs, cap)
-    index_vec = TreeVector(
-        tree, {t: c for t, c in zip(starts, coeffs)}
-    )
+    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs, cap)
     lhs = tsirelson_norm(index_vec, INCOMPARABLE, cap)
-    rhs = tsirelson_norm(_combine(tree, blocks, coeffs), INCOMPARABLE, cap)
+    rhs = tsirelson_norm(combo, INCOMPARABLE, cap)
     return InequalityReport(
         lhs <= rhs,
         {"lhs": lhs, "rhs": rhs, "start_nodes": starts},
@@ -465,12 +452,10 @@ def verify_lemma_II1(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
 
 def verify_sandwich18(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
     """The 18-equivalence chain between the block combination and the
-    coefficient vector at the window-start nodes, under the comparison norm."""
-    from baire_lab.vectors import TreeVector
-
-    starts = _block_sequence_setup(tree, blocks, coeffs, cap)
-    index_vec = TreeVector(tree, {t: c for t, c in zip(starts, coeffs)})
-    combo = _combine(tree, blocks, coeffs)
+    coefficient vector at the window-start nodes, under the comparison norm,
+    with Lemma II.1 (index_incomparable <= combo_incomparable) as its
+    "lemma" check."""
+    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs, cap)
 
     a_std = tsirelson_norm(index_vec, STANDARD, cap)
     a_inc = tsirelson_norm(index_vec, INCOMPARABLE, cap)
@@ -480,6 +465,7 @@ def verify_sandwich18(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
     checks = {
         # start nodes are pairwise incomparable, so both variants agree there
         "index_vector_norms_equal": a_inc == a_std,
+        "lemma": a_inc <= b_inc,
         "left": a_std <= b_inc,
         "domination": b_inc <= b_std,
         "right_18": b_inc <= 18 * a_std,

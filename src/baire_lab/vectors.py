@@ -2,7 +2,8 @@
 
 Coefficients live in Q (fractions.Fraction).  The l_1 and sup base norms
 stay inside Q; l_q roots for q > 1 leave Q, so those values are returned
-as certified rational intervals of relative width at most 2**-40.
+as certified rational intervals of relative width at most 2**-ROOT_BITS
+(2**-48).
 """
 
 from fractions import Fraction
@@ -142,14 +143,13 @@ class BaseNorm:
             return "BaseNorm.sup()"
         return "BaseNorm.ell(%s)" % self.q
 
+    @staticmethod
     def parse(token):
         if token == "sup":
             return BaseNorm.sup()
         if token.startswith("l"):
             return BaseNorm.ell(Fraction(token[1:]))
         raise ValueError("unknown base norm token %r" % (token,))
-
-    parse = staticmethod(parse)
 
     def aggregate_abs(self, values):
         """Combine absolute coefficient values along one segment.
@@ -231,6 +231,18 @@ class TreeVector:
 
     def sup(self):
         return max((abs(v) for v in self.entries.values()), default=Fraction(0))
+
+
+def linear_combination(tree, vectors, coeffs):
+    """Sum of c * v over (v, c) in zip(vectors, coeffs); each v is on tree."""
+    acc = {}
+    for v, c in zip(vectors, coeffs):
+        if v.tree != tree:
+            raise ValueError("cannot combine vectors on different trees")
+        c = Fraction(c)
+        for node, value in v.entries.items():
+            acc[node] = acc.get(node, 0) + c * value
+    return TreeVector(tree, acc)
 
 
 def unit_vector(tree, node, value=1):

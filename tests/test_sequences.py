@@ -1,46 +1,61 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from baire_lab.baire import BaireParams
+from baire_lab.baire import BaireParams, baire_norm
+from baire_lab.hi import dg_lower_bound, ground_norm
 from baire_lab.sequences import (
     FiniteBlockSequence,
-    NormContext,
     equivalence_ratio_bounds,
     generate_incomparable_blocks,
     unconditionality_constant_lower,
 )
 from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.tsirelson import INCOMPARABLE, tsirelson_norm
-from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
+from baire_lab.vectors import BaseNorm, unit_vector
+
+TSIRELSON = partial(tsirelson_norm, variant=INCOMPARABLE)
 
 
-def test_norm_context_dispatch():
-    t = star_tree(3)
-    x = TreeVector(t, {(0,): 1, (1,): 1})
-    assert NormContext.ground(t).norm(x) == 1
-    assert NormContext.tsirelson(t, INCOMPARABLE).norm(x).exact == tsirelson_norm(
-        x, INCOMPARABLE
-    )
+def test_norms_are_plain_callables():
+    # each package norm plugs in directly, returning a Fraction or a NormValue
+    t = star_tree(6)
     p1 = BaireParams(1, BaseNorm.ell(1))
-    assert NormContext.baire(t, p1).norm(x) == 2
-    assert NormContext.dg_lower(t, 1, [(2, 4)]).norm(x).exact >= 1
+    p2 = BaireParams(2, BaseNorm.ell(2))
+    norms = [
+        ground_norm,
+        TSIRELSON,
+        lambda x: baire_norm(x, p1),
+        lambda x: baire_norm(x, p2),
+        lambda x: dg_lower_bound(x, 1, [(2, 4)])[0],
+    ]
+    for norm in norms:
+        seq = generate_incomparable_blocks(t, 3, seed=4, norm=norm)
+        for b in seq.blocks:
+            v = norm(b)
+            assert v == 1 or (Fraction(1, 2) <= v.lower and v.upper <= 2)
+        k, witness = equivalence_ratio_bounds(seq, norm, seq, norm, trials=2, seed=0)
+        assert witness is not None and Fraction(1, 2) <= k <= 1
+    # the l_2-based Baire norm is the interval case: its blocks are not exact
+    interval = generate_incomparable_blocks(t, 3, seed=4, norm=norms[3])
+    assert not all(baire_norm(b, p2).is_exact for b in interval.blocks)
 
 
 def test_block_sequence_window_validation():
     t = star_tree(3)
     b0, b1 = unit_vector(t, (0,)), unit_vector(t, (1,))
-    FiniteBlockSequence([b0, b1], [(0, 1), (1, 2)], True)
+    FiniteBlockSequence([b0, b1], [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        FiniteBlockSequence([b0, b1], [(0, 2), (1, 2)], True)  # overlap
+        FiniteBlockSequence([b0, b1], [(0, 2), (1, 2)])  # overlap
     with pytest.raises(ValueError):
-        FiniteBlockSequence([b0], [(1, 2)], True)  # support escapes window
+        FiniteBlockSequence([b0], [(1, 2)])  # support escapes window
 
 
 def test_combine():
     t = star_tree(3)
     seq = FiniteBlockSequence(
-        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)], True
+        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)]
     )
     z = seq.combine([2, Fraction(-1, 2)])
     assert z[(0,)] == 2 and z[(1,)] == Fraction(-1, 2)
@@ -50,10 +65,8 @@ def test_generate_incomparable_blocks():
     t = star_tree(6)
     seq = generate_incomparable_blocks(t, 3, seed=11)
     assert len(seq) == 3
-    ctx = NormContext.ground(t)
     for b in seq.blocks:
-        v = ctx.norm(b)
-        assert Fraction(1, 2) <= v.lower and v.upper <= 2
+        assert Fraction(1, 2) <= ground_norm(b) <= 2
     # supports sit in increasing windows
     for (_, hi), (lo, _) in zip(seq.windows, seq.windows[1:]):
         assert hi <= lo
@@ -76,8 +89,9 @@ def test_generate_reports_max_count():
 def test_equivalence_self_is_one():
     t = star_tree(5)
     seq = generate_incomparable_blocks(t, 3, seed=1)
-    ctx = NormContext.ground(t)
-    k, witness = equivalence_ratio_bounds(seq, ctx, seq, ctx, trials=4, seed=2)
+    k, witness = equivalence_ratio_bounds(
+        seq, ground_norm, seq, ground_norm, trials=4, seed=2
+    )
     assert k == 1 and witness is not None
 
 
@@ -85,7 +99,7 @@ def test_equivalence_is_symmetric():
     t = star_tree(6)
     A = generate_incomparable_blocks(t, 3, seed=1)
     B = generate_incomparable_blocks(t, 3, seed=9)
-    ga, gb = NormContext.ground(t), NormContext.tsirelson(t, INCOMPARABLE)
+    ga, gb = ground_norm, TSIRELSON
     k1, _ = equivalence_ratio_bounds(A, ga, B, gb, trials=5, seed=7)
     k2, _ = equivalence_ratio_bounds(B, gb, A, ga, trials=5, seed=7)
     assert k1 == k2
@@ -95,21 +109,20 @@ def test_equivalence_is_symmetric():
 def test_equivalence_detects_scaling():
     t = star_tree(4)
     b = [unit_vector(t, (i,)) for i in range(2)]
-    A = FiniteBlockSequence(b, [(0, 1), (1, 2)], True)
-    B = FiniteBlockSequence([x.scale(3) for x in b], [(0, 1), (1, 2)], True)
-    ctx = NormContext.ground(t)
-    k, _ = equivalence_ratio_bounds(A, ctx, B, ctx, trials=0, seed=0)
+    A = FiniteBlockSequence(b, [(0, 1), (1, 2)])
+    B = FiniteBlockSequence([x.scale(3) for x in b], [(0, 1), (1, 2)])
+    k, _ = equivalence_ratio_bounds(A, ground_norm, B, ground_norm, trials=0, seed=0)
     assert k >= 3
 
 
 def test_equivalence_length_mismatch():
     t = star_tree(4)
-    A = FiniteBlockSequence([unit_vector(t, (0,))], [(0, 1)], True)
+    A = FiniteBlockSequence([unit_vector(t, (0,))], [(0, 1)])
     B = FiniteBlockSequence(
-        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)], True
+        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)]
     )
     with pytest.raises(ValueError):
-        equivalence_ratio_bounds(A, NormContext.ground(t), B, NormContext.ground(t), 1, 0)
+        equivalence_ratio_bounds(A, ground_norm, B, ground_norm, 1, 0)
 
 
 def test_unconditionality_is_one_for_these_norms():
@@ -117,14 +130,14 @@ def test_unconditionality_is_one_for_these_norms():
     # coordinate deletions never increase the value
     t = star_tree(5)
     seq = generate_incomparable_blocks(t, 3, seed=2)
-    for ctx in (NormContext.ground(t), NormContext.tsirelson(t, INCOMPARABLE)):
-        assert unconditionality_constant_lower(seq, ctx, trials=2) == 1
+    for norm in (ground_norm, TSIRELSON):
+        assert unconditionality_constant_lower(seq, norm, trials=2) == 1
 
 
 def test_unconditionality_cap():
     t = star_tree(13, base_label=13)
     blocks = [unit_vector(t, (13 + i,)) for i in range(13)]
     windows = [(13 + i, 14 + i) for i in range(13)]
-    seq = FiniteBlockSequence(blocks, windows, True)
+    seq = FiniteBlockSequence(blocks, windows)
     with pytest.raises(ValueError):
-        unconditionality_constant_lower(seq, NormContext.ground(t))
+        unconditionality_constant_lower(seq, ground_norm)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,9 +56,11 @@ def test_enumeration_index_rejects_out_of_alphabet():
 @given(nodes_st, nodes_st)
 def test_enumeration_order_is_length_lex(s, t):
     # the enumeration order never depends on the alphabet bound
-    for bound in (4, 7):
-        lt = enumeration_index(s, bound) < enumeration_index(t, bound)
-        assert lt == ((len(s), s) < (len(t), t))
+    for bound in (0, 4, 7):
+        # clamp entries into the alphabet (bound 0 is the unary, base-1 case)
+        sb, tb = (tuple(min(e, bound) for e in u) for u in (s, t))
+        lt = enumeration_index(sb, bound) < enumeration_index(tb, bound)
+        assert lt == ((len(sb), sb) < (len(tb), tb))
 
 
 @given(nodes_st, nodes_st)
@@ -70,6 +74,9 @@ def test_tree_requires_prefix_closure():
         FiniteTree([(), (0, 1)])
     with pytest.raises(ValueError, match=r"missing \(0, 0\)"):
         FiniteTree([(), (0,), (0, 0, 0)])
+    # deep: 3,000 nodes build and sort by enumeration index quickly
+    deep = chain_tree(3000).sorted_nodes()
+    assert [len(t) for t in deep] == list(range(3000))
 
 
 def test_make_tree_closes():
@@ -114,12 +121,24 @@ def test_rank_values():
     assert rank(comb_tree(1500)) == 1500
 
 
+def _reference_random_tree(seed, max_nodes, max_branch):
+    """The original generator, which re-sorts the node set on every draw."""
+    rng = random.Random(seed)
+    nodes = {()}
+    while len(nodes) < max_nodes:
+        parent = rng.choice(sorted(nodes))
+        nodes.add(parent + (rng.randrange(max_branch),))
+    return FiniteTree(nodes)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_random_tree_is_valid_and_deterministic(seed):
     a = random_tree(seed=seed, max_nodes=10, max_branch=3)
     b = random_tree(seed=seed, max_nodes=10, max_branch=3)
     assert a == b
+    assert a == _reference_random_tree(seed, 10, 3)
+    assert random_tree(seed, 40, 2) == _reference_random_tree(seed, 40, 2)
     assert len(a) <= 10
     # prefix closure is FiniteTree's invariant; reconstruct to re-check
     assert FiniteTree(a.nodes) == a

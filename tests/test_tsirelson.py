@@ -214,6 +214,11 @@ def test_sandwich18_unit_blocks():
     assert rep.ok
     assert rep.checks["index_vector_norms_equal"]
     assert rep.checks["right_18"]
+    # the "lemma" check is Lemma II.1 on the same two INCOMPARABLE norms
+    lemma = verify_lemma_II1(t, blocks, [1, 1, 1, 1])
+    assert rep.checks["lemma"] == lemma.ok
+    assert rep.quantities["index_incomparable"] == lemma.quantities["lhs"]
+    assert rep.quantities["combo_incomparable"] == lemma.quantities["rhs"]
 
 
 def test_block_sequence_validation():

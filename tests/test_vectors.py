@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire_lab.trees import chain_tree, star_tree
+from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.vectors import (
     ROOT_BITS,
     BaseNorm,
@@ -12,6 +13,7 @@ from baire_lab.vectors import (
     TreeVector,
     base_norm_of_segment,
     integer_nth_root,
+    linear_combination,
     nth_root_bounds,
     unit_vector,
 )
@@ -101,6 +103,28 @@ def test_tree_vector_algebra():
     assert x.scale(Fraction(2, 3))[(0,)] == Fraction(2, 3)
     with pytest.raises(ValueError):
         x.add(unit_vector(star_tree(4), (0,)))
+
+
+def test_linear_combination_matches_chained_add_scale():
+    for seed in range(40):
+        rng = random.Random(seed)
+        tree = random_tree(seed=seed, max_nodes=9, max_branch=3)
+        nodes = sorted(tree.nodes)
+        vectors = [
+            TreeVector(tree, {
+                t: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                for t in rng.sample(nodes, rng.randint(0, len(nodes)))
+            })
+            for _ in range(rng.randint(1, 4))
+        ]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
+        chained = TreeVector(tree, {})
+        for v, c in zip(vectors, coeffs):
+            chained = chained.add(v.scale(c))
+        assert linear_combination(tree, vectors, coeffs) == chained
+    t = star_tree(3)
+    with pytest.raises(ValueError):
+        linear_combination(t, [unit_vector(t, (0,)), unit_vector(star_tree(4), (0,))], [1, 1])
 
 
 def test_restrict():

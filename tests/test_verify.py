@@ -48,6 +48,13 @@ def test_tsirelson_suite_runs_and_is_deterministic():
     assert a.digest == b.digest
     c = run_tsirelson_suite(25, seed=2)
     assert c.digest != a.digest
+    # pinned: report bytes must not drift across refactors
+    assert a.digest == (
+        "adccec93cbbb34146a427c4b23a8571a781950c91c472e0f60df1ef63e1301b7"
+    )
+    assert c.digest == (
+        "b3e5a6053031da30bef73690d9a39190ac0eccc8adcee56d99a74da009e1f51e"
+    )
 
 
 def test_tsirelson_suite_records_are_rational_strings():
