@@ -42,9 +42,7 @@ def _s_add(a, b):
 def _s_pow(s, exponent):
     if exponent == 1:
         return s
-    lo, _ = pow_bounds(s[0], s[0], exponent)
-    _, hi = pow_bounds(s[1], s[1], exponent)
-    return lo, hi
+    return pow_bounds(s[0], s[1], exponent)
 
 
 def _s_max(scalars):
@@ -99,26 +97,29 @@ def _dp(x, params):
     if not tree.nodes:
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
+    support = x.support
+    bottom_up = sorted(tree.nodes, key=len, reverse=True)
 
     chain_agg = {}  # best single-chain aggregate hanging down from v
     chain_next = {}  # argmax child continuing that chain, or None
-    for v in sorted(tree.nodes, key=len, reverse=True):
+    for v in bottom_up:
         kids = tree.children(v)
-        if base.kind == "sup":
-            here = (abs(x[v]), abs(x[v]))
-            options = [(here, None)] + [(chain_agg[k], k) for k in kids]
-            best = max(options, key=lambda o: (o[0][1], o[0][0]))
-            chain_agg[v] = _s_max([here] + [chain_agg[k] for k in kids])
-            chain_next[v] = best[1] if best[0][1] > here[1] else None
+        if kids:
+            tails = [(chain_agg[k], k) for k in kids]
+            tail, nxt = max(tails, key=lambda o: (o[0][1], o[0][0]))
         else:
-            here = _term_power(x[v], base.q)
-            if kids:
-                tails = [(chain_agg[k], k) for k in kids]
-                tail, nxt = max(tails, key=lambda o: (o[0][1], o[0][0]))
-            else:
-                tail, nxt = _EXACT_ZERO, None
-            chain_agg[v] = _s_add(here, tail)
-            chain_next[v] = nxt
+            tail, nxt = _EXACT_ZERO, None
+        # a node off the support keeps its best child's aggregate, whose
+        # M(v) below is then already memoized
+        if base.kind == "sup":
+            # sup aggregates are exact; v itself wins ties
+            here = abs(x[v])
+            if tail[1] <= here:
+                tail, nxt = (here, here), None
+        elif v in support:
+            tail = _s_add(_term_power(x[v], base.q), tail)
+        chain_agg[v] = tail
+        chain_next[v] = nxt
 
     def chain_of(v):
         chain = [v]
@@ -130,7 +131,7 @@ def _dp(x, params):
         best_v = max(tree.nodes, key=lambda v: (chain_agg[v][1], chain_agg[v][0]))
         power = chain_agg[best_v]
         root_exp = 1 / base.q if base.kind == "ell" else None
-        seg = _trim_to_support(tree, chain_of(best_v), x.support)
+        seg = _trim_to_support(tree, chain_of(best_v), support)
         family = [seg] if seg is not None else []
         return power, root_exp, family
 
@@ -139,13 +140,17 @@ def _dp(x, params):
         seg_exp = Fraction(p)
     else:
         seg_exp = p / base.q
+    seg_power = {}  # M(v) by chain aggregate
     f = {}
     pick_chain = {}
-    for v in sorted(tree.nodes, key=len, reverse=True):
-        m = _s_pow(chain_agg[v], seg_exp)
+    for v in bottom_up:
+        agg = chain_agg[v]
+        m = seg_power.get(agg)
+        if m is None:
+            m = seg_power[agg] = _s_pow(agg, seg_exp)
         kids = tree.children(v)
-        ksum = _EXACT_ZERO
-        for k in kids:
+        ksum = f[kids[0]] if kids else _EXACT_ZERO
+        for k in kids[1:]:
             ksum = _s_add(ksum, f[k])
         f[v] = _s_max([m, ksum])
         pick_chain[v] = m[1] >= ksum[1]
@@ -156,7 +161,7 @@ def _dp(x, params):
     while stack:
         v = stack.pop()
         if pick_chain[v]:
-            seg = _trim_to_support(tree, chain_of(v), x.support)
+            seg = _trim_to_support(tree, chain_of(v), support)
             if seg is not None:
                 family.append(seg)
         else:
@@ -276,6 +281,8 @@ def incomparable_block_profile(blocks, coeffs, params):
     behaved exactly like the l_p basis; the flag trips when the measured
     ratio is certainly outside [1/2, 2].
     """
+    if not blocks:
+        raise ValueError("empty block sequence")
     if len(blocks) != len(coeffs):
         raise ValueError("blocks and coeffs length mismatch")
     supports = [b.support for b in blocks]

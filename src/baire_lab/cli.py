@@ -3,7 +3,8 @@
 Subcommands: baire, tsirelson, ground, hi, rank, gen, verify.  All
 numeric output is exact rational strings or certified interval
 endpoints; --json switches from aligned text to machine format.  Exit
-codes: 0 pass, 1 verification failure, 2 usage/input error.
+codes: 0 pass, 1 verification failure, 2 usage/input error or internal
+error.
 """
 
 import argparse
@@ -46,6 +47,10 @@ class InputError(Exception):
 # n_3 has 1,517 decimal digits; n_4 would have about 2.8 million, far past
 # the int-to-str conversion limit
 SCHEDULE_JMAX = 3
+
+# a pair m:n makes hi witness and verify hi build a star with n leaves
+# and run a window DP cubic in n (n = 128 takes about 0.3 s)
+PAIRS_NMAX = 128
 
 
 def _load_json(path):
@@ -193,6 +198,8 @@ def _parse_pairs(text):
     for m, n in pairs:
         if m < 2 or n < 1:
             raise InputError("pairs need m >= 2 and n >= 1")
+        if n > PAIRS_NMAX:
+            raise InputError("pair %d:%d is too large: n may be at most %d" % (m, n, PAIRS_NMAX))
     return pairs
 
 
@@ -338,6 +345,10 @@ def main(argv=None):
         return args.func(args)
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except Exception as e:
+        # exit 1 means only "verification failed"
+        print("error: internal: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
 
 

@@ -13,10 +13,15 @@ entries stay in [-1, 1]).
 The averaging layer decomposes over enumeration-index windows: the best
 value on a window is monotone under window inclusion, so the optimal
 k-term combination splits the window into at most k consecutive runs.
-That makes the whole search polynomial in the support size.
+That makes the whole search polynomial in the support size.  The DP
+runs in integers over one common denominator (the lcm of the entries'
+denominators times lcm(m)**depth), in which every division by m is
+exact; the best chain sums of each window start are computed once, and
+only the final witness is built as a Functional and replayed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from baire_lab.trees import is_prefix
 from baire_lab.vectors import TreeVector
@@ -138,63 +143,70 @@ def _sign(v):
 
 
 class _Search:
-    """Window DP for the bounded-depth norming-set lower bound."""
+    """Window DP for the bounded-depth norming-set lower bound.
 
-    def __init__(self, x, ops):
+    Values are integers over the common denominator `scale`, the lcm of
+    the entries' denominators times lcm(m)**depth: a value at depth d is
+    a multiple of lcm(m)**(depth - d), so total // m is exact.  A
+    witness is a record, ("ground", i, p) for the best chain ending at
+    position p inside windows starting at i, or ("even_op", m, n, parts);
+    `functional` builds the Functional of one record.
+    """
+
+    def __init__(self, x, ops, depth):
         tree = x.tree
         self.nodes = sorted(x.support, key=tree.index)
-        self.vals = [x[t] for t in self.nodes]
+        vals = [x[t] for t in self.nodes]
+        self.signs = [_sign(v) for v in vals]
         self.n = len(self.nodes)
         self.ops = ops
-        # prefix-order predecessors go backwards in enumeration order
-        self.pred = [
-            [j for j in range(i) if is_prefix(self.nodes[j], self.nodes[i])]
+        self.scale = lcm(*(v.denominator for v in vals)) * lcm(*(m for m, _ in ops)) ** depth
+        self.weights = [abs(v.numerator) * (self.scale // v.denominator) for v in vals]
+        # the nearest support ancestor: prefix-order predecessors go
+        # backwards in enumeration order, the deepest one last
+        self.up = [
+            max((j for j in range(i) if is_prefix(self.nodes[j], self.nodes[i])), default=None)
             for i in range(self.n)
         ]
+        self.grounds = {}
         self.memo = {}
         self.combo_memo = {}
 
-    def ground(self, i, j):
-        """Best ground functional confined to support positions [i, j)."""
-        best_val = Fraction(0)
-        best_pos = None
+    def _ground_from(self, i):
+        """Best ground functionals on the windows [i, j), indexed by j.
+
+        The best chain in [i, j) ending at p climbs from p through nearest
+        support ancestors while their positions stay >= i (a deeper
+        ancestor always has the larger sum); the first best end wins.
+        """
+        if i in self.grounds:
+            return self.grounds[i]
         c = {}
-        back = {}
-        for p in range(i, j):
-            prev = [q for q in self.pred[p] if q >= i]
-            if prev:
-                q = max(prev, key=lambda q: c[q])
-                c[p] = abs(self.vals[p]) + c[q]
-                back[p] = q
-            else:
-                c[p] = abs(self.vals[p])
-                back[p] = None
+        best = [None] * (self.n + 1)
+        best_val, best_pos = 0, None
+        for p in range(i, self.n):
+            q = self.up[p]
+            c[p] = self.weights[p] + (c[q] if q is not None and q >= i else 0)
             if c[p] > best_val:
                 best_val, best_pos = c[p], p
-        if best_pos is None:
-            return Fraction(0), None
-        chain = []
-        p = best_pos
-        while p is not None:
-            chain.append(p)
-            p = back[p]
-        signs = [(self.nodes[p], _sign(self.vals[p])) for p in chain]
-        return best_val, ground_functional(signs)
+            best[p + 1] = (best_val, ("ground", i, best_pos))
+        self.grounds[i] = best
+        return best
 
     def best(self, i, j, depth):
         """Best derivable functional value on window [i, j)."""
         if i >= j:
-            return Fraction(0), None
+            return 0, None
         key = (i, j, depth)
         if key in self.memo:
             return self.memo[key]
-        value, witness = self.ground(i, j)
+        value, witness = self._ground_from(i)[j]
         if depth > 0:
             for m, cap in self.ops:
                 total, parts = self._combo(i, j, depth - 1, cap)
-                if parts and Fraction(total, m) > value:
-                    value = Fraction(total, m)
-                    witness = even_op_functional(m, cap, parts)
+                if parts and total // m > value:
+                    value = total // m
+                    witness = ("even_op", m, cap, parts)
         self.memo[key] = (value, witness)
         return value, witness
 
@@ -203,11 +215,11 @@ class _Search:
         key = (i, j, depth, cap)
         if key in self.combo_memo:
             return self.combo_memo[key]
-        best_total = Fraction(0)
-        best_parts = []
+        best_total = 0
+        best_parts = ()
         whole, wit = self.best(i, j, depth)
         if wit is not None:
-            best_total, best_parts = whole, [wit]
+            best_total, best_parts = whole, (wit,)
         if cap > 1:
             for t in range(i + 1, j):
                 head, hwit = self.best(i, t, depth)
@@ -216,9 +228,20 @@ class _Search:
                 tail, tparts = self._combo(t, j, depth, cap - 1)
                 if tparts and head + tail > best_total:
                     best_total = head + tail
-                    best_parts = [hwit] + tparts
+                    best_parts = (hwit,) + tparts
         self.combo_memo[key] = (best_total, best_parts)
         return best_total, best_parts
+
+    def functional(self, record):
+        if record[0] == "ground":
+            _, i, p = record
+            chain = []
+            while p is not None and p >= i:
+                chain.append(p)
+                p = self.up[p]
+            return ground_functional([(self.nodes[p], self.signs[p]) for p in chain])
+        _, m, cap, parts = record
+        return even_op_functional(m, cap, [self.functional(r) for r in parts])
 
 
 def dg_lower_bound(x, depth, ops):
@@ -233,8 +256,10 @@ def dg_lower_bound(x, depth, ops):
             raise ValueError("ops entries must be positive")
     if not x.support:
         return Fraction(0), Functional({}, ("ground", ()))
-    search = _Search(x, list(ops))
-    value, witness = search.best(0, search.n, depth)
+    search = _Search(x, list(ops), depth)
+    total, record = search.best(0, search.n, depth)
+    value = Fraction(total, search.scale)
+    witness = search.functional(record)
     assert witness(x) == value, "witness replay mismatch"
     return value, witness
 

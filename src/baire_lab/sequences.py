@@ -32,6 +32,8 @@ class FiniteBlockSequence:
     """Blocks with strictly increasing enumeration-index windows."""
 
     def __init__(self, blocks, windows):
+        if not blocks:
+            raise ValueError("empty block sequence")
         if len(blocks) != len(windows):
             raise ValueError("blocks and windows length mismatch")
         for b, (lo, hi) in zip(blocks, windows):
@@ -62,6 +64,8 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
     Each block is rescaled so its norm is exactly 1 when the norm is
     rational, and lands in [1/2, 2] otherwise.
     """
+    if count < 1:
+        raise ValueError("empty block sequence")
     leaves = sorted(tree.leaves(), key=tree.index)
     if len(leaves) < count:
         raise ValueError(

@@ -64,6 +64,8 @@ def pow_bounds(lo, hi, exponent):
     """Bounds for x**exponent over a nonnegative interval, exponent in Q+."""
     a, b = exponent.numerator, exponent.denominator
     plo, phi = lo**a, hi**a
+    if plo == phi:
+        return nth_root_bounds(plo, b)
     rlo, _ = nth_root_bounds(plo, b)
     _, rhi = nth_root_bounds(phi, b)
     return rlo, rhi
@@ -168,10 +170,7 @@ class BaseNorm:
             vlo, vhi = pow_bounds(v, v, self.q)
             plo += vlo
             phi += vhi
-        invq = 1 / self.q
-        lo, _ = pow_bounds(plo, plo, Fraction(invq))
-        _, hi = pow_bounds(phi, phi, Fraction(invq))
-        return lo, hi
+        return pow_bounds(plo, phi, 1 / self.q)
 
 
 class TreeVector:

@@ -82,6 +82,9 @@ def test_sup_base():
     x = TreeVector(t, {(1,): 2, (0, 1): 3, (0, 0): 1})
     # three pairwise incomparable leaves, sup per segment
     assert baire_norm(x, params) == 6
+    # on a tie the chain stops at the upper node
+    y = TreeVector(chain_tree(3), {(): 1, (0,): 1, (0, 0): 1})
+    assert [seg.chain for seg in baire_norm_report(y, params).family] == [[()]]
 
 
 def test_report_family_is_valid_witness():
@@ -118,6 +121,29 @@ def test_oracle_equivalence_seeded(params):
         got = baire_norm_power(x, params)
         want = baire_norm_oracle_report(x, params, cap=8).power
         assert got == want, (seed, sorted(x.entries.items()))
+
+
+MATRIX_BASES = ["sup", "l1", "l2", "l3/2"]
+MATRIX_PS = ["0", "1", "3/2", "2", "3"]
+
+
+def _agree(got, want):
+    if got.is_exact and want.is_exact:
+        return got == want
+    return got.overlaps(want)
+
+
+@pytest.mark.parametrize("p", MATRIX_PS)
+@pytest.mark.parametrize("base", MATRIX_BASES)
+def test_dp_matches_oracle_matrix(base, p):
+    # exact results are equal; certified intervals (roots) overlap
+    params = BaireParams(Fraction(p), BaseNorm.parse(base))
+    for seed in range(100):
+        _, x = random_case(seed, max_support=6)
+        got = baire_norm_report(x, params)
+        want = baire_norm_oracle_report(x, params, cap=8)
+        assert _agree(got.value, want.value), (seed, got.value, want.value)
+        assert _agree(got.power, want.power), (seed, got.power, want.power)
 
 
 def test_oracle_cap():
@@ -196,3 +222,8 @@ def test_block_profile_rejects_comparable_blocks():
     blocks = [unit_vector(t, ()), unit_vector(t, (0,))]
     with pytest.raises(ValueError):
         incomparable_block_profile(blocks, [1, 1], P1)
+
+
+def test_block_profile_rejects_empty_block_list():
+    with pytest.raises(ValueError, match="empty block sequence"):
+        incomparable_block_profile([], [], P1)

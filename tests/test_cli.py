@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from baire_lab.cli import main
+from baire_lab import cli
+from baire_lab.cli import PAIRS_NMAX, main
 
 
 def run(capsys, *argv):
@@ -95,6 +96,29 @@ def test_hi_witness_csv(capsys):
     assert lines[0] == "m,n,ground,lower,upper,ratio"
     assert lines[1] == "2,4,1,2,4,2"
     assert lines[2] == "2,8,1,4,8,4"
+
+
+def test_hi_pairs_n_is_bounded(capsys):
+    # a 10**8-leaf star would never return; both commands refuse it first
+    for argv in (["hi", "witness", "--pairs"], ["verify", "hi", "--pairs"]):
+        for pairs in ("2:100000000", "2:4,2:%d" % (PAIRS_NMAX + 1)):
+            code, out, err = run(capsys, *argv, pairs)
+            assert code == 2 and out == "", (argv, pairs)
+            assert err.startswith("error: pair 2:") and "at most %d" % PAIRS_NMAX in err
+    code, out, _ = run(capsys, "hi", "witness", "--pairs", "2:%d" % PAIRS_NMAX)
+    assert code == 0
+    assert out.strip().splitlines()[1] == "2,%d,1,%d,%d,%d" % (
+        PAIRS_NMAX, PAIRS_NMAX // 2, PAIRS_NMAX, PAIRS_NMAX // 2)
+
+
+def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_rank", boom)
+    code, out, err = run(capsys, "rank", "--tree", "t.json")
+    assert code == 2 and out == ""
+    assert err == "error: internal: RuntimeError: unexpected state\n"
 
 
 def test_verify_subcommands(tmp_path, capsys):

@@ -18,6 +18,7 @@ from baire_lab.hi import (
 )
 from baire_lab.trees import chain_tree, comb_tree, star_tree
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
+from hi_reference import reference_dg_lower_bound
 from util import random_case
 
 
@@ -78,6 +79,34 @@ def test_dg_lower_monotone_in_depth():
         v1, _ = dg_lower_bound(x, 1, [(2, 4)])
         v2, _ = dg_lower_bound(x, 2, [(2, 4)])
         assert v0 <= v1 <= v2
+
+
+# m = 3 makes the common denominator an lcm of distinct m's
+WINDOW_DP_OPS = [DESK_PAIRS, [(2, 4)], [(3, 5), (2, 4)]]
+
+
+def _assert_matches_reference(x):
+    for ops in WINDOW_DP_OPS:
+        for depth in range(3):
+            value, witness = dg_lower_bound(x, depth, ops)
+            want, want_witness = reference_dg_lower_bound(x, depth, ops)
+            assert value == want, (depth, ops, sorted(x.entries.items()))
+            assert witness.provenance == want_witness.provenance, (depth, ops)
+
+
+def test_window_dp_matches_fraction_reference():
+    for seed in range(60):
+        tree, x = random_case(seed, max_nodes=20, max_support=14)
+        _assert_matches_reference(x)
+        # unit magnitudes make ties everywhere, so tie-breaking is compared too
+        _assert_matches_reference(TreeVector(tree, {t: v / abs(v) for t, v in x.entries.items()}))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_window_dp_matches_fraction_reference_property(seed):
+    _, x = random_case(seed, max_nodes=20, max_support=14)
+    _assert_matches_reference(x)
 
 
 def test_dg_validation():

@@ -42,6 +42,13 @@ def test_norms_are_plain_callables():
     assert not all(baire_norm(b, p2).is_exact for b in interval.blocks)
 
 
+def test_empty_block_sequence_rejected():
+    with pytest.raises(ValueError, match="empty block sequence"):
+        FiniteBlockSequence([], []).combine([])
+    with pytest.raises(ValueError, match="empty block sequence"):
+        generate_incomparable_blocks(star_tree(4), 0, seed=1)
+
+
 def test_block_sequence_window_validation():
     t = star_tree(3)
     b0, b1 = unit_vector(t, (0,)), unit_vector(t, (1,))

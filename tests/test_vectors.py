@@ -15,8 +15,10 @@ from baire_lab.vectors import (
     integer_nth_root,
     linear_combination,
     nth_root_bounds,
+    pow_bounds,
     unit_vector,
 )
+from baire_lab import vectors
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=16)
 positive_fractions_st = st.fractions(
@@ -45,6 +47,38 @@ def test_nth_root_exact_on_perfect_powers():
     assert lo == hi == Fraction(3, 2)
     lo, hi = nth_root_bounds(Fraction(27), 3)
     assert lo == hi == 3
+
+
+def _two_call_pow_bounds(lo, hi, exponent):
+    """pow_bounds as it was: one root for each endpoint, always."""
+    a, b = exponent.numerator, exponent.denominator
+    return nth_root_bounds(lo**a, b)[0], nth_root_bounds(hi**a, b)[1]
+
+
+def test_pow_bounds_matches_two_call_composition(monkeypatch):
+    exponents = [Fraction(e) for e in ("1", "2", "1/2", "3/2", "2/3", "3", "1/3")]
+    points = [Fraction(v) for v in ("0", "1", "2", "9/4", "1/7", "5/3", "27", "10/9")]
+    calls = []
+
+    def counted(value, n):
+        calls.append(n)
+        return nth_root_bounds(value, n)
+
+    monkeypatch.setattr(vectors, "nth_root_bounds", counted)
+    for e in exponents:
+        for lo in points:
+            for hi in points:
+                if lo > hi:
+                    continue
+                calls.clear()
+                assert pow_bounds(lo, hi, e) == _two_call_pow_bounds(lo, hi, e)
+                # a degenerate interval takes a single root
+                assert len(calls) == (1 if lo == hi else 2)
+    # the l_q aggregate is one pow_bounds over the summed powers
+    lo, hi = BaseNorm.ell(Fraction(3, 2)).aggregate_abs([1, Fraction(1, 3), 2])
+    plo = sum(_two_call_pow_bounds(v, v, Fraction(3, 2))[0] for v in (1, Fraction(1, 3), 2))
+    phi = sum(_two_call_pow_bounds(v, v, Fraction(3, 2))[1] for v in (1, Fraction(1, 3), 2))
+    assert (lo, hi) == _two_call_pow_bounds(plo, phi, Fraction(2, 3))
 
 
 def test_norm_value_exactness():
