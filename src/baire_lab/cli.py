@@ -52,6 +52,11 @@ SCHEDULE_JMAX = 3
 # and run a window DP cubic in n (n = 128 takes about 0.3 s)
 PAIRS_NMAX = 128
 
+# a node with d entries brings its d prefixes, d**2 / 2 entries in all
+# (a 3,000-entry node takes about 0.1 GB to load); this bounds tree-file
+# nodes, gen chain|comb --n and verify branch --max-len
+DEPTH_MAX = 3000
+
 
 def _load_json(path):
     try:
@@ -65,6 +70,13 @@ def _load_json(path):
 
 def _load_tree(path):
     data = _load_json(path)
+    if isinstance(data, dict) and isinstance(data.get("nodes"), list):
+        depth = max((len(t) for t in data["nodes"] if isinstance(t, list)), default=0)
+        if depth > DEPTH_MAX:
+            raise InputError(
+                "tree in %s is too deep: a node has %d entries, at most %d are allowed"
+                % (path, depth, DEPTH_MAX)
+            )
     try:
         tree, closure_added = tree_from_json_dict(data)
     except (ValueError, TypeError) as e:
@@ -72,6 +84,7 @@ def _load_tree(path):
     if closure_added:
         print("note: prefix closure added missing nodes", file=sys.stderr)
     return tree
+
 
 def _load_vector(path, tree):
     data = _load_json(path)
@@ -170,6 +183,9 @@ def cmd_rank(args):
 
 
 def cmd_gen(args):
+    if args.shape in ("chain", "comb") and args.n > DEPTH_MAX:
+        raise InputError("--n %d is too large: %s trees take n at most %d"
+                         % (args.n, args.shape, DEPTH_MAX))
     try:
         if args.shape == "chain":
             tree = chain_tree(args.n)
@@ -254,12 +270,19 @@ def cmd_hi(args):
 
 
 def cmd_verify(args):
-    if args.suite == "branch":
-        report = run_branch_isometry(args.max_len, cases=args.cases, seed=args.seed)
-    elif args.suite == "tsirelson":
-        report = run_tsirelson_suite(args.cases, args.seed)
-    else:
-        report = run_hi_suite(_parse_pairs(args.pairs) if args.pairs else DESK_PAIRS)
+    if args.cases < 0:
+        raise InputError("--cases must be >= 0")
+    if args.suite == "branch" and args.max_len > DEPTH_MAX:
+        raise InputError("--max-len %d is too large: at most %d" % (args.max_len, DEPTH_MAX))
+    try:
+        if args.suite == "branch":
+            report = run_branch_isometry(args.max_len, cases=args.cases, seed=args.seed)
+        elif args.suite == "tsirelson":
+            report = run_tsirelson_suite(args.cases, args.seed)
+        else:
+            report = run_hi_suite(_parse_pairs(args.pairs) if args.pairs else DESK_PAIRS)
+    except ValueError as e:
+        raise InputError(str(e))
     payload = report.to_json_dict()
     if args.out:
         _write_or_print(payload, args.out)

@@ -14,7 +14,9 @@ realize the outer max, and dropping them guarantees termination of the
 subset recursion (k >= 2 disjoint nonempty sets are proper subsets).
 
 Each variant has one engine, which computes the fixed point (level None)
-and the m-th iterate (level m) alike.
+and the m-th iterate (level m) alike.  Both engines offer the same surface
+(root, value, memo, members, positions, beaten) and are made by `_engine`,
+so each public function has one body.
 
 The INCOMPARABLE engine walks the support in enumeration order, growing
 one set at a time and pruning with the l_1 upper bound, and records the
@@ -23,13 +25,25 @@ optimal family of every subset.
 The STANDARD norm only ever needs contiguous index intervals of the
 support: the subset norm is monotone under inclusion, so gap elements
 between or after admissible sets can always be absorbed into a neighboring
-set without hurting admissibility.  Its engine is an interval DP that
-records, for each interval, the first optimal family start and size
-(l, k) and, for each split into k runs, the first optimal cut.  The
-witness tree is read back from these records, and the fixed-point check
-is one more pass over (l, k) on the full interval plus a replay of the
-recorded family.  The reduction to intervals itself is checked against
-an enumeration of every admissible family in the tests.
+set without hurting admissibility (checked against an enumeration of every
+admissible family in the tests).  Its engine is an interval DP that
+records, for each interval, the first optimal family start and size (l, k)
+and, for each split into runs, the first optimal cut; the witness tree is
+read back from these records.
+
+Run-count lemma: for k < j - l, the best split of [l, j) into k + 1 runs
+strictly beats the best into k runs, at every level, so each start l needs
+only k = min(idx[l], j - l) and the first optimal (l, k) is the one a scan
+over every k finds.  Proof: let |.| be one level and |.|' the level below
+(|.| again at the fixed point); both are norms, monotone under inclusion,
+with |.|' <= |.|, and support values are positive.  Let R be a run of
+length >= 2 with last element r, and R' = R minus r.  If the sup attains
+|R|, then |R| < |R'| + x_r.  Else |R| is half the sum of |E_i|' over an
+admissible family of R; removing r from the last member lowers its |.|' by
+at most x_r and leaves an admissible family of R' (same first set) with
+half-sum <= |R'|, or a single set E with |E|'/2 <= |R'|.  So |R| <= |R'| +
+x_r/2 < |R'| + x_r, and cutting the last element off a run of length >= 2
+in an optimal k-split gives a strictly better (k + 1)-split.
 """
 
 from fractions import Fraction
@@ -174,13 +188,15 @@ def _family_search(ctx, comp, mask, childf, incumbent):
 class _IncEngine:
     """Memoized norm of the INCOMPARABLE variant on support subsets.
 
-    Level None means the implicit fixed point, memoized under the bare
-    mask with its optimal family (or None) in `family`; an integer means
-    the corresponding iterate, memoized under (mask, level).
+    Keys are bitmasks of support positions.  Level None means the implicit
+    fixed point, memoized under the bare mask with its optimal family (or
+    None) in `family`; an integer means the corresponding iterate,
+    memoized under (mask, level).
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.root = ctx.full
         self.comp = [
             sum(1 << j for j, t in enumerate(ctx.nodes) if comparable(s, t))
             for s in ctx.nodes
@@ -205,19 +221,34 @@ class _IncEngine:
         self.memo[key] = value
         return value
 
+    def value(self, level=None):
+        return self.f(self.root, level)
+
+    def members(self, mask):
+        return self.family[mask]
+
+    def positions(self, mask):
+        return (i for i in range(self.ctx.n) if (mask >> i) & 1)
+
+    def beaten(self, value):
+        found = _family_search(self.ctx, self.comp, self.root, self.f, value)
+        return found[1] is not None
+
 
 class _StdEngine:
     """Interval DP for the STANDARD variant (and its iterates).
 
-    Works on contiguous position intervals [i, j) of the sorted support;
-    level None means the implicit fixed point, an integer means the
-    corresponding iterate.  `split` holds the first optimal family start
+    Keys are contiguous position intervals (i, j) of the sorted support.
+    Level None means the implicit fixed point, memoized under the bare
+    key; an integer means the corresponding iterate, memoized under
+    (i, j, level).  `split` holds the first optimal family start
     and size (l, k) of each interval whose family beats its sup, `cut`
     the first optimal cut t of each split into runs.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.root = (0, ctx.n)
         self.memo = {}
         self.part_memo = {}
         self.split = {}
@@ -226,29 +257,26 @@ class _StdEngine:
     def f(self, i, j, level):
         if i >= j:
             return Fraction(0)
-        key = (i, j, level)
+        key = (i, j) if level is None else (i, j, level)
         if key in self.memo:
             return self.memo[key]
-        sup = max(self.ctx.vals[i:j])
-        if level == 0:
-            self.memo[key] = sup
-            return sup
-        best, arg = self.best_split(i, j, None if level is None else level - 1)
-        if best / 2 > sup:
-            value = best / 2
-            self.split[key] = arg
-        else:
-            value = sup
+        value = max(self.ctx.vals[i:j])
+        if level != 0:
+            best, arg = self.best_split(i, j, None if level is None else level - 1)
+            if best / 2 > value:
+                value = best / 2
+                self.split[key] = arg
         self.memo[key] = value
         return value
 
     def best_split(self, i, j, level):
-        """Best run-sum over admissible (l, k) in [i, j), with its argmax."""
+        """Best run-sum over admissible (l, k) in [i, j), with its argmax;
+        by the run-count lemma only k = min(idx[l], j - l) is tried."""
         best = Fraction(0)
         arg = None
         for l in range(i, j):
-            kmax = min(self.ctx.idx[l], j - l)
-            for k in range(2, kmax + 1):
+            k = min(self.ctx.idx[l], j - l)
+            if k >= 2:
                 cand = self.partition(l, j, k, level)
                 if cand > best:
                     best = cand
@@ -273,13 +301,17 @@ class _StdEngine:
         self.part_memo[key] = value
         return value
 
-    def family(self, i, j):
-        """The recorded optimal family of [i, j) at the fixed point, as
-        runs [s, t), or None when the sup wins."""
-        split = self.split.get((i, j, None))
+    def value(self, level=None):
+        return self.f(*self.root, level)
+
+    def members(self, key):
+        """The recorded optimal family of interval `key` at the fixed point,
+        as runs (s, t), or None when the sup wins."""
+        split = self.split.get(key)
         if split is None:
             return None
         s, parts = split
+        j = key[1]
         runs = []
         while parts > 1:
             t = self.cut[s, j, parts, None]
@@ -288,105 +320,72 @@ class _StdEngine:
         runs.append((s, j))
         return runs
 
+    def positions(self, key):
+        return range(*key)
 
-def _check_cap(x, cap):
+    def beaten(self, value):
+        return self.best_split(*self.root, None)[0] > 2 * value
+
+
+def _engine(x, variant, cap):
+    """The engine of `variant` on the support of x, or None if x = 0."""
+    if variant not in (INCOMPARABLE, STANDARD):
+        raise ValueError("unknown variant %r" % (variant,))
     if len(x.support) > cap:
         raise ValueError(
             "support cap exceeded: |supp| = %d > %d" % (len(x.support), cap)
         )
-
-
-def _check_variant(variant):
-    if variant not in (INCOMPARABLE, STANDARD):
-        raise ValueError("unknown variant %r" % (variant,))
-
-
-def _value(ctx, variant, level):
-    if variant == INCOMPARABLE:
-        return _IncEngine(ctx).f(ctx.full, level)
-    return _StdEngine(ctx).f(0, ctx.n, level)
+    if not x.support:
+        return None
+    return (_IncEngine if variant == INCOMPARABLE else _StdEngine)(_Ctx(x))
 
 
 def tsirelson_norm(x, variant, cap=DEFAULT_SUPPORT_CAP):
     """Exact rational value of the implicit Tsirelson norm."""
-    _check_variant(variant)
-    _check_cap(x, cap)
-    if not x.support:
-        return Fraction(0)
-    return _value(_Ctx(x), variant, None)
+    eng = _engine(x, variant, cap)
+    return Fraction(0) if eng is None else eng.value()
 
 
 def tsirelson_iterate(x, variant, m, cap=DEFAULT_SUPPORT_CAP):
     """The m-th iterate of the norm recursion; m = 0 is the sup norm."""
-    _check_variant(variant)
-    _check_cap(x, cap)
+    eng = _engine(x, variant, cap)
     if m < 0:
         raise ValueError("iterate level must be >= 0")
-    if not x.support:
-        return Fraction(0)
-    return _value(_Ctx(x), variant, m)
+    return Fraction(0) if eng is None else eng.value(m)
 
 
 def tsirelson_witness_tree(x, variant, cap=DEFAULT_SUPPORT_CAP):
     """Derivation tree of one optimal admissible-family decomposition."""
-    _check_variant(variant)
-    _check_cap(x, cap)
-    if not x.support:
+    eng = _engine(x, variant, cap)
+    if eng is None:
         return {"value": "0"}
-    ctx = _Ctx(x)
-    if variant == INCOMPARABLE:
-        eng = _IncEngine(ctx)
-        eng.f(ctx.full)
+    eng.value()
 
-        def build(mask):
-            value = eng.memo[mask]
-            blocks = eng.family[mask]
-            if blocks is None:
-                return ctx.leaf(value, (i for i in range(ctx.n) if (mask >> i) & 1))
-            return {"value": str(value), "family": [build(b) for b in blocks]}
+    def build(key):
+        value = eng.memo[key]
+        members = eng.members(key)
+        if members is None:
+            return eng.ctx.leaf(value, eng.positions(key))
+        return {"value": str(value), "family": [build(member) for member in members]}
 
-        return build(ctx.full)
-
-    eng = _StdEngine(ctx)
-    eng.f(0, ctx.n, None)
-
-    def build_std(i, j):
-        value = eng.memo[i, j, None]
-        runs = eng.family(i, j)
-        if runs is None:
-            return ctx.leaf(value, range(i, j))
-        return {"value": str(value), "family": [build_std(s, t) for s, t in runs]}
-
-    return build_std(0, ctx.n)
+    return build(eng.root)
 
 
 def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
     """Recompute the outer max of the implicit equation with the converged
     norm filled in, and verify it reproduces the norm exactly."""
-    _check_variant(variant)
-    _check_cap(x, cap)
-    if not x.support:
+    eng = _engine(x, variant, cap)
+    if eng is None:
         return True
-    ctx = _Ctx(x)
+    value = eng.value()
     # no admissible family may strictly beat the converged value ...
-    if variant == INCOMPARABLE:
-        eng = _IncEngine(ctx)
-        value = eng.f(ctx.full)
-        if _family_search(ctx, eng.comp, ctx.full, eng.f, value)[1] is not None:
-            return False
-        family = eng.family[ctx.full]
-        members = None if family is None else [eng.f(b) for b in family]
-    else:
-        eng = _StdEngine(ctx)
-        value = eng.f(0, ctx.n, None)
-        if eng.best_split(0, ctx.n, None)[0] > 2 * value:
-            return False
-        runs = eng.family(0, ctx.n)
-        members = None if runs is None else [eng.f(s, t, None) for s, t in runs]
+    if eng.beaten(value):
+        return False
     # ... and the value must be attained by the sup or by the recorded family
-    if value == ctx.sup(ctx.full):
+    if value == eng.ctx.sup(eng.ctx.full):
         return True
-    return members is not None and sum(members) / 2 == value
+    members = eng.members(eng.root)
+    return members is not None and sum(eng.memo[member] for member in members) / 2 == value
 
 
 class InequalityReport:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from baire_lab import cli
-from baire_lab.cli import PAIRS_NMAX, main
+from baire_lab.cli import DEPTH_MAX, PAIRS_NMAX, main
 
 
 def run(capsys, *argv):
@@ -133,6 +133,48 @@ def test_verify_subcommands(tmp_path, capsys):
     assert code == 0
     data = json.loads(rep.read_text())
     assert data["passed"] is True
+
+
+def test_verify_input_errors_exit_2(capsys):
+    # bad flag values are input errors, not internal errors or empty passes
+    code, out, err = run(capsys, "verify", "branch", "--max-len", "0")
+    assert code == 2 and out == ""
+    assert err == "error: max_len must be >= 1\n"
+    for suite in ("branch", "tsirelson"):
+        code, out, err = run(capsys, "verify", suite, "--cases", "-3")
+        assert code == 2 and out == "", suite
+        assert err == "error: --cases must be >= 0\n"
+        # zero cases stay a vacuous pass
+        code, out, _ = run(capsys, "verify", suite, "--cases", "0")
+        assert code == 0 and json.loads(out)["records"] == []
+
+
+def test_depth_is_bounded(tmp_path, capsys, monkeypatch):
+    # a node with d entries brings d prefixes, so deep input is refused
+    # before anything is built
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"nodes": [[0] * (DEPTH_MAX + 1)]}))
+    code, out, err = run(capsys, "rank", "--tree", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: tree in ") and "%d entries" % (DEPTH_MAX + 1) in err
+    for argv in (["gen", "chain", "--n"], ["gen", "comb", "--n"],
+                 ["verify", "branch", "--max-len"]):
+        code, out, err = run(capsys, *argv, str(DEPTH_MAX + 1))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "at most %d" % DEPTH_MAX in err
+    # the bound itself is allowed (checked on a small bound: a 3,000-entry
+    # node takes about 1 s to build)
+    monkeypatch.setattr(cli, "DEPTH_MAX", 5)
+    deep.write_text(json.dumps({"nodes": [[0] * 5]}))
+    code, out, err = run(capsys, "rank", "--tree", str(deep))
+    assert code == 0 and out.strip() == "5"
+    deep.write_text(json.dumps({"nodes": [[0] * 6]}))
+    assert run(capsys, "rank", "--tree", str(deep))[0] == 2
+    for shape in ("chain", "comb"):
+        assert run(capsys, "gen", shape, "--n", "5")[0] == 0
+        assert run(capsys, "gen", shape, "--n", "6")[0] == 2
+    assert run(capsys, "verify", "branch", "--max-len", "5", "--cases", "2")[0] == 0
+    assert run(capsys, "verify", "branch", "--max-len", "6", "--cases", "2")[0] == 2
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,15 +1,18 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire_lab.trees import chain_tree, comparable, make_tree, star_tree
+from baire_lab.trees import chain_tree, comparable, random_tree, star_tree
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
+    _Ctx,
+    _StdEngine,
     check_fixed_point,
     tsirelson_iterate,
     tsirelson_norm,
@@ -192,6 +195,45 @@ def test_witness_tree_replays():
         for variant in (INCOMPARABLE, STANDARD):
             wt = tsirelson_witness_tree(x, variant)
             assert replay(wt, x, variant) == tsirelson_norm(x, variant)
+
+
+def _tie_case(seed):
+    """Values from {1, 2, 3, 4} on a star with shifted labels or on a
+    random tree: many equal run sums."""
+    rng = random.Random(seed)
+    if seed % 2:
+        tree = star_tree(rng.randint(2, 9), base_label=rng.randint(0, 9))
+    else:
+        tree = random_tree(seed=rng.randrange(2**32), max_nodes=14,
+                           max_branch=rng.randint(2, 4))
+    nodes = sorted(tree.nodes, key=tree.index)
+    supp = rng.sample(nodes, rng.randint(1, min(9, len(nodes))))
+    return TreeVector(tree, {t: rng.choice([1, 2, 3, 4]) for t in supp})
+
+
+def test_run_count_lemma():
+    # partition(l, j, k) strictly increases in k up to the admissible
+    # maximum, so best_split tries only that k and still returns the first
+    # optimal (l, k) of a scan over every k: the witnesses do not move
+    cases = [random_nonroot_case(seed, max_support=9)[1] for seed in range(150)]
+    cases += [_tie_case(seed) for seed in range(150)]
+    for x in cases:
+        eng = _StdEngine(_Ctx(x))
+        n, idx = eng.ctx.n, eng.ctx.idx
+        for level in (None, 0, 1, 2):
+            sums = {}
+            for l, j in itertools.combinations(range(n + 1), 2):
+                kmax = min(idx[l], j - l)
+                run = [eng.partition(l, j, k, level) for k in range(1, kmax + 1)]
+                assert all(a < b for a, b in zip(run, run[1:])), (x.entries, l, j, level)
+                sums[l, j] = run
+            for i, j in itertools.combinations(range(n + 1), 2):
+                scan = (Fraction(0), None)
+                for l in range(i, j):
+                    for k in range(2, len(sums[l, j]) + 1):
+                        if sums[l, j][k - 1] > scan[0]:
+                            scan = (sums[l, j][k - 1], (l, k))
+                assert eng.best_split(i, j, level) == scan
 
 
 def _unit_blocks(n, base_label):
