@@ -15,11 +15,29 @@ v.  This is correct because a segment through v is comparable with every
 other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
-All arithmetic is on (lower, upper) Fraction pairs; exact paths keep
-lower == upper throughout.
+Values are exact rationals or certified intervals, (lower, upper) pairs
+with lower == upper on exact paths.  The DP computes them on one integer
+grid rather than in Fractions:
+
+- the base-norm term |x_t|**q is computed once per distinct |x_t|, and
+  the terms are lifted to integers over scale, the lcm of their
+  denominators (entry denominators to the power q, or the 2**shift of a
+  dyadic root);
+- chain aggregates are then sums of integers over scale, and M(v) is
+  computed once per distinct aggregate: (A**e, B**e) over scale**e for
+  an integer exponent e, otherwise pow_bounds lifted to a grid of its own;
+- only the root value goes back to Fraction.
+
+Integers over one positive denominator add and compare exactly as the
+rationals they stand for, so every sum, argmax and tie-break, and with
+them every value and family, is the one the Fraction arithmetic gave.
+Inside the DP pairs are (upper, lower), so that tuple order is the DP's
+order: chains are compared by their upper end first.  The oracle keeps
+Fraction pairs.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
 from baire_lab.vectors import NormValue, linear_combination, pow_bounds
@@ -43,12 +61,6 @@ def _s_pow(s, exponent):
     if exponent == 1:
         return s
     return pow_bounds(s[0], s[1], exponent)
-
-
-def _s_max(scalars):
-    los = [s[0] for s in scalars]
-    his = [s[1] for s in scalars]
-    return (max(los), max(his))
 
 
 class BaireParams:
@@ -92,32 +104,56 @@ def _trim_to_support(tree, chain, support):
     return Segment(tree, [bottom[: i] for i in range(len(top), len(bottom) + 1)])
 
 
+def _lift(pairs):
+    """Integers over one common denominator for a dict of Fraction pairs.
+
+    Returns (scale, {key: (a * scale, b * scale)}) with integer entries.
+    """
+    scale = lcm(*{f.denominator for pair in pairs.values() for f in pair})
+    return scale, {
+        key: (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        for key, (a, b) in pairs.items()
+    }
+
+
 def _dp(x, params):
     tree = x.tree
     if not tree.nodes:
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
+    sup = base.kind == "sup"
     support = x.support
-    bottom_up = sorted(tree.nodes, key=len, reverse=True)
+    children = tree.children
+    bottom_up = [(v, children(v)) for v in sorted(tree.nodes, key=len, reverse=True)]
+
+    # one term per distinct |coefficient|, keyed by an integer pair since
+    # hashing a Fraction is slow; pairs are (upper, lower) from here on
+    keys = {v: (abs(c.numerator), c.denominator) for v, c in x.entries.items()}
+    terms = {}
+    for key in set(keys.values()):
+        size = Fraction(*key)
+        terms[key] = (size, size) if sup else _term_power(size, base.q)[::-1]
+    scale, terms = _lift(terms)
+    term = {v: terms[key] for v, key in keys.items()}
 
     chain_agg = {}  # best single-chain aggregate hanging down from v
     chain_next = {}  # argmax child continuing that chain, or None
-    for v in bottom_up:
-        kids = tree.children(v)
+    for v, kids in bottom_up:
         if kids:
-            tails = [(chain_agg[k], k) for k in kids]
-            tail, nxt = max(tails, key=lambda o: (o[0][1], o[0][0]))
+            nxt = max(kids, key=chain_agg.__getitem__)
+            tail = chain_agg[nxt]
         else:
-            tail, nxt = _EXACT_ZERO, None
+            tail, nxt = (0, 0), None
         # a node off the support keeps its best child's aggregate, whose
-        # M(v) below is then already memoized
-        if base.kind == "sup":
+        # M(v) below is then already computed
+        here = term.get(v)
+        if sup:
             # sup aggregates are exact; v itself wins ties
-            here = abs(x[v])
-            if tail[1] <= here:
+            here = here[0] if here else 0
+            if tail[0] <= here:
                 tail, nxt = (here, here), None
-        elif v in support:
-            tail = _s_add(_term_power(x[v], base.q), tail)
+        elif here is not None:
+            tail = (here[0] + tail[0], here[1] + tail[1])
         chain_agg[v] = tail
         chain_next[v] = nxt
 
@@ -128,32 +164,36 @@ def _dp(x, params):
         return chain
 
     if p is ZERO:
-        best_v = max(tree.nodes, key=lambda v: (chain_agg[v][1], chain_agg[v][0]))
-        power = chain_agg[best_v]
-        root_exp = 1 / base.q if base.kind == "ell" else None
+        best_v = max(tree.nodes, key=chain_agg.__getitem__)
+        hi, lo = chain_agg[best_v]
+        root_exp = None if sup else 1 / base.q
         seg = _trim_to_support(tree, chain_of(best_v), support)
         family = [seg] if seg is not None else []
-        return power, root_exp, family
+        return (Fraction(lo, scale), Fraction(hi, scale)), root_exp, family
 
-    # p-case: M(v) from chain_agg, then subtree combination
-    if base.kind == "sup":
-        seg_exp = Fraction(p)
+    # p-case: M(v) once per distinct chain aggregate, on a grid of its own
+    seg_exp = p if sup else p / base.q
+    aggs = set(chain_agg.values())
+    if seg_exp.denominator == 1:
+        e = seg_exp.numerator
+        mscale = scale**e
+        seg_power = {a: (a[0] ** e, a[1] ** e) for a in aggs}
     else:
-        seg_exp = p / base.q
-    seg_power = {}  # M(v) by chain aggregate
+        mscale, seg_power = _lift({
+            a: pow_bounds(Fraction(a[1], scale), Fraction(a[0], scale), seg_exp)[::-1]
+            for a in aggs
+        })
     f = {}
     pick_chain = {}
-    for v in bottom_up:
-        agg = chain_agg[v]
-        m = seg_power.get(agg)
-        if m is None:
-            m = seg_power[agg] = _s_pow(agg, seg_exp)
-        kids = tree.children(v)
-        ksum = f[kids[0]] if kids else _EXACT_ZERO
-        for k in kids[1:]:
-            ksum = _s_add(ksum, f[k])
-        f[v] = _s_max([m, ksum])
-        pick_chain[v] = m[1] >= ksum[1]
+    for v, kids in bottom_up:
+        m = seg_power[chain_agg[v]]
+        hi = lo = 0
+        for k in kids:
+            fk = f[k]
+            hi += fk[0]
+            lo += fk[1]
+        f[v] = (max(m[0], hi), max(m[1], lo))
+        pick_chain[v] = m[0] >= hi
 
     # picked chains in depth-first order, children in sorted order
     family = []
@@ -165,8 +205,9 @@ def _dp(x, params):
             if seg is not None:
                 family.append(seg)
         else:
-            stack.extend(reversed(tree.children(v)))
-    return f[()], 1 / Fraction(p), family
+            stack.extend(reversed(children(v)))
+    hi, lo = f[()]
+    return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
 
 
 def baire_norm_report(x, params):
@@ -302,7 +343,7 @@ def incomparable_block_profile(blocks, coeffs, params):
         nb = baire_norm(b, params)
         terms.append((abs(Fraction(c)) * nb.lower, abs(Fraction(c)) * nb.upper))
     if params.p is ZERO:
-        profile = _s_max(terms) if terms else _EXACT_ZERO
+        profile = (max(lo for lo, _ in terms), max(hi for _, hi in terms))
     else:
         total = _EXACT_ZERO
         for t in terms:

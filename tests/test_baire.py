@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from baire_lab.trees import (
     chain_tree,
     comb_tree,
     make_tree,
+    random_tree,
     star_tree,
 )
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
+from baire_reference import reference_report
 from util import random_case
 
 L1 = BaseNorm.ell(1)
@@ -144,6 +147,71 @@ def test_dp_matches_oracle_matrix(base, p):
         want = baire_norm_oracle_report(x, params, cap=8)
         assert _agree(got.value, want.value), (seed, got.value, want.value)
         assert _agree(got.power, want.power), (seed, got.power, want.power)
+
+
+REFERENCE_BASES = ["sup", "l1", "l2", "l3", "l3/2", "l5/2"]
+REFERENCE_PS = ["0", "1", "3/2", "2", "3", "5/3"]
+REFERENCE_MATRIX = [(b, p) for b in REFERENCE_BASES for p in REFERENCE_PS]
+
+
+def _fingerprint(report):
+    ends = (report.value.lower, report.value.upper, report.power.lower, report.power.upper)
+    return [(f.numerator, f.denominator) for f in ends], [seg.chain for seg in report.family]
+
+
+def _assert_matches_reference(x, matrix):
+    for base, p in matrix:
+        params = BaireParams(Fraction(p), BaseNorm.parse(base))
+        got = _fingerprint(baire_norm_report(x, params))
+        assert got == _fingerprint(reference_report(x, params)), (base, p)
+
+
+def _reference_vectors(seed):
+    """Small-denominator, tie-heavy and distinct-large-denominator
+    vectors on one seeded random tree."""
+    rng = random.Random(seed)
+    tree = random_tree(seed=seed, max_nodes=16, max_branch=3)
+    supp = rng.sample(sorted(tree.nodes), rng.randint(1, len(tree.nodes)))
+    dens = rng.sample(range(2, 10**4), len(supp))
+    return [
+        TreeVector(tree, {t: rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                          for t in supp}),
+        TreeVector(tree, {t: rng.choice([-2, -1, 1, 2]) for t in supp}),
+        TreeVector(tree, {t: Fraction(rng.randint(1, 10**4), d) for t, d in zip(supp, dens)}),
+    ]
+
+
+def test_dp_matches_fraction_reference():
+    # the integer grid must give the same value, power and family, byte
+    # for byte, as the Fraction DP it replaced, ties included
+    for seed in range(10):
+        for x in _reference_vectors(seed):
+            _assert_matches_reference(x, REFERENCE_MATRIX)
+
+
+def test_dp_matches_fraction_reference_deep():
+    rng = random.Random(500)
+    matrix = [("sup", "3/2"), ("l1", "1"), ("l2", "0"), ("l5/2", "5/3")]
+    for tree in (chain_tree(500), comb_tree(500)):
+        nodes = sorted(tree.nodes)
+        small = {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in rng.sample(nodes, 350)}
+        ties = {t: rng.choice([1, 2]) for t in rng.sample(nodes, 350)}
+        for entries in (small, ties):
+            _assert_matches_reference(TreeVector(tree, entries), matrix)
+
+
+def test_dp_matches_fraction_reference_on_nested_intervals():
+    # under l_{3/2}, the eight 2s from (0,) down and the single 8 at (1,)
+    # both weigh 16*sqrt(2), but the sum of eight roots is a wider interval
+    # around the single root; the root's chain continues into the branch
+    # with the higher upper end
+    tree = make_tree([(0,) * 8, (1,)])
+    entries = {(0,) * i: 2 for i in range(9)}
+    entries[(1,)] = 8
+    x = TreeVector(tree, entries)
+    report = baire_norm_report(x, BaireParams(ZERO, BaseNorm.parse("l3/2")))
+    assert [seg.chain for seg in report.family] == [[(0,) * i for i in range(9)]]
+    _assert_matches_reference(x, [(b, p) for b in ("l3/2", "l5/2") for p in REFERENCE_PS])
 
 
 def test_oracle_cap():

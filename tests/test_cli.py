@@ -3,7 +3,8 @@ import json
 import pytest
 
 from baire_lab import cli
-from baire_lab.cli import DEPTH_MAX, PAIRS_NMAX, main
+from baire_lab.cli import DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
+from baire_lab.trees import comb_tree, tree_to_json_dict
 
 
 def run(capsys, *argv):
@@ -54,6 +55,50 @@ def test_baire_json_output(tmp_path, capsys):
     data = json.loads(out)
     assert data["value"] == "5/2"
     assert len(data["family"]) == 2
+
+
+def test_baire_exponents_are_bounded(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    run(capsys, "gen", "chain", "--n", "3", "--out", str(t))
+    x = tmp_path / "x.json"
+    write_vector(x, [[[], "1"], [[0], "2"], [[0, 0], "3/2"]])
+    baire = ["baire", "--tree", str(t), "--vector", str(x)]
+    # a zero denominator was an internal ZeroDivisionError, and --p 1e400
+    # ran for more than 30 s
+    for flags in (["--p", "1/0"], ["--base", "l1/0"], ["--p", "1e400"],
+                  ["--base", "l1e400"], ["--p", "abc"], ["--base", "l"]):
+        code, out, err = run(capsys, *baire, *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error: %s " % flags[0]) and "not a rational" in err, flags
+    # on this 3-node chain, --p 1001/1000 --base l2 took 4.6 s and
+    # --base l3001/1000 took 27 s
+    for flags in (["--p", "1001/1000", "--base", "l2"], ["--base", "l3001/1000"],
+                  ["--p", str(EXPONENT_MAX + 1)], ["--p", "%d/%d" % (EXPONENT_MAX + 2, EXPONENT_MAX + 1)],
+                  ["--base", "l%d/%d" % (EXPONENT_MAX + 2, EXPONENT_MAX + 1)]):
+        code, out, err = run(capsys, *baire, *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error: %s " % flags[0]) and "at most %d" % EXPONENT_MAX in err, flags
+    # the bound itself, and every exponent the benchmark and README use
+    at_bound = ["--p", "%d/%d" % (EXPONENT_MAX, EXPONENT_MAX - 1),
+                "--base", "l%d/%d" % (EXPONENT_MAX - 1, EXPONENT_MAX - 2)]
+    assert run(capsys, *baire, *at_bound)[0] == 0
+    for p in ("0", "1", "3/2", "2", "1.5"):
+        for base in ("sup", "l1", "l2", "l3/2"):
+            assert run(capsys, *baire, "--p", p, "--base", base)[0] == 0, (p, base)
+
+
+def test_json_output_bytes(tmp_path, capsys):
+    # files and stdout are written chunk by chunk, but the bytes are those
+    # of json.dumps(..., indent=2) and a newline
+    t = tmp_path / "t.json"
+    assert run(capsys, "gen", "comb", "--n", "6", "--out", str(t))[0] == 0
+    want = json.dumps(tree_to_json_dict(comb_tree(6)), indent=2) + "\n"
+    assert t.read_text() == want
+    assert run(capsys, "gen", "comb", "--n", "6") == (0, want, "")
+    rep = tmp_path / "rep.json"
+    assert run(capsys, "verify", "branch", "--cases", "3", "--out", str(rep))[0] == 0
+    text = rep.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_tsirelson_witness_and_iterate(tmp_path, capsys):
