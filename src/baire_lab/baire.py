@@ -40,7 +40,8 @@ from fractions import Fraction
 from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
-from baire_lab.vectors import NormValue, linear_combination, pow_bounds
+from baire_lab.sequences import FiniteBlockSequence
+from baire_lab.vectors import NormValue, pow_bounds
 
 
 class _Zero:
@@ -308,35 +309,29 @@ def baire_norm_oracle(x, params, cap=12):
 
 
 class BlockProfile:
-    def __init__(self, norm, profile, flagged):
+    def __init__(self, norm, profile):
         self.norm = norm
         self.profile = profile
-        self.flagged = flagged
 
 
 def incomparable_block_profile(blocks, coeffs, params):
-    """Norm of a coefficient combination of incomparable blocks, with the
-    l_p profile of (coeff * block norm) for ratio monitoring.
+    """Norm of a coefficient combination of a block sequence, with the l_p
+    profile of (coeff * block norm).
 
-    The profile is the value the combination would take if the blocks
-    behaved exactly like the l_p basis; the flag trips when the measured
-    ratio is certainly outside [1/2, 2].
+    The two are equal, or overlap where they are intervals.  A segment is
+    a chain, and a chain meets at most one of several completely
+    incomparable supports, so every family of x = sum c_i b_i splits into
+    families for the single c_i b_i: |x| is at most the profile.
+    Conversely, segments trimmed to the supports of different blocks are
+    completely incomparable: if s_1 <= u <= w <= t_2, with u on a segment
+    from s_1 to t_1 in block 1's support and w on one from s_2 to t_2 in
+    block 2's, then s_1 and t_2 would be comparable (and likewise with 1
+    and 2 swapped).  So the optimal families of the blocks together are a
+    family of x, and |x| = (sum |c_i|^p |b_i|^p)^(1/p); for p = 0 it is
+    the max of |c_i| |b_i|.
     """
-    if not blocks:
-        raise ValueError("empty block sequence")
-    if len(blocks) != len(coeffs):
-        raise ValueError("blocks and coeffs length mismatch")
-    supports = [b.support for b in blocks]
-    for b, s in zip(blocks, supports):
-        if not s:
-            raise ValueError("blocks must be nonzero")
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not completely_incomparable(supports[i], supports[j]):
-                raise ValueError(
-                    "blocks %d and %d have comparable supports" % (i, j)
-                )
-    norm = baire_norm(linear_combination(blocks[0].tree, blocks, coeffs), params)
+    seq = FiniteBlockSequence(blocks)
+    norm = baire_norm(seq.combine(coeffs), params)
 
     terms = []
     for b, c in zip(blocks, coeffs):
@@ -349,11 +344,4 @@ def incomparable_block_profile(blocks, coeffs, params):
         for t in terms:
             total = _s_add(total, _s_pow(t, Fraction(params.p)))
         profile = _s_pow(total, 1 / Fraction(params.p))
-    profile = NormValue(*profile)
-
-    flagged = False
-    if profile.lower > 0:
-        certainly_low = norm.upper * 2 < profile.lower
-        certainly_high = norm.lower > 2 * profile.upper
-        flagged = certainly_low or certainly_high
-    return BlockProfile(norm, profile, flagged)
+    return BlockProfile(norm, NormValue(*profile))

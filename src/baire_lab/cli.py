@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from baire_lab.baire import BaireParams, baire_norm_report
-from baire_lab.hi import DESK_PAIRS, ground_norm, schedule, strict_singularity_witness
+from baire_lab.hi import DESK_PAIRS, ground_norm, schedule
 from baire_lab.trees import (
     chain_tree,
     comb_tree,
@@ -33,11 +33,13 @@ from baire_lab.tsirelson import (
 )
 from baire_lab.vectors import BaseNorm, TreeVector
 from baire_lab.verify import (
+    WITNESS_COLUMNS,
     norm_value_json,
     rational_str,
     run_branch_isometry,
     run_hi_suite,
     run_tsirelson_suite,
+    witness_row,
 )
 
 
@@ -93,6 +95,19 @@ def _load_tree(path):
     return tree
 
 
+def _rational(value):
+    """Fraction of a JSON number, or of a string a/b or plain decimal.
+
+    Strings in exponent notation are refused unparsed: Fraction("1e9999999")
+    alone takes 14 s, and "1e5000" overflows the int-to-str limit.  JSON
+    numbers keep their meaning: a float's exponent is bounded, and str()
+    writes 0.0000001 as "1e-07".
+    """
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError("%r is in exponent notation" % value)
+    return Fraction(str(value))
+
+
 def _load_vector(path, tree):
     data = _load_json(path)
     if not isinstance(data, dict) or "entries" not in data:
@@ -100,21 +115,13 @@ def _load_vector(path, tree):
     entries = {}
     try:
         for node, value in data["entries"]:
-            entries[tuple(node)] = Fraction(str(value))
+            entries[tuple(node)] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError("invalid vector in %s: %s" % (path, e))
     try:
         return TreeVector(tree, entries)
     except ValueError as e:
         raise InputError(str(e))
-
-
-def _emit(data, args, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(data, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _write_or_print(payload, out):
@@ -125,14 +132,18 @@ def _write_or_print(payload, out):
         fh.write("\n")
 
 
+def _emit(data, args, text_lines):
+    if getattr(args, "json", False):
+        _write_or_print(data, None)
+    else:
+        for line in text_lines:
+            print(line)
+
+
 def _exponent(flag, text, exponent):
     """The rational exponent in a flag value, bounded by EXPONENT_MAX."""
-    # exponent notation is refused unparsed: Fraction("1e9999999") alone
-    # takes 14 s
     try:
-        if "e" in exponent.lower():
-            raise ValueError
-        value = Fraction(exponent)
+        value = _rational(exponent)
     except (ValueError, ZeroDivisionError):
         raise InputError(
             "%s %s: %r is not a rational a/b or a plain decimal" % (flag, text, exponent)
@@ -159,7 +170,10 @@ def cmd_baire(args):
     params = _baire_params(args)
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    report = baire_norm_report(x, params)
+    try:
+        report = baire_norm_report(x, params)
+    except ValueError as e:
+        raise InputError(str(e))
     family = [[list(node) for node in seg.chain] for seg in report.family]
     data = {"value": norm_value_json(report.value), "family": family}
     _emit(
@@ -279,25 +293,15 @@ def cmd_hi(args):
         trees = {(m, n): tree for m, n in pairs}
     else:
         trees = {(m, n): star_tree(n) for m, n in pairs}
-    print("m,n,ground,lower,upper,ratio")
+    print(",".join(("m", "n") + WITNESS_COLUMNS))
     ok = True
     for m, n in pairs:
         try:
-            row = strict_singularity_witness(trees[(m, n)], n, m)
+            row, row_ok = witness_row(trees[(m, n)], m, n)
         except ValueError as e:
             raise InputError(str(e))
-        ok = ok and row["ground"] == 1 and row["lower"] >= Fraction(n, m)
-        print(
-            "%d,%d,%s,%s,%s,%s"
-            % (
-                m,
-                n,
-                rational_str(row["ground"]),
-                rational_str(row["lower"]),
-                rational_str(row["upper"]),
-                rational_str(row["ratio"]),
-            )
-        )
+        ok = ok and row_ok
+        print(",".join([str(m), str(n)] + [row[key] for key in WITNESS_COLUMNS]))
     return 0 if ok else 1
 
 
@@ -315,12 +319,9 @@ def cmd_verify(args):
             report = run_hi_suite(_parse_pairs(args.pairs) if args.pairs else DESK_PAIRS)
     except ValueError as e:
         raise InputError(str(e))
-    payload = report.to_json_dict()
+    _write_or_print(report.to_json_dict(), args.out)
     if args.out:
-        _write_or_print(payload, args.out)
         print("%s: %s" % (report.experiment, "pass" if report.passed else "FAIL"))
-    else:
-        _write_or_print(payload, None)
     return 0 if report.passed else 1
 
 

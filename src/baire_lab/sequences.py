@@ -1,5 +1,9 @@
-"""Block sequence generation, equivalence-constant and unconditionality
-lower bounds.
+"""Block sequences: the one validator, seeded generation, and
+equivalence-constant and unconditionality lower bounds.
+
+FiniteBlockSequence is the one check of what a block sequence is: the
+Tsirelson block checks, the Baire block profile and the generator here
+all build one.
 
 Equivalence constants are certified from below only: the true constant
 is a sup over all coefficient directions, and every inequality verified
@@ -17,6 +21,7 @@ import random
 from fractions import Fraction
 
 from baire_lab.hi import ground_norm
+from baire_lab.trees import completely_incomparable
 from baire_lab.vectors import NormValue, TreeVector, linear_combination
 
 SIGN_PATTERN_LENGTH_CAP = 10
@@ -29,31 +34,43 @@ def _value(norm, x):
 
 
 class FiniteBlockSequence:
-    """Blocks with strictly increasing enumeration-index windows."""
+    """The one validated block sequence: nonzero blocks on one tree,
+    pairwise completely incomparable, in increasing enumeration-index
+    windows (each block's last support node comes before the next block's
+    first).  starts holds the first support node of each block."""
 
-    def __init__(self, blocks, windows):
+    def __init__(self, blocks):
         if not blocks:
             raise ValueError("empty block sequence")
-        if len(blocks) != len(windows):
-            raise ValueError("blocks and windows length mismatch")
-        for b, (lo, hi) in zip(blocks, windows):
-            for t in b.support:
-                if not (lo < b.tree.index(t) <= hi):
+        tree = blocks[0].tree
+        supports = []
+        for i, b in enumerate(blocks):
+            if b.tree != tree:
+                raise ValueError("block %d lives on a different tree" % i)
+            if not b.support:
+                raise ValueError("block %d is zero" % i)
+            supports.append(sorted(b.support, key=tree.index))
+        for i in range(len(blocks) - 1):
+            if tree.index(supports[i][-1]) >= tree.index(supports[i + 1][0]):
+                raise ValueError(
+                    "blocks %d and %d do not occupy increasing index windows"
+                    % (i, i + 1)
+                )
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if not completely_incomparable(supports[i], supports[j]):
                     raise ValueError(
-                        "block support node %r escapes its window (%d, %d]"
-                        % (t, lo, hi)
+                        "blocks %d and %d have comparable supports" % (i, j)
                     )
-        for (_, hi), (lo, _) in zip(windows, windows[1:]):
-            if hi > lo:
-                raise ValueError("windows must be strictly increasing")
+        self.tree = tree
         self.blocks = list(blocks)
-        self.windows = list(windows)
+        self.starts = [s[0] for s in supports]
 
     def __len__(self):
         return len(self.blocks)
 
     def combine(self, coeffs):
-        return linear_combination(self.blocks[0].tree, self.blocks, coeffs)
+        return linear_combination(self.tree, self.blocks, coeffs)
 
 
 def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
@@ -75,7 +92,6 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
     rng = random.Random(seed)
     per_block = max(1, len(leaves) // count)
     blocks = []
-    windows = []
     for i in range(count):
         group = leaves[i * per_block : (i + 1) * per_block]
         if i == count - 1:
@@ -85,8 +101,6 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
             entries[t] = Fraction(rng.randint(1, 8), rng.randint(1, 8)) * rng.choice(
                 [1, -1]
             )
-        if not entries:
-            entries = {group[0]: Fraction(1)}
         block = TreeVector(tree, entries)
         value = _value(norm, block)
         if value.is_exact:
@@ -95,11 +109,8 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
             # pick a rational scale landing the interval inside [1/2, 2]
             mid = (value.lower + value.upper) / 2
             block = block.scale(1 / mid)
-        lo = tree.index(min(block.support, key=tree.index)) - 1
-        hi = tree.index(max(block.support, key=tree.index))
         blocks.append(block)
-        windows.append((lo, hi))
-    return FiniteBlockSequence(blocks, windows)
+    return FiniteBlockSequence(blocks)
 
 
 def _coefficient_family(n, trials, seed):

@@ -50,8 +50,9 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from baire_lab.trees import comparable, completely_incomparable
-from baire_lab.vectors import TreeVector, linear_combination
+from baire_lab.sequences import FiniteBlockSequence
+from baire_lab.trees import comparable
+from baire_lab.vectors import TreeVector
 
 INCOMPARABLE = "incomparable"
 STANDARD = "standard"
@@ -401,39 +402,18 @@ class InequalityReport:
 
 
 def _block_sequence_setup(tree, blocks, coeffs, cap):
-    """Validate a finite block sequence; return its window-start nodes, the
-    coefficient vector placed at them, and the block combination."""
-    if not blocks:
-        raise ValueError("empty block sequence")
-    if len(blocks) != len(coeffs):
-        raise ValueError("blocks and coeffs length mismatch")
-    supports = []
-    for i, b in enumerate(blocks):
-        if b.tree != tree:
-            raise ValueError("block %d lives on a different tree" % i)
-        if not b.support:
-            raise ValueError("block %d is zero" % i)
-        supports.append(sorted(b.support, key=tree.index))
-    for i in range(len(blocks) - 1):
-        hi = tree.index(supports[i][-1])
-        lo = tree.index(supports[i + 1][0])
-        if hi >= lo:
-            raise ValueError(
-                "blocks %d and %d do not occupy increasing index windows"
-                % (i, i + 1)
-            )
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not completely_incomparable(supports[i], supports[j]):
-                raise ValueError(
-                    "blocks %d and %d have comparable supports" % (i, j)
-                )
+    """Validate a finite block sequence on tree and check each block is
+    normalized; return its window-start nodes, the coefficient vector placed
+    at them, and the block combination."""
+    seq = FiniteBlockSequence(blocks)
+    if seq.tree != tree:
+        raise ValueError("block 0 lives on a different tree")
+    combo = seq.combine(coeffs)
     for i, b in enumerate(blocks):
         if tsirelson_norm(b, INCOMPARABLE, cap) != 1:
             raise ValueError("block %d is not normalized" % i)
-    starts = [s[0] for s in supports]
-    index_vec = TreeVector(tree, dict(zip(starts, coeffs)))
-    return starts, index_vec, linear_combination(tree, blocks, coeffs)
+    index_vec = TreeVector(tree, dict(zip(seq.starts, coeffs)))
+    return seq.starts, index_vec, combo
 
 
 def verify_lemma_II1(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):

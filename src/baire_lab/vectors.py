@@ -234,6 +234,10 @@ class TreeVector:
 
 def linear_combination(tree, vectors, coeffs):
     """Sum of c * v over (v, c) in zip(vectors, coeffs); each v is on tree."""
+    if len(vectors) != len(coeffs):
+        raise ValueError(
+            "vectors and coeffs length mismatch: %d != %d" % (len(vectors), len(coeffs))
+        )
     acc = {}
     for v, c in zip(vectors, coeffs):
         if v.tree != tree:

@@ -79,6 +79,7 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     if base is None:
         base = BaseNorm.ell(1)
     params = BaireParams(p, base)
+    p_text = "0" if params.p is ZERO else rational_str(params.p)
     rng = random.Random(seed)
     records = []
     passed = True
@@ -108,7 +109,7 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
             record["replay"] = {
                 "tree": tree_to_json_dict(tree),
                 "vector": vector_to_json_dict(x),
-                "p": "0" if params.p is ZERO else rational_str(params.p),
+                "p": p_text,
                 "base": repr(base),
             }
         records.append(record)
@@ -118,7 +119,7 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
             "max_len": max_len,
             "cases": cases,
             "seed": seed,
-            "p": "0" if params.p is ZERO else rational_str(params.p),
+            "p": p_text,
             "base": repr(base),
         },
         records,
@@ -208,6 +209,18 @@ def run_tsirelson_suite(cases, seed):
     )
 
 
+WITNESS_COLUMNS = ("ground", "lower", "upper", "ratio")
+
+
+def witness_row(tree, m, n):
+    """The strict-singularity witness of (m, n) on tree as rational strings
+    (ground, lower, upper, ratio), and whether it passes: ground == 1 and
+    lower >= n/m."""
+    row = strict_singularity_witness(tree, n, m)
+    ok = row["ground"] == 1 and row["lower"] >= Fraction(n, m)
+    return {key: rational_str(row[key]) for key in WITNESS_COLUMNS}, ok
+
+
 def run_hi_suite(pairs):
     """Strict-singularity witness table over (m, n) pairs."""
     if not pairs:
@@ -217,18 +230,8 @@ def run_hi_suite(pairs):
     start = time.monotonic()
     for case, (m, n) in enumerate(pairs):
         tree = star_tree(n)
-        row = strict_singularity_witness(tree, n, m)
-        ok = row["ground"] == 1 and row["lower"] >= Fraction(n, m)
-        record = {
-            "case": case,
-            "m": m,
-            "n": n,
-            "ground": rational_str(row["ground"]),
-            "lower": rational_str(row["lower"]),
-            "upper": rational_str(row["upper"]),
-            "ratio": rational_str(row["ratio"]),
-            "ok": ok,
-        }
+        row, ok = witness_row(tree, m, n)
+        record = {"case": case, "m": m, "n": n, **row, "ok": ok}
         if not ok:
             passed = False
             record["replay"] = {"tree": tree_to_json_dict(tree), "m": m, "n": n}

@@ -19,6 +19,7 @@ from baire_lab.trees import (
     FiniteTree,
     chain_tree,
     comb_tree,
+    comparable,
     make_tree,
     random_tree,
     star_tree,
@@ -282,7 +283,67 @@ def test_block_profile_star():
     t = star_tree(4, base_label=0)
     blocks = [unit_vector(t, (i,)) for i in range(4)]
     prof = incomparable_block_profile(blocks, [1, 1, 1, 1], P1)
-    assert prof.norm == 4 and prof.profile == 4 and not prof.flagged
+    assert prof.norm == 4 and prof.profile == 4
+
+
+def _random_block_sequence(seed):
+    """Seeded blocks that hold chains: nodes are taken in enumeration
+    order, and each joins the last block, opens a new one, or is skipped,
+    so that blocks stay completely incomparable in increasing windows."""
+    rng = random.Random(seed)
+    tree = random_tree(seed=seed, max_nodes=16, max_branch=3)
+    groups = []
+    for t in sorted(tree.nodes, key=tree.index)[1:]:
+        earlier = [s for g in groups[:-1] for s in g]
+        if any(comparable(s, t) for s in earlier):
+            continue
+        current = groups[-1] if groups else []
+        r = rng.random()
+        if current and r < 0.3:
+            current.append(t)
+        elif not groups or (r < 0.5 and not any(comparable(s, t) for s in current)):
+            groups.append([t])
+    blocks = [
+        TreeVector(tree, {
+            t: Fraction(rng.randint(1, 6), rng.randint(1, 6)) * rng.choice([1, -1])
+            for t in g
+        })
+        for g in groups
+    ]
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in blocks]
+    return blocks, coeffs
+
+
+def test_block_profile_equals_norm():
+    # a chain meets at most one completely incomparable support, so the
+    # norm of sum c_i b_i is the l_p aggregate of |c_i| |b_i| (see the
+    # incomparable_block_profile docstring)
+    bases = [BaseNorm.sup(), L1, BaseNorm.ell(2), BaseNorm.ell(Fraction(3, 2))]
+    ps = [ZERO, 1, Fraction(3, 2), 2, 3]
+    exact = chained = 0
+    for seed in range(40):
+        blocks, coeffs = _random_block_sequence(seed)
+        chained += len(blocks) > 1 and any(
+            comparable(s, t) for b in blocks for s in b.support for t in b.support if s != t
+        )
+        for base in bases:
+            for p in ps:
+                prof = incomparable_block_profile(blocks, coeffs, BaireParams(p, base))
+                norm, profile = prof.norm, prof.profile
+                if norm.is_exact and profile.is_exact:
+                    exact += 1
+                    assert norm.exact == profile.exact, (seed, base, p)
+                else:
+                    assert norm.lower <= profile.upper and profile.lower <= norm.upper
+    assert exact >= 200 and chained >= 15
+
+
+def test_block_profile_rejects_blocks_out_of_order():
+    # incomparable, but the second block starts before the first one ends
+    t = star_tree(3)
+    first = TreeVector(t, {(0,): 1, (2,): 1})
+    with pytest.raises(ValueError, match="increasing index windows"):
+        incomparable_block_profile([first, unit_vector(t, (1,))], [1, 1], P1)
 
 
 def test_block_profile_rejects_comparable_blocks():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from baire_lab import cli
 from baire_lab.cli import DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
@@ -99,6 +101,13 @@ def test_json_output_bytes(tmp_path, capsys):
     assert run(capsys, "verify", "branch", "--cases", "3", "--out", str(rep))[0] == 0
     text = rep.read_text()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # --json output takes the same path
+    x = tmp_path / "x.json"
+    write_vector(x, [[[0], "1/3"], [[0, 0], "-2"], [[1], "3/2"]])
+    code, out, _ = run(capsys, "baire", "--tree", str(t), "--vector", str(x), "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out)["family"]
 
 
 def test_tsirelson_witness_and_iterate(tmp_path, capsys):
@@ -241,6 +250,85 @@ def test_malformed_vector_exits_2(tmp_path, capsys):
     x.write_text('{"entries": [[[9, 9], "1"]]}')
     code, _, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
     assert code == 2 and "not in the tree" in err
+
+
+def test_vector_strings_in_exponent_notation_exit_2(tmp_path, capsys):
+    # strings in exponent notation are refused unparsed: "1e5000" passes
+    # the int-to-str digit limit, and "1e9999999" takes about 15 s to parse
+    t = tmp_path / "t.json"
+    run(capsys, "gen", "chain", "--n", "3", "--out", str(t))
+    x = tmp_path / "x.json"
+    for value in ("1e5000", "1e9999999", "2E-3"):
+        write_vector(x, [[[0], value]])
+        code, out, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
+        assert code == 2 and out == "", value
+        assert err.startswith("error: invalid vector in ") and "exponent" in err
+    # JSON numbers keep their meaning, exponent or not
+    x.write_text('{"entries": [[[0], 0.0000001], [[0, 0], 1e2]]}')
+    code, out, _ = run(capsys, "ground", "--tree", str(t), "--vector", str(x), "--json")
+    assert code == 0 and json.loads(out)["value"] == "1000000001/10000000"
+
+
+LABELS = st.integers(0, 2)
+NODE = st.lists(LABELS, max_size=3)
+JUNK = st.one_of(
+    st.integers(-2, 2), st.none(), st.booleans(), st.text(max_size=2),
+    st.lists(st.none(), max_size=2),
+)
+VALUES = st.one_of(
+    st.integers(-10, 10),
+    st.fractions(max_denominator=9).map(str),
+    st.text(alphabet="0123456789/.-+eE_ x", max_size=8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    JUNK,
+)
+PAIRS = st.one_of(
+    st.text(alphabet="0123456789:, -+_", max_size=8),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(0, 9)), min_size=1, max_size=3).map(
+        lambda pairs: ",".join("%d:%d" % pair for pair in pairs)
+    ),
+)
+
+
+@st.composite
+def tree_and_entries(draw):
+    """Tree nodes and vector entries, mostly well formed, often not."""
+    nodes = draw(st.lists(NODE, max_size=8))
+    known = [n[:i] for n in nodes for i in range(len(n) + 1)] or [[]]
+    node = st.one_of(st.sampled_from(known), st.sampled_from(known), NODE,
+                     st.lists(st.one_of(LABELS, JUNK), max_size=3), JUNK)
+    entries = draw(st.one_of(
+        st.lists(st.one_of(st.tuples(node, VALUES), JUNK), max_size=5), JUNK
+    ))
+    nodes = draw(st.one_of(st.just(nodes), st.just(nodes), st.lists(node, max_size=4), JUNK))
+    return nodes, entries
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    files=tree_and_entries(),
+    pairs=PAIRS,
+    command=st.sampled_from(["baire", "tsirelson", "ground", "rank", "hi", "hi-tree"]),
+)
+def test_loaders_never_fail_internally(tmp_path, capsys, files, pairs, command):
+    # whatever the files and --pairs hold, the CLI exits 0, or 2 with an
+    # error line; never with a traceback or an internal error
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    t.write_text(json.dumps({"nodes": files[0]}))
+    x.write_text(json.dumps({"entries": files[1]}))
+    if command == "rank":
+        argv = ["rank", "--tree", str(t)]
+    elif command.startswith("hi"):
+        argv = ["hi", "witness", "--pairs=" + pairs]
+        if command == "hi-tree":
+            argv += ["--tree", str(t)]
+    else:
+        argv = [command, "--tree", str(t), "--vector", str(x)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2), (argv, err)
+    assert "error: internal" not in err, err
+    assert code == 0 or err.splitlines()[-1].startswith("error: "), err
 
 
 def test_usage_error_exits_2(capsys):

@@ -13,7 +13,7 @@ from baire_lab.sequences import (
 )
 from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.tsirelson import INCOMPARABLE, tsirelson_norm
-from baire_lab.vectors import BaseNorm, unit_vector
+from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 
 TSIRELSON = partial(tsirelson_norm, variant=INCOMPARABLE)
 
@@ -44,28 +44,41 @@ def test_norms_are_plain_callables():
 
 def test_empty_block_sequence_rejected():
     with pytest.raises(ValueError, match="empty block sequence"):
-        FiniteBlockSequence([], []).combine([])
+        FiniteBlockSequence([]).combine([])
     with pytest.raises(ValueError, match="empty block sequence"):
         generate_incomparable_blocks(star_tree(4), 0, seed=1)
 
 
 def test_block_sequence_window_validation():
     t = star_tree(3)
-    b0, b1 = unit_vector(t, (0,)), unit_vector(t, (1,))
-    FiniteBlockSequence([b0, b1], [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        FiniteBlockSequence([b0, b1], [(0, 2), (1, 2)])  # overlap
-    with pytest.raises(ValueError):
-        FiniteBlockSequence([b0], [(1, 2)])  # support escapes window
+    b0, b1, b2 = (unit_vector(t, (i,)) for i in range(3))
+    seq = FiniteBlockSequence([b0, b1.add(b2)])
+    assert seq.tree == t and seq.starts == [(0,), (1,)]
+    c = chain_tree(2)
+    cases = [
+        ([], "empty block sequence"),
+        ([b0, unit_vector(star_tree(4), (1,))], "block 1 lives on a different tree"),
+        ([b0, TreeVector(t, {})], "block 1 is zero"),
+        ([b1, b0], "blocks 0 and 1 do not occupy increasing index windows"),
+        ([b0.add(b2), b1], "blocks 0 and 1 do not occupy increasing index windows"),
+        ([unit_vector(c, ()), unit_vector(c, (0,))],
+         "blocks 0 and 1 have comparable supports"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(ValueError) as e:
+            FiniteBlockSequence(blocks)
+        assert str(e.value) == message
 
 
 def test_combine():
     t = star_tree(3)
-    seq = FiniteBlockSequence(
-        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)]
-    )
+    seq = FiniteBlockSequence([unit_vector(t, (0,)), unit_vector(t, (1,))])
     z = seq.combine([2, Fraction(-1, 2)])
     assert z[(0,)] == 2 and z[(1,)] == Fraction(-1, 2)
+    # a coefficient list of the wrong length is refused, not zipped
+    for coeffs in ([5], [1, 2, 3]):
+        with pytest.raises(ValueError, match="length mismatch"):
+            seq.combine(coeffs)
 
 
 def test_generate_incomparable_blocks():
@@ -74,9 +87,11 @@ def test_generate_incomparable_blocks():
     assert len(seq) == 3
     for b in seq.blocks:
         assert Fraction(1, 2) <= ground_norm(b) <= 2
-    # supports sit in increasing windows
-    for (_, hi), (lo, _) in zip(seq.windows, seq.windows[1:]):
-        assert hi <= lo
+    # supports sit in increasing windows, starting at seq.starts
+    for b, start in zip(seq.blocks, seq.starts):
+        assert start == min(b.support, key=t.index)
+    for a, b in zip(seq.blocks, seq.blocks[1:]):
+        assert max(map(t.index, a.support)) < min(map(t.index, b.support))
 
 
 def test_generate_is_deterministic():
@@ -116,18 +131,16 @@ def test_equivalence_is_symmetric():
 def test_equivalence_detects_scaling():
     t = star_tree(4)
     b = [unit_vector(t, (i,)) for i in range(2)]
-    A = FiniteBlockSequence(b, [(0, 1), (1, 2)])
-    B = FiniteBlockSequence([x.scale(3) for x in b], [(0, 1), (1, 2)])
+    A = FiniteBlockSequence(b)
+    B = FiniteBlockSequence([x.scale(3) for x in b])
     k, _ = equivalence_ratio_bounds(A, ground_norm, B, ground_norm, trials=0, seed=0)
     assert k >= 3
 
 
 def test_equivalence_length_mismatch():
     t = star_tree(4)
-    A = FiniteBlockSequence([unit_vector(t, (0,))], [(0, 1)])
-    B = FiniteBlockSequence(
-        [unit_vector(t, (0,)), unit_vector(t, (1,))], [(0, 1), (1, 2)]
-    )
+    A = FiniteBlockSequence([unit_vector(t, (0,))])
+    B = FiniteBlockSequence([unit_vector(t, (0,)), unit_vector(t, (1,))])
     with pytest.raises(ValueError):
         equivalence_ratio_bounds(A, ground_norm, B, ground_norm, 1, 0)
 
@@ -144,7 +157,6 @@ def test_unconditionality_is_one_for_these_norms():
 def test_unconditionality_cap():
     t = star_tree(13, base_label=13)
     blocks = [unit_vector(t, (13 + i,)) for i in range(13)]
-    windows = [(13 + i, 14 + i) for i in range(13)]
-    seq = FiniteBlockSequence(blocks, windows)
+    seq = FiniteBlockSequence(blocks)
     with pytest.raises(ValueError):
         unconditionality_constant_lower(seq, ground_norm)

@@ -159,6 +159,10 @@ def test_linear_combination_matches_chained_add_scale():
     t = star_tree(3)
     with pytest.raises(ValueError):
         linear_combination(t, [unit_vector(t, (0,)), unit_vector(star_tree(4), (0,))], [1, 1])
+    # zip would drop the vectors without a coefficient: 5 * b0 for [5]
+    for coeffs in ([5], [1, 2, 3], []):
+        with pytest.raises(ValueError, match="length mismatch"):
+            linear_combination(t, [unit_vector(t, (0,)), unit_vector(t, (1,))], coeffs)
 
 
 def test_restrict():
