@@ -15,14 +15,16 @@ v.  This is correct because a segment through v is comparable with every
 other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
+Terms, segment power sums and roots are BaseNorm's (see vectors): a
+segment's p-th power is its power sum raised to p * root_exponent.
+
 Values are exact rationals or certified intervals, (lower, upper) pairs
 with lower == upper on exact paths.  The DP computes them on one integer
 grid rather than in Fractions:
 
-- the base-norm term |x_t|**q is computed once per distinct |x_t|, and
-  the terms are lifted to integers over scale, the lcm of their
-  denominators (entry denominators to the power q, or the 2**shift of a
-  dyadic root);
+- the base-norm term is computed once per distinct |x_t|, and the terms
+  are lifted to integers over scale, the lcm of their denominators
+  (entry denominators to the power q, or the 2**shift of a dyadic root);
 - chain aggregates are then sums of integers over scale, and M(v) is
   computed once per distinct aggregate: (A**e, B**e) over scale**e for
   an integer exponent e, otherwise pow_bounds lifted to a grid of its own;
@@ -41,7 +43,7 @@ from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.vectors import NormValue, pow_bounds
+from baire_lab.vectors import NormValue, pow_bounds, pow_or_identity
 
 
 class _Zero:
@@ -56,12 +58,6 @@ _EXACT_ZERO = (Fraction(0), Fraction(0))
 
 def _s_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _s_pow(s, exponent):
-    if exponent == 1:
-        return s
-    return pow_bounds(s[0], s[1], exponent)
 
 
 class BaireParams:
@@ -88,12 +84,6 @@ class BaireReport:
         self.value = value
         self.power = power
         self.family = family
-
-
-def _term_power(value, exponent):
-    """|value| ** exponent as a scalar (exponent a positive Fraction)."""
-    v = abs(value)
-    return pow_bounds(v, v, exponent)
 
 
 def _trim_to_support(tree, chain, support):
@@ -130,11 +120,7 @@ def _dp(x, params):
     # one term per distinct |coefficient|, keyed by an integer pair since
     # hashing a Fraction is slow; pairs are (upper, lower) from here on
     keys = {v: (abs(c.numerator), c.denominator) for v, c in x.entries.items()}
-    terms = {}
-    for key in set(keys.values()):
-        size = Fraction(*key)
-        terms[key] = (size, size) if sup else _term_power(size, base.q)[::-1]
-    scale, terms = _lift(terms)
+    scale, terms = _lift({key: base.term(Fraction(*key))[::-1] for key in set(keys.values())})
     term = {v: terms[key] for v, key in keys.items()}
 
     chain_agg = {}  # best single-chain aggregate hanging down from v
@@ -167,13 +153,12 @@ def _dp(x, params):
     if p is ZERO:
         best_v = max(tree.nodes, key=chain_agg.__getitem__)
         hi, lo = chain_agg[best_v]
-        root_exp = None if sup else 1 / base.q
         seg = _trim_to_support(tree, chain_of(best_v), support)
         family = [seg] if seg is not None else []
-        return (Fraction(lo, scale), Fraction(hi, scale)), root_exp, family
+        return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    seg_exp = p if sup else p / base.q
+    seg_exp = p * base.root_exponent
     aggs = set(chain_agg.values())
     if seg_exp.denominator == 1:
         e = seg_exp.numerator
@@ -213,10 +198,7 @@ def _dp(x, params):
 
 def baire_norm_report(x, params):
     power, root_exp, family = _dp(x, params)
-    if root_exp is None or root_exp == 1:
-        value = NormValue(*power)
-    else:
-        value = NormValue(*_s_pow(power, root_exp))
+    value = NormValue(*pow_or_identity(*power, root_exp))
     return BaireReport(value, NormValue(*power), family)
 
 
@@ -258,30 +240,17 @@ def baire_norm_oracle_report(x, params, cap=12):
     segs = _candidate_segments(x)
     # per-segment aggregates, kept in the base norm's own power domain so
     # that exact bases stay exact (no root-then-square round trips)
-    aggs = []
-    for seg in segs:
-        if base.kind == "sup":
-            m = max((abs(x[t]) for t in seg), default=Fraction(0))
-            aggs.append((m, m))
-        else:
-            total = _EXACT_ZERO
-            for t in seg:
-                total = _s_add(total, _term_power(x[t], base.q))
-            aggs.append(total)
+    aggs = [base.power_sum(x[t] for t in seg) for seg in segs]
 
     if p is ZERO:
         if not segs:
             return BaireReport(NormValue(0), NormValue(0), [])
         i = max(range(len(segs)), key=lambda i: (aggs[i][1], aggs[i][0]))
         power = aggs[i]
-        if base.kind == "sup":
-            value = NormValue(*power)
-        else:
-            value = NormValue(*_s_pow(power, 1 / base.q))
+        value = NormValue(*pow_or_identity(*power, base.root_exponent))
         return BaireReport(value, NormValue(*power), [segs[i]])
 
-    seg_exp = Fraction(p) if base.kind == "sup" else Fraction(p) / base.q
-    powers = [_s_pow(v, seg_exp) for v in aggs]
+    powers = [pow_or_identity(*v, p * base.root_exponent) for v in aggs]
     compat = [
         [completely_incomparable(a.nodes, b.nodes) for b in segs] for a in segs
     ]
@@ -300,7 +269,7 @@ def baire_norm_oracle_report(x, params, cap=12):
     search(0, [], _EXACT_ZERO)
     power = best[0]
     family = [segs[j] for j in best[1]]
-    value = NormValue(*_s_pow(power, 1 / Fraction(p)))
+    value = NormValue(*pow_or_identity(*power, 1 / p))
     return BaireReport(value, NormValue(*power), family)
 
 
@@ -342,6 +311,6 @@ def incomparable_block_profile(blocks, coeffs, params):
     else:
         total = _EXACT_ZERO
         for t in terms:
-            total = _s_add(total, _s_pow(t, Fraction(params.p)))
-        profile = _s_pow(total, 1 / Fraction(params.p))
+            total = _s_add(total, pow_or_identity(*t, params.p))
+        profile = pow_or_identity(*total, 1 / params.p)
     return BlockProfile(norm, NormValue(*profile))

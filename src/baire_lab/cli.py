@@ -57,7 +57,8 @@ PAIRS_NMAX = 128
 
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
 # (a 3,000-entry node takes about 0.1 GB to load); this bounds tree-file
-# nodes, gen chain|comb --n and verify branch --max-len
+# nodes, verify branch --max-len and the node count of every gen shape (a
+# random tree may be one chain)
 DEPTH_MAX = 3000
 
 # numerator and denominator of --p and of the Q in --base lQ are at most
@@ -125,9 +126,13 @@ def _load_vector(path, tree):
 
 
 def _write_or_print(payload, out):
+    try:
+        target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (out, e))
     # json.dump writes chunk by chunk: the whole string of a 3,000-deep
     # comb took 0.9 GB
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with target as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -229,9 +234,16 @@ def cmd_rank(args):
 
 
 def cmd_gen(args):
-    if args.shape in ("chain", "comb") and args.n > DEPTH_MAX:
-        raise InputError("--n %d is too large: %s trees take n at most %d"
-                         % (args.n, args.shape, DEPTH_MAX))
+    # refused before anything is built: sizes past DEPTH_MAX, and labels
+    # or branchings whose trees the loader refuses or cannot be drawn
+    flag, size = ("--max-nodes", args.max_nodes) if args.shape == "random" else ("--n", args.n)
+    if size > DEPTH_MAX:
+        raise InputError("%s %d is too large: %s trees take at most %d"
+                         % (flag, size, args.shape, DEPTH_MAX))
+    if args.max_branch < 1:
+        raise InputError("--max-branch must be >= 1")
+    if args.base_label < 0:
+        raise InputError("--base-label must be >= 0: node entries are naturals")
     try:
         if args.shape == "chain":
             tree = chain_tree(args.n)
@@ -279,7 +291,7 @@ def cmd_hi(args):
         data = {
             "m": [str(v) for v in sched.m],
             "n": [str(v) for v in sched.n],
-            "desk_pairs": [[m, n] for m, n in sched.scaled_pairs],
+            "desk_pairs": [[m, n] for m, n in DESK_PAIRS],
         }
         _emit(
             data,

@@ -31,12 +31,11 @@ DESK_PAIRS = [(2, 4), (2, 8), (2, 16), (4, 64)]
 
 
 class Schedule:
-    """Exact big-integer sequences (m_j), (n_j) plus desk-scale pairs."""
+    """Exact big-integer sequences (m_j), (n_j)."""
 
-    def __init__(self, m, n, scaled_pairs):
+    def __init__(self, m, n):
         self.m = m
         self.n = n
-        self.scaled_pairs = scaled_pairs
 
     def __repr__(self):
         return "Schedule(j_max=%d)" % len(self.m)
@@ -54,7 +53,7 @@ def schedule(j_max):
         s = (3 * m_next.bit_length() - 3)  # log2(m_next**3), m_next = 2**e
         n.append((5 * n[-1]) ** s)
         m.append(m_next)
-    return Schedule(m, n, list(DESK_PAIRS))
+    return Schedule(m, n)
 
 
 class Functional:

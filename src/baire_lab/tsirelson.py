@@ -392,10 +392,13 @@ def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
 class InequalityReport:
     """Computed quantities and pass/fail flags of one block-sequence check."""
 
-    def __init__(self, ok, quantities, checks):
-        self.ok = ok
+    def __init__(self, quantities, checks):
         self.quantities = quantities
         self.checks = checks
+
+    @property
+    def ok(self):
+        return all(self.checks.values())
 
     def __repr__(self):
         return "InequalityReport(ok=%r, %r)" % (self.ok, self.quantities)
@@ -423,7 +426,6 @@ def verify_lemma_II1(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
     lhs = tsirelson_norm(index_vec, INCOMPARABLE, cap)
     rhs = tsirelson_norm(combo, INCOMPARABLE, cap)
     return InequalityReport(
-        lhs <= rhs,
         {"lhs": lhs, "rhs": rhs, "start_nodes": starts},
         {"lhs_le_rhs": lhs <= rhs},
     )
@@ -450,7 +452,6 @@ def verify_sandwich18(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
         "right_18": b_inc <= 18 * a_std,
     }
     return InequalityReport(
-        all(checks.values()),
         {
             "index_standard": a_std,
             "index_incomparable": a_inc,

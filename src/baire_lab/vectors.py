@@ -4,6 +4,11 @@ Coefficients live in Q (fractions.Fraction).  The l_1 and sup base norms
 stay inside Q; l_q roots for q > 1 leave Q, so those values are returned
 as certified rational intervals of relative width at most 2**-ROOT_BITS
 (2**-48).
+
+BaseNorm owns its power domain: a term is |v|**q (|v| for sup), a
+segment's power sum adds its terms (takes their max for sup), and its
+norm is the power sum raised to root_exponent, 1/q (1 for sup).  The
+Baire DP and its oracle use these members; exponent 1 takes no root.
 """
 
 from fractions import Fraction
@@ -31,11 +36,11 @@ def integer_nth_root(x, n):
     return r
 
 
-def nth_root_bounds(value, n, bits=ROOT_BITS):
+def nth_root_bounds(value, n):
     """(lo, hi) rational bounds on value**(1/n), exact when possible.
 
     value is a nonnegative Fraction.  If value is a perfect n-th power of
-    a rational the bounds coincide; otherwise hi - lo <= lo * 2**-bits.
+    a rational the bounds coincide; otherwise hi - lo <= lo * 2**-ROOT_BITS.
     """
     if n == 1:
         return value, value
@@ -48,13 +53,13 @@ def nth_root_bounds(value, n, bits=ROOT_BITS):
         return exact, exact
     # directed rounding with a scaled integer root; scale up until the
     # floor root is large enough for the relative-width guarantee
-    shift = bits
+    shift = ROOT_BITS
     while True:
         scaled = (num << (n * shift)) // den
         root = integer_nth_root(scaled, n)
-        if root >> bits:
+        if root >> ROOT_BITS:
             break
-        shift += bits
+        shift += ROOT_BITS
     lo = Fraction(root, 1 << shift)
     hi = Fraction(root + 1, 1 << shift)
     return lo, hi
@@ -69,6 +74,13 @@ def pow_bounds(lo, hi, exponent):
     rlo, _ = nth_root_bounds(plo, b)
     _, rhi = nth_root_bounds(phi, b)
     return rlo, rhi
+
+
+def pow_or_identity(lo, hi, exponent):
+    """pow_bounds, except that exponent 1 returns (lo, hi) with no root call."""
+    if exponent == 1:
+        return lo, hi
+    return pow_bounds(lo, hi, exponent)
 
 
 class NormValue:
@@ -133,9 +145,14 @@ class BaseNorm:
         return cls("sup")
 
     @property
+    def root_exponent(self):
+        """The exponent that takes a power sum to the norm: 1/q, or 1 for sup."""
+        return Fraction(1) if self.kind == "sup" else 1 / self.q
+
+    @property
     def is_exact(self):
         """Whether segment values stay in Q (l_1 and sup do)."""
-        return self.kind == "sup" or self.q == 1
+        return self.root_exponent == 1
 
     def __eq__(self, other):
         return isinstance(other, BaseNorm) and (self.kind, self.q) == (other.kind, other.q)
@@ -153,24 +170,25 @@ class BaseNorm:
             return BaseNorm.ell(Fraction(token[1:]))
         raise ValueError("unknown base norm token %r" % (token,))
 
+    def term(self, size):
+        """(lo, hi) bounds on size**q, or size twice for sup, where size is
+        an absolute value (a nonnegative Fraction)."""
+        return pow_or_identity(size, size, 1 if self.kind == "sup" else self.q)
+
+    def power_sum(self, values):
+        """(lo, hi) bounds on the sum of the terms of |v| over values (their
+        max for sup): one segment's aggregate in the power domain."""
+        terms = [self.term(abs(Fraction(v))) for v in values]
+        if self.kind == "sup":
+            return max(terms, default=(Fraction(0), Fraction(0)))
+        return sum((lo for lo, _ in terms), Fraction(0)), sum((hi for _, hi in terms), Fraction(0))
+
     def aggregate_abs(self, values):
         """Combine absolute coefficient values along one segment.
 
         Returns (lo, hi) bounds; exact kinds return lo == hi.
         """
-        values = [abs(Fraction(v)) for v in values]
-        if self.kind == "sup":
-            m = max(values, default=Fraction(0))
-            return m, m
-        if self.q == 1:
-            s = sum(values, Fraction(0))
-            return s, s
-        plo = phi = Fraction(0)
-        for v in values:
-            vlo, vhi = pow_bounds(v, v, self.q)
-            plo += vlo
-            phi += vhi
-        return pow_bounds(plo, phi, 1 / self.q)
+        return pow_or_identity(*self.power_sum(values), self.root_exponent)
 
 
 class TreeVector:

@@ -36,13 +36,17 @@ def vector_to_json_dict(x):
 
 
 class ExperimentReport:
-    """Per-case records plus a digest binding (experiment, params, records)."""
+    """Per-case records plus a digest binding (experiment, params, records).
 
-    def __init__(self, experiment, params, records, passed, wall_time):
+    The report passes when every record is ok, so one without records
+    passes vacuously.
+    """
+
+    def __init__(self, experiment, params, records, wall_time):
         self.experiment = experiment
         self.params = params
         self.records = records
-        self.passed = passed
+        self.passed = all(r["ok"] for r in records)
         self.wall_time = wall_time
         payload = json.dumps(
             [experiment, params, records], sort_keys=True, separators=(",", ":")
@@ -82,7 +86,6 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     p_text = "0" if params.p is ZERO else rational_str(params.p)
     rng = random.Random(seed)
     records = []
-    passed = True
     start = time.monotonic()
     for case in range(cases):
         length = rng.randint(1, max_len)
@@ -105,7 +108,6 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
             "ok": ok,
         }
         if not ok:
-            passed = False
             record["replay"] = {
                 "tree": tree_to_json_dict(tree),
                 "vector": vector_to_json_dict(x),
@@ -123,7 +125,6 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
             "base": repr(base),
         },
         records,
-        passed,
         time.monotonic() - start,
     )
 
@@ -172,7 +173,6 @@ def run_tsirelson_suite(cases, seed):
     """Block-sequence inequality checks over seeded random trees."""
     rng = random.Random(seed)
     records = []
-    passed = True
     start = time.monotonic()
     for case in range(cases):
         case_seed = rng.randrange(2**32)
@@ -193,7 +193,6 @@ def run_tsirelson_suite(cases, seed):
             "ok": sandwich.ok,
         }
         if not sandwich.ok:
-            passed = False
             record["replay"] = {
                 "tree": tree_to_json_dict(tree),
                 "blocks": [vector_to_json_dict(b) for b in blocks],
@@ -204,7 +203,6 @@ def run_tsirelson_suite(cases, seed):
         "tsirelson_suite",
         {"cases": cases, "seed": seed},
         records,
-        passed,
         time.monotonic() - start,
     )
 
@@ -226,20 +224,17 @@ def run_hi_suite(pairs):
     if not pairs:
         raise ValueError("pairs must be nonempty")
     records = []
-    passed = True
     start = time.monotonic()
     for case, (m, n) in enumerate(pairs):
         tree = star_tree(n)
         row, ok = witness_row(tree, m, n)
         record = {"case": case, "m": m, "n": n, **row, "ok": ok}
         if not ok:
-            passed = False
             record["replay"] = {"tree": tree_to_json_dict(tree), "m": m, "n": n}
         records.append(record)
     return ExperimentReport(
         "hi_suite",
         {"pairs": [[m, n] for m, n in pairs]},
         records,
-        passed,
         time.monotonic() - start,
     )

@@ -211,11 +211,23 @@ def test_depth_is_bounded(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "rank", "--tree", str(deep))
     assert code == 2 and out == ""
     assert err.startswith("error: tree in ") and "%d entries" % (DEPTH_MAX + 1) in err
-    for argv in (["gen", "chain", "--n"], ["gen", "comb", "--n"],
-                 ["verify", "branch", "--max-len"]):
-        code, out, err = run(capsys, *argv, str(DEPTH_MAX + 1))
-        assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and "at most %d" % DEPTH_MAX in err
+    def never_built(*args, **kwargs):
+        raise AssertionError("a refused gen call built a tree")
+
+    with monkeypatch.context() as m:
+        for name in ("chain_tree", "star_tree", "comb_tree", "random_tree"):
+            m.setattr(cli, name, never_built)
+        for argv in (["gen", "chain", "--n"], ["gen", "comb", "--n"],
+                     ["gen", "star", "--n"], ["gen", "random", "--max-nodes"],
+                     ["verify", "branch", "--max-len"]):
+            code, out, err = run(capsys, *argv, str(DEPTH_MAX + 1))
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: ") and "at most %d" % DEPTH_MAX in err
+        # a label below 0 is not a natural, and no branch leaves no child to draw
+        for argv in (["star", "--base-label", "-3"], ["random", "--max-branch", "0"]):
+            code, out, err = run(capsys, "gen", *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: %s must be >= " % argv[1]) and "internal" not in err
     # the bound itself is allowed (checked on a small bound: a 3,000-entry
     # node takes about 1 s to build)
     monkeypatch.setattr(cli, "DEPTH_MAX", 5)
@@ -224,11 +236,26 @@ def test_depth_is_bounded(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.strip() == "5"
     deep.write_text(json.dumps({"nodes": [[0] * 6]}))
     assert run(capsys, "rank", "--tree", str(deep))[0] == 2
-    for shape in ("chain", "comb"):
-        assert run(capsys, "gen", shape, "--n", "5")[0] == 0
-        assert run(capsys, "gen", shape, "--n", "6")[0] == 2
+    for shape, flag in (("chain", "--n"), ("comb", "--n"), ("star", "--n"),
+                        ("random", "--max-nodes")):
+        assert run(capsys, "gen", shape, flag, "5")[0] == 0
+        assert run(capsys, "gen", shape, flag, "6")[0] == 2
+    # what gen writes at the bound, its own loader reads back
+    code, out, _ = run(capsys, "gen", "random", "--max-nodes", "5", "--max-branch", "1",
+                       "--out", str(deep))
+    assert (code, out) == (0, "")
+    assert run(capsys, "rank", "--tree", str(deep))[1].strip() == "4"
     assert run(capsys, "verify", "branch", "--max-len", "5", "--cases", "2")[0] == 0
     assert run(capsys, "verify", "branch", "--max-len", "6", "--cases", "2")[0] == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a failed --out write is an input error, like a failed read
+    path = str(tmp_path / "no-such-dir" / "out.json")
+    for argv in (["gen", "chain", "--n", "3"], ["verify", "hi", "--pairs", "2:4"]):
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot write %s: " % path) and "internal" not in err
 
 
 def test_missing_file_exits_2(capsys):

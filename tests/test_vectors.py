@@ -81,6 +81,52 @@ def test_pow_bounds_matches_two_call_composition(monkeypatch):
     assert (lo, hi) == _two_call_pow_bounds(plo, phi, Fraction(2, 3))
 
 
+def _oracle_segment_power(base, values):
+    """The Baire oracle's per-segment loop from before BaseNorm.power_sum."""
+    if base.kind == "sup":
+        m = max((abs(v) for v in values), default=Fraction(0))
+        return m, m
+    total = (Fraction(0), Fraction(0))
+    for v in values:
+        lo, hi = pow_bounds(abs(v), abs(v), base.q)
+        total = (total[0] + lo, total[1] + hi)
+    return total
+
+
+@pytest.mark.parametrize(
+    "base, root_exponent",
+    [(BaseNorm.sup(), 1), (BaseNorm.ell(1), 1), (BaseNorm.ell(Fraction(3, 2)), Fraction(2, 3))],
+)
+def test_base_norm_power_domain(base, root_exponent, monkeypatch):
+    calls = []
+
+    def counted(value, n):
+        calls.append(n)
+        return nth_root_bounds(value, n)
+
+    monkeypatch.setattr(vectors, "nth_root_bounds", counted)
+    assert base.root_exponent == root_exponent
+    rng = random.Random(7)
+    for _ in range(60):
+        size = rng.randint(0, 6)
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(size)]
+        expected = _oracle_segment_power(base, values)
+        terms = [
+            (abs(v), abs(v)) if base.kind == "sup" else pow_bounds(abs(v), abs(v), base.q)
+            for v in values
+        ]
+        calls.clear()
+        assert [base.term(abs(v)) for v in values] == terms
+        assert base.power_sum(values) == expected
+        assert base.power_sum(iter(values)) == expected
+        plo, phi = expected
+        agg = (plo, phi) if root_exponent == 1 else pow_bounds(plo, phi, root_exponent)
+        assert base.aggregate_abs(values) == agg
+        # exact kinds stay in Q without a single root call
+        if base.is_exact:
+            assert calls == []
+
+
 def test_norm_value_exactness():
     v = NormValue(Fraction(3, 2))
     assert v.is_exact and v.exact == Fraction(3, 2)
