@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from baire_lab import cli
-from baire_lab.cli import DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
+from baire_lab.cli import CASES_MAX, DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
 from baire_lab.trees import comb_tree, tree_to_json_dict
 
 
@@ -159,6 +159,11 @@ def test_hi_pairs_n_is_bounded(capsys):
             code, out, err = run(capsys, *argv, pairs)
             assert code == 2 and out == "", (argv, pairs)
             assert err.startswith("error: pair 2:") and "at most %d" % PAIRS_NMAX in err
+    # an empty list is malformed, not a request for the default pairs
+    for argv in (["hi", "witness", "--pairs"], ["verify", "hi", "--pairs"]):
+        code, out, err = run(capsys, *argv, "")
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: pairs must look like")
     code, out, _ = run(capsys, "hi", "witness", "--pairs", "2:%d" % PAIRS_NMAX)
     assert code == 0
     assert out.strip().splitlines()[1] == "2,%d,1,%d,%d,%d" % (
@@ -198,6 +203,11 @@ def test_verify_input_errors_exit_2(capsys):
         code, out, err = run(capsys, "verify", suite, "--cases", "-3")
         assert code == 2 and out == "", suite
         assert err == "error: --cases must be >= 0\n"
+        # every record is held until the report is written, so the count
+        # is bounded; the refused run is never started
+        code, out, err = run(capsys, "verify", suite, "--cases", str(CASES_MAX + 1))
+        assert code == 2 and out == "", suite
+        assert err == "error: --cases %d is too large: at most %d\n" % (CASES_MAX + 1, CASES_MAX)
         # zero cases stay a vacuous pass
         code, out, _ = run(capsys, "verify", suite, "--cases", "0")
         assert code == 0 and json.loads(out)["records"] == []

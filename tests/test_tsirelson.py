@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from baire_lab.trees import chain_tree, comparable, random_tree, star_tree
 from baire_lab.tsirelson import (
+    DEFAULT_SUPPORT_CAP,
     INCOMPARABLE,
     STANDARD,
     _Ctx,
+    _engine,
     _StdEngine,
     check_fixed_point,
     tsirelson_iterate,
@@ -21,11 +24,18 @@ from baire_lab.tsirelson import (
     verify_sandwich18,
 )
 from baire_lab.vectors import TreeVector, unit_vector
-from util import random_nonroot_case
+from tsirelson_reference import (
+    reference_check_fixed_point,
+    reference_iterate,
+    reference_norm,
+    reference_witness_tree,
+)
+from util import random_case, random_nonroot_case
 
 
-def naive_norm(x, variant, level):
-    """Independent reference: enumerate every admissible family directly."""
+def naive_iterates(x, variant):
+    """Independent reference: the m-th iterate as a function of m, by
+    enumerating every admissible family directly."""
     tree = x.tree
     idx = {t: tree.index(t) for t in x.support}
 
@@ -58,7 +68,12 @@ def naive_norm(x, variant, level):
                             best = total / 2
         return best
 
-    return norm(tuple(sorted(x.support, key=idx.__getitem__)), level)
+    supp = tuple(sorted(x.support, key=idx.__getitem__))
+    return lambda level: norm(supp, level)
+
+
+def naive_norm(x, variant, level):
+    return naive_iterates(x, variant)(level)
 
 
 def test_unknown_variant():
@@ -121,15 +136,17 @@ def test_iterates_monotone_and_stabilize():
 
 
 def test_matches_naive_enumeration():
+    # the engines answer levels >= |supp| - 1 from the fixed-point memo (the
+    # level-collapse lemma); the oracle computes every level in full
     for seed in range(30):
         _, x = random_nonroot_case(seed, max_nodes=9, max_support=8)
+        n = len(x.support)
         for variant in (INCOMPARABLE, STANDARD):
-            got = tsirelson_norm(x, variant)
-            assert got == naive_norm(x, variant, len(x.support) + 1), (
-                seed,
-                variant,
-                sorted(x.entries.items()),
-            )
+            naive = naive_iterates(x, variant)
+            case = (seed, variant, sorted(x.entries.items()))
+            assert tsirelson_norm(x, variant) == naive(n + 1), case
+            for m in (n - 1, n, n + 1):
+                assert tsirelson_iterate(x, variant, m) == naive(m), case + (m,)
 
 
 @given(st.integers(0, 10**6))
@@ -234,6 +251,80 @@ def test_run_count_lemma():
                         if sums[l, j][k - 1] > scan[0]:
                             scan = (sums[l, j][k - 1], (l, k))
                 assert eng.best_split(i, j, level) == scan
+
+
+def _outputs(x, variant, order, norm, witness, check, iterate):
+    """Norm, witness JSON, fixed-point check and the iterates at every level
+    0..|supp| + 1 of x, with the four calls made in `order`."""
+    levels = range(len(x.support) + 2)
+    calls = {
+        "norm": lambda: norm(x, variant),
+        "witness": lambda: json.dumps(witness(x, variant)),
+        "check": lambda: check(x, variant),
+        "iterate": lambda: [iterate(x, variant, m) for m in levels],
+    }
+    return {name: calls[name]() for name in order}
+
+
+_SHARED = (tsirelson_norm, tsirelson_witness_tree, check_fixed_point, tsirelson_iterate)
+_REFERENCE = (reference_norm, reference_witness_tree, reference_check_fixed_point,
+              reference_iterate)
+
+
+def test_matches_reference_engines():
+    # criterion 3's distribution: every iterate level, the norm, the check
+    # and the witness JSON agree with fresh, non-collapsing engines
+    rng = random.Random(10)
+    order = ("norm", "witness", "check", "iterate")
+    for _ in range(25):
+        while True:
+            _, x = random_case(rng.randrange(2**32), max_nodes=16, max_support=12)
+            if x.support:
+                break
+        for variant in (INCOMPARABLE, STANDARD):
+            want = _outputs(x, variant, order, *_REFERENCE)
+            assert _outputs(x, variant, order, *_SHARED) == want, (variant, x)
+
+
+def test_shared_engine_call_order():
+    # one engine serves every call on the same vector; the order of the
+    # calls changes no value and no recorded witness
+    other = TreeVector(star_tree(2), {(0,): 1})
+    orders = list(itertools.permutations(("norm", "witness", "check", "iterate")))
+    for seed in range(12):
+        _, x = random_nonroot_case(seed, max_support=8)
+        for variant in (INCOMPARABLE, STANDARD):
+            eng = _engine(x, variant, DEFAULT_SUPPORT_CAP)
+            assert _engine(x, variant, DEFAULT_SUPPORT_CAP) is eng
+            want = _outputs(x, variant, orders[0], *_REFERENCE)
+            for order in orders:
+                tsirelson_norm(other, variant)  # evict the shared engine
+                assert _outputs(x, variant, order, *_SHARED) == want, (seed, order)
+
+
+def test_shared_engine_keeps_input_checks():
+    t = star_tree(14, base_label=14)
+    x = TreeVector(t, {(14 + i,): 1 for i in range(14)})
+    assert tsirelson_norm(x, INCOMPARABLE) == 7
+    with pytest.raises(ValueError, match="support cap exceeded"):
+        tsirelson_norm(x, INCOMPARABLE, cap=13)
+    with pytest.raises(ValueError, match="unknown variant"):
+        tsirelson_norm(x, "bogus")
+    with pytest.raises(ValueError, match="iterate level"):
+        tsirelson_iterate(x, INCOMPARABLE, -1)
+    assert tsirelson_iterate(x, INCOMPARABLE, 13) == 7
+
+
+def test_shared_engine_sees_in_place_changes():
+    # the engine is keyed by content, so changing entries in place is seen
+    t = star_tree(4, base_label=4)
+    x = TreeVector(t, {(4 + i,): 1 for i in range(4)})
+    for variant in (INCOMPARABLE, STANDARD):
+        assert tsirelson_norm(x, variant) == 2
+        x.entries[(4,)] = Fraction(5)
+        assert tsirelson_norm(x, variant) == reference_norm(x, variant) == 5
+        assert tsirelson_witness_tree(x, variant) == reference_witness_tree(x, variant)
+        x.entries[(4,)] = Fraction(1)
 
 
 def _unit_blocks(n, base_label):
