@@ -121,6 +121,9 @@ def _load_vector(path, tree):
     entries = {}
     try:
         for node, value in data["entries"]:
+            # JSON true would otherwise stand for the entry 1
+            if any(isinstance(e, bool) for e in node):
+                raise ValueError("node %r has a boolean entry" % (node,))
             entries[tuple(node)] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError("invalid vector in %s: %s" % (path, e))

@@ -208,15 +208,20 @@ def random_tree(seed, max_nodes, max_branch):
     if max_nodes < 1:
         raise ValueError("random_tree needs max_nodes >= 1")
     rng = random.Random(seed)
-    nodes = {()}
-    order = [()]  # the nodes, kept sorted so each choice matches the seed
-    while len(nodes) < max_nodes:
-        parent = rng.choice(order)
-        child = parent + (rng.randrange(max_branch),)
-        if child not in nodes:
-            nodes.add(child)
-            bisect.insort(order, child)
-    return FiniteTree(nodes)
+    # the nodes, kept sorted so each draw matches the seed, and beside each
+    # one the labels of its children so far
+    order = [()]
+    labels = [set()]
+    while len(order) < max_nodes:
+        i = rng.choice(range(len(order)))  # the same draw as rng.choice(order)
+        label = rng.randrange(max_branch)
+        if label not in labels[i]:
+            labels[i].add(label)
+            child = order[i] + (label,)
+            j = bisect.bisect(order, child)
+            order.insert(j, child)
+            labels.insert(j, set())
+    return FiniteTree(order)
 
 
 def tree_to_json_dict(tree):
@@ -233,9 +238,8 @@ def tree_from_json_dict(data):
         raise ValueError('tree JSON needs a "nodes" list')
     raw = []
     for t in data["nodes"]:
-        if not isinstance(t, list) or not all(
-            isinstance(e, int) and e >= 0 for e in t
-        ):
+        # type, not isinstance: JSON true and false are bools, an int subclass
+        if not isinstance(t, list) or not all(type(e) is int and e >= 0 for e in t):
             raise ValueError("tree node %r is not a list of naturals" % (t,))
         raw.append(tuple(t))
     tree = make_tree(raw)

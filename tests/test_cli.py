@@ -194,6 +194,26 @@ def test_verify_subcommands(tmp_path, capsys):
     assert data["passed"] is True
 
 
+def test_json_booleans_are_not_naturals(tmp_path, capsys):
+    # JSON true and false are Python bools, which subclass int: a node
+    # [true] would be read as (1,) and printed back as [true]
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"nodes": [[True], [False, True]]}))
+    x = tmp_path / "x.json"
+    write_vector(x, [[[0], "1"]])
+    for sub in ("rank", "baire", "tsirelson"):
+        argv = [sub, "--tree", str(t)] + ([] if sub == "rank" else ["--vector", str(x)])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", sub
+        assert err.startswith("error: invalid tree in ") and "naturals" in err, sub
+    run(capsys, "gen", "star", "--n", "3", "--out", str(t))
+    for node in ([True], [False]):
+        write_vector(x, [[node, "1"]])
+        code, out, err = run(capsys, "tsirelson", "--tree", str(t), "--vector", str(x))
+        assert code == 2 and out == "", node
+        assert err.startswith("error: invalid vector in ") and "boolean entry" in err, node
+
+
 def test_verify_input_errors_exit_2(capsys):
     # bad flag values are input errors, not internal errors or empty passes
     code, out, err = run(capsys, "verify", "branch", "--max-len", "0")

@@ -122,23 +122,29 @@ def test_rank_values():
 
 
 def _reference_random_tree(seed, max_nodes, max_branch):
-    """The original generator, which re-sorts the node set on every draw."""
+    """The original generator: every draw picks a parent from the sorted
+    node set.  The set is sorted again only when a draw adds a node, which
+    gives the same draws as sorting before every draw."""
     rng = random.Random(seed)
     nodes = {()}
+    order = [()]
     while len(nodes) < max_nodes:
-        parent = rng.choice(sorted(nodes))
+        parent = rng.choice(order)
         nodes.add(parent + (rng.randrange(max_branch),))
+        if len(nodes) > len(order):
+            order = sorted(nodes)
     return FiniteTree(nodes)
 
 
 @given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 def test_random_tree_is_valid_and_deterministic(seed):
     a = random_tree(seed=seed, max_nodes=10, max_branch=3)
     b = random_tree(seed=seed, max_nodes=10, max_branch=3)
     assert a == b
     assert a == _reference_random_tree(seed, 10, 3)
     assert random_tree(seed, 40, 2) == _reference_random_tree(seed, 40, 2)
+    assert random_tree(seed, 200, 1) == _reference_random_tree(seed, 200, 1)
     assert len(a) <= 10
     # prefix closure is FiniteTree's invariant; reconstruct to re-check
     assert FiniteTree(a.nodes) == a
@@ -161,5 +167,9 @@ def test_json_rejects_garbage():
         tree_from_json_dict({"nodes": "bogus"})
     with pytest.raises(ValueError):
         tree_from_json_dict({"nodes": [["a"]]})
+    # JSON true and false are not naturals, though bool subclasses int
+    for node in ([True], [0, False]):
+        with pytest.raises(ValueError, match="not a list of naturals"):
+            tree_from_json_dict({"nodes": [node]})
     with pytest.raises(ValueError):
         tree_from_json_dict([])

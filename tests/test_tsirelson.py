@@ -327,6 +327,27 @@ def test_shared_engine_sees_in_place_changes():
         x.entries[(4,)] = Fraction(1)
 
 
+def test_shared_engine_sees_the_grid_scale():
+    # x / 2 has the grid values of x on a grid twice as fine, so an engine
+    # slot keyed by those values alone would answer x / 2 with the norm of x
+    star = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2})
+    cases = [star] + [random_nonroot_case(seed, max_support=8)[1] for seed in range(8)]
+    for x in cases:
+        half = x.scale(Fraction(1, 2))
+        levels = range(len(x.support) + 2)
+        for variant in (INCOMPARABLE, STANDARD):
+            iterates = [tsirelson_iterate(x, variant, m) for m in levels]
+            root = Fraction(tsirelson_witness_tree(x, variant)["value"])
+            norm = tsirelson_norm(x, variant)
+            assert tsirelson_norm(half, variant) == norm / 2, (variant, x)
+            assert Fraction(tsirelson_witness_tree(half, variant)["value"]) == root / 2
+            assert [tsirelson_iterate(half, variant, m) for m in levels] == [
+                v / 2 for v in iterates
+            ]
+    assert tsirelson_norm(star, INCOMPARABLE) == 2
+    assert tsirelson_norm(star.scale(Fraction(1, 2)), INCOMPARABLE) == 1
+
+
 def _unit_blocks(n, base_label):
     t = star_tree(n, base_label=base_label)
     blocks = [unit_vector(t, (base_label + i,)) for i in range(n)]
