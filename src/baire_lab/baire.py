@@ -15,6 +15,15 @@ v.  This is correct because a segment through v is comparable with every
 other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
+Beside each node's best single-chain aggregate the DP records the first
+and last support node of that chain, or None if it meets no support.  A
+family segment is built from those two endpoints alone: the prefixes of
+the last one, down from the depth of the first.  Chain aggregates never
+decrease toward the root, since a parent adds a nonnegative term to its
+best child's aggregate, or with the sup base takes a max with it.  So the
+root holds the best single chain, and the 0-variant reads its value and
+segment there, whatever order the tree's nodes were built in.
+
 Terms, segment power sums and roots are BaseNorm's (see vectors): a
 segment's p-th power is its power sum raised to p * root_exponent.
 
@@ -86,15 +95,6 @@ class BaireReport:
         self.family = family
 
 
-def _trim_to_support(tree, chain, support):
-    """Convex hull of chain's support nodes, or None if disjoint from it."""
-    hits = [t for t in chain if t in support]
-    if not hits:
-        return None
-    top, bottom = hits[0], hits[-1]
-    return Segment(tree, [bottom[: i] for i in range(len(top), len(bottom) + 1)])
-
-
 def _lift(pairs):
     """Integers over one common denominator for a dict of Fraction pairs.
 
@@ -113,7 +113,6 @@ def _dp(x, params):
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
     sup = base.kind == "sup"
-    support = x.support
     children = tree.children
     bottom_up = [(v, children(v)) for v in sorted(tree.nodes, key=len, reverse=True)]
 
@@ -124,37 +123,34 @@ def _dp(x, params):
     term = {v: terms[key] for v, key in keys.items()}
 
     chain_agg = {}  # best single-chain aggregate hanging down from v
-    chain_next = {}  # argmax child continuing that chain, or None
+    ends = {}  # first and last support node of that chain, or None
     for v, kids in bottom_up:
         if kids:
             nxt = max(kids, key=chain_agg.__getitem__)
-            tail = chain_agg[nxt]
+            tail, end = chain_agg[nxt], ends[nxt]
         else:
-            tail, nxt = (0, 0), None
+            tail, end = (0, 0), None
         # a node off the support keeps its best child's aggregate, whose
         # M(v) below is then already computed
         here = term.get(v)
-        if sup:
-            # sup aggregates are exact; v itself wins ties
-            here = here[0] if here else 0
-            if tail[0] <= here:
-                tail, nxt = (here, here), None
-        elif here is not None:
-            tail = (here[0] + tail[0], here[1] + tail[1])
+        if here is not None:
+            if not sup:
+                tail = (here[0] + tail[0], here[1] + tail[1])
+            elif tail[0] <= here[0]:
+                # sup aggregates are exact; v itself wins ties
+                tail, end = (here[0], here[0]), None
+            end = (v, end[1] if end else v)
         chain_agg[v] = tail
-        chain_next[v] = nxt
+        ends[v] = end
 
-    def chain_of(v):
-        chain = [v]
-        while chain_next[chain[-1]] is not None:
-            chain.append(chain_next[chain[-1]])
-        return chain
+    def segment(v):
+        top, bottom = ends[v]
+        return Segment(tree, [bottom[:i] for i in range(len(top), len(bottom) + 1)])
 
     if p is ZERO:
-        best_v = max(tree.nodes, key=chain_agg.__getitem__)
-        hi, lo = chain_agg[best_v]
-        seg = _trim_to_support(tree, chain_of(best_v), support)
-        family = [seg] if seg is not None else []
+        # aggregates never decrease toward the root, so it holds the max
+        hi, lo = chain_agg[()]
+        family = [segment(())] if ends[()] else []
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
@@ -186,12 +182,10 @@ def _dp(x, params):
     stack = [()]
     while stack:
         v = stack.pop()
-        if pick_chain[v]:
-            seg = _trim_to_support(tree, chain_of(v), support)
-            if seg is not None:
-                family.append(seg)
-        else:
+        if not pick_chain[v]:
             stack.extend(reversed(children(v)))
+        elif ends[v]:
+            family.append(segment(v))
     hi, lo = f[()]
     return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
 
@@ -205,11 +199,6 @@ def baire_norm_report(x, params):
 def baire_norm(x, params):
     """Norm value of x under the given Baire parameters."""
     return baire_norm_report(x, params).value
-
-
-def baire_norm_power(x, params):
-    """The norm's power-domain aggregate (exact for l_1/sup bases, p integer)."""
-    return baire_norm_report(x, params).power
 
 
 def _candidate_segments(x):

@@ -18,6 +18,7 @@ from baire_lab.hi import DESK_PAIRS, ground_norm, schedule
 from baire_lab.trees import (
     chain_tree,
     comb_tree,
+    node_from_json,
     random_tree,
     rank,
     star_tree,
@@ -121,10 +122,7 @@ def _load_vector(path, tree):
     entries = {}
     try:
         for node, value in data["entries"]:
-            # JSON true would otherwise stand for the entry 1
-            if any(isinstance(e, bool) for e in node):
-                raise ValueError("node %r has a boolean entry" % (node,))
-            entries[tuple(node)] = _rational(value)
+            entries[node_from_json(node)] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError("invalid vector in %s: %s" % (path, e))
     try:

@@ -118,24 +118,20 @@ def make_tree(paths):
 class Segment:
     """A chain of a tree that is convex for the prefix order.
 
-    The constructor validates both total comparability and convexity
-    inside the ambient tree.
+    One pass validates it: sorted by length, the nodes are the prefixes of
+    the deepest, one per depth, and the deepest is in the (prefix-closed) tree.
     """
 
     def __init__(self, tree, nodes):
         nodes = frozenset(tuple(n) for n in nodes)
-        for t in nodes:
-            if t not in tree.nodes:
-                raise ValueError("segment node %r is not in the tree" % (t,))
         chain = sorted(nodes, key=len)
-        for s, t in zip(chain, chain[1:]):
-            if not is_prefix(s, t):
-                raise ValueError("segment is not totally ordered: %r, %r" % (s, t))
         if chain:
             top, bottom = chain[0], chain[-1]
-            for i in range(len(top), len(bottom)):
-                if bottom[:i] not in nodes:
-                    raise ValueError("segment is not convex: missing %r" % (bottom[:i],))
+            if bottom not in tree.nodes:
+                raise ValueError("segment node %r is not in the tree" % (bottom,))
+            for depth, t in enumerate(chain, len(top)):
+                if len(t) != depth or bottom[:depth] != t:
+                    raise ValueError("segment is not a convex chain at %r" % (t,))
         self.tree = tree
         self.nodes = nodes
         self.chain = chain
@@ -228,6 +224,14 @@ def tree_to_json_dict(tree):
     return {"nodes": [list(t) for t in sorted(tree.nodes, key=tree.index)]}
 
 
+def node_from_json(t):
+    """The node a JSON list of naturals stands for."""
+    # type, not isinstance: JSON true and false are bools, an int subclass
+    if not isinstance(t, list) or not all(type(e) is int and e >= 0 for e in t):
+        raise ValueError("node %r is not a list of naturals" % (t,))
+    return tuple(t)
+
+
 def tree_from_json_dict(data):
     """Read {"nodes": [[...], ...]}; closure is applied and reported.
 
@@ -236,11 +240,6 @@ def tree_from_json_dict(data):
     """
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError('tree JSON needs a "nodes" list')
-    raw = []
-    for t in data["nodes"]:
-        # type, not isinstance: JSON true and false are bools, an int subclass
-        if not isinstance(t, list) or not all(type(e) is int and e >= 0 for e in t):
-            raise ValueError("tree node %r is not a list of naturals" % (t,))
-        raw.append(tuple(t))
+    raw = [node_from_json(t) for t in data["nodes"]]
     tree = make_tree(raw)
     return tree, len(tree.nodes) - len(set(raw))

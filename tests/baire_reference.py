@@ -82,7 +82,7 @@ def reference_dp(x, params):
         return chain
 
     if p is ZERO:
-        best_v = max(tree.nodes, key=lambda v: (chain_agg[v][1], chain_agg[v][0]))
+        best_v = ()
         power = chain_agg[best_v]
         root_exp = 1 / base.q if base.kind == "ell" else None
         seg = _trim_to_support(tree, chain_of(best_v), support)

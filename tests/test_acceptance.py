@@ -10,7 +10,7 @@ from baire_lab.baire import (
     BaireParams,
     baire_norm,
     baire_norm_oracle_report,
-    baire_norm_power,
+    baire_norm_report,
 )
 from baire_lab.hi import DESK_PAIRS, dg_lower_bound, dg_upper_bound, ground_norm, schedule
 from baire_lab.tsirelson import (
@@ -46,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(500):
         _, x = random_case(seed, max_nodes=10, max_support=8)
         for pr in params:
-            got = baire_norm_power(x, pr)
+            got = baire_norm_report(x, pr).power
             want = baire_norm_oracle_report(x, pr, cap=8).power
             if got != want:
                 ok = False

@@ -11,7 +11,6 @@ from baire_lab.baire import (
     baire_norm,
     baire_norm_oracle,
     baire_norm_oracle_report,
-    baire_norm_power,
     baire_norm_report,
     incomparable_block_profile,
 )
@@ -59,7 +58,7 @@ def test_chain_collapses_to_base_norm():
     x = TreeVector(t, {(): 1, (0,): Fraction(1, 2), (0, 0, 0): 2})
     assert baire_norm(x, P1) == Fraction(7, 2)
     assert baire_norm(x, P0) == Fraction(7, 2)
-    assert baire_norm_power(x, P2) == Fraction(21, 4)
+    assert baire_norm_report(x, P2).power == Fraction(21, 4)
 
 
 def test_star_sums_over_leaves():
@@ -67,7 +66,7 @@ def test_star_sums_over_leaves():
     x = TreeVector(t, {(0,): 1, (1,): 1, (2,): 1})
     assert baire_norm(x, P1) == 3
     assert baire_norm(x, P0) == 1
-    assert baire_norm_power(x, P2) == 3
+    assert baire_norm_report(x, P2).power == 3
 
 
 def test_root_value_blocks_splitting():
@@ -89,6 +88,21 @@ def test_sup_base():
     # on a tie the chain stops at the upper node
     y = TreeVector(chain_tree(3), {(): 1, (0,): 1, (0, 0): 1})
     assert [seg.chain for seg in baire_norm_report(y, params).family] == [[()]]
+
+
+def test_zero_family_is_independent_of_node_order():
+    # every chain through the support ties at sup 1; the root's is the
+    # one reported, whatever order the tree's nodes were built in
+    nodes = [(), (0,), (0, 0), (0, 0, 0), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 1)]
+    support = [(), (0,), (0, 0, 0), (1,), (1, 0, 0)]
+    params = BaireParams(ZERO, BaseNorm.sup())
+    rng = random.Random(0)
+    for _ in range(20):
+        rng.shuffle(nodes)
+        x = TreeVector(FiniteTree(nodes), {t: 1 for t in support})
+        report = baire_norm_report(x, params)
+        assert report.value == 1
+        assert [seg.chain for seg in report.family] == [[()]], nodes
 
 
 def test_report_family_is_valid_witness():
@@ -122,7 +136,7 @@ def test_deep_comb_family():
 def test_oracle_equivalence_seeded(params):
     for seed in range(60):
         _, x = random_case(seed, max_support=6)
-        got = baire_norm_power(x, params)
+        got = baire_norm_report(x, params).power
         want = baire_norm_oracle_report(x, params, cap=8).power
         assert got == want, (seed, sorted(x.entries.items()))
 
@@ -225,12 +239,12 @@ def test_oracle_cap():
 def test_homogeneity_and_unconditionality():
     for seed in range(15):
         tree, x = random_case(seed)
-        n = baire_norm_power(x, P1).exact
-        assert baire_norm_power(x.scale(-3), P1).exact == 3 * n
+        n = baire_norm_report(x, P1).power.exact
+        assert baire_norm_report(x.scale(-3), P1).power.exact == 3 * n
         flipped = TreeVector(
             tree, {t: -v if i % 2 else v for i, (t, v) in enumerate(sorted(x.entries.items()))}
         )
-        assert baire_norm_power(flipped, P1).exact == n
+        assert baire_norm_report(flipped, P1).power.exact == n
 
 
 def test_triangle_inequality_p1_exact():
@@ -252,9 +266,9 @@ def test_triangle_inequality_p2_exact_in_power_domain():
         tree, x = random_case(seed * 2)
         _, y = random_case(seed * 2 + 1)
         y = TreeVector(tree, {t: v for t, v in y.entries.items() if t in tree})
-        a = baire_norm_power(x, P2).exact
-        b = baire_norm_power(y, P2).exact
-        c = baire_norm_power(x.add(y), P2).exact
+        a = baire_norm_report(x, P2).power.exact
+        b = baire_norm_report(y, P2).power.exact
+        c = baire_norm_report(x.add(y), P2).power.exact
         assert c <= a + b or 4 * a * b >= (c - a - b) ** 2
 
 
@@ -263,7 +277,7 @@ def test_monotone_under_support_restriction():
         tree, x = random_case(seed)
         keep = sorted(x.support)[::2]
         r = x.restrict(keep)
-        assert baire_norm_power(r, P1).exact <= baire_norm_power(x, P1).exact
+        assert baire_norm_report(r, P1).power.exact <= baire_norm_report(x, P1).power.exact
 
 
 def test_zero_variant_bounded_by_p_variant():
@@ -276,7 +290,7 @@ def test_zero_variant_bounded_by_p_variant():
 @settings(max_examples=40, deadline=None)
 def test_dp_matches_oracle_property(seed):
     _, x = random_case(seed, max_support=5)
-    assert baire_norm_power(x, P1) == baire_norm_oracle_report(x, P1, cap=8).power
+    assert baire_norm_report(x, P1).power == baire_norm_oracle_report(x, P1, cap=8).power
 
 
 def test_block_profile_star():

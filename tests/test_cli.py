@@ -207,11 +207,12 @@ def test_json_booleans_are_not_naturals(tmp_path, capsys):
         assert code == 2 and out == "", sub
         assert err.startswith("error: invalid tree in ") and "naturals" in err, sub
     run(capsys, "gen", "star", "--n", "3", "--out", str(t))
-    for node in ([True], [False]):
-        write_vector(x, [[node, "1"]])
+    # nor is 1.0, which would match the node (1,) and be echoed as [1.0]
+    for node in ([True], [False], [1.0]):
+        write_vector(x, [[node, "5"], [[2], "2"]])
         code, out, err = run(capsys, "tsirelson", "--tree", str(t), "--vector", str(x))
         assert code == 2 and out == "", node
-        assert err.startswith("error: invalid vector in ") and "boolean entry" in err, node
+        assert err.startswith("error: invalid vector in ") and "naturals" in err, node
 
 
 def test_verify_input_errors_exit_2(capsys):

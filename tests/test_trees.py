@@ -107,6 +107,18 @@ def test_segment_validation():
     t2 = star_tree(2)
     with pytest.raises(ValueError):
         Segment(t2, [(0,), (1,)])  # not a chain
+    t3 = make_tree([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="not in the tree"):
+        Segment(t3, [(0,), (0, 1)])  # bottom outside the tree
+    with pytest.raises(ValueError):
+        Segment(t3, [(), (0,), (1,)])  # two nodes of one depth
+    with pytest.raises(ValueError):
+        Segment(t3, [(), (0, 0)])  # a gap
+    with pytest.raises(ValueError):
+        Segment(t3, [(0,), (1, 0)])  # consecutive depths, not one chain
+    assert Segment(t3, []).chain == []
+    seg = Segment(t3, [(0, 0), (), (0,), (0, 0)])  # unsorted, a duplicate
+    assert seg.chain == [(), (0,), (0, 0)] and len(seg) == 3
 
 
 def test_rank_values():
