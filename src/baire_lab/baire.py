@@ -15,14 +15,20 @@ v.  This is correct because a segment through v is comparable with every
 other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
-Beside each node's best single-chain aggregate the DP records the first
-and last support node of that chain, or None if it meets no support.  A
-family segment is built from those two endpoints alone: the prefixes of
-the last one, down from the depth of the first.  Chain aggregates never
-decrease toward the root, since a parent adds a nonnegative term to its
-best child's aggregate, or with the sup base takes a max with it.  So the
-root holds the best single chain, and the 0-variant reads its value and
-segment there, whatever order the tree's nodes were built in.
+The DP runs on the tree's arena (see trees): the support is mapped to
+node ids once, every per-node table is a list indexed by id, and since a
+parent's id is smaller than its children's, bottom-up is descending ids.
+Each node pushes its chain aggregate and its f to its parent, so only
+the walk that collects the family reads a node's children.
+
+Beside each node's best single-chain aggregate the DP records the ids of
+the first and last support node of that chain, or None if it meets no
+support.  A family segment is built from those two endpoints alone: the
+ancestors of the last one, up to the first, read off the parent ids.
+Chain aggregates never decrease toward the root, since a parent adds a
+nonnegative term to its best child's aggregate, or with the sup base takes
+a max with it.  So the root holds the best single chain, and the
+0-variant reads its value and segment there.
 
 Terms, segment power sums and roots are BaseNorm's (see vectors): a
 segment's p-th power is its power sum raised to p * root_exponent.
@@ -113,26 +119,26 @@ def _dp(x, params):
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
     sup = base.kind == "sup"
-    children = tree.children
-    bottom_up = [(v, children(v)) for v in sorted(tree.nodes, key=len, reverse=True)]
+    order, parent, id_of = tree.order, tree.parent, tree.id_of
+    n = len(order)
 
     # one term per distinct |coefficient|, keyed by an integer pair since
     # hashing a Fraction is slow; pairs are (upper, lower) from here on
-    keys = {v: (abs(c.numerator), c.denominator) for v, c in x.entries.items()}
+    keys = {id_of[v]: (abs(c.numerator), c.denominator) for v, c in x.entries.items()}
     scale, terms = _lift({key: base.term(Fraction(*key))[::-1] for key in set(keys.values())})
-    term = {v: terms[key] for v, key in keys.items()}
+    term = [None] * n
+    for i, key in keys.items():
+        term[i] = terms[key]
 
-    chain_agg = {}  # best single-chain aggregate hanging down from v
-    ends = {}  # first and last support node of that chain, or None
-    for v, kids in bottom_up:
-        if kids:
-            nxt = max(kids, key=chain_agg.__getitem__)
-            tail, end = chain_agg[nxt], ends[nxt]
-        else:
-            tail, end = (0, 0), None
+    # bottom-up over descending ids; before v's turn, its slots hold its
+    # best child's aggregate and ends, pushed up by the children
+    chain_agg = [(0, 0)] * n  # best single-chain aggregate hanging down from v
+    ends = [None] * n  # ids of the first and last support node of that chain, or None
+    for v in range(n - 1, -1, -1):
+        tail, end = chain_agg[v], ends[v]
         # a node off the support keeps its best child's aggregate, whose
         # M(v) below is then already computed
-        here = term.get(v)
+        here = term[v]
         if here is not None:
             if not sup:
                 tail = (here[0] + tail[0], here[1] + tail[1])
@@ -140,22 +146,33 @@ def _dp(x, params):
                 # sup aggregates are exact; v itself wins ties
                 tail, end = (here[0], here[0]), None
             end = (v, end[1] if end else v)
-        chain_agg[v] = tail
-        ends[v] = end
+            chain_agg[v] = tail
+            ends[v] = end
+        up = parent[v]
+        # siblings arrive in descending ids, so >= keeps the first best
+        # child in sorted order; every aggregate is >= the initial (0, 0)
+        if up is not None and tail >= chain_agg[up]:
+            chain_agg[up] = tail
+            ends[up] = end
 
     def segment(v):
-        top, bottom = ends[v]
-        return Segment(tree, [bottom[:i] for i in range(len(top), len(bottom) + 1)])
+        top, u = ends[v]
+        chain = [order[u]]
+        while u != top:
+            u = parent[u]
+            chain.append(order[u])
+        chain.reverse()
+        return Segment(tree, chain)
 
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
-        hi, lo = chain_agg[()]
-        family = [segment(())] if ends[()] else []
+        hi, lo = chain_agg[0]
+        family = [segment(0)] if ends[0] else []
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
     seg_exp = p * base.root_exponent
-    aggs = set(chain_agg.values())
+    aggs = set(chain_agg)
     if seg_exp.denominator == 1:
         e = seg_exp.numerator
         mscale = scale**e
@@ -165,28 +182,31 @@ def _dp(x, params):
             a: pow_bounds(Fraction(a[1], scale), Fraction(a[0], scale), seg_exp)[::-1]
             for a in aggs
         })
-    f = {}
-    pick_chain = {}
-    for v, kids in bottom_up:
+    # f(v) = max(M(v), sum of f over its children), the sums pushed up;
+    # the last turn, the root's, leaves f(root) in (hi, lo)
+    kids_hi = [0] * n
+    kids_lo = [0] * n
+    pick_chain = [False] * n
+    for v in range(n - 1, -1, -1):
         m = seg_power[chain_agg[v]]
-        hi = lo = 0
-        for k in kids:
-            fk = f[k]
-            hi += fk[0]
-            lo += fk[1]
-        f[v] = (max(m[0], hi), max(m[1], lo))
+        hi, lo = kids_hi[v], kids_lo[v]
         pick_chain[v] = m[0] >= hi
+        hi, lo = max(m[0], hi), max(m[1], lo)
+        up = parent[v]
+        if up is not None:
+            kids_hi[up] += hi
+            kids_lo[up] += lo
 
     # picked chains in depth-first order, children in sorted order
+    kids = tree.kids
     family = []
-    stack = [()]
+    stack = [0]
     while stack:
         v = stack.pop()
         if not pick_chain[v]:
-            stack.extend(reversed(children(v)))
+            stack.extend(reversed(kids[v]))
         elif ends[v]:
             family.append(segment(v))
-    hi, lo = f[()]
     return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
 
 

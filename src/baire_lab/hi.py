@@ -21,6 +21,7 @@ only the final witness is built as a Functional and replayed.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from baire_lab.trees import is_prefix
@@ -126,15 +127,15 @@ def ground_norm(x):
     tree = x.tree
     if not tree.nodes:
         raise ValueError("ground norm of a vector on the empty tree")
-
-    # chain sums only grow downwards, so the best node is a leaf
-    best = Fraction(0)
-    stack = [((), abs(x[()]))]
-    while stack:
-        v, total = stack.pop()
-        best = max(best, total)
-        stack.extend((k, total + abs(x[k])) for k in tree.children(v))
-    return best
+    # |x_t| as integers over one common denominator, by id; parents come
+    # first, so one ascending pass turns them into chain sums from the root
+    scale = lcm(*(c.denominator for c in x.entries.values()))
+    sums = [0] * len(tree.order)
+    for v, c in x.entries.items():
+        sums[tree.id_of[v]] = abs(c.numerator) * (scale // c.denominator)
+    for v, up in enumerate(islice(tree.parent, 1, None), 1):
+        sums[v] += sums[up]
+    return Fraction(max(sums), scale)
 
 
 def _sign(v):
@@ -271,7 +272,7 @@ def dg_upper_bound(x):
 def incomparable_nodes(tree, count):
     """The first `count` leaves in enumeration order (leaves are pairwise
     incomparable)."""
-    leaves = sorted(tree.leaves(), key=tree.index)
+    leaves = tree.leaves()
     if len(leaves) < count:
         raise ValueError(
             "tree has only %d pairwise-incomparable leaves, need %d"

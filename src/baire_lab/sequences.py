@@ -83,7 +83,7 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
     """
     if count < 1:
         raise ValueError("empty block sequence")
-    leaves = sorted(tree.leaves(), key=tree.index)
+    leaves = tree.leaves()
     if len(leaves) < count:
         raise ValueError(
             "tree supports at most %d incomparable blocks, need %d"

@@ -4,10 +4,23 @@ A node is a tuple of naturals; the empty tuple () is the root.  A tree is a
 finite prefix-closed set of nodes.  Every norm in this package is indexed by
 such a tree, and admissibility conditions refer to the canonical
 (length, lexicographic) enumeration over the tree's own alphabet bound.
+
+A FiniteTree also keeps its nodes as an arena: it numbers them 0..N-1 once,
+in enumeration order, and keeps the parent and the children of each node as
+ids.  A parent is shorter than its children, so it comes first: parent[i] < i
+for every id i > 0, the root is id 0, and a pass over descending ids sees
+every node after all of its descendants (bottom-up).  Tuples are hashed only
+where a caller's node meets the arena, through id_of; walks along the tree
+read integer lists.
 """
 
 import bisect
 import random
+from functools import cached_property
+from itertools import groupby, islice
+from operator import itemgetter
+
+_last = itemgetter(-1)
 
 
 def is_prefix(s, t):
@@ -47,30 +60,41 @@ def enumeration_index(node, alphabet_bound):
 
 
 class FiniteTree:
-    """Immutable prefix-closed finite set of nodes.
+    """Immutable prefix-closed finite set of nodes, with its arena.
 
     Construct through make_tree, which takes the prefix closure of its
     input.  The per-tree alphabet bound (max entry occurring anywhere in
     the tree) fixes the canonical enumeration used by index().
+
+    The arena, read-only: order[i] is the node with id i, in enumeration
+    order; id_of maps a node to its id; parent[i] is the id of its parent
+    (None for the root); kids[i] lists the ids of its children, ascending,
+    which is their sorted order.  kids is built on first use, since only
+    walks down the tree need it.
     """
 
     def __init__(self, nodes):
         nodes = frozenset(tuple(n) for n in nodes)
-        # every parent present implies every prefix present, by induction
-        for t in nodes:
-            if t and t[:-1] not in nodes:
-                raise ValueError("tree is not prefix-closed: missing %r" % (t[:-1],))
-        if nodes and () not in nodes:
-            raise ValueError("nonempty tree must contain the root ()")
+        # enumeration order is (length, lexicographic): sort by length,
+        # then each level on its own, so that no two nodes of different
+        # depths are ever compared entry by entry
+        order = []
+        for _, level in groupby(sorted(nodes, key=len), len):
+            order.extend(sorted(level))
+        id_of = dict(zip(order, range(len(order))))
+        try:
+            # every parent present implies every prefix present, by
+            # induction; without the root, the first node's parent is missing
+            parent = [id_of[t[:-1]] if t else None for t in order]
+        except KeyError:
+            missing = next(t[:-1] for t in order if t and t[:-1] not in id_of)
+            raise ValueError("tree is not prefix-closed: missing %r" % (missing,)) from None
         self.nodes = nodes
-        self.alphabet_bound = max((max(t) for t in nodes if t), default=0)
-        self._children = {}
-        for t in nodes:
-            self._children.setdefault(t, [])
-            if t:
-                self._children.setdefault(t[:-1], []).append(t)
-        for kids in self._children.values():
-            kids.sort()
+        self.order = order
+        self.id_of = id_of
+        self.parent = parent
+        # every entry is the last entry of a node: the prefix ending there
+        self.alphabet_bound = max(map(_last, islice(order, 1, None)), default=0)
 
     def __contains__(self, node):
         return tuple(node) in self.nodes
@@ -87,8 +111,18 @@ class FiniteTree:
     def __repr__(self):
         return "FiniteTree(%d nodes)" % len(self.nodes)
 
+    @cached_property
+    def kids(self):
+        """kids[i] lists the ids of the children of id i, ascending."""
+        kids = [[] for _ in self.order]
+        for i, up in enumerate(islice(self.parent, 1, None), 1):
+            kids[up].append(i)
+        return kids
+
     def children(self, node):
-        return self._children[tuple(node)]
+        """The children of a node, in sorted order."""
+        order = self.order
+        return [order[k] for k in self.kids[self.id_of[tuple(node)]]]
 
     def index(self, node):
         """Enumeration index of a node under this tree's alphabet bound."""
@@ -96,10 +130,11 @@ class FiniteTree:
 
     def sorted_nodes(self):
         """All nodes in enumeration order."""
-        return sorted(self.nodes, key=self.index)
+        return list(self.order)
 
     def leaves(self):
-        return [t for t in self.nodes if not self._children[t]]
+        """The leaves in enumeration order."""
+        return [t for t, kids in zip(self.order, self.kids) if not kids]
 
 
 def make_tree(paths):
@@ -155,7 +190,7 @@ class Segment:
 def maximal_chains(tree):
     """All root-to-leaf paths of the tree, as Segments."""
     chains = []
-    for leaf in sorted(tree.leaves(), key=tree.index):
+    for leaf in tree.leaves():
         chains.append(Segment(tree, [leaf[:i] for i in range(len(leaf) + 1)]))
     return chains
 
@@ -163,11 +198,12 @@ def maximal_chains(tree):
 def rank(tree):
     """Finite ordinal rank: 0 for {()}, else 1 + max rank of child subtrees.
 
-    For a prefix-closed tree that is the length of its longest node.
+    For a prefix-closed tree that is the length of its longest node, the
+    last id of the arena.
     """
     if not tree.nodes:
         raise ValueError("empty tree has no rank")
-    return max(len(t) for t in tree.nodes)
+    return len(tree.order[-1])
 
 
 def chain_tree(n):
@@ -221,7 +257,7 @@ def random_tree(seed, max_nodes, max_branch):
 
 
 def tree_to_json_dict(tree):
-    return {"nodes": [list(t) for t in sorted(tree.nodes, key=tree.index)]}
+    return {"nodes": [list(t) for t in tree.order]}
 
 
 def node_from_json(t):

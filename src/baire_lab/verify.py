@@ -140,7 +140,7 @@ def _case_blocks(case_seed):
         tree = random_tree(
             seed=case_seed * 97 + attempt, max_nodes=11, max_branch=3
         )
-        leaves = [t for t in sorted(tree.leaves(), key=tree.index) if t != ()]
+        leaves = [t for t in tree.leaves() if t != ()]
         if len(leaves) >= 2:
             break
     else:

@@ -213,6 +213,14 @@ def test_dp_matches_fraction_reference_deep():
         ties = {t: rng.choice([1, 2]) for t in rng.sample(nodes, 350)}
         for entries in (small, ties):
             _assert_matches_reference(TreeVector(tree, entries), matrix)
+    # 2,000 deep: bottom-up over arena ids and segments rebuilt from their
+    # endpoint ids, one exact and one interval pair
+    tree = comb_tree(2000)
+    nodes = sorted(tree.nodes)
+    small = {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in rng.sample(nodes, 2800)}
+    ties = {t: rng.choice([1, 2]) for t in rng.sample(nodes, 2800)}
+    for entries in (small, ties):
+        _assert_matches_reference(TreeVector(tree, entries), [("l1", "1"), ("l5/2", "5/3")])
 
 
 def test_dp_matches_fraction_reference_on_nested_intervals():

@@ -84,10 +84,29 @@ def test_make_tree_closes():
     assert (0,) in t and () in t and len(t) == 3
 
 
+def _assert_arena(tree):
+    """The arena against the enumeration index and the prefix definitions."""
+    order = tree.order
+    assert order == sorted(tree.nodes, key=tree.index) == tree.sorted_nodes()
+    assert all(tree.id_of[t] == i for i, t in enumerate(order))
+    assert tree.parent[0] is None
+    for i in range(1, len(order)):
+        assert tree.parent[i] < i and order[tree.parent[i]] == order[i][:-1]
+
+    def children(t):
+        return sorted(s for s in tree.nodes if len(s) == len(t) + 1 and is_prefix(t, s))
+
+    for t in order:
+        assert tree.children(t) == children(t)
+    assert tree.leaves() == [t for t in order if not children(t)]
+
+
 def test_children_sorted():
     t = make_tree([(2,), (0,), (1, 0)])
     assert t.children(()) == [(0,), (1,), (2,)]
     assert t.children((1,)) == [(1, 0)]
+    for tree in (t, chain_tree(40), comb_tree(30), star_tree(12, base_label=3), make_tree([()])):
+        _assert_arena(tree)
 
 
 def test_leaves_and_chains():
@@ -160,6 +179,8 @@ def test_random_tree_is_valid_and_deterministic(seed):
     assert len(a) <= 10
     # prefix closure is FiniteTree's invariant; reconstruct to re-check
     assert FiniteTree(a.nodes) == a
+    _assert_arena(a)
+    _assert_arena(random_tree(seed, 40, 2))
 
 
 def test_json_round_trip():
