@@ -4,7 +4,8 @@ Subcommands: baire, tsirelson, ground, hi, rank, gen, verify.  All
 numeric output is exact rational strings or certified interval
 endpoints; --json switches from aligned text to machine format.  Exit
 codes: 0 pass, 1 verification failure, 2 usage/input error or internal
-error.
+error.  Every ValueError a command raises is an input error: `main` prints
+its message and exits 2.
 """
 
 import argparse
@@ -44,8 +45,9 @@ from baire_lab.verify import (
 )
 
 
-class InputError(Exception):
-    """Malformed file or flag value; maps to exit code 2."""
+class InputError(ValueError):
+    """Malformed file or flag value, with the context the library's own
+    ValueError lacks; like every ValueError, it maps to exit code 2."""
 
 
 # n_3 has 1,517 decimal digits; n_4 would have about 2.8 million, far past
@@ -125,10 +127,7 @@ def _load_vector(path, tree):
             entries[node_from_json(node)] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError("invalid vector in %s: %s" % (path, e))
-    try:
-        return TreeVector(tree, entries)
-    except ValueError as e:
-        raise InputError(str(e))
+    return TreeVector(tree, entries)
 
 
 def _write_or_print(payload, out):
@@ -144,7 +143,7 @@ def _write_or_print(payload, out):
 
 
 def _emit(data, args, text_lines):
-    if getattr(args, "json", False):
+    if args.json:
         _write_or_print(data, None)
     else:
         for line in text_lines:
@@ -171,20 +170,14 @@ def _baire_params(args):
     p = _exponent("--p", args.p, args.p)
     if args.base.startswith("l"):
         _exponent("--base", args.base, args.base[1:])
-    try:
-        return BaireParams(p, BaseNorm.parse(args.base))
-    except ValueError as e:
-        raise InputError(str(e))
+    return BaireParams(p, BaseNorm.parse(args.base))
 
 
 def cmd_baire(args):
     params = _baire_params(args)
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    try:
-        report = baire_norm_report(x, params)
-    except ValueError as e:
-        raise InputError(str(e))
+    report = baire_norm_report(x, params)
     family = [[list(node) for node in seg.chain] for seg in report.family]
     data = {"value": norm_value_json(report.value), "family": family}
     _emit(
@@ -199,16 +192,13 @@ def cmd_baire(args):
 def cmd_tsirelson(args):
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    try:
-        if args.iterate is not None:
-            value = tsirelson_iterate(x, args.variant, args.iterate)
-            data = {"value": rational_str(value), "iterate": args.iterate}
-            _emit(data, args, ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
-            return 0
-        value = tsirelson_norm(x, args.variant)
-        witness = tsirelson_witness_tree(x, args.variant)
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.iterate is not None:
+        value = tsirelson_iterate(x, args.variant, args.iterate)
+        data = {"value": rational_str(value), "iterate": args.iterate}
+        _emit(data, args, ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
+        return 0
+    value = tsirelson_norm(x, args.variant)
+    witness = tsirelson_witness_tree(x, args.variant)
     data = {"value": rational_str(value), "witness_family_tree": witness}
     _emit(
         data,
@@ -221,20 +211,14 @@ def cmd_tsirelson(args):
 def cmd_ground(args):
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    try:
-        value = ground_norm(x)
-    except ValueError as e:
-        raise InputError(str(e))
+    value = ground_norm(x)
     _emit({"value": rational_str(value)}, args, ["value  %s" % rational_str(value)])
     return 0
 
 
 def cmd_rank(args):
     tree = _load_tree(args.tree)
-    try:
-        value = rank(tree)
-    except ValueError as e:
-        raise InputError(str(e))
+    value = rank(tree)
     _emit({"rank": value}, args, [str(value)])
     return 0
 
@@ -250,19 +234,16 @@ def cmd_gen(args):
         raise InputError("--max-branch must be >= 1")
     if args.base_label < 0:
         raise InputError("--base-label must be >= 0: node entries are naturals")
-    try:
-        if args.shape == "chain":
-            tree = chain_tree(args.n)
-        elif args.shape == "star":
-            tree = star_tree(args.n, base_label=args.base_label)
-        elif args.shape == "comb":
-            tree = comb_tree(args.n)
-        else:
-            tree = random_tree(
-                seed=args.seed, max_nodes=args.max_nodes, max_branch=args.max_branch
-            )
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.shape == "chain":
+        tree = chain_tree(args.n)
+    elif args.shape == "star":
+        tree = star_tree(args.n, base_label=args.base_label)
+    elif args.shape == "comb":
+        tree = comb_tree(args.n)
+    else:
+        tree = random_tree(
+            seed=args.seed, max_nodes=args.max_nodes, max_branch=args.max_branch
+        )
     _write_or_print(tree_to_json_dict(tree), args.out)
     return 0
 
@@ -290,10 +271,7 @@ def cmd_hi(args):
                 "--jmax %d is too large: entries past j = %d do not print"
                 % (args.jmax, SCHEDULE_JMAX)
             )
-        try:
-            sched = schedule(args.jmax)
-        except ValueError as e:
-            raise InputError(str(e))
+        sched = schedule(args.jmax)
         data = {
             "m": [str(v) for v in sched.m],
             "n": [str(v) for v in sched.n],
@@ -306,18 +284,12 @@ def cmd_hi(args):
         )
         return 0
     pairs = _parse_pairs(args.pairs)
-    if args.tree:
-        tree = _load_tree(args.tree)
-        trees = {(m, n): tree for m, n in pairs}
-    else:
-        trees = {(m, n): star_tree(n) for m, n in pairs}
+    # an empty tree file is a FiniteTree of len 0: test None, not truth
+    tree = _load_tree(args.tree) if args.tree else None
     print(",".join(("m", "n") + WITNESS_COLUMNS))
     ok = True
     for m, n in pairs:
-        try:
-            row, row_ok = witness_row(trees[(m, n)], m, n)
-        except ValueError as e:
-            raise InputError(str(e))
+        row, row_ok = witness_row(star_tree(n) if tree is None else tree, m, n)
         ok = ok and row_ok
         print(",".join([str(m), str(n)] + [row[key] for key in WITNESS_COLUMNS]))
     return 0 if ok else 1
@@ -330,16 +302,13 @@ def cmd_verify(args):
         raise InputError("--cases %d is too large: at most %d" % (args.cases, CASES_MAX))
     if args.suite == "branch" and args.max_len > DEPTH_MAX:
         raise InputError("--max-len %d is too large: at most %d" % (args.max_len, DEPTH_MAX))
-    try:
-        if args.suite == "branch":
-            report = run_branch_isometry(args.max_len, cases=args.cases, seed=args.seed)
-        elif args.suite == "tsirelson":
-            report = run_tsirelson_suite(args.cases, args.seed)
-        else:
-            pairs = DESK_PAIRS if args.pairs is None else _parse_pairs(args.pairs)
-            report = run_hi_suite(pairs)
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.suite == "branch":
+        report = run_branch_isometry(args.max_len, cases=args.cases, seed=args.seed)
+    elif args.suite == "tsirelson":
+        report = run_tsirelson_suite(args.cases, args.seed)
+    else:
+        pairs = DESK_PAIRS if args.pairs is None else _parse_pairs(args.pairs)
+        report = run_hi_suite(pairs)
     _write_or_print(report.to_json_dict(), args.out)
     if args.out:
         print("%s: %s" % (report.experiment, "pass" if report.passed else "FAIL"))
@@ -422,7 +391,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:

@@ -335,15 +335,15 @@ class _StdEngine:
 _last = (None, None)
 
 
-def _engine(x, variant, cap):
+def _engine(x, variant):
     """The engine of `variant` on the support of x, or None if x = 0; the
     last engine built is reused while its key matches."""
     global _last
     if variant not in (INCOMPARABLE, STANDARD):
         raise ValueError("unknown variant %r" % (variant,))
-    if len(x.support) > cap:
+    if len(x.support) > DEFAULT_SUPPORT_CAP:
         raise ValueError(
-            "support cap exceeded: |supp| = %d > %d" % (len(x.support), cap)
+            "support cap exceeded: |supp| = %d > %d" % (len(x.support), DEFAULT_SUPPORT_CAP)
         )
     if not x.support:
         return None
@@ -356,24 +356,24 @@ def _engine(x, variant, cap):
     return eng
 
 
-def tsirelson_norm(x, variant, cap=DEFAULT_SUPPORT_CAP):
+def tsirelson_norm(x, variant):
     """Exact rational value of the implicit Tsirelson norm."""
-    eng = _engine(x, variant, cap)
+    eng = _engine(x, variant)
     return Fraction(0) if eng is None else eng.ctx.rational(eng.value())
 
 
-def tsirelson_iterate(x, variant, m, cap=DEFAULT_SUPPORT_CAP):
+def tsirelson_iterate(x, variant, m):
     """The m-th iterate of the norm recursion; m = 0 is the sup norm and
     m >= |supp| - 1 is the norm."""
-    eng = _engine(x, variant, cap)
+    eng = _engine(x, variant)
     if m < 0:
         raise ValueError("iterate level must be >= 0")
     return Fraction(0) if eng is None else eng.ctx.rational(eng.value(m))
 
 
-def tsirelson_witness_tree(x, variant, cap=DEFAULT_SUPPORT_CAP):
+def tsirelson_witness_tree(x, variant):
     """Derivation tree of one optimal admissible-family decomposition."""
-    eng = _engine(x, variant, cap)
+    eng = _engine(x, variant)
     if eng is None:
         return {"value": "0"}
     eng.value()
@@ -388,10 +388,10 @@ def tsirelson_witness_tree(x, variant, cap=DEFAULT_SUPPORT_CAP):
     return build(eng.root)
 
 
-def check_fixed_point(x, variant, cap=DEFAULT_SUPPORT_CAP):
+def check_fixed_point(x, variant):
     """Recompute the outer max of the implicit equation with the converged
     norm filled in, and verify it reproduces the norm exactly."""
-    eng = _engine(x, variant, cap)
+    eng = _engine(x, variant)
     if eng is None:
         return True
     value = eng.value()
@@ -420,7 +420,7 @@ class InequalityReport:
         return "InequalityReport(ok=%r, %r)" % (self.ok, self.quantities)
 
 
-def _block_sequence_setup(tree, blocks, coeffs, cap):
+def _block_sequence_setup(tree, blocks, coeffs):
     """Validate a finite block sequence on tree and check each block is
     normalized; return its window-start nodes, the coefficient vector placed
     at them, and the block combination."""
@@ -429,35 +429,35 @@ def _block_sequence_setup(tree, blocks, coeffs, cap):
         raise ValueError("block 0 lives on a different tree")
     combo = seq.combine(coeffs)
     for i, b in enumerate(blocks):
-        if tsirelson_norm(b, INCOMPARABLE, cap) != 1:
+        if tsirelson_norm(b, INCOMPARABLE) != 1:
             raise ValueError("block %d is not normalized" % i)
     index_vec = TreeVector(tree, dict(zip(seq.starts, coeffs)))
     return seq.starts, index_vec, combo
 
 
-def verify_lemma_II1(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
+def verify_lemma_II1(tree, blocks, coeffs):
     """Index-vector domination: the norm of the coefficient vector placed at
     the window-start nodes is at most the norm of the block combination."""
-    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs, cap)
-    lhs = tsirelson_norm(index_vec, INCOMPARABLE, cap)
-    rhs = tsirelson_norm(combo, INCOMPARABLE, cap)
+    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs)
+    lhs = tsirelson_norm(index_vec, INCOMPARABLE)
+    rhs = tsirelson_norm(combo, INCOMPARABLE)
     return InequalityReport(
         {"lhs": lhs, "rhs": rhs, "start_nodes": starts},
         {"lhs_le_rhs": lhs <= rhs},
     )
 
 
-def verify_sandwich18(tree, blocks, coeffs, cap=DEFAULT_SUPPORT_CAP):
+def verify_sandwich18(tree, blocks, coeffs):
     """The 18-equivalence chain between the block combination and the
     coefficient vector at the window-start nodes, under the comparison norm,
     with Lemma II.1 (index_incomparable <= combo_incomparable) as its
     "lemma" check."""
-    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs, cap)
+    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs)
 
-    a_std = tsirelson_norm(index_vec, STANDARD, cap)
-    a_inc = tsirelson_norm(index_vec, INCOMPARABLE, cap)
-    b_inc = tsirelson_norm(combo, INCOMPARABLE, cap)
-    b_std = tsirelson_norm(combo, STANDARD, cap)
+    a_std = tsirelson_norm(index_vec, STANDARD)
+    a_inc = tsirelson_norm(index_vec, INCOMPARABLE)
+    b_inc = tsirelson_norm(combo, INCOMPARABLE)
+    b_std = tsirelson_norm(combo, STANDARD)
 
     checks = {
         # start nodes are pairwise incomparable, so both variants agree there

@@ -128,6 +128,13 @@ def test_tsirelson_witness_and_iterate(tmp_path, capsys):
         "--iterate", "0", "--json",
     )
     assert json.loads(out)["value"] == "1"
+    # past the support cap of 14 the norm is refused, not computed
+    run(capsys, "gen", "star", "--n", "15", "--out", str(t))
+    write_vector(x, [[[i], "1"] for i in range(15)])
+    for extra in ([], ["--iterate", "2"]):
+        code, out, err = run(capsys, "tsirelson", "--tree", str(t), "--vector", str(x), *extra)
+        assert code == 2 and out == "", extra
+        assert err == "error: support cap exceeded: |supp| = 15 > 14\n", extra
 
 
 def test_hi_schedule(capsys):
@@ -143,13 +150,20 @@ def test_hi_schedule(capsys):
     assert code == 2 and out == "" and err.startswith("error: --jmax 4")
 
 
-def test_hi_witness_csv(capsys):
+def test_hi_witness_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "hi", "witness", "--pairs", "2:4,2:8")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "m,n,ground,lower,upper,ratio"
     assert lines[1] == "2,4,1,2,4,2"
     assert lines[2] == "2,8,1,4,8,4"
+    # an empty tree file loads as a tree of len 0; it is used, not
+    # replaced by the default star
+    t = tmp_path / "t.json"
+    t.write_text('{"nodes": []}')
+    code, out, err = run(capsys, "hi", "witness", "--tree", str(t), "--pairs", "2:4")
+    assert code == 2 and out == "m,n,ground,lower,upper,ratio\n"
+    assert err == "error: tree has only 0 pairwise-incomparable leaves, need 4\n"
 
 
 def test_hi_pairs_n_is_bounded(capsys):
@@ -178,6 +192,41 @@ def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     code, out, err = run(capsys, "rank", "--tree", "t.json")
     assert code == 2 and out == ""
     assert err == "error: internal: RuntimeError: unexpected state\n"
+
+
+# each command's library entry point on cli, and a command line that reaches it
+ENTRY_POINTS = [
+    ("baire_norm_report", ["baire", "--tree", "{t}", "--vector", "{x}"]),
+    ("tsirelson_norm", ["tsirelson", "--tree", "{t}", "--vector", "{x}"]),
+    ("tsirelson_iterate", ["tsirelson", "--tree", "{t}", "--vector", "{x}", "--iterate", "1"]),
+    ("ground_norm", ["ground", "--tree", "{t}", "--vector", "{x}"]),
+    ("rank", ["rank", "--tree", "{t}"]),
+    ("chain_tree", ["gen", "chain", "--n", "3"]),
+    ("tree_to_json_dict", ["gen", "chain", "--n", "3"]),
+    ("schedule", ["hi", "schedule", "--jmax", "2"]),
+    ("witness_row", ["hi", "witness", "--pairs", "2:4"]),
+    ("run_branch_isometry", ["verify", "branch", "--cases", "2"]),
+    ("run_tsirelson_suite", ["verify", "tsirelson", "--cases", "2"]),
+    ("run_hi_suite", ["verify", "hi", "--pairs", "2:4"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+def test_library_value_error_exits_2(tmp_path, monkeypatch, capsys, name, argv):
+    # main maps every ValueError a command raises to an input error, with
+    # the library's message as it is
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    t.write_text(json.dumps(tree_to_json_dict(comb_tree(3))))
+    write_vector(x, [[[0], "1"]])
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    code, out, err = run(capsys, *[a.format(t=t, x=x) for a in argv])
+    # hi witness writes its CSV header before the first row
+    header = "m,n,ground,lower,upper,ratio\n" if name == "witness_row" else ""
+    assert (code, out, err) == (2, header, "error: boom\n")
 
 
 def test_verify_subcommands(tmp_path, capsys):

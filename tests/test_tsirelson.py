@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from baire_lab.trees import chain_tree, comparable, random_tree, star_tree
 from baire_lab.tsirelson import (
-    DEFAULT_SUPPORT_CAP,
     INCOMPARABLE,
     STANDARD,
     _Ctx,
@@ -294,8 +293,8 @@ def test_shared_engine_call_order():
     for seed in range(12):
         _, x = random_nonroot_case(seed, max_support=8)
         for variant in (INCOMPARABLE, STANDARD):
-            eng = _engine(x, variant, DEFAULT_SUPPORT_CAP)
-            assert _engine(x, variant, DEFAULT_SUPPORT_CAP) is eng
+            eng = _engine(x, variant)
+            assert _engine(x, variant) is eng
             want = _outputs(x, variant, orders[0], *_REFERENCE)
             for order in orders:
                 tsirelson_norm(other, variant)  # evict the shared engine
@@ -306,8 +305,9 @@ def test_shared_engine_keeps_input_checks():
     t = star_tree(14, base_label=14)
     x = TreeVector(t, {(14 + i,): 1 for i in range(14)})
     assert tsirelson_norm(x, INCOMPARABLE) == 7
-    with pytest.raises(ValueError, match="support cap exceeded"):
-        tsirelson_norm(x, INCOMPARABLE, cap=13)
+    big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
+    with pytest.raises(ValueError, match="support cap exceeded: .* 15 > 14"):
+        tsirelson_norm(big, INCOMPARABLE)
     with pytest.raises(ValueError, match="unknown variant"):
         tsirelson_norm(x, "bogus")
     with pytest.raises(ValueError, match="iterate level"):
