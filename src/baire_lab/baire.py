@@ -42,8 +42,27 @@ grid rather than in Fractions:
   (entry denominators to the power q, or the 2**shift of a dyadic root);
 - chain aggregates are then sums of integers over scale, and M(v) is
   computed once per distinct aggregate: (A**e, B**e) over scale**e for
-  an integer exponent e, otherwise pow_bounds lifted to a grid of its own;
+  an integer exponent e;
+- otherwise, for an exponent a/b in lowest terms with b > 1, the root
+  bounds are computed once per distinct end A of an aggregate, on
+  integers, and lifted to one grid of their own (below);
 - only the root value goes back to Fraction.
+
+The roots on integers give the bounds pow_bounds gives at A/scale, that
+is nth_root_bounds((A/scale)**a, b).  Let g = gcd(A, scale).  In lowest
+terms (A/scale)**a is (A/g)**a / (scale/g)**a, since powers of coprime
+integers are coprime.  A positive integer y is a perfect b-th power
+exactly when b divides every exponent in its prime factorization; the
+exponents of y**a are a times those of y, and gcd(a, b) = 1, so y**a is
+a perfect b-th power exactly when y is.  So the value is exact exactly
+when both A/g and scale/g are perfect b-th powers, r**b and s**b, and it
+is then (r/s)**a.  The test on scale/g is cached per g for one call.
+Otherwise the bounds come from root_floor(A**a, scale**a, b), with
+scale**a computed once per call: the floor root depends only on the
+rational, so the fraction needs no reducing.  The grid of the roots is
+the lcm of their denominators, s**a or 2**shift, which need not be the
+reduced ones; the root value leaves as a Fraction, which reduces, so
+the grid does not show in any output.
 
 Integers over one positive denominator add and compare exactly as the
 rationals they stand for, so every sum, argmax and tie-break, and with
@@ -54,11 +73,11 @@ Fraction pairs.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.vectors import NormValue, pow_bounds, pow_or_identity
+from baire_lab.vectors import NormValue, integer_nth_root, pow_or_identity, root_floor
 
 
 class _Zero:
@@ -110,6 +129,38 @@ def _lift(pairs):
     return scale, {
         key: (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
         for key, (a, b) in pairs.items()
+    }
+
+
+def _root_ends(ends, scale, exponent):
+    """Bounds on (A/scale)**exponent for each integer A in ends, exponent
+    a/b in lowest terms with b > 1, on one integer grid.
+
+    Returns (mscale, {A: (lo, hi)}): the bounds of pow_bounds at A/scale,
+    as lo/mscale and hi/mscale (see the module docstring).
+    """
+    a, b = exponent.numerator, exponent.denominator
+    scale_a = scale**a
+    den_root = {}  # g -> the b-th root of scale // g, or None
+    raw = {}
+    for A in ends:
+        # A = 0 has g = scale and is exact, so root_floor only sees A > 0
+        g = gcd(A, scale)
+        if g not in den_root:
+            s = scale // g
+            r = integer_nth_root(s, b)
+            den_root[g] = r if r**b == s else None
+        rs = den_root[g]
+        if rs is not None:
+            r = integer_nth_root(A // g, b)
+            if r**b == A // g:
+                raw[A] = (r**a, r**a, rs**a)
+                continue
+        root, shift = root_floor(A**a, scale_a, b)
+        raw[A] = (root, root + 1, 1 << shift)
+    mscale = lcm(*(d for _, _, d in raw.values()))
+    return mscale, {
+        A: (lo * (mscale // d), hi * (mscale // d)) for A, (lo, hi, d) in raw.items()
     }
 
 
@@ -178,10 +229,8 @@ def _dp(x, params):
         mscale = scale**e
         seg_power = {a: (a[0] ** e, a[1] ** e) for a in aggs}
     else:
-        mscale, seg_power = _lift({
-            a: pow_bounds(Fraction(a[1], scale), Fraction(a[0], scale), seg_exp)[::-1]
-            for a in aggs
-        })
+        mscale, bounds = _root_ends({end for agg in aggs for end in agg}, scale, seg_exp)
+        seg_power = {agg: (bounds[agg[0]][1], bounds[agg[1]][0]) for agg in aggs}
     # f(v) = max(M(v), sum of f over its children), the sums pushed up;
     # the last turn, the root's, leaves f(root) in (hi, lo)
     kids_hi = [0] * n

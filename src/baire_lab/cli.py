@@ -286,13 +286,12 @@ def cmd_hi(args):
     pairs = _parse_pairs(args.pairs)
     # an empty tree file is a FiniteTree of len 0: test None, not truth
     tree = _load_tree(args.tree) if args.tree else None
+    # every row before the header, so that a refused pair prints nothing
+    rows = [witness_row(star_tree(n) if tree is None else tree, m, n) for m, n in pairs]
     print(",".join(("m", "n") + WITNESS_COLUMNS))
-    ok = True
-    for m, n in pairs:
-        row, row_ok = witness_row(star_tree(n) if tree is None else tree, m, n)
-        ok = ok and row_ok
+    for (m, n), (row, _) in zip(pairs, rows):
         print(",".join([str(m), str(n)] + [row[key] for key in WITNESS_COLUMNS]))
-    return 0 if ok else 1
+    return 0 if all(row_ok for _, row_ok in rows) else 1
 
 
 def cmd_verify(args):

@@ -9,9 +9,18 @@ BaseNorm owns its power domain: a term is |v|**q (|v| for sup), a
 segment's power sum adds its terms (takes their max for sup), and its
 norm is the power sum raised to root_exponent, 1/q (1 for sup).  The
 Baire DP and its oracle use these members; exponent 1 takes no root.
+
+Every inexact root goes through one integer kernel, root_floor: the
+floor of (num/den)**(1/n) scaled by 2**shift, for the least multiple of
+ROOT_BITS as shift that leaves the floor at least 2**ROOT_BITS, so that
+root/2**shift and (root + 1)/2**shift are within relative width
+2**-ROOT_BITS.  root_bounds adds the exact case, a perfect n-th power in
+lowest terms, and nth_root_bounds and pow_bounds wrap it in Fractions.
+The Baire DP calls root_floor directly, on integers over its own grid.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from baire_lab.trees import Segment
 
@@ -23,6 +32,11 @@ def integer_nth_root(x, n):
     """Floor of the n-th root of a nonnegative integer."""
     if x < 0:
         raise ValueError("negative radicand")
+    if n == 2:
+        return isqrt(x)
+    if n == 4:
+        # the floor square root of a floor square root is the floor fourth root
+        return isqrt(isqrt(x))
     if x == 0:
         return 0
     r = 1 << ((x.bit_length() + n - 1) // n)
@@ -36,6 +50,39 @@ def integer_nth_root(x, n):
     return r
 
 
+def root_floor(num, den, n):
+    """The floor-root kernel: (root, shift) for positive integers num, den,
+    with root = floor(2**shift * (num/den)**(1/n)) at the least shift in
+    ROOT_BITS, 2 * ROOT_BITS, ... at which root >= 2**ROOT_BITS.
+
+    num/den need not be in lowest terms, since the floor depends only on
+    the rational.  The shift is found without a root: root >= 2**ROOT_BITS
+    exactly when num * 2**(n * shift) // den >= 2**(n * ROOT_BITS), that is
+    when num << n * (shift - ROOT_BITS) >= den.
+    """
+    shift = ROOT_BITS
+    while num << (n * (shift - ROOT_BITS)) < den:
+        shift += ROOT_BITS
+    return integer_nth_root((num << (n * shift)) // den, n), shift
+
+
+def root_bounds(num, den, n):
+    """nth_root_bounds(Fraction(num, den), n) on integers, for num >= 0 and
+    den > 0 in lowest terms: (lo, hi, d) with bounds lo/d and hi/d.
+
+    A perfect n-th power gives lo == hi; its denominator is tested first,
+    and the numerator's root is taken only if the denominator passes.
+    Otherwise lo, hi = root, root + 1 over d = 2**shift from root_floor.
+    """
+    rd = integer_nth_root(den, n)
+    if rd**n == den:
+        rn = integer_nth_root(num, n)
+        if rn**n == num:
+            return rn, rn, rd
+    root, shift = root_floor(num, den, n)
+    return root, root + 1, 1 << shift
+
+
 def nth_root_bounds(value, n):
     """(lo, hi) rational bounds on value**(1/n), exact when possible.
 
@@ -44,25 +91,8 @@ def nth_root_bounds(value, n):
     """
     if n == 1:
         return value, value
-    if value == 0:
-        return Fraction(0), Fraction(0)
-    num, den = value.numerator, value.denominator
-    rn, rd = integer_nth_root(num, n), integer_nth_root(den, n)
-    if rn**n == num and rd**n == den:
-        exact = Fraction(rn, rd)
-        return exact, exact
-    # directed rounding with a scaled integer root; scale up until the
-    # floor root is large enough for the relative-width guarantee
-    shift = ROOT_BITS
-    while True:
-        scaled = (num << (n * shift)) // den
-        root = integer_nth_root(scaled, n)
-        if root >> ROOT_BITS:
-            break
-        shift += ROOT_BITS
-    lo = Fraction(root, 1 << shift)
-    hi = Fraction(root + 1, 1 << shift)
-    return lo, hi
+    lo, hi, d = root_bounds(value.numerator, value.denominator, n)
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def pow_bounds(lo, hi, exponent):

@@ -237,6 +237,34 @@ def test_dp_matches_fraction_reference_on_nested_intervals():
     _assert_matches_reference(x, [(b, p) for b in ("l3/2", "l5/2") for p in REFERENCE_PS])
 
 
+# the interval pairs of the benchmark's matrix, and the slowest pair the
+# CLI accepts at EXPONENT_MAX (p = 8/7, l_{7/6}, M(v) to the power 48/49)
+ROOT_MATRIX = [
+    ("sup", "3/2"), ("l1", "3/2"), ("l2", "1"), ("l2", "3/2"),
+    ("l3/2", "1"), ("l3/2", "2"), ("l7/6", "8/7"),
+]
+
+
+def test_dp_roots_match_fraction_reference():
+    # M(v) is rooted on integers, per distinct aggregate end: distinct
+    # denominators up to 10**4 make a large grid and many gcds, perfect
+    # powers take the exact branch, and entries near 2**-100 make M(v)
+    # take several shift rounds
+    rng = random.Random(15)
+    tree = comb_tree(60)
+    nodes = sorted(tree.nodes)
+    dens = rng.sample(range(2, 10**4), len(nodes))
+    powers = [1, 4, 8, 9, 27, 64, Fraction(1, 4), Fraction(1, 8), Fraction(9, 4), Fraction(27, 8)]
+    vectors = [
+        {t: Fraction(rng.randint(1, 10**4), d) for t, d in zip(nodes, dens)},
+        {t: rng.choice(powers) for t in rng.sample(nodes, 80)},
+        {t: Fraction(rng.randint(1, 9), rng.randint(1, 9) << rng.randint(90, 110))
+         for t in rng.sample(nodes, 80)},
+    ]
+    for entries in vectors:
+        _assert_matches_reference(TreeVector(tree, entries), ROOT_MATRIX)
+
+
 def test_oracle_cap():
     t = star_tree(9)
     x = TreeVector(t, {(i,): 1 for i in range(9)})

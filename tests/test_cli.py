@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from baire_lab import cli
 from baire_lab.cli import CASES_MAX, DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
-from baire_lab.trees import comb_tree, tree_to_json_dict
+from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
 
 
 def run(capsys, *argv):
@@ -162,8 +162,13 @@ def test_hi_witness_csv(tmp_path, capsys):
     t = tmp_path / "t.json"
     t.write_text('{"nodes": []}')
     code, out, err = run(capsys, "hi", "witness", "--tree", str(t), "--pairs", "2:4")
-    assert code == 2 and out == "m,n,ground,lower,upper,ratio\n"
+    assert code == 2 and out == ""
     assert err == "error: tree has only 0 pairwise-incomparable leaves, need 4\n"
+    # a refused second pair prints no partial table either
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(4))))
+    code, out, err = run(capsys, "hi", "witness", "--tree", str(t), "--pairs", "2:4,2:8")
+    assert code == 2 and out == ""
+    assert err == "error: tree has only 4 pairwise-incomparable leaves, need 8\n"
 
 
 def test_hi_pairs_n_is_bounded(capsys):
@@ -224,9 +229,7 @@ def test_library_value_error_exits_2(tmp_path, monkeypatch, capsys, name, argv):
 
     monkeypatch.setattr(cli, name, boom)
     code, out, err = run(capsys, *[a.format(t=t, x=x) for a in argv])
-    # hi witness writes its CSV header before the first row
-    header = "m,n,ground,lower,upper,ratio\n" if name == "witness_row" else ""
-    assert (code, out, err) == (2, header, "error: boom\n")
+    assert (code, out, err) == (2, "", "error: boom\n")
 
 
 def test_verify_subcommands(tmp_path, capsys):

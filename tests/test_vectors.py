@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,12 @@ from baire_lab.vectors import (
     linear_combination,
     nth_root_bounds,
     pow_bounds,
+    root_bounds,
+    root_floor,
     unit_vector,
 )
 from baire_lab import vectors
+import roots_reference as ref
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=16)
 positive_fractions_st = st.fractions(
@@ -47,6 +51,58 @@ def test_nth_root_exact_on_perfect_powers():
     assert lo == hi == Fraction(3, 2)
     lo, hi = nth_root_bounds(Fraction(27), 3)
     assert lo == hi == 3
+
+
+def _root_cases(rng):
+    """(num, den, n) with num/den in lowest terms: random integers and
+    fractions of 0-600 bits, perfect powers and their +-1 neighbours,
+    perfect-power rationals, and values below 2**-48, which take more
+    than one shift round."""
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        yield rng.getrandbits(rng.randint(0, 600)), 1, n
+        num, den = rng.getrandbits(rng.randint(0, 600)), rng.getrandbits(rng.randint(1, 600)) | 1
+        yield num, den, n
+    for n in range(1, 9):
+        for bits in (1, 7, 60, 200):
+            r = rng.getrandbits(bits) | 1
+            s = rng.getrandbits(bits) | 1
+            for num in (r**n - 1, r**n, r**n + 1):
+                yield num, 1, n
+                yield 1, num or 1, n
+            yield r**n, s**n, n
+            yield r**n + 1, s**n, n
+            yield r**n, s**n + 1, n
+        # below 2**-48, down to several shift rounds
+        for k in (48, 96, 200, 450):
+            yield rng.getrandbits(20) | 1, (1 << (k + 20)) + rng.getrandbits(k), n
+
+
+def test_root_kernel_matches_reference():
+    rng = random.Random(15)
+    for num, den, n in _root_cases(rng):
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        value = Fraction(num, den)
+        if num:
+            assert integer_nth_root(num, n) == ref.integer_nth_root(num, n)
+        expected = ref.nth_root_bounds(value, n)
+        lo, hi, d = root_bounds(num, den, n)
+        assert (Fraction(lo, d), Fraction(hi, d)) == expected, (num, den, n)
+        assert nth_root_bounds(value, n) == expected
+        if num and n > 1 and lo != hi:
+            # the floor needs no lowest terms
+            assert root_floor(num * 6, den * 6, n) == (lo, d.bit_length() - 1)
+        for a in range(1, 4):
+            e = Fraction(a, n)
+            assert pow_bounds(value, value, e) == ref.pow_bounds(value, value, e)
+            other = value + Fraction(1, rng.randint(1, 2**rng.randint(1, 80)))
+            assert pow_bounds(value, other, e) == ref.pow_bounds(value, other, e)
+    for n in range(1, 9):
+        # a floor of exactly 2**ROOT_BITS ends the shift search
+        for k in range(3):
+            den = 1 << (ROOT_BITS * n * k)
+            assert root_floor(1, den, n) == (1 << ROOT_BITS, ROOT_BITS * (k + 1))
 
 
 def _two_call_pow_bounds(lo, hi, exponent):
