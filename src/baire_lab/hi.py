@@ -18,11 +18,39 @@ runs in integers over one common denominator (the lcm of the entries'
 denominators times lcm(m)**depth), in which every division by m is
 exact; the best chain sums of each window start are computed once, and
 only the final witness is built as a Functional and replayed.
+
+The DP runs bottom-up, one level at a time, on lists.  With best(i, j, d)
+the best level-d value on the window [i, j) of support positions (level
+0 is the ground functionals), the run-split tables of level d at right
+end j are lists over the window start i:
+
+    C_1[i] = best(i, j, d),
+    C_c[i] = max(best(i, j, d), max over i < t < j of best(i, t, d) + C_{c-1}[t]),
+
+so C_c[i] is the best sum of at most c successively supported level-d
+functionals on [i, j), and an op (m, cap) offers C_cap[i] // m to
+best(i, j, d + 1).  Each entry keeps its head end t, or None when the
+whole window wins.
+
+Clamp lemma: C_c(i, j) = C_{j-i}(i, j) for every c >= j - i, and the
+choices agree too.  By induction on j - i: for j - i = 1 there is no t,
+and C_c is best(i, j, d) for every c.  Otherwise, for c >= j - i >= 2,
+every tail C_{c-1}(t, j) of the recurrence has c - 1 >= j - i - 1 >= j - t,
+so by induction it is C_{j-t}(t, j), the same value and choices whatever
+c is; so C_c(i, j) makes the same comparisons for every such c.  Hence a
+c-row is computed only for i <= j - c and copies the (c - 1)-row above
+that, and every lookup uses min(cap, j - i).
+
+Tie rules: the ground functional is tried first and each op in order,
+replacing the best so far only when strictly larger; in a table the
+whole window wins ties, and among splits the first t with the strictly
+largest sum wins (max of the sums, then its first index).
 """
 
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import add
 
 from baire_lab.trees import is_prefix
 from baire_lab.vectors import TreeVector
@@ -143,14 +171,23 @@ def _sign(v):
 
 
 class _Search:
-    """Window DP for the bounded-depth norming-set lower bound.
+    """Bottom-up window DP for the bounded-depth norming-set lower bound.
 
     Values are integers over the common denominator `scale`, the lcm of
     the entries' denominators times lcm(m)**depth: a value at depth d is
-    a multiple of lcm(m)**(depth - d), so total // m is exact.  A
-    witness is a record, ("ground", i, p) for the best chain ending at
-    position p inside windows starting at i, or ("even_op", m, n, parts);
-    `functional` builds the Functional of one record.
+    a multiple of lcm(m)**(depth - d), so total // m is exact.
+
+    The run-split tables, the clamp lemma and the tie rules are in the
+    module docstring.  best(i, ., d) is one row list per i; level d + 1
+    reads it from the level-d tables at every right end, one entry per
+    op.  The top level needs only best(0, n, depth), so its tables are
+    built at j = n alone.
+
+    A witness is a record, ("ground", i, p) for the best chain ending at
+    position p inside windows starting at i, or ("even_op", m, n, parts).
+    Records are rebuilt only along the chosen path, from the recorded
+    choices, so they recurse no deeper than `depth`; `functional` builds
+    the Functional of one record.
     """
 
     def __init__(self, x, ops, depth):
@@ -160,6 +197,7 @@ class _Search:
         self.signs = [_sign(v) for v in vals]
         self.n = len(self.nodes)
         self.ops = ops
+        self.depth = depth
         self.scale = lcm(*(v.denominator for v in vals)) * lcm(*(m for m, _ in ops)) ** depth
         self.weights = [abs(v.numerator) * (self.scale // v.denominator) for v in vals]
         # the nearest support ancestor: prefix-order predecessors go
@@ -169,8 +207,11 @@ class _Search:
             for i in range(self.n)
         ]
         self.grounds = {}
-        self.memo = {}
-        self.combo_memo = {}
+        # picks[d][i][j]: the index of the op that won best(i, j, d), or
+        # -1 for the ground functional; cuts[d][j][c][i]: the head end
+        # chosen for C_c[i] at right end j over level-d windows
+        self.picks = [None] * (depth + 1)
+        self.cuts = [[None] * (self.n + 1) for _ in range(depth)]
 
     def _ground_from(self, i):
         """Best ground functionals on the windows [i, j), indexed by j.
@@ -193,44 +234,82 @@ class _Search:
         self.grounds[i] = best
         return best
 
-    def best(self, i, j, depth):
-        """Best derivable functional value on window [i, j)."""
-        if i >= j:
-            return 0, None
-        key = (i, j, depth)
-        if key in self.memo:
-            return self.memo[key]
-        value, witness = self._ground_from(i)[j]
-        if depth > 0:
-            for m, cap in self.ops:
-                total, parts = self._combo(i, j, depth - 1, cap)
-                if parts and total // m > value:
-                    value = total // m
-                    witness = ("even_op", m, cap, parts)
-        self.memo[key] = (value, witness)
-        return value, witness
+    def run(self):
+        """Value and witness record of best(0, n, depth)."""
+        n, ops = self.n, self.ops
+        ground = [
+            [0] * (i + 1) + [v for v, _ in islice(self._ground_from(i), i + 1, None)]
+            for i in range(n)
+        ]
+        rows = ground
+        for d in range(self.depth):
+            # best(i, j, d + 1) from the level-d tables: every window below
+            # the top level, only [0, n) at the top
+            top = d == self.depth - 1
+            width = 1 if top else n
+            up = [row[:] for row in islice(ground, width)]
+            picks = [[-1] * (n + 1) for _ in range(width)]
+            for j in [n] if top else range(1, n + 1):
+                per_op = self._split(rows, d, j)
+                for i in range(min(width, j)):
+                    value = up[i][j]
+                    for k, (m, _) in enumerate(ops):
+                        v = per_op[k][i] // m
+                        if v > value:
+                            value = v
+                            picks[i][j] = k
+                    up[i][j] = value
+            rows = up
+            self.picks[d + 1] = picks
+        return rows[0][n], self._record(0, n, self.depth)
 
-    def _combo(self, i, j, depth, cap):
-        """Best sum of <= cap successively windowed functionals on [i, j)."""
-        key = (i, j, depth, cap)
-        if key in self.combo_memo:
-            return self.combo_memo[key]
-        best_total = 0
-        best_parts = ()
-        whole, wit = self.best(i, j, depth)
-        if wit is not None:
-            best_total, best_parts = whole, (wit,)
-        if cap > 1:
-            for t in range(i + 1, j):
-                head, hwit = self.best(i, t, depth)
-                if hwit is None:
-                    continue
-                tail, tparts = self._combo(t, j, depth, cap - 1)
-                if tparts and head + tail > best_total:
-                    best_total = head + tail
-                    best_parts = (hwit,) + tparts
-        self.combo_memo[key] = (best_total, best_parts)
-        return best_total, best_parts
+    def _split(self, rows, level, j):
+        """Build the run-split tables at right end j over the level-`level`
+        rows, record their head ends in cuts[level][j], and return, per op,
+        the list of C_{min(cap, j - i)}[i] over i.
+
+        Row c is computed for i <= j - c and copies row c - 1 above that,
+        which by the clamp lemma is its value there.
+        """
+        want = [min(cap, j) for _, cap in self.ops]
+        cur = [row[j] for row in islice(rows, j)]
+        table = [None, cur]
+        cuts = [None, [None] * j]
+        for c in range(2, max(want) + 1):
+            prev = cur
+            cur = prev[:]
+            cut = [None] * (j - c + 1)
+            for i in range(j - c + 1):
+                row = rows[i]
+                whole = row[j]
+                sums = list(map(add, row[i + 1:j], prev[i + 1:j]))
+                best = max(sums)
+                if best > whole:
+                    cur[i] = best
+                    cut[i] = i + 1 + sums.index(best)
+                else:
+                    cur[i] = whole
+            table.append(cur)
+            cuts.append(cut)
+        self.cuts[level][j] = cuts
+        return [table[w] for w in want]
+
+    def _record(self, i, j, d):
+        """Witness record of best(i, j, d), from the recorded choices: an
+        op's parts follow the head ends of C_{min(cap, j - i)}[i] at j."""
+        pick = self.picks[d][i][j] if d else -1
+        if pick < 0:
+            return self._ground_from(i)[j][1]
+        m, cap = self.ops[pick]
+        cuts = self.cuts[d - 1][j]
+        c = min(cap, j - i)
+        parts = []
+        while True:
+            t = cuts[c][i]
+            parts.append(self._record(i, j if t is None else t, d - 1))
+            if t is None:
+                return ("even_op", m, cap, tuple(parts))
+            i, c = t, min(c - 1, j - t)
 
     def functional(self, record):
         if record[0] == "ground":
@@ -257,10 +336,12 @@ def dg_lower_bound(x, depth, ops):
     if not x.support:
         return Fraction(0), Functional({}, ("ground", ()))
     search = _Search(x, list(ops), depth)
-    total, record = search.best(0, search.n, depth)
+    total, record = search.run()
     value = Fraction(total, search.scale)
     witness = search.functional(record)
-    assert witness(x) == value, "witness replay mismatch"
+    # raised, not asserted, so that python -O keeps the check
+    if witness(x) != value:
+        raise AssertionError("witness replay mismatch")
     return value, witness
 
 

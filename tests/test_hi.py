@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baire_lab.baire import ZERO, BaireParams, baire_norm
+import baire_lab.hi
 from baire_lab.hi import (
     DESK_PAIRS,
     dg_lower_bound,
@@ -16,7 +21,7 @@ from baire_lab.hi import (
     schedule,
     strict_singularity_witness,
 )
-from baire_lab.trees import chain_tree, comb_tree, star_tree
+from baire_lab.trees import chain_tree, comb_tree, random_tree, star_tree
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from hi_reference import reference_dg_lower_bound
 from util import random_case
@@ -85,9 +90,9 @@ def test_dg_lower_monotone_in_depth():
 WINDOW_DP_OPS = [DESK_PAIRS, [(2, 4)], [(3, 5), (2, 4)]]
 
 
-def _assert_matches_reference(x):
-    for ops in WINDOW_DP_OPS:
-        for depth in range(3):
+def _assert_matches_reference(x, op_lists=WINDOW_DP_OPS, depths=range(3)):
+    for ops in op_lists:
+        for depth in depths:
             value, witness = dg_lower_bound(x, depth, ops)
             want, want_witness = reference_dg_lower_bound(x, depth, ops)
             assert value == want, (depth, ops, sorted(x.entries.items()))
@@ -107,6 +112,68 @@ def test_window_dp_matches_fraction_reference():
 def test_window_dp_matches_fraction_reference_property(seed):
     _, x = random_case(seed, max_nodes=20, max_support=14)
     _assert_matches_reference(x)
+
+
+def test_dg_laws_at_benchmark_sizes():
+    # no oracle reaches 20-30 support nodes; these laws hold at any size:
+    # the ground functionals are in the search and every entry is in
+    # [-1, 1]; a deeper search and a larger cap only widen the functional
+    # set the DP maximizes over; the witness replays
+    rng = random.Random(16)
+    ops = [(2, 4), (4, 16)]
+    for seed in range(60):
+        tree = random_tree(seed, 1000, 6)
+        nodes = sorted(tree.nodes, key=tree.index)
+        supp = sorted(rng.sample(nodes, 700), key=tree.index)
+        start = rng.randrange(300)
+        window = supp[start:start + rng.randint(20, 30)]
+        x = TreeVector(tree, {
+            t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1]) for t in window
+        })
+        below, l1 = ground_norm(x), dg_upper_bound(x)
+        for depth in range(3):
+            lower, witness = dg_lower_bound(x, depth, ops)
+            assert witness(x) == lower
+            assert below <= lower <= l1
+            below = lower
+            for raised in ([(2, 8), (4, 16)], [(2, 4), (4, 30)]):
+                assert dg_lower_bound(x, depth, raised)[0] >= lower
+
+
+def test_replay_check_survives_python_O():
+    # -O strips assert statements; the replay check must still raise, with
+    # the same type and message, when the witness gives the wrong value
+    code = "\n".join([
+        "if __debug__: raise SystemExit('not run with -O')",
+        "import baire_lab.hi as hi",
+        "from baire_lab.trees import star_tree",
+        "from baire_lab.vectors import TreeVector",
+        "hi._Search.functional = lambda self, record: hi.Functional({}, ('ground', ()))",
+        "x = TreeVector(star_tree(4), {(i,): 1 for i in range(4)})",
+        "hi.dg_lower_bound(x, 1, [(2, 4)])",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(baire_lab.hi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "AssertionError: witness replay mismatch"
+
+
+def test_window_tables_match_fraction_reference():
+    # the run-split tables against the recursive Fraction search: cap 1
+    # (no split), a cap equal to the support size and one far above it
+    # (the clamp), a repeated op, depth 3, and unit magnitudes for ties
+    def op_lists(n):
+        return [[(2, 1)], [(2, n)], [(3, 10 * n + 7), (2, 1)], [(2, 4), (2, 4)], [(2, 2), (3, n)]]
+
+    for seed in range(24):
+        tree, x = random_case(seed, max_nodes=20, max_support=11)
+        units = TreeVector(tree, {t: v / abs(v) for t, v in x.entries.items()})
+        for vec in (x, units):
+            _assert_matches_reference(vec, op_lists(len(vec.entries)), range(4))
+    star = TreeVector(star_tree(9), {(i,): (-1) ** i for i in range(9)})
+    _assert_matches_reference(star, op_lists(9), range(4))
 
 
 def test_dg_validation():
