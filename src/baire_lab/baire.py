@@ -15,16 +15,19 @@ v.  This is correct because a segment through v is comparable with every
 other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
-The DP runs on the tree's arena (see trees): the support is mapped to
-node ids once, every per-node table is a list indexed by id, and since a
-parent's id is smaller than its children's, bottom-up is descending ids.
+The DP runs on the tree's arena (see trees): it reads the support as
+the node ids the vector keeps (TreeVector.entry_ids, mapped once per
+vector, not once per call), every per-node table is a list indexed by
+id, and since a parent's id is smaller than its children's, bottom-up is
+descending ids.
 Each node pushes its chain aggregate and its f to its parent, so only
 the walk that collects the family reads a node's children.
 
 Beside each node's best single-chain aggregate the DP records the ids of
 the first and last support node of that chain, or None if it meets no
-support.  A family segment is built from those two endpoints alone: the
-ancestors of the last one, up to the first, read off the parent ids.
+support.  A family segment is built from those two endpoint ids alone
+(Segment.from_ids): the ancestors of the last one, up to the first, read
+off the parent ids, with no tuple hashed.
 Chain aggregates never decrease toward the root, since a parent adds a
 nonnegative term to its best child's aggregate, or with the sup base takes
 a max with it.  So the root holds the best single chain, and the
@@ -170,15 +173,15 @@ def _dp(x, params):
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
     sup = base.kind == "sup"
-    order, parent, id_of = tree.order, tree.parent, tree.id_of
-    n = len(order)
+    parent = tree.parent
+    n = len(parent)
 
     # one term per distinct |coefficient|, keyed by an integer pair since
     # hashing a Fraction is slow; pairs are (upper, lower) from here on
-    keys = {id_of[v]: (abs(c.numerator), c.denominator) for v, c in x.entries.items()}
-    scale, terms = _lift({key: base.term(Fraction(*key))[::-1] for key in set(keys.values())})
+    keys = [(abs(a), b) for a, b in [c.as_integer_ratio() for c in x.entries.values()]]
+    scale, terms = _lift({key: base.term(Fraction(*key))[::-1] for key in set(keys)})
     term = [None] * n
-    for i, key in keys.items():
+    for i, key in zip(x.entry_ids(), keys):
         term[i] = terms[key]
 
     # bottom-up over descending ids; before v's turn, its slots hold its
@@ -206,19 +209,10 @@ def _dp(x, params):
             chain_agg[up] = tail
             ends[up] = end
 
-    def segment(v):
-        top, u = ends[v]
-        chain = [order[u]]
-        while u != top:
-            u = parent[u]
-            chain.append(order[u])
-        chain.reverse()
-        return Segment(tree, chain)
-
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
         hi, lo = chain_agg[0]
-        family = [segment(0)] if ends[0] else []
+        family = [Segment.from_ids(tree, *ends[0])] if ends[0] else []
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
@@ -255,7 +249,7 @@ def _dp(x, params):
         if not pick_chain[v]:
             stack.extend(reversed(kids[v]))
         elif ends[v]:
-            family.append(segment(v))
+            family.append(Segment.from_ids(tree, *ends[v]))
     return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
 
 

@@ -157,10 +157,11 @@ def ground_norm(x):
         raise ValueError("ground norm of a vector on the empty tree")
     # |x_t| as integers over one common denominator, by id; parents come
     # first, so one ascending pass turns them into chain sums from the root
-    scale = lcm(*(c.denominator for c in x.entries.values()))
+    ratios = [c.as_integer_ratio() for c in x.entries.values()]
+    scale = lcm(*(b for _, b in ratios))
     sums = [0] * len(tree.order)
-    for v, c in x.entries.items():
-        sums[tree.id_of[v]] = abs(c.numerator) * (scale // c.denominator)
+    for v, (a, b) in zip(x.entry_ids(), ratios):
+        sums[v] = abs(a) * (scale // b)
     for v, up in enumerate(islice(tree.parent, 1, None), 1):
         sums[v] += sums[up]
     return Fraction(max(sums), scale)
@@ -192,20 +193,30 @@ class _Search:
 
     def __init__(self, x, ops, depth):
         tree = x.tree
-        self.nodes = sorted(x.support, key=tree.index)
-        vals = [x[t] for t in self.nodes]
+        # support positions in enumeration order, which is arena id order
+        ids, vals = zip(*sorted(zip(x.entry_ids(), x.entries.values())))
+        self.nodes = [tree.order[v] for v in ids]
         self.signs = [_sign(v) for v in vals]
-        self.n = len(self.nodes)
+        self.n = len(ids)
         self.ops = ops
         self.depth = depth
-        self.scale = lcm(*(v.denominator for v in vals)) * lcm(*(m for m, _ in ops)) ** depth
-        self.weights = [abs(v.numerator) * (self.scale // v.denominator) for v in vals]
-        # the nearest support ancestor: prefix-order predecessors go
-        # backwards in enumeration order, the deepest one last
-        self.up = [
-            max((j for j in range(i) if is_prefix(self.nodes[j], self.nodes[i])), default=None)
-            for i in range(self.n)
-        ]
+        ratios = [v.as_integer_ratio() for v in vals]
+        self.scale = lcm(*(b for _, b in ratios)) * lcm(*(m for m, _ in ops)) ** depth
+        self.weights = [abs(a) * (self.scale // b) for a, b in ratios]
+        # the nearest support ancestor, up parent ids from each support
+        # node; ids fall along the walk, and none below the first support
+        # id is in the support
+        pos = {v: i for i, v in enumerate(ids)}
+        parent, first = tree.parent, ids[0]
+        self.up = []
+        for v in ids:
+            while v > first:
+                v = parent[v]
+                if v in pos:
+                    self.up.append(pos[v])
+                    break
+            else:
+                self.up.append(None)
         self.grounds = {}
         # picks[d][i][j]: the index of the op that won best(i, j, d), or
         # -1 for the ground functional; cuts[d][j][c][i]: the head end

@@ -10,8 +10,10 @@ in enumeration order, and keeps the parent and the children of each node as
 ids.  A parent is shorter than its children, so it comes first: parent[i] < i
 for every id i > 0, the root is id 0, and a pass over descending ids sees
 every node after all of its descendants (bottom-up).  Tuples are hashed only
-where a caller's node meets the arena, through id_of; walks along the tree
-read integer lists.
+where a caller's node meets the arena, through id_of: once per entry when a
+TreeVector is built, and once per node when a Segment is given its nodes.
+Walks along the tree read integer lists, and a Segment made from two ids
+(Segment.from_ids) hashes no tuple until its node set is asked for.
 """
 
 import bisect
@@ -153,8 +155,14 @@ def make_tree(paths):
 class Segment:
     """A chain of a tree that is convex for the prefix order.
 
-    One pass validates it: sorted by length, the nodes are the prefixes of
-    the deepest, one per depth, and the deepest is in the (prefix-closed) tree.
+    chain lists its nodes from the top down, as the tree's own tuples;
+    nodes, their frozenset, is built on first use, and equality and hashing
+    go through it.  Segment(tree, nodes) validates any node collection in
+    one pass: sorted by length, the nodes are the prefixes of the deepest,
+    one per depth, and the deepest is in the (prefix-closed) tree.  That
+    costs O(L * d) for L nodes of depth up to d, since every node is
+    hashed and compared with a prefix of the deepest; Segment.from_ids
+    takes two arena ids instead and hashes nothing.
     """
 
     def __init__(self, tree, nodes):
@@ -171,8 +179,35 @@ class Segment:
         self.nodes = nodes
         self.chain = chain
 
+    @classmethod
+    def from_ids(cls, tree, top, bottom):
+        """The segment from arena id top down to arena id bottom.
+
+        The walk up parent ids from the bottom is the convexity check:
+        ids fall along it, so it stops at the first id <= top, which is
+        the top exactly when the top is an ancestor of the bottom (or the
+        bottom itself).  O(L) for L nodes.
+        """
+        order, parent = tree.order, tree.parent
+        u = bottom
+        chain = [order[u]]
+        while u > top:
+            u = parent[u]
+            chain.append(order[u])
+        if u != top:
+            raise ValueError("segment is not a convex chain at %r" % (order[top],))
+        chain.reverse()
+        seg = cls.__new__(cls)
+        seg.tree = tree
+        seg.chain = chain
+        return seg
+
+    @cached_property
+    def nodes(self):
+        return frozenset(self.chain)
+
     def __len__(self):
-        return len(self.nodes)
+        return len(self.chain)
 
     def __iter__(self):
         return iter(self.chain)
@@ -189,10 +224,7 @@ class Segment:
 
 def maximal_chains(tree):
     """All root-to-leaf paths of the tree, as Segments."""
-    chains = []
-    for leaf in tree.leaves():
-        chains.append(Segment(tree, [leaf[:i] for i in range(len(leaf) + 1)]))
-    return chains
+    return [Segment.from_ids(tree, 0, v) for v, kids in enumerate(tree.kids) if not kids]
 
 
 def rank(tree):

@@ -222,19 +222,49 @@ class BaseNorm:
 
 
 class TreeVector:
-    """Finitely supported rational vector indexed by tree nodes."""
+    """Finitely supported rational vector indexed by tree nodes.
+
+    Beside entries the vector keeps the arena ids of its entry nodes, for
+    the DPs that run on the tree's arena (see entry_ids).
+    """
 
     def __init__(self, tree, entries):
+        id_of = tree.id_of
         clean = {}
+        keys, ids = [], []
         for node, value in dict(entries).items():
             node = tuple(node)
-            if node not in tree:
+            # the membership test, which also gives the node's id
+            i = id_of.get(node)
+            if i is None:
                 raise ValueError("support node %r is not in the tree" % (node,))
             value = Fraction(value)
             if value:
                 clean[node] = value
+                keys.append(node)
+                ids.append(i)
         self.tree = tree
         self.entries = clean
+        # two keys equal as tuples would leave keys longer than clean; the
+        # staleness check in entry_ids then recomputes
+        self._ids = (keys, ids)
+
+    def entry_ids(self):
+        """The arena ids of the entry nodes, in the order of entries.
+
+        entries may be changed in place, so the ids are kept with the list
+        of keys they were computed for and recomputed when list(entries)
+        differs from it.  The keys are the same objects while entries is
+        unchanged, so that check is one identity test per entry, where a
+        lookup in id_of hashes a tuple as long as the node.
+        """
+        keys = list(self.entries)
+        known, ids = self._ids
+        if known != keys:
+            id_of = self.tree.id_of
+            ids = [id_of[t] for t in keys]
+            self._ids = (keys, ids)
+        return ids
 
     @property
     def support(self):

@@ -14,8 +14,10 @@ from baire_lab.baire import (
     baire_norm_report,
     incomparable_block_profile,
 )
+from baire_lab.hi import dg_lower_bound, ground_norm
 from baire_lab.trees import (
     FiniteTree,
+    Segment,
     chain_tree,
     comb_tree,
     comparable,
@@ -130,6 +132,57 @@ def test_deep_comb_family():
     report = baire_norm_report(TreeVector(t, {s: 1 for s in teeth}), P1)
     assert report.value.exact == 1500
     assert [seg.chain for seg in report.family] == [[s] for s in reversed(teeth)]
+
+
+def test_family_segments_equal_validated_segments():
+    # a family segment is built from two arena ids; it must be the segment
+    # the public constructor validates from its chain
+    rng = random.Random(17)
+    cases = [random_case(seed)[1] for seed in range(30)]
+    for tree, count in ((comb_tree(60), 90), (comb_tree(2000), 2800)):
+        supp = rng.sample(sorted(tree.nodes), count)
+        cases.append(TreeVector(tree, {t: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                       for t in supp}))
+    for x in cases:
+        for params in (P1, P0, BaireParams(Fraction(3, 2), BaseNorm.ell(2))):
+            for seg in baire_norm_report(x, params).family:
+                ref = Segment(x.tree, seg.chain)
+                assert seg == ref and hash(seg) == hash(ref)
+                assert seg.nodes == ref.nodes and len(seg) == len(ref)
+                assert seg.chain == ref.chain
+
+
+def test_in_place_changes_are_seen():
+    # the vector keeps the arena ids of its entries; a changed value, an
+    # added entry and a deleted one must each be seen, as by a fresh vector
+    tree = comb_tree(12)
+    x = TreeVector(tree, {(0,) * i + (1,): i + 1 for i in range(0, 12, 2)})
+    matrix = [
+        BaireParams(p, BaseNorm.parse(base))
+        for base in ("l1", "l2") for p in (0, 1, Fraction(3, 2))
+    ]
+
+    def results(y):
+        reports = [baire_norm_report(y, params) for params in matrix]
+        value, witness = dg_lower_bound(y, 1, [(2, 4)])
+        return (
+            [(r.value, r.power, [seg.chain for seg in r.family]) for r in reports],
+            ground_norm(y),
+            (value, witness.provenance),
+        )
+
+    changes = [
+        lambda e: e.__setitem__((1,), Fraction(-7, 2)),
+        lambda e: e.__setitem__((0,) * 11, Fraction(50)),
+        lambda e: e.__delitem__((0, 0, 1)),
+    ]
+    before = results(x)
+    for change in changes:
+        change(x.entries)
+        after = results(x)
+        assert after == results(TreeVector(tree, dict(x.entries)))
+        assert after != before
+        before = after
 
 
 @pytest.mark.parametrize("params", [P1, P2, P0], ids=["p1", "p2", "p0"])

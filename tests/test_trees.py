@@ -116,6 +116,12 @@ def test_leaves_and_chains():
     chains = maximal_chains(t)
     assert all(ch.chain[0] == () for ch in chains)
     assert len(chains) == len(leaves)
+    # built from (root id, leaf id): the prefixes of each leaf, in order
+    for tree in (comb_tree(40), random_tree(7, 80, 3)):
+        expected = [[leaf[:i] for i in range(len(leaf) + 1)] for leaf in tree.leaves()]
+        chains = maximal_chains(tree)
+        assert [ch.chain for ch in chains] == expected
+        assert chains == [Segment(tree, c) for c in expected]
 
 
 def test_segment_validation():
@@ -138,6 +144,21 @@ def test_segment_validation():
     assert Segment(t3, []).chain == []
     seg = Segment(t3, [(0, 0), (), (0,), (0, 0)])  # unsorted, a duplicate
     assert seg.chain == [(), (0,), (0, 0)] and len(seg) == 3
+
+
+def test_segment_from_ids():
+    t = make_tree([(0, 0), (1, 0)])
+    ids = t.id_of
+    for top, bottom in [((), (0, 0)), ((0,), (0, 0)), ((1, 0), (1, 0)), ((), ())]:
+        seg = Segment.from_ids(t, ids[top], ids[bottom])
+        ref = Segment(t, [bottom[:i] for i in range(len(top), len(bottom) + 1)])
+        assert seg.chain == ref.chain and seg.nodes == ref.nodes and len(seg) == len(ref)
+        assert seg == ref and hash(seg) == hash(ref)
+    # a top that is not an ancestor of the bottom: a sibling branch, a
+    # deeper node, a node of the same depth, a later id
+    for top, bottom in [((1,), (0, 0)), ((0, 0), (0,)), ((1, 0), (0, 0)), ((0, 0), (1, 0))]:
+        with pytest.raises(ValueError, match="not a convex chain"):
+            Segment.from_ids(t, ids[top], ids[bottom])
 
 
 def test_rank_values():
