@@ -231,10 +231,11 @@ def _dp(x, params):
     kids_lo = [0] * n
     pick_chain = [False] * n
     for v in range(n - 1, -1, -1):
-        m = seg_power[chain_agg[v]]
+        m_hi, m_lo = seg_power[chain_agg[v]]
         hi, lo = kids_hi[v], kids_lo[v]
-        pick_chain[v] = m[0] >= hi
-        hi, lo = max(m[0], hi), max(m[1], lo)
+        pick_chain[v] = m_hi >= hi
+        hi = m_hi if m_hi > hi else hi
+        lo = m_lo if m_lo > lo else lo
         up = parent[v]
         if up is not None:
             kids_hi[up] += hi

@@ -6,6 +6,13 @@ endpoints; --json switches from aligned text to machine format.  Exit
 codes: 0 pass, 1 verification failure, 2 usage/input error or internal
 error.  Every ValueError a command raises is an input error: `main` prints
 its message and exits 2.
+
+One parser per process: `main` builds it on its first call and keeps it,
+since building the argparse tree costs about as much as a small command.
+It dispatches by name at call time, to the module's cmd_<command>, so a
+replaced cmd_ function is the one that runs.  A one-shot console run
+builds one parser either way; in-process callers gain.  build_parser()
+still returns a fresh parser.
 """
 
 import argparse
@@ -330,7 +337,6 @@ def build_parser():
     p.add_argument("--base", default="l1", help="l1, l2, lQ (rational, numerator and"
                    " denominator <= %d), or sup" % EXPONENT_MAX)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_baire)
 
     p = sub.add_parser("tsirelson", help="parametrized Tsirelson norm")
     p.add_argument("--tree", required=True)
@@ -340,18 +346,15 @@ def build_parser():
     )
     p.add_argument("--iterate", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tsirelson)
 
     p = sub.add_parser("ground", help="max signed chain sum")
     p.add_argument("--tree", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("rank", help="ordinal rank of a finite tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("gen", help="generate a tree JSON file")
     p.add_argument("shape", choices=["chain", "star", "comb", "random"])
@@ -361,18 +364,15 @@ def build_parser():
     p.add_argument("--max-nodes", type=int, default=12)
     p.add_argument("--max-branch", type=int, default=3)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hi", help="norming-set witnesses and growth schedule")
     hi_sub = p.add_subparsers(dest="hi_command", required=True)
     w = hi_sub.add_parser("witness", help="strict-singularity witness table")
     w.add_argument("--tree", default=None)
     w.add_argument("--pairs", required=True, help='e.g. "2:4,2:8,4:64"')
-    w.set_defaults(func=cmd_hi, hi_command="witness")
     s = hi_sub.add_parser("schedule", help="exact (m_j), (n_j) sequences")
     s.add_argument("--jmax", type=int, required=True)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_hi, hi_command="schedule")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["branch", "tsirelson", "hi"])
@@ -381,16 +381,21 @@ def build_parser():
     p.add_argument("--max-len", type=int, default=20)
     p.add_argument("--pairs", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+# the parser of this process, built on the first main call
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

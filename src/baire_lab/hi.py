@@ -203,20 +203,7 @@ class _Search:
         ratios = [v.as_integer_ratio() for v in vals]
         self.scale = lcm(*(b for _, b in ratios)) * lcm(*(m for m, _ in ops)) ** depth
         self.weights = [abs(a) * (self.scale // b) for a, b in ratios]
-        # the nearest support ancestor, up parent ids from each support
-        # node; ids fall along the walk, and none below the first support
-        # id is in the support
-        pos = {v: i for i, v in enumerate(ids)}
-        parent, first = tree.parent, ids[0]
-        self.up = []
-        for v in ids:
-            while v > first:
-                v = parent[v]
-                if v in pos:
-                    self.up.append(pos[v])
-                    break
-            else:
-                self.up.append(None)
+        self.up = tree.nearest_ancestors(ids)
         self.grounds = {}
         # picks[d][i][j]: the index of the op that won best(i, j, d), or
         # -1 for the ground functional; cuts[d][j][c][i]: the head end

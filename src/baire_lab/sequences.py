@@ -43,15 +43,18 @@ class FiniteBlockSequence:
         if not blocks:
             raise ValueError("empty block sequence")
         tree = blocks[0].tree
-        supports = []
+        # each support as ascending arena ids, which is enumeration order;
+        # equal trees number their nodes alike
+        ids = []
         for i, b in enumerate(blocks):
             if b.tree != tree:
                 raise ValueError("block %d lives on a different tree" % i)
             if not b.support:
                 raise ValueError("block %d is zero" % i)
-            supports.append(sorted(b.support, key=tree.index))
+            ids.append(sorted(b.entry_ids()))
+        supports = [[tree.order[v] for v in block_ids] for block_ids in ids]
         for i in range(len(blocks) - 1):
-            if tree.index(supports[i][-1]) >= tree.index(supports[i + 1][0]):
+            if ids[i][-1] >= ids[i + 1][0]:
                 raise ValueError(
                     "blocks %d and %d do not occupy increasing index windows"
                     % (i, i + 1)

@@ -126,6 +126,26 @@ class FiniteTree:
         order = self.order
         return [order[k] for k in self.kids[self.id_of[tuple(node)]]]
 
+    def nearest_ancestors(self, ids):
+        """For nonempty ascending ids, the position in ids of the nearest
+        proper ancestor of each id among them, or None.
+
+        Walks parent ids up from each id; ids fall along the walk, and none
+        below the first id is among them, so the walk stops there.
+        """
+        pos = {v: i for i, v in enumerate(ids)}
+        parent, first = self.parent, ids[0]
+        up = []
+        for v in ids:
+            while v > first:
+                v = parent[v]
+                if v in pos:
+                    up.append(pos[v])
+                    break
+            else:
+                up.append(None)
+        return up
+
     def index(self, node):
         """Enumeration index of a node under this tree's alphabet bound."""
         return enumeration_index(tuple(node), self.alphabet_bound)

@@ -81,7 +81,6 @@ from functools import partial
 from math import lcm
 
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.trees import comparable
 from baire_lab.vectors import TreeVector
 
 INCOMPARABLE = "incomparable"
@@ -91,16 +90,20 @@ DEFAULT_SUPPORT_CAP = 14
 
 
 class _Ctx:
-    """Sorted support, grid values and enumeration indices: vals[i] is
-    |x_t| * scale for the i-th support node t (see the grid lemma)."""
+    """Sorted support, its arena ids, grid values and enumeration indices:
+    vals[i] is |x_t| * scale for the i-th support node t (see the grid
+    lemma)."""
 
     def __init__(self, x):
         tree = x.tree
-        self.nodes = tuple(sorted(x.support, key=tree.index))
+        # support positions in enumeration order, which is arena id order
+        ids, coeffs = zip(*sorted(zip(x.entry_ids(), x.entries.values())))
+        self.tree = tree
+        self.ids = ids
+        self.nodes = tuple(tree.order[v] for v in ids)
         self.idx = tuple(tree.index(t) for t in self.nodes)
         self.n = len(self.nodes)
         self.full = (1 << self.n) - 1
-        coeffs = [x[t] for t in self.nodes]
         self.scale = lcm(*(c.denominator for c in coeffs)) << (self.n - 1)
         self.vals = tuple(abs(c.numerator) * (self.scale // c.denominator) for c in coeffs)
 
@@ -195,10 +198,16 @@ class _IncEngine:
     def __init__(self, ctx):
         self.ctx = ctx
         self.root = ctx.full
-        self.comp = [
-            sum(1 << j for j, t in enumerate(ctx.nodes) if comparable(s, t))
-            for s in ctx.nodes
-        ]
+        # comp[i]: i's support ancestors, up the chain of nearest ones, and
+        # its support descendants, pushed up bottom-up (up[i] < i)
+        up = ctx.tree.nearest_ancestors(ctx.ids)
+        above, below = [], [1 << i for i in range(ctx.n)]
+        for i in range(ctx.n - 1, -1, -1):
+            if up[i] is not None:
+                below[up[i]] |= below[i]
+        for i, u in enumerate(up):
+            above.append((1 << i) | (0 if u is None else above[u]))
+        self.comp = [a | b for a, b in zip(above, below)]
         self.memo = {}
         self.family = {}
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -454,3 +457,48 @@ def test_prefix_closure_note(tmp_path, capsys):
     code, out, err = run(capsys, "rank", "--tree", str(t))
     assert code == 0 and out.strip() == "2"
     assert "closure" in err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # main keeps one parser per process; a run of calls through it, usage
+    # errors and --help included, prints what a freshly built parser does
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(3))))
+    write_vector(x, [[[0], "1"], [[1], "3/2"], [[2], "1/2"]])
+    calls = [
+        ["rank", "--bogus"],
+        ["--help"],
+        ["tsirelson", "--tree", str(t), "--vector", str(tmp_path / "missing.json")],
+        ["verify", "hi", "--pairs", "2:4", "--out", str(tmp_path / "rep.json")],
+        ["tsirelson", "--tree", str(t), "--vector", str(x), "--json"],
+    ]
+    main(["rank", "--tree", str(t)])
+    capsys.readouterr()
+    parser = cli._parser
+    cached = [_outcome(capsys, argv) for argv in calls]
+    assert cli._parser is parser
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 0]
+    assert cached[2][2].startswith("error: cannot read ")
+    for argv, (code, out, _) in zip(calls, cached):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert _outcome(capsys, argv)[:2] == (code, out), argv
+        assert cli._parser is not parser
+
+
+def test_module_help_lists_every_subcommand():
+    # a one-shot run goes through python -m, where no parser is cached
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "baire_lab.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "{baire,tsirelson,ground,rank,gen,hi,verify}" in proc.stdout

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire_lab.trees import chain_tree, comparable, random_tree, star_tree
+from baire_lab.trees import chain_tree, comb_tree, comparable, random_tree, star_tree
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
     _Ctx,
     _engine,
+    _IncEngine,
     _StdEngine,
     check_fixed_point,
     tsirelson_iterate,
@@ -346,6 +347,32 @@ def test_shared_engine_sees_the_grid_scale():
             ]
     assert tsirelson_norm(star, INCOMPARABLE) == 2
     assert tsirelson_norm(star.scale(Fraction(1, 2)), INCOMPARABLE) == 1
+
+
+def test_ctx_order_and_comparability_on_ids():
+    # the support order, the nearest support ancestors and the
+    # comparability masks, all read off arena ids, against enumeration
+    # indices and tuple prefix tests
+    rng = random.Random(18)
+    cases = [random_case(seed, max_nodes=16, max_support=12)[1] for seed in range(40)]
+    for tree in (star_tree(9, base_label=3), comb_tree(7), comb_tree(40), chain_tree(3000)):
+        for _ in range(6):
+            support = rng.sample(tree.order, min(14, len(tree)))
+            cases.append(TreeVector(tree, {t: Fraction(rng.randint(1, 9)) for t in support}))
+    for x in cases:
+        if not x.support:
+            continue
+        ctx = _Ctx(x)
+        nodes = ctx.nodes
+        assert nodes == tuple(sorted(x.support, key=x.tree.index))
+        want_up = [
+            max((j for j in range(i) if comparable(nodes[j], t)), default=None)
+            for i, t in enumerate(nodes)
+        ]
+        assert x.tree.nearest_ancestors(ctx.ids) == want_up
+        assert _IncEngine(ctx).comp == [
+            sum(1 << j for j, t in enumerate(nodes) if comparable(s, t)) for s in nodes
+        ]
 
 
 def _unit_blocks(n, base_label):
