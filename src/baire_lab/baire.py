@@ -38,34 +38,18 @@ segment's p-th power is its power sum raised to p * root_exponent.
 
 Values are exact rationals or certified intervals, (lower, upper) pairs
 with lower == upper on exact paths.  The DP computes them on one integer
-grid rather than in Fractions:
+grid rather than in Fractions, with vectors.pow_ends applying every
+exponent:
 
-- the base-norm term is computed once per distinct |x_t|, and the terms
-  are lifted to integers over scale, the lcm of their denominators
-  (entry denominators to the power q, or the 2**shift of a dyadic root);
-- chain aggregates are then sums of integers over scale, and M(v) is
-  computed once per distinct aggregate: (A**e, B**e) over scale**e for
-  an integer exponent e;
-- otherwise, for an exponent a/b in lowest terms with b > 1, the root
-  bounds are computed once per distinct end A of an aggregate, on
-  integers, and lifted to one grid of their own (below);
+- the terms come from one pow_ends call: the entries' absolute
+  numerators over the lcm of their denominators, raised to the base's
+  term_exponent, once per distinct |x_t|, on the grid scale that call
+  returns;
+- chain aggregates are then sums of integers over scale;
+- M(v) comes from one more pow_ends call, on every distinct end of a
+  chain aggregate over scale, raised to p * root_exponent, on a grid of
+  its own;
 - only the root value goes back to Fraction.
-
-The roots on integers give the bounds pow_bounds gives at A/scale, that
-is nth_root_bounds((A/scale)**a, b).  Let g = gcd(A, scale).  In lowest
-terms (A/scale)**a is (A/g)**a / (scale/g)**a, since powers of coprime
-integers are coprime.  A positive integer y is a perfect b-th power
-exactly when b divides every exponent in its prime factorization; the
-exponents of y**a are a times those of y, and gcd(a, b) = 1, so y**a is
-a perfect b-th power exactly when y is.  So the value is exact exactly
-when both A/g and scale/g are perfect b-th powers, r**b and s**b, and it
-is then (r/s)**a.  The test on scale/g is cached per g for one call.
-Otherwise the bounds come from root_floor(A**a, scale**a, b), with
-scale**a computed once per call: the floor root depends only on the
-rational, so the fraction needs no reducing.  The grid of the roots is
-the lcm of their denominators, s**a or 2**shift, which need not be the
-reduced ones; the root value leaves as a Fraction, which reduces, so
-the grid does not show in any output.
 
 Integers over one positive denominator add and compare exactly as the
 rationals they stand for, so every sum, argmax and tie-break, and with
@@ -76,11 +60,11 @@ Fraction pairs.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.vectors import NormValue, integer_nth_root, pow_or_identity, root_floor
+from baire_lab.vectors import NormValue, pow_bounds, pow_ends
 
 
 class _Zero:
@@ -123,50 +107,6 @@ class BaireReport:
         self.family = family
 
 
-def _lift(pairs):
-    """Integers over one common denominator for a dict of Fraction pairs.
-
-    Returns (scale, {key: (a * scale, b * scale)}) with integer entries.
-    """
-    scale = lcm(*{f.denominator for pair in pairs.values() for f in pair})
-    return scale, {
-        key: (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        for key, (a, b) in pairs.items()
-    }
-
-
-def _root_ends(ends, scale, exponent):
-    """Bounds on (A/scale)**exponent for each integer A in ends, exponent
-    a/b in lowest terms with b > 1, on one integer grid.
-
-    Returns (mscale, {A: (lo, hi)}): the bounds of pow_bounds at A/scale,
-    as lo/mscale and hi/mscale (see the module docstring).
-    """
-    a, b = exponent.numerator, exponent.denominator
-    scale_a = scale**a
-    den_root = {}  # g -> the b-th root of scale // g, or None
-    raw = {}
-    for A in ends:
-        # A = 0 has g = scale and is exact, so root_floor only sees A > 0
-        g = gcd(A, scale)
-        if g not in den_root:
-            s = scale // g
-            r = integer_nth_root(s, b)
-            den_root[g] = r if r**b == s else None
-        rs = den_root[g]
-        if rs is not None:
-            r = integer_nth_root(A // g, b)
-            if r**b == A // g:
-                raw[A] = (r**a, r**a, rs**a)
-                continue
-        root, shift = root_floor(A**a, scale_a, b)
-        raw[A] = (root, root + 1, 1 << shift)
-    mscale = lcm(*(d for _, _, d in raw.values()))
-    return mscale, {
-        A: (lo * (mscale // d), hi * (mscale // d)) for A, (lo, hi, d) in raw.items()
-    }
-
-
 def _dp(x, params):
     tree = x.tree
     if not tree.nodes:
@@ -176,13 +116,16 @@ def _dp(x, params):
     parent = tree.parent
     n = len(parent)
 
-    # one term per distinct |coefficient|, keyed by an integer pair since
-    # hashing a Fraction is slow; pairs are (upper, lower) from here on
-    keys = [(abs(a), b) for a, b in [c.as_integer_ratio() for c in x.entries.values()]]
-    scale, terms = _lift({key: base.term(Fraction(*key))[::-1] for key in set(keys)})
+    # one term per distinct |coefficient|, keyed by its integer numerator
+    # over the common denominator, since hashing a Fraction is slow; pairs
+    # are (upper, lower) from here on
+    ratios = [c.as_integer_ratio() for c in x.entries.values()]
+    den = lcm(*{d for _, d in ratios})
+    nums = [abs(a) * (den // d) for a, d in ratios]
+    scale, terms = pow_ends(set(nums), den, base.term_exponent)
     term = [None] * n
-    for i, key in zip(x.entry_ids(), keys):
-        term[i] = terms[key]
+    for i, A in zip(x.entry_ids(), nums):
+        term[i] = terms[A][::-1]
 
     # bottom-up over descending ids; before v's turn, its slots hold its
     # best child's aggregate and ends, pushed up by the children
@@ -216,15 +159,10 @@ def _dp(x, params):
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    seg_exp = p * base.root_exponent
     aggs = set(chain_agg)
-    if seg_exp.denominator == 1:
-        e = seg_exp.numerator
-        mscale = scale**e
-        seg_power = {a: (a[0] ** e, a[1] ** e) for a in aggs}
-    else:
-        mscale, bounds = _root_ends({end for agg in aggs for end in agg}, scale, seg_exp)
-        seg_power = {agg: (bounds[agg[0]][1], bounds[agg[1]][0]) for agg in aggs}
+    seg_exp = p * base.root_exponent
+    mscale, bounds = pow_ends({end for agg in aggs for end in agg}, scale, seg_exp)
+    seg_power = {agg: (bounds[agg[0]][1], bounds[agg[1]][0]) for agg in aggs}
     # f(v) = max(M(v), sum of f over its children), the sums pushed up;
     # the last turn, the root's, leaves f(root) in (hi, lo)
     kids_hi = [0] * n
@@ -256,7 +194,7 @@ def _dp(x, params):
 
 def baire_norm_report(x, params):
     power, root_exp, family = _dp(x, params)
-    value = NormValue(*pow_or_identity(*power, root_exp))
+    value = NormValue(*pow_bounds(*power, root_exp))
     return BaireReport(value, NormValue(*power), family)
 
 
@@ -300,10 +238,10 @@ def baire_norm_oracle_report(x, params, cap=12):
             return BaireReport(NormValue(0), NormValue(0), [])
         i = max(range(len(segs)), key=lambda i: (aggs[i][1], aggs[i][0]))
         power = aggs[i]
-        value = NormValue(*pow_or_identity(*power, base.root_exponent))
+        value = NormValue(*pow_bounds(*power, base.root_exponent))
         return BaireReport(value, NormValue(*power), [segs[i]])
 
-    powers = [pow_or_identity(*v, p * base.root_exponent) for v in aggs]
+    powers = [pow_bounds(*v, p * base.root_exponent) for v in aggs]
     compat = [
         [completely_incomparable(a.nodes, b.nodes) for b in segs] for a in segs
     ]
@@ -322,7 +260,7 @@ def baire_norm_oracle_report(x, params, cap=12):
     search(0, [], _EXACT_ZERO)
     power = best[0]
     family = [segs[j] for j in best[1]]
-    value = NormValue(*pow_or_identity(*power, 1 / p))
+    value = NormValue(*pow_bounds(*power, 1 / p))
     return BaireReport(value, NormValue(*power), family)
 
 
@@ -364,6 +302,6 @@ def incomparable_block_profile(blocks, coeffs, params):
     else:
         total = _EXACT_ZERO
         for t in terms:
-            total = _s_add(total, pow_or_identity(*t, params.p))
-        profile = pow_or_identity(*total, 1 / params.p)
+            total = _s_add(total, pow_bounds(*t, params.p))
+        profile = pow_bounds(*total, 1 / params.p)
     return BlockProfile(norm, NormValue(*profile))

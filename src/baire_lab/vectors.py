@@ -8,19 +8,19 @@ as certified rational intervals of relative width at most 2**-ROOT_BITS
 BaseNorm owns its power domain: a term is |v|**q (|v| for sup), a
 segment's power sum adds its terms (takes their max for sup), and its
 norm is the power sum raised to root_exponent, 1/q (1 for sup).  The
-Baire DP and its oracle use these members; exponent 1 takes no root.
+Baire DP and its oracle use these members.
 
-Every inexact root goes through one integer kernel, root_floor: the
-floor of (num/den)**(1/n) scaled by 2**shift, for the least multiple of
-ROOT_BITS as shift that leaves the floor at least 2**ROOT_BITS, so that
-root/2**shift and (root + 1)/2**shift are within relative width
-2**-ROOT_BITS.  root_bounds adds the exact case, a perfect n-th power in
-lowest terms, and nth_root_bounds and pow_bounds wrap it in Fractions.
-The Baire DP calls root_floor directly, on integers over its own grid.
+One routine applies every exponent: pow_ends raises integers over one
+scale to a rational power, on one integer grid, exactly when the result
+is rational.  Its inexact roots come from one integer kernel,
+root_floor, as root/2**shift and (root + 1)/2**shift within relative
+width 2**-ROOT_BITS.  pow_bounds is pow_ends on the two ends of a
+Fraction interval, and nth_root_bounds is pow_bounds at 1/n; the Baire
+DP calls pow_ends on integers over its own grid.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from baire_lab.trees import Segment
 
@@ -66,21 +66,67 @@ def root_floor(num, den, n):
     return integer_nth_root((num << (n * shift)) // den, n), shift
 
 
-def root_bounds(num, den, n):
-    """nth_root_bounds(Fraction(num, den), n) on integers, for num >= 0 and
-    den > 0 in lowest terms: (lo, hi, d) with bounds lo/d and hi/d.
+def pow_ends(ends, scale, exponent):
+    """Bounds on (A/scale)**exponent for each integer A >= 0 in ends, on
+    one integer grid: (mscale, {A: (lo, hi)}) with bounds lo/mscale and
+    hi/mscale.  scale > 0, and exponent = a/b > 0 is an int or a Fraction.
 
-    A perfect n-th power gives lo == hi; its denominator is tested first,
-    and the numerator's root is taken only if the denominator passes.
-    Otherwise lo, hi = root, root + 1 over d = 2**shift from root_floor.
+    An integer exponent is exact: A**a over scale**a.  Otherwise lo == hi
+    when (A/scale)**(a/b) is rational, and lo, hi = root, root + 1 over
+    2**shift from root_floor(A**a, scale**a, b) when it is not: the floor
+    depends only on the rational, so A/scale needs no reducing, and
+    scale**a is computed once.
+
+    Exactness: let g = gcd(A, scale).  In lowest terms (A/scale)**a is
+    (A/g)**a / (scale/g)**a, since powers of coprime integers are coprime.
+    A positive integer y is a perfect b-th power exactly when b divides
+    every exponent in its prime factorization; those of y**a are a times
+    those of y, and gcd(a, b) = 1, so y**a is a b-th power exactly when y
+    is.  So the value is rational exactly when A/g and scale/g are b-th
+    powers, r**b and s**b, and it is then r**a / s**a.  The test on
+    scale/g is made once per g; A = 0 has g = scale and is exact.
+
+    mscale is the lcm of the denominators s**a and 2**shift, which need
+    not be the reduced ones; a value that leaves as a Fraction reduces,
+    so the grid does not show in any output.
     """
-    rd = integer_nth_root(den, n)
-    if rd**n == den:
-        rn = integer_nth_root(num, n)
-        if rn**n == num:
-            return rn, rn, rd
-    root, shift = root_floor(num, den, n)
-    return root, root + 1, 1 << shift
+    a, b = exponent.numerator, exponent.denominator
+    scale_a = scale**a
+    if b == 1:
+        return scale_a, {A: (A**a,) * 2 for A in ends}
+    den_root = {}  # g -> the b-th root of scale // g, or None
+    raw = {}
+    for A in ends:
+        g = gcd(A, scale)
+        if g not in den_root:
+            s = scale // g
+            r = integer_nth_root(s, b)
+            den_root[g] = r if r**b == s else None
+        rs = den_root[g]
+        if rs is not None:
+            r = integer_nth_root(A // g, b)
+            if r**b == A // g:
+                raw[A] = (r**a, r**a, rs**a)
+                continue
+        root, shift = root_floor(A**a, scale_a, b)
+        raw[A] = (root, root + 1, 1 << shift)
+    mscale = lcm(*{d for _, _, d in raw.values()})
+    return mscale, {
+        A: (lo * (mscale // d), hi * (mscale // d)) for A, (lo, hi, d) in raw.items()
+    }
+
+
+def pow_bounds(lo, hi, exponent):
+    """Bounds for x**exponent over a nonnegative interval [lo, hi] of
+    rationals, exponent in Q+: pow_ends on the two ends over their common
+    denominator, so a degenerate interval takes one root."""
+    if exponent == 1:
+        return lo, hi
+    den = lcm(lo.denominator, hi.denominator)
+    A = lo.numerator * (den // lo.denominator)
+    B = hi.numerator * (den // hi.denominator)
+    mscale, bounds = pow_ends({A, B}, den, exponent)
+    return Fraction(bounds[A][0], mscale), Fraction(bounds[B][1], mscale)
 
 
 def nth_root_bounds(value, n):
@@ -89,28 +135,7 @@ def nth_root_bounds(value, n):
     value is a nonnegative Fraction.  If value is a perfect n-th power of
     a rational the bounds coincide; otherwise hi - lo <= lo * 2**-ROOT_BITS.
     """
-    if n == 1:
-        return value, value
-    lo, hi, d = root_bounds(value.numerator, value.denominator, n)
-    return Fraction(lo, d), Fraction(hi, d)
-
-
-def pow_bounds(lo, hi, exponent):
-    """Bounds for x**exponent over a nonnegative interval, exponent in Q+."""
-    a, b = exponent.numerator, exponent.denominator
-    plo, phi = lo**a, hi**a
-    if plo == phi:
-        return nth_root_bounds(plo, b)
-    rlo, _ = nth_root_bounds(plo, b)
-    _, rhi = nth_root_bounds(phi, b)
-    return rlo, rhi
-
-
-def pow_or_identity(lo, hi, exponent):
-    """pow_bounds, except that exponent 1 returns (lo, hi) with no root call."""
-    if exponent == 1:
-        return lo, hi
-    return pow_bounds(lo, hi, exponent)
+    return pow_bounds(value, value, Fraction(1, n))
 
 
 class NormValue:
@@ -175,6 +200,11 @@ class BaseNorm:
         return cls("sup")
 
     @property
+    def term_exponent(self):
+        """The exponent that takes |v| to its term: q, or 1 for sup."""
+        return 1 if self.kind == "sup" else self.q
+
+    @property
     def root_exponent(self):
         """The exponent that takes a power sum to the norm: 1/q, or 1 for sup."""
         return Fraction(1) if self.kind == "sup" else 1 / self.q
@@ -203,7 +233,7 @@ class BaseNorm:
     def term(self, size):
         """(lo, hi) bounds on size**q, or size twice for sup, where size is
         an absolute value (a nonnegative Fraction)."""
-        return pow_or_identity(size, size, 1 if self.kind == "sup" else self.q)
+        return pow_bounds(size, size, self.term_exponent)
 
     def power_sum(self, values):
         """(lo, hi) bounds on the sum of the terms of |v| over values (their
@@ -218,7 +248,7 @@ class BaseNorm:
 
         Returns (lo, hi) bounds; exact kinds return lo == hi.
         """
-        return pow_or_identity(*self.power_sum(values), self.root_exponent)
+        return pow_bounds(*self.power_sum(values), self.root_exponent)
 
 
 class TreeVector:
@@ -238,7 +268,8 @@ class TreeVector:
             i = id_of.get(node)
             if i is None:
                 raise ValueError("support node %r is not in the tree" % (node,))
-            value = Fraction(value)
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
             if value:
                 clean[node] = value
                 keys.append(node)

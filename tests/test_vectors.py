@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire_lab.cli import EXPONENT_MAX
 from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.vectors import (
     ROOT_BITS,
@@ -17,7 +18,7 @@ from baire_lab.vectors import (
     linear_combination,
     nth_root_bounds,
     pow_bounds,
-    root_bounds,
+    pow_ends,
     root_floor,
     unit_vector,
 )
@@ -87,12 +88,13 @@ def test_root_kernel_matches_reference():
         if num:
             assert integer_nth_root(num, n) == ref.integer_nth_root(num, n)
         expected = ref.nth_root_bounds(value, n)
-        lo, hi, d = root_bounds(num, den, n)
-        assert (Fraction(lo, d), Fraction(hi, d)) == expected, (num, den, n)
-        assert nth_root_bounds(value, n) == expected
-        if num and n > 1 and lo != hi:
+        assert nth_root_bounds(value, n) == expected, (num, den, n)
+        if num:
             # the floor needs no lowest terms
-            assert root_floor(num * 6, den * 6, n) == (lo, d.bit_length() - 1)
+            root, shift = root_floor(num, den, n)
+            assert root_floor(num * 6, den * 6, n) == (root, shift)
+            if expected[0] != expected[1]:
+                assert expected == (Fraction(root, 1 << shift), Fraction(root + 1, 1 << shift))
         for a in range(1, 4):
             e = Fraction(a, n)
             assert pow_bounds(value, value, e) == ref.pow_bounds(value, value, e)
@@ -103,6 +105,45 @@ def test_root_kernel_matches_reference():
         for k in range(3):
             den = 1 << (ROOT_BITS * n * k)
             assert root_floor(1, den, n) == (1 << ROOT_BITS, ROOT_BITS * (k + 1))
+
+
+def _pow_ends_cases(rng):
+    """(ends, scale, exponent) with ends sharing one scale, for integer
+    exponents 1-3 and every a/b in lowest terms with a, b <= EXPONENT_MAX:
+    ends not in lowest terms over many distinct gcds with scale, A = 0,
+    perfect b-th powers on either side of the fraction and their +-1
+    neighbours, and values far below 2**-48, which take more than one
+    shift round."""
+    span = range(1, EXPONENT_MAX + 1)
+    exponents = [Fraction(a) for a in (1, 2, 3)]
+    exponents += [Fraction(a, b) for b in span[1:] for a in span if gcd(a, b) == 1]
+    for e in exponents:
+        b = e.denominator
+        for extra in (1, rng.choice((2, 6, 12, 30)), rng.randint(1, 10**4), 1 << rng.randint(200, 500)):
+            scale = rng.randint(1, 40) ** b * extra
+            ends = {0, 1, 2, scale, rng.getrandbits(rng.randint(1, 300))}
+            for _ in range(12):
+                g = gcd(scale, rng.randint(1, 10**6))
+                t = rng.randint(1, 50)
+                ends |= {g * t**b, g * (t**b + 1), g * (t**b - 1), g * rng.randint(1, 10**9)}
+            yield ends, scale, e
+
+
+def test_pow_ends_matches_reference():
+    rng = random.Random(19)
+    exact = deep = 0
+    for ends, scale, e in _pow_ends_cases(rng):
+        mscale, bounds = pow_ends(ends, scale, e)
+        assert set(bounds) == ends
+        for A in ends:
+            lo, hi = bounds[A]
+            value = Fraction(A, scale)
+            expected = ref.pow_bounds(value, value, e)
+            assert (Fraction(lo, mscale), Fraction(hi, mscale)) == expected, (A, scale, e)
+            exact += A > 0 and lo == hi and e.denominator > 1
+            deep += lo != hi and expected[0] < Fraction(1, 1 << ROOT_BITS)
+    # both exact roots and multi-round shifts were reached
+    assert exact > 100 and deep > 100, (exact, deep)
 
 
 def _two_call_pow_bounds(lo, hi, exponent):
@@ -116,20 +157,21 @@ def test_pow_bounds_matches_two_call_composition(monkeypatch):
     points = [Fraction(v) for v in ("0", "1", "2", "9/4", "1/7", "5/3", "27", "10/9")]
     calls = []
 
-    def counted(value, n):
-        calls.append(n)
-        return nth_root_bounds(value, n)
+    def counted(ends, scale, exponent):
+        calls.append(len(ends))
+        return pow_ends(ends, scale, exponent)
 
-    monkeypatch.setattr(vectors, "nth_root_bounds", counted)
+    monkeypatch.setattr(vectors, "pow_ends", counted)
     for e in exponents:
         for lo in points:
             for hi in points:
                 if lo > hi:
                     continue
+                expected = _two_call_pow_bounds(lo, hi, e)
                 calls.clear()
-                assert pow_bounds(lo, hi, e) == _two_call_pow_bounds(lo, hi, e)
-                # a degenerate interval takes a single root
-                assert len(calls) == (1 if lo == hi else 2)
+                assert pow_bounds(lo, hi, e) == expected
+                # a degenerate interval takes a single root, exponent 1 none
+                assert calls == ([] if e == 1 else [1 if lo == hi else 2])
     # the l_q aggregate is one pow_bounds over the summed powers
     lo, hi = BaseNorm.ell(Fraction(3, 2)).aggregate_abs([1, Fraction(1, 3), 2])
     plo = sum(_two_call_pow_bounds(v, v, Fraction(3, 2))[0] for v in (1, Fraction(1, 3), 2))
@@ -156,11 +198,11 @@ def _oracle_segment_power(base, values):
 def test_base_norm_power_domain(base, root_exponent, monkeypatch):
     calls = []
 
-    def counted(value, n):
-        calls.append(n)
-        return nth_root_bounds(value, n)
+    def counted(ends, scale, exponent):
+        calls.append(exponent)
+        return pow_ends(ends, scale, exponent)
 
-    monkeypatch.setattr(vectors, "nth_root_bounds", counted)
+    monkeypatch.setattr(vectors, "pow_ends", counted)
     assert base.root_exponent == root_exponent
     rng = random.Random(7)
     for _ in range(60):
@@ -229,6 +271,24 @@ def test_tree_vector_drops_zeros_and_validates():
     assert x[(1,)] == 0
     with pytest.raises(ValueError):
         TreeVector(t, {(5,): 1})
+
+
+def test_tree_vector_keeps_fractions_and_converts_the_rest():
+    t = star_tree(3)
+    half = Fraction(1, 2)
+    x = TreeVector(t, {(0,): half, (1,): 3, (2,): "2/6"})
+    assert x.entries[(0,)] is half
+    assert type(x[(1,)]) is Fraction and x[(1,)] == 3
+    assert type(x[(2,)]) is Fraction and x[(2,)] == Fraction(1, 3)
+    assert TreeVector(t, {(0,): Fraction(0), (1,): "0"}).support == frozenset()
+    y = TreeVector(t, x.entries)
+    assert y == x and all(y.entries[k] is v for k, v in x.entries.items())
+    # y has entries of its own: a change in place reaches y and its ids only
+    y.entries[(0,)] = Fraction(5)
+    del y.entries[(1,)]
+    assert x.entries == {(0,): half, (1,): 3, (2,): Fraction(1, 3)}
+    assert y[(0,)] == 5 and y.entry_ids() == [t.id_of[(0,)], t.id_of[(2,)]]
+    assert x.entry_ids() == [t.id_of[(0,)], t.id_of[(1,)], t.id_of[(2,)]]
 
 
 def test_tree_vector_algebra():
