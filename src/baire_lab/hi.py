@@ -17,7 +17,7 @@ That makes the whole search polynomial in the support size.  The DP
 runs in integers over one common denominator (the lcm of the entries'
 denominators times lcm(m)**depth), in which every division by m is
 exact; the best chain sums of each window start are computed once, and
-only the final witness is built as a Functional and replayed.
+the witness is built straight from the DP's recorded choices and replayed.
 
 The DP runs bottom-up, one level at a time, on lists.  With best(i, j, d)
 the best level-d value on the window [i, j) of support positions (level
@@ -184,11 +184,9 @@ class _Search:
     op.  The top level needs only best(0, n, depth), so its tables are
     built at j = n alone.
 
-    A witness is a record, ("ground", i, p) for the best chain ending at
-    position p inside windows starting at i, or ("even_op", m, n, parts).
-    Records are rebuilt only along the chosen path, from the recorded
-    choices, so they recurse no deeper than `depth`; `functional` builds
-    the Functional of one record.
+    The witness is built directly from the recorded choices (`ends`,
+    `picks`, `cuts`) along the chosen path only, so `_witness` recurses no
+    deeper than `depth`.
     """
 
     def __init__(self, x, ops, depth):
@@ -204,7 +202,6 @@ class _Search:
         self.scale = lcm(*(b for _, b in ratios)) * lcm(*(m for m, _ in ops)) ** depth
         self.weights = [abs(a) * (self.scale // b) for a, b in ratios]
         self.up = tree.nearest_ancestors(ids)
-        self.grounds = {}
         # picks[d][i][j]: the index of the op that won best(i, j, d), or
         # -1 for the ground functional; cuts[d][j][c][i]: the head end
         # chosen for C_c[i] at right end j over level-d windows
@@ -212,33 +209,29 @@ class _Search:
         self.cuts = [[None] * (self.n + 1) for _ in range(depth)]
 
     def _ground_from(self, i):
-        """Best ground functionals on the windows [i, j), indexed by j.
+        """Best ground values on the windows [i, j) and the chain ends that
+        attain them, two rows indexed by j (0 and None for j <= i).
 
         The best chain in [i, j) ending at p climbs from p through nearest
         support ancestors while their positions stay >= i (a deeper
         ancestor always has the larger sum); the first best end wins.
         """
-        if i in self.grounds:
-            return self.grounds[i]
         c = {}
-        best = [None] * (self.n + 1)
+        values = [0] * (self.n + 1)
+        ends = [None] * (self.n + 1)
         best_val, best_pos = 0, None
         for p in range(i, self.n):
             q = self.up[p]
             c[p] = self.weights[p] + (c[q] if q is not None and q >= i else 0)
             if c[p] > best_val:
                 best_val, best_pos = c[p], p
-            best[p + 1] = (best_val, ("ground", i, best_pos))
-        self.grounds[i] = best
-        return best
+            values[p + 1], ends[p + 1] = best_val, best_pos
+        return values, ends
 
     def run(self):
-        """Value and witness record of best(0, n, depth)."""
+        """Value and witness functional of best(0, n, depth)."""
         n, ops = self.n, self.ops
-        ground = [
-            [0] * (i + 1) + [v for v, _ in islice(self._ground_from(i), i + 1, None)]
-            for i in range(n)
-        ]
+        ground, self.ends = zip(*map(self._ground_from, range(n)))
         rows = ground
         for d in range(self.depth):
             # best(i, j, d + 1) from the level-d tables: every window below
@@ -259,7 +252,7 @@ class _Search:
                     up[i][j] = value
             rows = up
             self.picks[d + 1] = picks
-        return rows[0][n], self._record(0, n, self.depth)
+        return rows[0][n], self._witness(0, n, self.depth)
 
     def _split(self, rows, level, j):
         """Build the run-split tables at right end j over the level-`level`
@@ -292,33 +285,27 @@ class _Search:
         self.cuts[level][j] = cuts
         return [table[w] for w in want]
 
-    def _record(self, i, j, d):
-        """Witness record of best(i, j, d), from the recorded choices: an
-        op's parts follow the head ends of C_{min(cap, j - i)}[i] at j."""
+    def _witness(self, i, j, d):
+        """The Functional of best(i, j, d), from the recorded choices: a ground
+        chain climbs from its recorded end, an op's parts follow the head ends
+        of C_{min(cap, j - i)}[i] at j."""
         pick = self.picks[d][i][j] if d else -1
         if pick < 0:
-            return self._ground_from(i)[j][1]
+            p, chain = self.ends[i][j], []
+            while p is not None and p >= i:
+                chain.append((self.nodes[p], self.signs[p]))
+                p = self.up[p]
+            return ground_functional(chain)
         m, cap = self.ops[pick]
         cuts = self.cuts[d - 1][j]
         c = min(cap, j - i)
         parts = []
         while True:
             t = cuts[c][i]
-            parts.append(self._record(i, j if t is None else t, d - 1))
+            parts.append(self._witness(i, j if t is None else t, d - 1))
             if t is None:
-                return ("even_op", m, cap, tuple(parts))
+                return even_op_functional(m, cap, parts)
             i, c = t, min(c - 1, j - t)
-
-    def functional(self, record):
-        if record[0] == "ground":
-            _, i, p = record
-            chain = []
-            while p is not None and p >= i:
-                chain.append(p)
-                p = self.up[p]
-            return ground_functional([(self.nodes[p], self.signs[p]) for p in chain])
-        _, m, cap, parts = record
-        return even_op_functional(m, cap, [self.functional(r) for r in parts])
 
 
 def dg_lower_bound(x, depth, ops):
@@ -331,12 +318,11 @@ def dg_lower_bound(x, depth, ops):
     for m, n in ops:
         if m < 1 or n < 1:
             raise ValueError("ops entries must be positive")
-    if not x.support:
+    if not x.entries:
         return Fraction(0), Functional({}, ("ground", ()))
     search = _Search(x, list(ops), depth)
-    total, record = search.run()
+    total, witness = search.run()
     value = Fraction(total, search.scale)
-    witness = search.functional(record)
     # raised, not asserted, so that python -O keeps the check
     if witness(x) != value:
         raise AssertionError("witness replay mismatch")

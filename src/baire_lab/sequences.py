@@ -49,7 +49,7 @@ class FiniteBlockSequence:
         for i, b in enumerate(blocks):
             if b.tree != tree:
                 raise ValueError("block %d lives on a different tree" % i)
-            if not b.support:
+            if not b.entries:
                 raise ValueError("block %d is zero" % i)
             ids.append(sorted(b.entry_ids()))
         supports = [[tree.order[v] for v in block_ids] for block_ids in ids]

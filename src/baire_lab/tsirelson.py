@@ -65,6 +65,12 @@ has at most n - 1 elements, so its grid value is even and halving a
 family sum is exact floor division.
 `Fraction` is built only on the way out, by `_Ctx.rational`.
 
+Spreading lemma: moving the support by a map that keeps enumeration order
+and comparability and only raises indices, as from star_tree(n, b) to
+star_tree(n, b + s), lowers no value of either variant at any level.  The
+image of an admissible family keeps its order and incomparabilities, and
+k <= idx(min E_1) <= idx(image), so it is admissible; induct on |A|.
+
 Engine reuse: `_engine` keeps the last engine it built and returns it
 when the next call asks for the same variant on the same content: the key
 is (variant, tree, entries), everything an engine reads, so a hit builds
@@ -350,11 +356,11 @@ def _engine(x, variant):
     global _last
     if variant not in (INCOMPARABLE, STANDARD):
         raise ValueError("unknown variant %r" % (variant,))
-    if len(x.support) > DEFAULT_SUPPORT_CAP:
+    if len(x.entries) > DEFAULT_SUPPORT_CAP:
         raise ValueError(
-            "support cap exceeded: |supp| = %d > %d" % (len(x.support), DEFAULT_SUPPORT_CAP)
+            "support cap exceeded: |supp| = %d > %d" % (len(x.entries), DEFAULT_SUPPORT_CAP)
         )
-    if not x.support:
+    if not x.entries:
         return None
     key = (variant, x.tree, dict(x.entries))
     # one read of the slot, so a concurrent swap cannot pair key and engine wrongly
@@ -429,10 +435,11 @@ class InequalityReport:
         return "InequalityReport(ok=%r, %r)" % (self.ok, self.quantities)
 
 
-def _block_sequence_setup(tree, blocks, coeffs):
-    """Validate a finite block sequence on tree and check each block is
-    normalized; return its window-start nodes, the coefficient vector placed
-    at them, and the block combination."""
+def verify_sandwich18(tree, blocks, coeffs):
+    """The 18-equivalence chain between the block combination and the
+    coefficient vector at the window-start nodes, under the comparison norm,
+    with Lemma II.1 (index_incomparable <= combo_incomparable) as its
+    "lemma" check.  Each block must be normalized."""
     seq = FiniteBlockSequence(blocks)
     if seq.tree != tree:
         raise ValueError("block 0 lives on a different tree")
@@ -441,27 +448,6 @@ def _block_sequence_setup(tree, blocks, coeffs):
         if tsirelson_norm(b, INCOMPARABLE) != 1:
             raise ValueError("block %d is not normalized" % i)
     index_vec = TreeVector(tree, dict(zip(seq.starts, coeffs)))
-    return seq.starts, index_vec, combo
-
-
-def verify_lemma_II1(tree, blocks, coeffs):
-    """Index-vector domination: the norm of the coefficient vector placed at
-    the window-start nodes is at most the norm of the block combination."""
-    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs)
-    lhs = tsirelson_norm(index_vec, INCOMPARABLE)
-    rhs = tsirelson_norm(combo, INCOMPARABLE)
-    return InequalityReport(
-        {"lhs": lhs, "rhs": rhs, "start_nodes": starts},
-        {"lhs_le_rhs": lhs <= rhs},
-    )
-
-
-def verify_sandwich18(tree, blocks, coeffs):
-    """The 18-equivalence chain between the block combination and the
-    coefficient vector at the window-start nodes, under the comparison norm,
-    with Lemma II.1 (index_incomparable <= combo_incomparable) as its
-    "lemma" check."""
-    starts, index_vec, combo = _block_sequence_setup(tree, blocks, coeffs)
 
     a_std = tsirelson_norm(index_vec, STANDARD)
     a_inc = tsirelson_norm(index_vec, INCOMPARABLE)
@@ -482,7 +468,20 @@ def verify_sandwich18(tree, blocks, coeffs):
             "index_incomparable": a_inc,
             "combo_incomparable": b_inc,
             "combo_standard": b_std,
-            "start_nodes": starts,
+            "start_nodes": seq.starts,
         },
         checks,
+    )
+
+
+def verify_lemma_II1(tree, blocks, coeffs):
+    """Index-vector domination (Lemma II.1): the norm of the coefficient
+    vector placed at the window-start nodes is at most the norm of the block
+    combination.  A view of the "lemma" check of verify_sandwich18."""
+    rep = verify_sandwich18(tree, blocks, coeffs)
+    q = rep.quantities
+    return InequalityReport(
+        {"lhs": q["index_incomparable"], "rhs": q["combo_incomparable"],
+         "start_nodes": q["start_nodes"]},
+        {"lhs_le_rhs": rep.checks["lemma"]},
     )

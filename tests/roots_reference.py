@@ -2,7 +2,7 @@
 
 These are the earlier `integer_nth_root`, `nth_root_bounds` and
 `pow_bounds`, kept verbatim as the oracle for the differential test of
-the integer root kernel (`root_floor`, `root_bounds`) and the Fraction
+the integer root kernel (`root_floor`, under `pow_ends`) and the Fraction
 wrappers over it.  `tests/baire_reference.py` takes its roots from
 `baire_lab.vectors`, so it cannot check the roots themselves.
 """

@@ -27,7 +27,7 @@ from baire_lab.trees import (
 )
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from baire_reference import reference_report
-from util import random_case
+from util import benchmark_size_vectors, random_case
 
 L1 = BaseNorm.ell(1)
 P1 = BaireParams(1, L1)
@@ -367,6 +367,19 @@ def test_monotone_under_support_restriction():
         keep = sorted(x.support)[::2]
         r = x.restrict(keep)
         assert baire_norm_report(r, P1).power.exact <= baire_norm_report(x, P1).power.exact
+
+
+def test_monotone_in_p_at_benchmark_sizes():
+    # each family's l_p aggregate decreases in p, and the 0-variant's single
+    # segment is a family: |x|_p >= |x|_p' >= |x|_0 for 1 <= p <= p'; an
+    # interval passes when it can be at least the other
+    ps = [1, Fraction(5, 4), Fraction(3, 2), 2, 3]
+    for x in benchmark_size_vectors():
+        for token in ("sup", "l1", "l2", "l3/2"):
+            base = BaseNorm.parse(token)
+            values = [baire_norm(x, BaireParams(p, base)) for p in ps + [ZERO]]
+            for big, small in zip(values, values[1:]):
+                assert big.upper >= small.lower, (token, big, small)
 
 
 def test_zero_variant_bounded_by_p_variant():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from baire_lab.hi import (
 from baire_lab.trees import chain_tree, comb_tree, random_tree, star_tree
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from hi_reference import reference_dg_lower_bound
-from util import random_case
+from util import benchmark_size_vectors, random_case
 
 
 def test_ground_functional_validation():
@@ -62,10 +63,11 @@ def test_ground_norm_examples():
 
 
 def test_ground_norm_is_baire_zero_l1():
-    # the ground norm is the 0-variant Baire norm with l_1 base
+    # the ground norm is the 0-variant Baire norm with l_1 base, on small
+    # cases and at benchmark sizes
     params = BaireParams(ZERO, BaseNorm.ell(1))
-    for seed in range(25):
-        _, x = random_case(seed)
+    small = (random_case(seed)[1] for seed in range(25))
+    for x in itertools.chain(small, benchmark_size_vectors()):
         assert ground_norm(x) == baire_norm(x, params).exact
 
 
@@ -148,7 +150,7 @@ def test_replay_check_survives_python_O():
         "import baire_lab.hi as hi",
         "from baire_lab.trees import star_tree",
         "from baire_lab.vectors import TreeVector",
-        "hi._Search.functional = lambda self, record: hi.Functional({}, ('ground', ()))",
+        "hi._Search._witness = lambda self, i, j, d: hi.Functional({}, ('ground', ()))",
         "x = TreeVector(star_tree(4), {(i,): 1 for i in range(4)})",
         "hi.dg_lower_bound(x, 1, [(2, 4)])",
     ])

@@ -1,0 +1,43 @@
+"""The public surface: the package's __all__ and the CLI contract.
+
+Both stay stable, or their changes are recorded in CHANGES.md; a change
+here is a change of that contract, not a refactor.
+"""
+
+import baire_lab
+from baire_lab.cli import build_parser
+
+PUBLIC_NAMES = [
+    "BaireParams", "BaseNorm", "ExperimentReport", "FiniteBlockSequence",
+    "FiniteTree", "INCOMPARABLE", "NormValue", "STANDARD", "Segment",
+    "TreeVector", "ZERO", "baire_norm", "baire_norm_oracle",
+    "base_norm_of_segment", "chain_tree", "comb_tree",
+    "completely_incomparable", "dg_lower_bound", "dg_upper_bound",
+    "enumeration_index", "equivalence_ratio_bounds",
+    "generate_incomparable_blocks", "ground_norm", "linear_combination",
+    "make_tree", "maximal_chains", "random_tree", "rank",
+    "run_branch_isometry", "run_hi_suite", "run_tsirelson_suite",
+    "schedule", "star_tree", "strict_singularity_witness",
+    "tsirelson_iterate", "tsirelson_norm", "unconditionality_constant_lower",
+]
+
+
+def _choices(parser, dest):
+    """The choices of the argument (or subcommand) of parser stored in dest."""
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return action.choices
+
+
+def test_all_is_pinned_and_resolves():
+    assert len(PUBLIC_NAMES) == 37
+    assert sorted(baire_lab.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(baire_lab, name) is not None, name
+
+
+def test_cli_commands_are_pinned():
+    parser = build_parser()
+    commands = _choices(parser, "command")
+    assert sorted(commands) == ["baire", "gen", "ground", "hi", "rank", "tsirelson", "verify"]
+    assert sorted(_choices(commands["hi"], "hi_command")) == ["schedule", "witness"]
+    assert list(_choices(commands["verify"], "suite")) == ["branch", "tsirelson", "hi"]

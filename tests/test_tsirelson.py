@@ -349,6 +349,28 @@ def test_shared_engine_sees_the_grid_scale():
     assert tsirelson_norm(star.scale(Fraction(1, 2)), INCOMPARABLE) == 1
 
 
+def test_spreading_lowers_no_norm():
+    # the spreading lemma in the module docstring: (b + i,) -> (b + s + i,)
+    # keeps order and comparability and only raises indices, so no norm
+    # or iterate of either variant goes down
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(150):
+        n, b, s = rng.randint(2, 9), rng.randint(0, 4), rng.randint(1, 5)
+        low, high = star_tree(n, b), star_tree(n, b + s)
+        supp = rng.sample(low.sorted_nodes(), rng.randint(1, n + 1))
+        entries = {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in supp}
+        x = TreeVector(low, entries)
+        y = TreeVector(high, {tuple(v + s for v in t): c for t, c in entries.items()})
+        for variant in (INCOMPARABLE, STANDARD):
+            before = [tsirelson_iterate(x, variant, m) for m in (1, 2)] + [tsirelson_norm(x, variant)]
+            after = [tsirelson_iterate(y, variant, m) for m in (1, 2)] + [tsirelson_norm(y, variant)]
+            assert all(a >= v for a, v in zip(after, before)), (n, b, s, variant)
+            raised += after[-1] > before[-1]
+    # the shift opens families that small indices forbid
+    assert raised
+
+
 def test_ctx_order_and_comparability_on_ids():
     # the support order, the nearest support ancestors and the
     # comparability masks, all read off arena ids, against enumeration

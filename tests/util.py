@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from baire_lab.trees import random_tree
+from baire_lab.trees import comb_tree, random_tree
 from baire_lab.vectors import TreeVector
 
 
@@ -20,6 +20,18 @@ def random_case(seed, max_nodes=10, max_support=8, max_branch=3):
         for t in supp
     }
     return tree, TreeVector(tree, entries)
+
+
+def benchmark_size_vectors():
+    """700-entry vectors on 1,000-node trees, the sizes the Baire DP and
+    ground_norm run at in the benchmark: four random trees and the
+    500-tooth comb."""
+    rng = random.Random(5)
+    for tree in [random_tree(s, 1000, 3) for s in range(4)] + [comb_tree(500)]:
+        supp = rng.sample(tree.sorted_nodes(), 700)
+        yield TreeVector(tree, {
+            t: Fraction(rng.randint(1, 9), rng.randint(1, 6)) * rng.choice([1, -1]) for t in supp
+        })
 
 
 def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
