@@ -42,23 +42,26 @@ def completely_incomparable(a, b):
 def enumeration_index(node, alphabet_bound):
     """Canonical (length, then lexicographic) index over alphabet {0..B}.
 
-    Shorter sequences come first, so the index is compatible with the
-    prefix order: s a strict prefix of t implies index(s) < index(t).
-    The root () always has index 0.
+    The index is the bijective base-b numeral of the entries plus one,
+    b = B + 1: for a node e_1 ... e_d,
+
+        sum_i (e_i + 1) * b**(d - i) = sum_{k<d} b**k + sum_i e_i * b**(d - i),
+
+    the count of the strictly shorter sequences plus the lexicographic rank
+    among those of length d.  Shorter sequences come first, so the index
+    is compatible with the prefix order: s a strict prefix of t implies
+    index(s) < index(t).  The root () always has index 0, and every entry
+    adds at least 1, so index(t) >= len(t).
     """
     base = alphabet_bound + 1
-    n = len(node)
-    # count of strictly shorter sequences: 1 + base + ... + base**(n-1)
-    shorter = n if base == 1 else (base**n - 1) // (base - 1)
-    # lexicographic rank among sequences of the same length, by Horner
-    lex = 0
+    index = 0
     for entry in node:
         if entry > alphabet_bound:
             raise ValueError(
                 "node entry %d exceeds alphabet bound %d" % (entry, alphabet_bound)
             )
-        lex = lex * base + entry
-    return shorter + lex
+        index = index * base + entry + 1
+    return index
 
 
 class FiniteTree:

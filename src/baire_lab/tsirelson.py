@@ -45,6 +45,19 @@ half-sum <= |R'|, or a single set E with |E|'/2 <= |R'|.  So |R| <= |R'| +
 x_r/2 < |R'| + x_r, and cutting the last element off a run of length >= 2
 in an optimal k-split gives a strictly better (k + 1)-split.
 
+Index-clamp lemma: `_Ctx` keeps each support node's enumeration index
+clamped at n = |supp|, and no value or recorded first optimum changes.
+The engines read an index only through `count + 2 <= maxk`, `maxk0 >= 2`
+and `min(idx[l], j - l)`.  Since j - l <= n, the last is the same with
+min(idx[l], n).  In the first, count + 1 disjoint nonempty sets are open
+or closed and the position about to start a new one is in none of them,
+so count + 2 <= n.  In the second, for n >= 2 the clamp keeps the test,
+and for n = 1 no family of k >= 2 nonempty sets exists, so the branch
+records nothing either way.  Every entry adds at least 1 to the numeral
+of `enumeration_index`, so index(t) >= len(t): a node of depth >= n gets n
+without computing its index, and no engine builds an integer longer than
+about n digits of base B + 1, however deep the node or large its labels.
+
 Level-collapse lemma: on a set A the m-th iterate equals the fixed point
 whenever m >= |A| - 1, so both engines answer such a level from the
 fixed-point memo.  Proof by induction on |A|: for |A| = 1 no admissible
@@ -107,8 +120,9 @@ class _Ctx:
         self.tree = tree
         self.ids = ids
         self.nodes = tuple(tree.order[v] for v in ids)
-        self.idx = tuple(tree.index(t) for t in self.nodes)
-        self.n = len(self.nodes)
+        self.n = n = len(ids)
+        # clamped at n (the index-clamp lemma); depth >= n means index >= n
+        self.idx = tuple(n if len(t) >= n else min(tree.index(t), n) for t in self.nodes)
         self.full = (1 << self.n) - 1
         self.scale = lcm(*(c.denominator for c in coeffs)) << (self.n - 1)
         self.vals = tuple(abs(c.numerator) * (self.scale // c.denominator) for c in coeffs)

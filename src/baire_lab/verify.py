@@ -71,8 +71,22 @@ class ExperimentReport:
         )
 
 
-def _random_fraction(rng, lo=-8, hi=8, den=8):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+def _run(experiment, params, cases):
+    """The ExperimentReport of `experiment` over `cases`, timed.
+
+    cases yields, per case, its record fields, "ok" last, and a function
+    that builds the case's replay bundle.  The runner numbers the records
+    from 0 in "case" and calls the function only for a failing case,
+    before the next case is drawn, so it sees that case's own values.
+    """
+    records = []
+    start = time.monotonic()
+    for case, (fields, replay) in enumerate(cases):
+        record = {"case": case, **fields}
+        if not record["ok"]:
+            record["replay"] = replay()
+        records.append(record)
+    return ExperimentReport(experiment, params, records, time.monotonic() - start)
 
 
 def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
@@ -83,49 +97,32 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     if base is None:
         base = BaseNorm.ell(1)
     params = BaireParams(p, base)
-    p_text = "0" if params.p is ZERO else rational_str(params.p)
+    # p and the base as text, in params and in every replay bundle
+    norm = {"p": "0" if params.p is ZERO else rational_str(params.p), "base": repr(base)}
     rng = random.Random(seed)
-    records = []
-    start = time.monotonic()
-    for case in range(cases):
-        length = rng.randint(1, max_len)
-        tree = chain_tree(length)
-        entries = {
-            node: _random_fraction(rng) for node in tree.nodes if rng.random() < 0.8
-        }
-        x = TreeVector(tree, entries)
-        got = baire_norm(x, params)
-        exp_lo, exp_hi = base.aggregate_abs(list(x.entries.values()))
-        if got.is_exact and exp_lo == exp_hi:
-            ok = got.exact == exp_lo
-        else:
-            ok = got.lower <= exp_hi and exp_lo <= got.upper
-        record = {
-            "case": case,
-            "length": length,
-            "computed": norm_value_json(got),
-            "expected": [rational_str(exp_lo), rational_str(exp_hi)],
-            "ok": ok,
-        }
-        if not ok:
-            record["replay"] = {
-                "tree": tree_to_json_dict(tree),
-                "vector": vector_to_json_dict(x),
-                "p": p_text,
-                "base": repr(base),
-            }
-        records.append(record)
-    return ExperimentReport(
+
+    def records():
+        for _ in range(cases):
+            length = rng.randint(1, max_len)
+            tree = chain_tree(length)
+            x = TreeVector(tree, {
+                node: Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+                for node in tree.nodes if rng.random() < 0.8
+            })
+            got = baire_norm(x, params)
+            exp_lo, exp_hi = base.aggregate_abs(list(x.entries.values()))
+            yield {
+                "length": length,
+                "computed": norm_value_json(got),
+                "expected": [rational_str(exp_lo), rational_str(exp_hi)],
+                # an exact value overlaps an exact bracket only by equality
+                "ok": got.lower <= exp_hi and exp_lo <= got.upper,
+            }, lambda: {"tree": tree_to_json_dict(tree), "vector": vector_to_json_dict(x), **norm}
+
+    return _run(
         "branch_isometry",
-        {
-            "max_len": max_len,
-            "cases": cases,
-            "seed": seed,
-            "p": p_text,
-            "base": repr(base),
-        },
-        records,
-        time.monotonic() - start,
+        {"max_len": max_len, "cases": cases, "seed": seed, **norm},
+        records(),
     )
 
 
@@ -172,39 +169,31 @@ def _case_blocks(case_seed):
 def run_tsirelson_suite(cases, seed):
     """Block-sequence inequality checks over seeded random trees."""
     rng = random.Random(seed)
-    records = []
-    start = time.monotonic()
-    for case in range(cases):
-        case_seed = rng.randrange(2**32)
-        tree, blocks, coeffs = _case_blocks(case_seed)
-        sandwich = verify_sandwich18(tree, blocks, coeffs)
-        q = sandwich.quantities
-        record = {
-            "case": case,
-            "case_seed": case_seed,
-            "blocks": len(blocks),
-            # Lemma II.1 compares exactly these two INCOMPARABLE norms
-            "lemma_lhs": rational_str(q["index_incomparable"]),
-            "lemma_rhs": rational_str(q["combo_incomparable"]),
-            "index_standard": rational_str(q["index_standard"]),
-            "combo_incomparable": rational_str(q["combo_incomparable"]),
-            "combo_standard": rational_str(q["combo_standard"]),
-            "checks": sandwich.checks,
-            "ok": sandwich.ok,
-        }
-        if not sandwich.ok:
-            record["replay"] = {
+
+    def records():
+        for _ in range(cases):
+            case_seed = rng.randrange(2**32)
+            tree, blocks, coeffs = _case_blocks(case_seed)
+            sandwich = verify_sandwich18(tree, blocks, coeffs)
+            q = sandwich.quantities
+            yield {
+                "case_seed": case_seed,
+                "blocks": len(blocks),
+                # Lemma II.1 compares exactly these two INCOMPARABLE norms
+                "lemma_lhs": rational_str(q["index_incomparable"]),
+                "lemma_rhs": rational_str(q["combo_incomparable"]),
+                "index_standard": rational_str(q["index_standard"]),
+                "combo_incomparable": rational_str(q["combo_incomparable"]),
+                "combo_standard": rational_str(q["combo_standard"]),
+                "checks": sandwich.checks,
+                "ok": sandwich.ok,
+            }, lambda: {
                 "tree": tree_to_json_dict(tree),
                 "blocks": [vector_to_json_dict(b) for b in blocks],
                 "coeffs": [rational_str(c) for c in coeffs],
             }
-        records.append(record)
-    return ExperimentReport(
-        "tsirelson_suite",
-        {"cases": cases, "seed": seed},
-        records,
-        time.monotonic() - start,
-    )
+
+    return _run("tsirelson_suite", {"cases": cases, "seed": seed}, records())
 
 
 WITNESS_COLUMNS = ("ground", "lower", "upper", "ratio")
@@ -221,20 +210,15 @@ def witness_row(tree, m, n):
 
 def run_hi_suite(pairs):
     """Strict-singularity witness table over (m, n) pairs."""
+    pairs = list(pairs)  # read twice: for params and for the records
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    records = []
-    start = time.monotonic()
-    for case, (m, n) in enumerate(pairs):
-        tree = star_tree(n)
-        row, ok = witness_row(tree, m, n)
-        record = {"case": case, "m": m, "n": n, **row, "ok": ok}
-        if not ok:
-            record["replay"] = {"tree": tree_to_json_dict(tree), "m": m, "n": n}
-        records.append(record)
-    return ExperimentReport(
-        "hi_suite",
-        {"pairs": [[m, n] for m, n in pairs]},
-        records,
-        time.monotonic() - start,
-    )
+
+    def records():
+        for m, n in pairs:
+            tree = star_tree(n)
+            row, ok = witness_row(tree, m, n)
+            yield ({"m": m, "n": n, **row, "ok": ok},
+                   lambda: {"tree": tree_to_json_dict(tree), "m": m, "n": n})
+
+    return _run("hi_suite", {"pairs": [[m, n] for m, n in pairs]}, records())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from baire_lab.trees import (
     random_tree,
     star_tree,
 )
-from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
+from baire_lab.vectors import BaseNorm, NormValue, TreeVector, unit_vector
 from baire_reference import reference_report
 from util import benchmark_size_vectors, random_case
 
@@ -380,6 +381,34 @@ def test_monotone_in_p_at_benchmark_sizes():
             values = [baire_norm(x, BaireParams(p, base)) for p in ps + [ZERO]]
             for big, small in zip(values, values[1:]):
                 assert big.upper >= small.lower, (token, big, small)
+
+
+def _agree(a, b):
+    """Equal when both are exact, else the intervals overlap."""
+    return a == b if a.is_exact and b.is_exact else a.overlaps(b)
+
+
+def test_homogeneity_signs_and_restriction_at_benchmark_sizes():
+    # |cx| = |c| |x|, flipping every other sign changes nothing, and
+    # restricting to every other support node raises nothing, for the Baire
+    # norm at every (base, p) and for ground_norm; a restriction passes when
+    # its lower end is at most the full vector's upper end
+    c = Fraction(-7, 3)
+    norms = [
+        partial(baire_norm, params=BaireParams(p, BaseNorm.parse(token)))
+        for token in ("sup", "l1", "l2", "l3/2")
+        for p in (ZERO, 1, Fraction(3, 2), 2)
+    ] + [lambda y: NormValue(ground_norm(y))]
+    for x in benchmark_size_vectors():
+        entries = sorted(x.entries.items())
+        flipped = TreeVector(x.tree, {t: -v if i % 2 else v for i, (t, v) in enumerate(entries)})
+        restricted = x.restrict([t for t, _ in entries[::2]])
+        for norm in norms:
+            v = norm(x)
+            scaled = NormValue(abs(c) * v.lower, abs(c) * v.upper)
+            assert _agree(norm(x.scale(c)), scaled), (norm, v)
+            assert _agree(norm(flipped), v), (norm, v)
+            assert norm(restricted).lower <= v.upper, (norm, v)
 
 
 def test_zero_variant_bounded_by_p_variant():

@@ -1,11 +1,21 @@
-"""The public surface: the package's __all__ and the CLI contract.
+"""The public surface: the package's __all__, the CLI contract, and the
+names the benchmark's tracer (bench/tracer.py) wraps.
 
 Both stay stable, or their changes are recorded in CHANGES.md; a change
 here is a change of that contract, not a refactor.
 """
 
+import importlib
+import os
+import sys
+
 import baire_lab
 from baire_lab.cli import build_parser
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import tracer  # noqa: E402
 
 PUBLIC_NAMES = [
     "BaireParams", "BaseNorm", "ExperimentReport", "FiniteBlockSequence",
@@ -41,3 +51,12 @@ def test_cli_commands_are_pinned():
     assert sorted(commands) == ["baire", "gen", "ground", "hi", "rank", "tsirelson", "verify"]
     assert sorted(_choices(commands["hi"], "hi_command")) == ["schedule", "witness"]
     assert list(_choices(commands["verify"], "suite")) == ["branch", "tsirelson", "hi"]
+
+
+def test_tracer_names_resolve():
+    # the tracer looks each name up with no default, so a name gone from
+    # src/ would crash every traced benchmark run
+    names = list(tracer.LAYERS) + list(tracer.CONSTRUCTORS)
+    assert names
+    for module, attribute in names:
+        assert hasattr(importlib.import_module("baire_lab." + module), attribute), attribute

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,20 @@ def test_enumeration_index_binary_alphabet():
     assert enumeration_index((1,), 1) == 2
     assert enumeration_index((0, 0), 1) == 3
     assert enumeration_index((1, 1), 1) == 6
+
+
+def test_enumeration_index_is_count_of_shorter_plus_rank():
+    # the bijective numeral against the count of shorter sequences plus the
+    # lexicographic rank among those of the same length, in closed form
+    for bound in (0, 1, 2, 5):
+        base = bound + 1
+        for length in range(5):
+            for node in itertools.product(range(base), repeat=length):
+                shorter = length if base == 1 else (base**length - 1) // (base - 1)
+                lex = 0
+                for entry in node:
+                    lex = lex * base + entry
+                assert enumeration_index(node, bound) == shorter + lex, (node, bound)
 
 
 def test_enumeration_index_rejects_out_of_alphabet():

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire_lab.trees import chain_tree, comb_tree, comparable, random_tree, star_tree
+from baire_lab.trees import (
+    FiniteTree,
+    chain_tree,
+    comb_tree,
+    comparable,
+    make_tree,
+    random_tree,
+    star_tree,
+)
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
@@ -269,6 +277,66 @@ def _outputs(x, variant, order, norm, witness, check, iterate):
 _SHARED = (tsirelson_norm, tsirelson_witness_tree, check_fixed_point, tsirelson_iterate)
 _REFERENCE = (reference_norm, reference_witness_tree, reference_check_fixed_point,
               reference_iterate)
+
+
+def _deep_vectors():
+    """Supports that reach deeper than their size: five nodes of
+    chain_tree(40) down to depth 39, and paths up to 30 deep with labels
+    near 10**50, whose indices have about 1,500 digits."""
+    rng = random.Random(21)
+    chain = chain_tree(40)
+    for _ in range(4):
+        depths = rng.sample(range(39), 4) + [39]
+        yield TreeVector(chain, {(0,) * d: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                 for d in depths})
+    for _ in range(8):
+        paths = [
+            tuple(10**50 + rng.randrange(4) for _ in range(rng.randint(1, 30)))
+            for _ in range(rng.randint(2, 5))
+        ]
+        tree = make_tree(paths)
+        supp = rng.sample(tree.sorted_nodes(), rng.randint(2, min(7, len(tree))))
+        yield TreeVector(tree, {
+            t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1]) for t in supp
+        })
+
+
+def test_engines_read_no_index_past_the_support_size(monkeypatch):
+    # the index-clamp lemma: an index is read only as a bound on k <= n,
+    # and a node of depth >= n has index >= n, so no engine asks for it
+    asked = []
+    index = FiniteTree.index
+
+    def recording(tree, node):
+        asked.append(tuple(node))
+        return index(tree, node)
+
+    cases = list(_deep_vectors())
+    want = {
+        (i, variant): _outputs(x, variant, ("norm", "witness", "check", "iterate"), *_REFERENCE)
+        for i, x in enumerate(cases)
+        for variant in (INCOMPARABLE, STANDARD)
+    }
+    monkeypatch.setattr(FiniteTree, "index", recording)
+    for i, x in enumerate(cases):
+        n = len(x.entries)
+        for variant in (INCOMPARABLE, STANDARD):
+            tsirelson_norm(TreeVector(star_tree(2), {(0,): 1}), variant)  # evict the shared engine
+            asked.clear()
+            got = _outputs(x, variant, ("norm", "witness", "check", "iterate"), *_SHARED)
+            assert got == want[i, variant], (i, variant)
+            assert all(len(t) < n for t in asked), (i, variant, max(map(len, asked)))
+
+
+def test_ctx_index_is_clamped_at_the_support_size():
+    cases = list(_deep_vectors())
+    cases += [random_case(seed, max_nodes=16, max_support=12)[1] for seed in range(60)]
+    for x in cases:
+        if not x.entries:
+            continue
+        ctx = _Ctx(x)
+        tree = x.tree
+        assert ctx.idx == tuple(min(tree.index(t), ctx.n) for t in ctx.nodes)
 
 
 def test_matches_reference_engines():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from baire_lab import verify
 from baire_lab.hi import DESK_PAIRS
 from baire_lab.tsirelson import verify_lemma_II1, verify_sandwich18
 from baire_lab.trees import tree_from_json_dict
-from baire_lab.vectors import BaseNorm, TreeVector
+from baire_lab.vectors import BaseNorm, NormValue, TreeVector
 from baire_lab.verify import (
+    _case_blocks,
     run_branch_isometry,
     run_hi_suite,
     run_tsirelson_suite,
@@ -86,7 +88,7 @@ def test_tsirelson_failure_bundle_replays():
     rec = r.records[0]
     assert "replay" not in rec  # passing cases carry no bundle
     # a replay bundle from a hand-built report round-trips through JSON
-    from baire_lab.verify import _case_blocks, vector_to_json_dict
+    from baire_lab.verify import vector_to_json_dict
     from baire_lab.trees import tree_to_json_dict
 
     tree, blocks, coeffs = _case_blocks(rec["case_seed"])
@@ -109,6 +111,35 @@ def test_tsirelson_failure_bundle_replays():
     assert verify_sandwich18(tree2, blocks2, coeffs2).ok
 
 
+def test_failure_bundles_are_each_cases_own(monkeypatch):
+    # every case fails, so a replay bundle is built for each one, last in
+    # its record, from that case's own inputs
+    norm, sandwich = verify.baire_norm, verify.verify_sandwich18
+    witness = verify.strict_singularity_witness
+    monkeypatch.setattr(verify, "baire_norm", lambda x, p: NormValue(norm(x, p).upper + 1))
+    for rec in run_branch_isometry(8, cases=12, seed=0).records:
+        tree, _ = tree_from_json_dict(rec["replay"]["tree"])
+        values = [Fraction(v) for _, v in rec["replay"]["vector"]["entries"]]
+        assert len(tree) == rec["length"]
+        assert [str(e) for e in BaseNorm.ell(1).aggregate_abs(values)] == rec["expected"]
+
+    def failing_sandwich(tree, blocks, coeffs):
+        rep = sandwich(tree, blocks, coeffs)
+        rep.checks["right_18"] = False
+        return rep
+
+    monkeypatch.setattr(verify, "verify_sandwich18", failing_sandwich)
+    for rec in run_tsirelson_suite(6, seed=4).records:
+        _, _, coeffs = _case_blocks(rec["case_seed"])
+        assert rec["replay"]["coeffs"] == [str(c) for c in coeffs]
+    monkeypatch.setattr(verify, "strict_singularity_witness",
+                        lambda tree, n, m: dict(witness(tree, n, m), ground=0))
+    records = run_hi_suite([(2, 4), (2, 8), (3, 9)]).records
+    assert all(list(rec)[0] == "case" and list(rec)[-1] == "replay" for rec in records)
+    assert [(rec["replay"]["m"], rec["replay"]["n"], len(rec["replay"]["tree"]["nodes"]))
+            for rec in records] == [(2, 4, 5), (2, 8, 9), (3, 9, 10)]
+
+
 def test_hi_suite_table():
     r = run_hi_suite([(2, 4), (2, 8), (2, 16)])
     assert r.passed
@@ -126,6 +157,11 @@ def test_hi_suite_degenerate_pair():
 def test_hi_suite_validates():
     with pytest.raises(ValueError):
         run_hi_suite([])
+    with pytest.raises(ValueError):
+        run_hi_suite(iter([]))
+    # any iterable of pairs: params and records both see every pair
+    r = run_hi_suite(iter([(2, 4)]))
+    assert r.params == {"pairs": [[2, 4]]} and len(r.records) == 1
 
 
 def test_report_json_shape():
