@@ -17,9 +17,22 @@ root_floor, as root/2**shift and (root + 1)/2**shift within relative
 width 2**-ROOT_BITS.  pow_bounds is pow_ends on the two ends of a
 Fraction interval, and nth_root_bounds is pow_bounds at 1/n; the Baire
 DP calls pow_ends on integers over its own grid.
+
+pow_ends takes few and short b-th roots by two lemmas, proved in its
+docstring and in integer_nth_root's:
+
+- residue filter: A/scale is a rational b-th power exactly when
+  A * scale**(b - 1) is an integer b-th power, so an end whose
+  A * scale**(b - 1) is not a b-th power modulo a product of small primes
+  is inexact without a gcd or a root;
+- seeded Newton: integer Newton from any start at or above the floor root
+  ends at the floor root, and the floor root never decreases as the
+  radicand grows, so the ends are walked in descending order and each
+  root starts from the last one at the same shift.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from baire_lab.trees import Segment
@@ -27,9 +40,26 @@ from baire_lab.trees import Segment
 # relative interval width for irrational roots: 2**-ROOT_BITS
 ROOT_BITS = 48
 
+# entries in one residue table of pow_ends' filter, at most
+RESIDUES_MAX = 2000
 
-def integer_nth_root(x, n):
-    """Floor of the n-th root of a nonnegative integer."""
+
+def integer_nth_root(x, n, start=None):
+    """Floor of the n-th root of a nonnegative integer x, by integer Newton
+    from start, an integer at least that floor, or from the power of two
+    above the root when start is None or larger.
+
+    Newton from any r >= R = floor(x**(1/n)) ends at R.  A step takes r to
+    r' = ((n - 1) * r + x // r**(n - 1)) // n, which is the floor of
+    mean = ((n - 1) * r + x / r**(n - 1)) / n, since (n - 1) * r and n are
+    integers.  That is the arithmetic mean of n - 1 copies of r and
+    x / r**(n - 1), whose geometric mean is x**(1/n), so r' >= R.  If r > R,
+    then r > x**(1/n), so x / r**(n - 1) < r and mean < r, so r' < r.
+    Hence the steps decrease strictly while r > R, never pass below R, and
+    stop (r' >= r) at r = R.
+    The default start 2**ceil(bits/n) is above x**(1/n), since x < 2**bits.
+    Square and fourth roots are isqrt's and ignore start.
+    """
     if x < 0:
         raise ValueError("negative radicand")
     if n == 2:
@@ -40,17 +70,16 @@ def integer_nth_root(x, n):
     if x == 0:
         return 0
     r = 1 << ((x.bit_length() + n - 1) // n)
+    if start is not None and start < r:
+        r = start
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**n > x:
-        r -= 1
-    return r
 
 
-def root_floor(num, den, n):
+def root_floor(num, den, n, shift=ROOT_BITS, start=None):
     """The floor-root kernel: (root, shift) for positive integers num, den,
     with root = floor(2**shift * (num/den)**(1/n)) at the least shift in
     ROOT_BITS, 2 * ROOT_BITS, ... at which root >= 2**ROOT_BITS.
@@ -59,11 +88,54 @@ def root_floor(num, den, n):
     the rational.  The shift is found without a root: root >= 2**ROOT_BITS
     exactly when num * 2**(n * shift) // den >= 2**(n * ROOT_BITS), that is
     when num << n * (shift - ROOT_BITS) >= den.
+
+    A walk over descending values passes back the (root, shift) this kernel
+    gave at the last, larger value, as start and shift.  A smaller value
+    needs a shift at least as large, so the search starts there; if the
+    shift stays, the radicand is at most the last one, so start is at least
+    the floor root here and Newton starts from it (see integer_nth_root).
     """
-    shift = ROOT_BITS
+    if num <= 0 or den <= 0:
+        raise ValueError("root_floor needs positive integers")
     while num << (n * (shift - ROOT_BITS)) < den:
         shift += ROOT_BITS
-    return integer_nth_root((num << (n * shift)) // den, n), shift
+        start = None
+    return integer_nth_root((num << (n * shift)) // den, n, start), shift
+
+
+@lru_cache(maxsize=64)
+def residue_table(b):
+    """(m, the b-th powers modulo m, 0 among them) for pow_ends' filter:
+    m is the product of the least primes q = 1 (mod b), taken in order
+    while the table holds at most RESIDUES_MAX entries.
+
+    For such a q the nonzero b-th powers modulo q are the subgroup of order
+    (q - 1)/b of the cyclic group of units, the image of x -> x**b; x**b
+    generates it when its order is (q - 1)/b, as it is for a primitive
+    root x.  By the Chinese remainder theorem the b-th powers modulo m are
+    the residues that are b-th powers modulo every q.
+    """
+    m, table = 1, [0]
+    q = 1
+    while True:
+        q += b
+        if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+            continue
+        k = (q - 1) // b
+        if len(table) * (k + 1) > RESIDUES_MAX:
+            return m, frozenset(table)
+        for x in range(2, q):
+            h = y = pow(x, b, q)
+            powers = [0, 1]
+            while y != 1:
+                powers.append(y)
+                y = y * h % q
+            if len(powers) == k + 1:
+                break
+        # the CRT lift of residue r modulo m and t modulo q
+        inv = pow(m, -1, q)
+        table = [r + m * ((t - r) * inv % q) for r in table for t in powers]
+        m *= q
 
 
 def pow_ends(ends, scale, exponent):
@@ -86,6 +158,19 @@ def pow_ends(ends, scale, exponent):
     powers, r**b and s**b, and it is then r**a / s**a.  The test on
     scale/g is made once per g; A = 0 has g = scale and is exact.
 
+    Residue filter: A/scale is a rational b-th power exactly when
+    N = A * scale**(b - 1) is an integer b-th power.  If A/scale = (r/s)**b
+    then N = (r * scale / s)**b, an integer whose b-th root is rational and
+    so an integer; if N = t**b then A/scale = (t/scale)**b.  An integer
+    b-th power is a b-th power modulo any m, so an end whose N mod m is not
+    in residue_table(b) is inexact and skips the gcd test; every exact end,
+    A = 0 among them (0 is in every table), still takes it.  A prime of m
+    that divides scale filters nothing, since N is 0 modulo it.
+
+    Seeded Newton: the ends are walked in descending order, and each
+    inexact one passes root_floor the (root, shift) it gave at the last
+    inexact one, a larger value (see root_floor).
+
     mscale is the lcm of the denominators s**a and 2**shift, which need
     not be the reduced ones; a value that leaves as a Fraction reduces,
     so the grid does not show in any output.
@@ -94,21 +179,25 @@ def pow_ends(ends, scale, exponent):
     scale_a = scale**a
     if b == 1:
         return scale_a, {A: (A**a,) * 2 for A in ends}
+    m, residues = residue_table(b)
+    c = pow(scale, b - 1, m)
     den_root = {}  # g -> the b-th root of scale // g, or None
     raw = {}
-    for A in ends:
-        g = gcd(A, scale)
-        if g not in den_root:
-            s = scale // g
-            r = integer_nth_root(s, b)
-            den_root[g] = r if r**b == s else None
-        rs = den_root[g]
-        if rs is not None:
-            r = integer_nth_root(A // g, b)
-            if r**b == A // g:
-                raw[A] = (r**a, r**a, rs**a)
-                continue
-        root, shift = root_floor(A**a, scale_a, b)
+    root, shift = None, ROOT_BITS  # root_floor's at the last inexact end
+    for A in sorted(ends, reverse=True):
+        if A * c % m in residues:
+            g = gcd(A, scale)
+            if g not in den_root:
+                s = scale // g
+                r = integer_nth_root(s, b)
+                den_root[g] = r if r**b == s else None
+            rs = den_root[g]
+            if rs is not None:
+                r = integer_nth_root(A // g, b)
+                if r**b == A // g:
+                    raw[A] = (r**a, r**a, rs**a)
+                    continue
+        root, shift = root_floor(A**a, scale_a, b, shift, root)
         raw[A] = (root, root + 1, 1 << shift)
     mscale = lcm(*{d for _, _, d in raw.values()})
     return mscale, {

@@ -1,5 +1,6 @@
 """The no-floating-point guardrail: the computation modules contain no
-float literal, no float() call and no math.sqrt, pow, log or exp."""
+float literal, no float() call, no float function of math (sqrt, cbrt,
+pow, log, log2, log10, exp, exp2, hypot, fsum) and no import of decimal."""
 
 import ast
 import os
@@ -9,7 +10,7 @@ import pytest
 import baire_lab
 
 MODULES = ("trees", "vectors", "baire", "tsirelson", "hi", "sequences")
-MATH_FLOATS = {"sqrt", "pow", "log", "exp"}
+MATH_FLOATS = {"sqrt", "cbrt", "pow", "log", "log2", "log10", "exp", "exp2", "hypot", "fsum"}
 
 
 def _float_uses(tree):
@@ -26,6 +27,12 @@ def _float_uses(tree):
             for alias in node.names:
                 if alias.name in MATH_FLOATS:
                     yield node.lineno, "from math import %s" % alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "decimal":
+            yield node.lineno, "from decimal import"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "decimal":
+                    yield node.lineno, "import decimal"
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -40,3 +47,12 @@ def test_float_uses_are_found():
     source = "import math\nfrom math import sqrt\nx = 0.5 + float(2) + math.log(3)\n"
     found = [what for _, what in _float_uses(ast.parse(source))]
     assert sorted(found) == ["float literal 0.5", "float()", "from math import sqrt", "math.log"]
+    source = (
+        "import math, decimal\nfrom decimal import Decimal\nfrom math import cbrt, fsum, isqrt\n"
+        "y = math.cbrt(8) + math.exp2(3) + math.log2(8) + math.log10(10) + math.hypot(3, 4)\n"
+    )
+    found = [what for _, what in _float_uses(ast.parse(source))]
+    assert sorted(found) == [
+        "from decimal import", "from math import cbrt", "from math import fsum", "import decimal",
+        "math.cbrt", "math.exp2", "math.hypot", "math.log10", "math.log2",
+    ]

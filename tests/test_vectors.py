@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +144,140 @@ def test_pow_ends_matches_reference():
             deep += lo != hi and expected[0] < Fraction(1, 1 << ROOT_BITS)
     # both exact roots and multi-round shifts were reached
     assert exact > 100 and deep > 100, (exact, deep)
+
+
+def _cold_pow_ends(ends, scale, exponent):
+    """pow_ends before the residue filter and the seeded walk: the gcd test
+    on every end, and each inexact root from a cold start."""
+    a, b = exponent.numerator, exponent.denominator
+    scale_a = scale**a
+    den_root, raw = {}, {}
+    for A in ends:
+        g = gcd(A, scale)
+        if g not in den_root:
+            r = ref.integer_nth_root(scale // g, b)
+            den_root[g] = r if r**b == scale // g else None
+        rs = den_root[g]
+        r = ref.integer_nth_root(A // g, b)
+        if rs is not None and r**b == A // g:
+            raw[A] = (r**a, r**a, rs**a)
+        else:
+            root, shift = root_floor(A**a, scale_a, b)
+            raw[A] = (root, root + 1, 1 << shift)
+    mscale = lcm(*{d for _, _, d in raw.values()})
+    return mscale, {A: (lo * (mscale // d), hi * (mscale // d)) for A, (lo, hi, d) in raw.items()}
+
+
+def _reachable_degrees():
+    """Every root degree b > 1 the CLI can reach: the denominator of
+    p * (1/Q) and of Q, for --p and --base lQ with numerators and
+    denominators at most EXPONENT_MAX."""
+    span = range(1, EXPONENT_MAX + 1)
+    ps = {Fraction(a, b) for a in span for b in span}
+    qs = {q for q in ps if q >= 1}
+    degrees = {(p / q).denominator for p in ps for q in qs} | {q.denominator for q in qs}
+    return sorted(degrees - {1})
+
+
+def test_integer_nth_root_from_any_start_at_or_above_the_floor():
+    rng = random.Random(23)
+    for n in range(3, 65):
+        for bits in (1, 40, 200, 700):
+            x = rng.getrandbits(bits) | 1
+            root = ref.integer_nth_root(x, n)
+            for start in (root, root + 1, 2 * root, root << 40, x + 1, 1 << (x.bit_length() + 9)):
+                assert integer_nth_root(x, n, start) == root, (x, n, start)
+            assert integer_nth_root(root**n, n, root + 1) == root
+            assert integer_nth_root((root + 1) ** n - 1, n, root + 1) == root
+
+
+def test_root_floor_rejects_nonpositive_input():
+    # 0 << k < den for every k: the shift search would never end
+    for num, den in ((0, 1), (0, 5), (-1, 1), (1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            root_floor(num, den, 3)
+
+
+def test_pow_ends_zero_is_exact_at_every_degree():
+    for b in range(2, 65):
+        assert 0 in vectors.residue_table(b)[1]
+        for a in (1, b + 1):
+            for scale in (1, 7, 10**30 + 3):
+                mscale, bounds = pow_ends({0, scale}, scale, Fraction(a, b))
+                assert bounds == {0: (0, 0), scale: (mscale, mscale)}
+
+
+def test_pow_ends_dense_ends_match_reference():
+    """Hundreds of ends at one shift, interval pairs (A, A + 1), and ends
+    on both sides of a shift round, against the reference and against the
+    cold walk, grid included."""
+    rng = random.Random(29)
+    for e in [Fraction(s) for s in ("1/2", "3/2", "1/3", "2/3", "4/3", "3/4", "2/5", "5/7", "7/8")]:
+        b = e.denominator
+        wide = (1 << (ROOT_BITS * b + 30)) + rng.getrandbits(40)
+        for scale in (rng.randint(2, 10**6), rng.randint(1, 40) ** b * 6, rng.getrandbits(96) | 1, wide):
+            ends = {rng.randint(scale // 2, 3 * scale) for _ in range(300)}
+            ends |= {A + 1 for A in rng.sample(sorted(ends), 50)}
+            # a value of 1, and with the wide scale a value of 2**(-ROOT_BITS * b),
+            # start a shift round
+            for edge in (scale, -(-scale >> (ROOT_BITS * b))):
+                ends |= set(range(max(edge - 20, 0), edge + 20))
+            ends |= {t**b * scale // 4**b for t in range(1, 40)}
+            mscale, bounds = pow_ends(ends, scale, e)
+            assert (mscale, bounds) == _cold_pow_ends(ends, scale, e), (scale, e)
+            for A in rng.sample(sorted(ends), 60):
+                value = Fraction(A, scale)
+                lo, hi = bounds[A]
+                assert (Fraction(lo, mscale), Fraction(hi, mscale)) == ref.pow_bounds(value, value, e)
+
+
+def test_pow_ends_output_does_not_depend_on_the_order_of_ends():
+    from itertools import permutations
+
+    rng = random.Random(31)
+    scale = 3**6 * 10
+    small = [0, scale * 8, scale * 8 + 1, scale // 2, 5]
+    dense = [rng.randint(1, 4 * scale) for _ in range(200)] + [scale * 27 // 8]
+    for e in (Fraction(1, 3), Fraction(2, 3), Fraction(5, 6), Fraction(3, 2)):
+        expected = pow_ends(set(small), scale, e)
+        for order in permutations(small):
+            assert pow_ends(order, scale, e) == expected
+        expected = pow_ends(set(dense), scale, e)
+        for _ in range(20):
+            rng.shuffle(dense)
+            assert pow_ends(dense, scale, e) == expected
+
+
+def test_residue_filter_is_sound_at_every_reachable_degree():
+    """Ends g * t**b over scale g * s**b are exact and their +-1 neighbours
+    are not, at every degree the CLI reaches (b <= 64), all equal to the
+    reference; no residue table holds more than RESIDUES_MAX entries."""
+    degrees = _reachable_degrees()
+    assert max(degrees) == EXPONENT_MAX**2 and 49 in degrees
+    rng = random.Random(37)
+    for b in degrees:
+        m, table = vectors.residue_table(b)
+        assert m > 1 and len(table) <= vectors.RESIDUES_MAX
+        a = next(a for a in (rng.randint(1, 7), 1) if gcd(a, b) == 1)
+        e = Fraction(a, b)
+        for g in (1, 6, rng.randint(2, 10**6)):
+            s = rng.randint(2, 9)
+            scale = g * s**b
+            exact = {g * t**b for t in rng.sample(range(2, 60), 4)}
+            near = {A + d for A in exact for d in (-1, 1)}
+            mscale, bounds = pow_ends(exact | near, scale, e)
+            for A in exact | near:
+                lo, hi = bounds[A]
+                assert (lo == hi) == (A in exact), (A, scale, e)
+                value = Fraction(A, scale)
+                assert (Fraction(lo, mscale), Fraction(hi, mscale)) == ref.pow_bounds(value, value, e)
+
+
+def test_residue_tables_hold_exactly_the_powers():
+    for b in range(2, 65):
+        m, table = vectors.residue_table(b)
+        if m <= 10**5:
+            assert table == {pow(x, b, m) for x in range(m)}, b
 
 
 def _two_call_pow_bounds(lo, hi, exponent):
