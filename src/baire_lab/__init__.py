@@ -42,7 +42,6 @@ from baire_lab.hi import (
 )
 from baire_lab.sequences import (
     FiniteBlockSequence,
-    equivalence_ratio_bounds,
     generate_incomparable_blocks,
     unconditionality_constant_lower,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "ground_norm", "schedule", "dg_lower_bound", "dg_upper_bound",
     "strict_singularity_witness",
     "FiniteBlockSequence", "generate_incomparable_blocks",
-    "equivalence_ratio_bounds", "unconditionality_constant_lower",
+    "unconditionality_constant_lower",
     "ExperimentReport", "run_branch_isometry", "run_tsirelson_suite",
     "run_hi_suite",
 ]

@@ -396,14 +396,23 @@ def main(argv=None):
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
+        code = globals()["cmd_" + args.command](args)
+        # a broken pipe on the last write shows here, not at exit
+        sys.stdout.flush()
+        return code
     except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        return _error("error: %s" % e)
     except Exception as e:
         # exit 1 means only "verification failed"
-        print("error: internal: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 2
+        return _error("error: internal: %s: %s" % (type(e).__name__, e))
+
+
+def _error(message):
+    """Exit code 2, with message on stderr if stderr can still take it: an
+    OSError from a closed stream must not leave main as an exit code 1."""
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

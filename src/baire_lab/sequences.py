@@ -1,16 +1,9 @@
-"""Block sequences: the one validator, seeded generation, and
-equivalence-constant and unconditionality lower bounds.
+"""Block sequences: the one validator, seeded generation, and a lower
+bound on the unconditionality constant.
 
 FiniteBlockSequence is the one check of what a block sequence is: the
 Tsirelson block checks, the Baire block profile and the generator here
 all build one.
-
-Equivalence constants are certified from below only: the true constant
-is a sup over all coefficient directions, and every inequality verified
-here compares two exactly computed norms at explicit coefficient
-vectors, where a lower bound is what is needed.  The sampling family is
-fixed (sign patterns, indicator patterns, seeded rationals) so that all
-outputs are deterministic functions of (inputs, seed).
 
 Every norm argument is a plain callable x -> Fraction | NormValue, such
 as ground_norm or partial(tsirelson_norm, variant=INCOMPARABLE).
@@ -24,7 +17,6 @@ from baire_lab.hi import ground_norm
 from baire_lab.trees import completely_incomparable
 from baire_lab.vectors import NormValue, TreeVector, linear_combination
 
-SIGN_PATTERN_LENGTH_CAP = 10
 UNCONDITIONAL_CAP = 12
 
 
@@ -81,8 +73,9 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
 
     Leaves are pairwise incomparable, so grouping them by enumeration
     order yields completely incomparable supports in increasing windows.
-    Each block is rescaled so its norm is exactly 1 when the norm is
-    rational, and lands in [1/2, 2] otherwise.
+    Each block is divided by the midpoint of its norm's bounds, so its norm
+    is exactly 1 when the norm is rational (the bounds meet), and lands in
+    [1/2, 2] otherwise.
     """
     if count < 1:
         raise ValueError("empty block sequence")
@@ -106,65 +99,8 @@ def generate_incomparable_blocks(tree, count, seed, norm=ground_norm):
             )
         block = TreeVector(tree, entries)
         value = _value(norm, block)
-        if value.is_exact:
-            block = block.scale(1 / value.exact)
-        else:
-            # pick a rational scale landing the interval inside [1/2, 2]
-            mid = (value.lower + value.upper) / 2
-            block = block.scale(1 / mid)
-        blocks.append(block)
+        blocks.append(block.scale(2 / (value.lower + value.upper)))
     return FiniteBlockSequence(blocks)
-
-
-def _coefficient_family(n, trials, seed):
-    """Fixed deterministic coefficient sample: signs, indicators, rationals."""
-    seen = set()
-    out = []
-
-    def push(vec):
-        vec = tuple(Fraction(v) for v in vec)
-        if any(vec) and vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-
-    if n <= SIGN_PATTERN_LENGTH_CAP:
-        for signs in itertools.product((1, -1), repeat=n):
-            push(signs)
-        for picks in itertools.product((0, 1), repeat=n):
-            push(picks)
-    else:
-        push([1] * n)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        push(
-            [
-                Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-                for _ in range(n)
-            ]
-        )
-    return out
-
-
-def equivalence_ratio_bounds(A, normA, B, normB, trials, seed):
-    """Certified lower bound on the equivalence constant between two block
-    sequences, with the witnessing coefficient vector."""
-    if len(A) != len(B):
-        raise ValueError("block sequences must have equal length")
-    n = len(A)
-    best = Fraction(0)
-    witness = None
-    for coeffs in _coefficient_family(n, trials, seed):
-        va = _value(normA, A.combine(coeffs))
-        vb = _value(normB, B.combine(coeffs))
-        if vb.upper > 0:
-            ratio = va.lower / vb.upper
-            if ratio > best:
-                best, witness = ratio, coeffs
-        if va.upper > 0:
-            ratio = vb.lower / va.upper
-            if ratio > best:
-                best, witness = ratio, coeffs
-    return best, witness
 
 
 def unconditionality_constant_lower(A, norm, trials=5, seed=0):

@@ -109,11 +109,9 @@ def residue_table(b):
     m is the product of the least primes q = 1 (mod b), taken in order
     while the table holds at most RESIDUES_MAX entries.
 
-    For such a q the nonzero b-th powers modulo q are the subgroup of order
-    (q - 1)/b of the cyclic group of units, the image of x -> x**b; x**b
-    generates it when its order is (q - 1)/b, as it is for a primitive
-    root x.  By the Chinese remainder theorem the b-th powers modulo m are
-    the residues that are b-th powers modulo every q.
+    The b-th powers modulo each q are found by raising every residue.  By
+    the Chinese remainder theorem the b-th powers modulo m are the residues
+    that are b-th powers modulo every q.
     """
     m, table = 1, [0]
     q = 1
@@ -121,17 +119,9 @@ def residue_table(b):
         q += b
         if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
             continue
-        k = (q - 1) // b
-        if len(table) * (k + 1) > RESIDUES_MAX:
+        powers = {pow(x, b, q) for x in range(q)}
+        if len(table) * len(powers) > RESIDUES_MAX:
             return m, frozenset(table)
-        for x in range(2, q):
-            h = y = pow(x, b, q)
-            powers = [0, 1]
-            while y != 1:
-                powers.append(y)
-                y = y * h % q
-            if len(powers) == k + 1:
-                break
         # the CRT lift of residue r modulo m and t modulo q
         inv = pow(m, -1, q)
         table = [r + m * ((t - r) * inv % q) for r in table for t in powers]

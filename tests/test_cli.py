@@ -202,6 +202,41 @@ def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     assert err == "error: internal: RuntimeError: unexpected state\n"
 
 
+class ClosedPipe:
+    """A stream whose reader has gone: writes raise, or only the flush does
+    and the writes are kept in text."""
+
+    def __init__(self, at_flush=False):
+        self.at_flush = at_flush
+        self.text = ""
+
+    def write(self, s):
+        if not self.at_flush:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += s
+        return len(s)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_streams_exit_2(tmp_path, monkeypatch):
+    # `baire-lab ... 2>&1 | head -c 3` closes stdout and stderr at once:
+    # the error line cannot be written either, and the exit code stays 2
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(3))))
+    argv = ["rank", "--tree", str(t), "--json"]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", ClosedPipe())
+    assert main(argv) == 2
+    # a pipe that closes only by the last write's flush gives 2 as well
+    err = ClosedPipe(at_flush=True)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(at_flush=True))
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv) == 2
+    assert err.text == "error: internal: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 # each command's library entry point on cli, and a command line that reaches it
 ENTRY_POINTS = [
     ("baire_norm_report", ["baire", "--tree", "{t}", "--vector", "{x}"]),
