@@ -204,7 +204,11 @@ def baire_norm(x, params):
 
 
 def _candidate_segments(x):
-    """Segments with both endpoints in supp(x); every family reduces to these."""
+    """Segments with both endpoints in supp(x); every family reduces to these.
+
+    A segment's shortest and longest nodes are its endpoints, so distinct
+    pairs (s, t) give distinct segments.
+    """
     supp = sorted(x.support, key=len)
     out = []
     for s in supp:
@@ -212,13 +216,7 @@ def _candidate_segments(x):
             if is_prefix(s, t):
                 nodes = [t[:i] for i in range(len(s), len(t) + 1)]
                 out.append(Segment(x.tree, nodes))
-    seen = set()
-    unique = []
-    for seg in out:
-        if seg.nodes not in seen:
-            seen.add(seg.nodes)
-            unique.append(seg)
-    return unique
+    return out
 
 
 def baire_norm_oracle_report(x, params, cap=12):

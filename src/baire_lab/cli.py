@@ -20,6 +20,8 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from itertools import compress, count
+from operator import ne
 
 from baire_lab.baire import BaireParams, baire_norm_report
 from baire_lab.hi import DESK_PAIRS, ground_norm, schedule
@@ -27,10 +29,11 @@ from baire_lab.trees import (
     chain_tree,
     comb_tree,
     node_from_json,
+    paths_from_json_dict,
     random_tree,
     rank,
     star_tree,
-    tree_from_json_dict,
+    tree_from_paths,
     tree_to_json_dict,
 )
 from baire_lab.tsirelson import (
@@ -52,11 +55,6 @@ from baire_lab.verify import (
 )
 
 
-class InputError(ValueError):
-    """Malformed file or flag value, with the context the library's own
-    ValueError lacks; like every ValueError, it maps to exit code 2."""
-
-
 # n_3 has 1,517 decimal digits; n_4 would have about 2.8 million, far past
 # the int-to-str conversion limit
 SCHEDULE_JMAX = 3
@@ -69,7 +67,8 @@ PAIRS_NMAX = 128
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
 # (a 3,000-entry node takes about 0.1 GB to load); this bounds tree-file
 # nodes, verify branch --max-len and the node count of every gen shape (a
-# random tree may be one chain)
+# random tree may be one chain), and DEPTH_MAX**2 bounds the entries of a
+# tree file's prefix closure, which gen comb --n DEPTH_MAX reaches
 DEPTH_MAX = 3000
 
 # verify branch and verify tsirelson hold every record until the report is
@@ -90,9 +89,27 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e))
-    except ValueError as e:
-        raise InputError("malformed JSON in %s: %s" % (path, e))
+        raise ValueError("cannot read %s: %s" % (path, e))
+    except (ValueError, RecursionError) as e:
+        # RecursionError: arrays or objects nested past the recursion limit
+        raise ValueError("malformed JSON in %s: %s" % (path, e))
+
+
+def _closure_entries(paths):
+    """The entries of all nodes of the prefix closure of the paths, counted
+    without building it: in sorted order, each path adds its prefixes
+    longer than its common prefix with the path before it."""
+    total, last = 0, ()
+    for p in sorted(paths):
+        # the common prefix is where they first differ; in a prefix-closed
+        # file the path before p extends p's parent, so look from there
+        k = max(min(len(p) - 1, len(last)), 0)
+        if last[:k] != p[:k]:
+            k = 0
+        common = next(compress(count(k), map(ne, last[k:], p[k:])), min(len(last), len(p)))
+        total += (len(p) * (len(p) + 1) - common * (common + 1)) // 2
+        last = p
+    return total
 
 
 def _load_tree(path):
@@ -100,14 +117,24 @@ def _load_tree(path):
     if isinstance(data, dict) and isinstance(data.get("nodes"), list):
         depth = max((len(t) for t in data["nodes"] if isinstance(t, list)), default=0)
         if depth > DEPTH_MAX:
-            raise InputError(
+            raise ValueError(
                 "tree in %s is too deep: a node has %d entries, at most %d are allowed"
                 % (path, depth, DEPTH_MAX)
             )
     try:
-        tree, closure_added = tree_from_json_dict(data)
-    except (ValueError, TypeError) as e:
-        raise InputError("invalid tree in %s: %s" % (path, e))
+        paths = paths_from_json_dict(data)
+    except ValueError as e:
+        raise ValueError("invalid tree in %s: %s" % (path, e))
+    # the paths' own prefixes, shared ones counted again, bound the
+    # closure's entries from above: count exactly only past the bound
+    if sum(len(p) * (len(p) + 1) // 2 for p in paths) > DEPTH_MAX**2:
+        entries = _closure_entries(paths)
+        if entries > DEPTH_MAX**2:
+            raise ValueError(
+                "tree in %s is too large: its prefix closure has %d entries,"
+                " at most %d are allowed" % (path, entries, DEPTH_MAX**2)
+            )
+    tree, closure_added = tree_from_paths(paths)
     if closure_added:
         print("note: prefix closure added missing nodes", file=sys.stderr)
     return tree
@@ -129,13 +156,13 @@ def _rational(value):
 def _load_vector(path, tree):
     data = _load_json(path)
     if not isinstance(data, dict) or "entries" not in data:
-        raise InputError('vector file %s needs an "entries" key' % path)
+        raise ValueError('vector file %s needs an "entries" key' % path)
     entries = {}
     try:
         for node, value in data["entries"]:
             entries[node_from_json(node)] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise InputError("invalid vector in %s: %s" % (path, e))
+        raise ValueError("invalid vector in %s: %s" % (path, e))
     return TreeVector(tree, entries)
 
 
@@ -143,7 +170,7 @@ def _write_or_print(payload, out):
     try:
         target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as e:
-        raise InputError("cannot write %s: %s" % (out, e))
+        raise ValueError("cannot write %s: %s" % (out, e))
     # json.dump writes chunk by chunk: the whole string of a 3,000-deep
     # comb took 0.9 GB
     with target as fh:
@@ -164,11 +191,11 @@ def _exponent(flag, text, exponent):
     try:
         value = _rational(exponent)
     except (ValueError, ZeroDivisionError):
-        raise InputError(
+        raise ValueError(
             "%s %s: %r is not a rational a/b or a plain decimal" % (flag, text, exponent)
         )
     if max(abs(value.numerator), value.denominator) > EXPONENT_MAX:
-        raise InputError(
+        raise ValueError(
             "%s %s is too large: the exponent's numerator and denominator"
             " may be at most %d" % (flag, text, EXPONENT_MAX)
         )
@@ -237,12 +264,12 @@ def cmd_gen(args):
     # or branchings whose trees the loader refuses or cannot be drawn
     flag, size = ("--max-nodes", args.max_nodes) if args.shape == "random" else ("--n", args.n)
     if size > DEPTH_MAX:
-        raise InputError("%s %d is too large: %s trees take at most %d"
+        raise ValueError("%s %d is too large: %s trees take at most %d"
                          % (flag, size, args.shape, DEPTH_MAX))
     if args.max_branch < 1:
-        raise InputError("--max-branch must be >= 1")
+        raise ValueError("--max-branch must be >= 1")
     if args.base_label < 0:
-        raise InputError("--base-label must be >= 0: node entries are naturals")
+        raise ValueError("--base-label must be >= 0: node entries are naturals")
     if args.shape == "chain":
         tree = chain_tree(args.n)
     elif args.shape == "star":
@@ -264,19 +291,19 @@ def _parse_pairs(text):
             m, n = chunk.strip().split(":")
             pairs.append((int(m), int(n)))
     except ValueError:
-        raise InputError('pairs must look like "2:4,2:8,4:64"')
+        raise ValueError('pairs must look like "2:4,2:8,4:64"')
     for m, n in pairs:
         if m < 2 or n < 1:
-            raise InputError("pairs need m >= 2 and n >= 1")
+            raise ValueError("pairs need m >= 2 and n >= 1")
         if n > PAIRS_NMAX:
-            raise InputError("pair %d:%d is too large: n may be at most %d" % (m, n, PAIRS_NMAX))
+            raise ValueError("pair %d:%d is too large: n may be at most %d" % (m, n, PAIRS_NMAX))
     return pairs
 
 
 def cmd_hi(args):
     if args.hi_command == "schedule":
         if args.jmax > SCHEDULE_JMAX:
-            raise InputError(
+            raise ValueError(
                 "--jmax %d is too large: entries past j = %d do not print"
                 % (args.jmax, SCHEDULE_JMAX)
             )
@@ -305,11 +332,11 @@ def cmd_hi(args):
 
 def cmd_verify(args):
     if args.cases < 0:
-        raise InputError("--cases must be >= 0")
+        raise ValueError("--cases must be >= 0")
     if args.cases > CASES_MAX:
-        raise InputError("--cases %d is too large: at most %d" % (args.cases, CASES_MAX))
+        raise ValueError("--cases %d is too large: at most %d" % (args.cases, CASES_MAX))
     if args.suite == "branch" and args.max_len > DEPTH_MAX:
-        raise InputError("--max-len %d is too large: at most %d" % (args.max_len, DEPTH_MAX))
+        raise ValueError("--max-len %d is too large: at most %d" % (args.max_len, DEPTH_MAX))
     if args.suite == "branch":
         report = run_branch_isometry(args.max_len, cases=args.cases, seed=args.seed)
     elif args.suite == "tsirelson":

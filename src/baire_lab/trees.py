@@ -72,19 +72,19 @@ class FiniteTree:
     the tree) fixes the canonical enumeration used by index().
 
     The arena, read-only: order[i] is the node with id i, in enumeration
-    order; id_of maps a node to its id; parent[i] is the id of its parent
+    order; id_of maps a node to its id, and its keys, in enumeration
+    order, are the node set (nodes); parent[i] is the id of its parent
     (None for the root); kids[i] lists the ids of its children, ascending,
     which is their sorted order.  kids is built on first use, since only
     walks down the tree need it.
     """
 
     def __init__(self, nodes):
-        nodes = frozenset(tuple(n) for n in nodes)
-        # enumeration order is (length, lexicographic): sort by length,
-        # then each level on its own, so that no two nodes of different
-        # depths are ever compared entry by entry
+        # enumeration order is (length, lexicographic): sort the distinct
+        # nodes by length, then each level on its own, so that no two
+        # nodes of different depths are ever compared entry by entry
         order = []
-        for _, level in groupby(sorted(nodes, key=len), len):
+        for _, level in groupby(sorted({tuple(n) for n in nodes}, key=len), len):
             order.extend(sorted(level))
         id_of = dict(zip(order, range(len(order))))
         try:
@@ -94,27 +94,32 @@ class FiniteTree:
         except KeyError:
             missing = next(t[:-1] for t in order if t and t[:-1] not in id_of)
             raise ValueError("tree is not prefix-closed: missing %r" % (missing,)) from None
-        self.nodes = nodes
         self.order = order
         self.id_of = id_of
         self.parent = parent
         # every entry is the last entry of a node: the prefix ending there
         self.alphabet_bound = max(map(_last, islice(order, 1, None)), default=0)
 
+    @property
+    def nodes(self):
+        """The nodes, a read-only view of id_of, in enumeration order."""
+        return self.id_of.keys()
+
     def __contains__(self, node):
-        return tuple(node) in self.nodes
+        return tuple(node) in self.id_of
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.order)
 
     def __eq__(self, other):
-        return isinstance(other, FiniteTree) and self.nodes == other.nodes
+        # equal node sets have equal enumeration orders
+        return isinstance(other, FiniteTree) and self.order == other.order
 
     def __hash__(self):
-        return hash(self.nodes)
+        return hash(tuple(self.order))
 
     def __repr__(self):
-        return "FiniteTree(%d nodes)" % len(self.nodes)
+        return "FiniteTree(%d nodes)" % len(self.order)
 
     @cached_property
     def kids(self):
@@ -323,14 +328,23 @@ def node_from_json(t):
     return tuple(t)
 
 
+def paths_from_json_dict(data):
+    """The nodes listed in {"nodes": [[...], ...]}, as tuples."""
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValueError('tree JSON needs a "nodes" list')
+    return [node_from_json(t) for t in data["nodes"]]
+
+
+def tree_from_paths(paths):
+    """The prefix closure of the paths and the count of nodes it added."""
+    tree = make_tree(paths)
+    return tree, len(tree) - len(set(paths))
+
+
 def tree_from_json_dict(data):
     """Read {"nodes": [[...], ...]}; closure is applied and reported.
 
     Returns (tree, closure_added) where closure_added counts nodes the
     prefix closure had to add.
     """
-    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
-        raise ValueError('tree JSON needs a "nodes" list')
-    raw = [node_from_json(t) for t in data["nodes"]]
-    tree = make_tree(raw)
-    return tree, len(tree.nodes) - len(set(raw))
+    return tree_from_paths(paths_from_json_dict(data))

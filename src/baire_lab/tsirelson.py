@@ -90,7 +90,7 @@ is (variant, tree, entries), everything an engine reads, so a hit builds
 nothing.  So the norm, witness, fixed-point check and iterates of one
 vector share one memo, a vector changed in place (or scaled, which moves
 the grid) gets a new engine, and one slot keeps memory flat.  Sharing is
-safe because every memo, `family`, `split` and `cut` entry is a pure
+safe because every memo, `family`, `split` and `part` entry is a pure
 function of its key: the order of calls changes no value and no recorded
 first optimum.
 """
@@ -273,21 +273,19 @@ class _StdEngine:
     key; an integer means the corresponding iterate, memoized under
     (i, j, level), with a level >= j - i - 1 read as the fixed point by the
     level-collapse lemma.  `split` holds the first optimal family start
-    and size (l, k) of each interval whose family beats its sup, `cut`
-    the first optimal cut t of each split into runs.
+    and size (l, k) of each interval whose family beats its sup, `part`
+    the best sum and first optimal cut t of each split into two or more
+    runs.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.root = (0, ctx.n)
         self.memo = {}
-        self.part_memo = {}
+        self.part = {}
         self.split = {}
-        self.cut = {}
 
     def f(self, i, j, level):
-        if i >= j:
-            return 0
         if level is not None and level >= j - i - 1:
             level = None
         key = (i, j) if level is None else (i, j, level)
@@ -318,21 +316,19 @@ class _StdEngine:
 
     def partition(self, s, j, parts, level):
         """Best sum splitting [s, j) into exactly `parts` nonempty runs."""
-        key = (s, j, parts, level)
-        if key in self.part_memo:
-            return self.part_memo[key]
         if parts == 1:
-            value = self.f(s, j, level)
-        else:
+            return self.f(s, j, level)
+        key = (s, j, parts, level)
+        found = self.part.get(key)
+        if found is None:
             value, cut = 0, None
             for t in range(s + 1, j - parts + 2):
                 cand = self.f(s, t, level) + self.partition(t, j, parts - 1, level)
                 if cand > value:
                     value = cand
                     cut = t
-            self.cut[key] = cut
-        self.part_memo[key] = value
-        return value
+            found = self.part[key] = (value, cut)
+        return found[0]
 
     def value(self, level=None):
         return self.f(*self.root, level)
@@ -347,7 +343,7 @@ class _StdEngine:
         j = key[1]
         runs = []
         while parts > 1:
-            t = self.cut[s, j, parts, None]
+            t = self.part[s, j, parts, None][1]
             runs.append((s, t))
             s, parts = t, parts - 1
         runs.append((s, j))

@@ -395,16 +395,10 @@ class TreeVector:
         return "TreeVector(%r)" % (items,)
 
     def add(self, other):
-        if self.tree != other.tree:
-            raise ValueError("cannot add vectors on different trees")
-        merged = dict(self.entries)
-        for node, value in other.entries.items():
-            merged[node] = merged.get(node, Fraction(0)) + value
-        return TreeVector(self.tree, merged)
+        return linear_combination(self.tree, [self, other], [1, 1])
 
     def scale(self, c):
-        c = Fraction(c)
-        return TreeVector(self.tree, {n: c * v for n, v in self.entries.items()})
+        return linear_combination(self.tree, [self], [c])
 
     def restrict(self, nodes):
         nodes = {tuple(n) for n in nodes}

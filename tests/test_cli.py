@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from baire_lab import cli
+from baire_lab import cli, trees
 from baire_lab.cli import CASES_MAX, DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
 from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
 
@@ -389,6 +389,9 @@ def test_malformed_tree_exits_2(tmp_path, capsys):
     bad.write_text('{"nodes": "bogus"}')
     code, _, err = run(capsys, "rank", "--tree", str(bad))
     assert code == 2 and "nodes" in err
+    bad.write_text('{"nodes": [[0]')
+    code, out, err = run(capsys, "rank", "--tree", str(bad))
+    assert (code, out) == (2, "") and err.startswith("error: malformed JSON in %s: " % bad)
 
 
 def test_malformed_vector_exits_2(tmp_path, capsys):
@@ -398,6 +401,9 @@ def test_malformed_vector_exits_2(tmp_path, capsys):
     x.write_text('{"entries": [[[9, 9], "1"]]}')
     code, _, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
     assert code == 2 and "not in the tree" in err
+    x.write_text('{"values": []}')
+    code, out, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
+    assert (code, out) == (2, "") and err == 'error: vector file %s needs an "entries" key\n' % x
 
 
 def test_vector_strings_in_exponent_notation_exit_2(tmp_path, capsys):
@@ -537,3 +543,45 @@ def test_module_help_lists_every_subcommand():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "{baire,tsirelson,ground,rank,gen,hi,verify}" in proc.stdout
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys):
+    # nesting past the recursion limit was an internal RecursionError
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    run(capsys, "gen", "chain", "--n", "3", "--out", str(t))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    x.write_text('{"entries": ' + "[" * 100_000)
+    for argv, path in ((["rank", "--tree", str(deep)], deep),
+                       (["ground", "--tree", str(t), "--vector", str(x)], x)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: malformed JSON in %s: " % path) and "internal" not in err
+
+
+def test_prefix_closure_is_bounded(tmp_path, capsys, monkeypatch):
+    # 8 distinct 3,000-deep branches, a 72 KB file, took about 2.5 s and 300 MB
+    # to load; their closure has 8 * 3,000**2 / 2 entries, past DEPTH_MAX**2
+    # and refused before anything is built
+    def never_built(*args, **kwargs):
+        raise AssertionError("a refused tree file was built")
+
+    branches = tmp_path / "branches.json"
+    branches.write_text(json.dumps({"nodes": [[i] + [0] * (DEPTH_MAX - 1) for i in range(8)]}))
+    with monkeypatch.context() as m:
+        m.setattr(trees, "make_tree", never_built)
+        code, out, err = run(capsys, "rank", "--tree", str(branches))
+    entries = 8 * DEPTH_MAX * (DEPTH_MAX + 1) // 2
+    assert code == 2 and out == ""
+    assert err == ("error: tree in %s is too large: its prefix closure has %d entries,"
+                   " at most %d are allowed\n" % (branches, entries, DEPTH_MAX**2))
+    # gen comb --n DEPTH_MAX has exactly DEPTH_MAX**2 closure entries and
+    # loads; one more entry is refused (checked on a small bound)
+    monkeypatch.setattr(cli, "DEPTH_MAX", 30)
+    comb = tmp_path / "comb.json"
+    assert run(capsys, "gen", "comb", "--n", "30", "--out", str(comb))[0] == 0
+    assert run(capsys, "rank", "--tree", str(comb))[:2] == (0, "30\n")
+    data = json.loads(comb.read_text())
+    comb.write_text(json.dumps({"nodes": data["nodes"] + [[2]]}))
+    code, out, err = run(capsys, "rank", "--tree", str(comb))
+    assert code == 2 and out == "" and "has 901 entries, at most 900 " in err

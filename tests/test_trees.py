@@ -242,3 +242,16 @@ def test_json_rejects_garbage():
             tree_from_json_dict({"nodes": [node]})
     with pytest.raises(ValueError):
         tree_from_json_dict([])
+
+
+def test_nodes_is_a_view_of_the_arena():
+    t = make_tree([(2,), (0, 1), (0, 0)])
+    assert t.nodes == t.id_of.keys()
+    assert list(t.nodes) == t.order == [(), (0,), (2,), (0, 0), (0, 1)]
+    # set operators, membership, len and equality still work
+    assert t.nodes - {()} == {(0,), (2,), (0, 0), (0, 1)}
+    assert t.nodes & {(0,), (5,)} == {(0,)}
+    assert (0, 1) in t.nodes and (1,) not in t.nodes and len(t.nodes) == len(t) == 5
+    same = FiniteTree(reversed(t.order))
+    assert same == t and same is not t and hash(same) == hash(t)
+    assert t != make_tree([(2,), (0, 1)]) and t != chain_tree(5)

@@ -93,6 +93,8 @@ def test_unknown_variant():
 def test_empty_support():
     t = star_tree(2)
     assert tsirelson_norm(TreeVector(t, {}), INCOMPARABLE) == 0
+    for variant in (INCOMPARABLE, STANDARD):
+        assert check_fixed_point(TreeVector(t, {}), variant) is True
 
 
 def test_support_cap():
@@ -505,3 +507,16 @@ def test_block_sequence_validation():
     comp = [unit_vector(t2, (0,)), unit_vector(t2, (0, 0))]
     with pytest.raises(ValueError):
         verify_lemma_II1(t2, comp, [1, 1])  # comparable supports
+
+
+def test_standard_part_table_holds_two_or_more_runs():
+    # a split into one run is the interval's own value, read from memo;
+    # part keeps (best sum, first optimal cut) of the other splits
+    for seed in range(40):
+        _, x = random_nonroot_case(seed, max_support=9)
+        eng = _StdEngine(_Ctx(x))
+        eng.value()
+        eng.value(2)
+        for (s, j, parts, level), (value, cut) in eng.part.items():
+            assert parts >= 2
+            assert value == eng.f(s, cut, level) + eng.partition(cut, j, parts - 1, level)

@@ -431,8 +431,13 @@ def test_tree_vector_algebra():
     y = unit_vector(t, (0,), Fraction(-1))
     assert (x.add(y)).support == frozenset()
     assert x.scale(Fraction(2, 3))[(0,)] == Fraction(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot combine vectors on different trees$"):
         x.add(unit_vector(star_tree(4), (0,)))
+    # entries keep the first vector's order, then the second's new nodes
+    x = TreeVector(t, {(0,): Fraction(1, 2), (1,): 3})
+    y = TreeVector(t, {(2,): 1, (0,): Fraction(-1, 2)})
+    assert list(x.add(y).entries.items()) == [((1,), 3), ((2,), 1)]
+    assert list(x.scale(-2).entries.items()) == [((0,), -1), ((1,), -6)]
 
 
 def test_linear_combination_matches_chained_add_scale():
