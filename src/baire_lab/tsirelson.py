@@ -19,8 +19,8 @@ and the m-th iterate (level m) alike.  Both engines offer the same surface
 so each public function has one body.
 
 The INCOMPARABLE engine walks the support in enumeration order, growing
-one set at a time and pruning with the l_1 upper bound, and records the
-optimal family of every subset.
+one set at a time, pruning with the l_1 upper bound and the skip-dominance
+lemma, and records the optimal family of every subset.
 
 The STANDARD norm only ever needs contiguous index intervals of the
 support: the subset norm is monotone under inclusion, so gap elements
@@ -44,6 +44,29 @@ at most x_r and leaves an admissible family of R' (same first set) with
 half-sum <= |R'|, or a single set E with |E|'/2 <= |R'|.  So |R| <= |R'| +
 x_r/2 < |R'| + x_r, and cutting the last element off a run of length >= 2
 in an optimal k-split gives a strictly better (k + 1)-split.
+
+Skip-dominance lemma: in the INCOMPARABLE family search, let a set O be
+open at a position p that no closed set forbids.  If no later set can
+start (count + 2 > maxk), or every later position comparable with p is
+already forbidden or comparable with O, then the best completion after
+"grow O by p" is at least the best after "skip p", so `_family_search`
+returns without searching "skip".  Proof: replay any completion after
+skipping p (the same grow, close-and-start and skip decisions at the
+positions after p) after growing O by p instead.  Only closing O reads
+O's comparability mask, and the forbidden mask changes only when a set
+closes.  In the first case no set closes before the end, so the two
+traces test every position against the same forbidden mask.  In the
+second, once O closes, forbidden | comp(O) | comp[p] and forbidden |
+comp(O) agree on every position after p, which are the only ones tested
+from then on.  Either way every decision stays admissible, and the grow
+family is the skip family with p added to the member that contains O.
+Every child value (each iterate level, and the fixed point) is monotone
+under inclusion, so the grow sum is at least the skip sum.  The l_1 bound
+cuts only traces that cannot beat the best sum so far, and the search
+records only strictly better sums.  "Grow" is searched before "skip", so
+when "skip" would start, the best sum is already at least every grow
+completion, hence every skip completion, and "skip" would record nothing:
+the best sum and the first optimal family are unchanged.
 
 Index-clamp lemma: `_Ctx` keeps each support node's enumeration index
 clamped at n = |supp|, and no value or recorded first optimum changes.
@@ -156,6 +179,11 @@ def _family_search(ctx, comp, mask, childf, incumbent):
     best_sum is 2 * incumbent.  incumbent is the value the family must
     strictly exceed after halving, which drives the l_1 pruning.  Every
     value is a grid value.
+
+    While a set is open, the "skip" branch at a position is cut whenever
+    growing the open set by that position provably does at least as well
+    (the skip-dominance lemma); growing is searched first, so the first
+    optimum found is the same as with every branch searched.
     """
     vals = ctx.vals
     positions = [i for i in range(ctx.n) if (mask >> i) & 1]
@@ -163,6 +191,8 @@ def _family_search(ctx, comp, mask, childf, incumbent):
     suffix = [0] * (npos + 1)
     for i in range(npos - 1, -1, -1):
         suffix[i] = suffix[i + 1] + vals[positions[i]]
+    # later[pi]: the positions of mask after positions[pi] comparable with it
+    later = [comp[p] & mask & ~((2 << p) - 1) for p in positions]
 
     best = [2 * incumbent, None]
     blocks = []
@@ -182,8 +212,9 @@ def _family_search(ctx, comp, mask, childf, incumbent):
         bit = 1 << p
         if not (forbidden & bit):
             if open_mask:
+                room = count + 2 <= maxk
                 # close the open set and start a new one here
-                if count + 2 <= maxk:
+                if room:
                     fb = forbidden | open_comp
                     if not (fb & bit):
                         v = childf(open_mask)
@@ -193,6 +224,10 @@ def _family_search(ctx, comp, mask, childf, incumbent):
                 # grow the open set
                 rec(pi + 1, open_mask | bit, open_comp | comp[p], open_l1 + vals[p],
                     count, total, forbidden, maxk)
+                # skip-dominance lemma: skipping p can only win if a new set
+                # may still start and p blocks a later position nothing blocks
+                if not (room and later[pi] & ~(open_comp | forbidden)):
+                    return
             else:
                 # open the first set here; k is capped by this node's index
                 maxk0 = ctx.idx[p]

@@ -16,13 +16,22 @@ no spaces, each fraction as str(Fraction), each node as a list:
 
 A report is [value lower, value upper, power lower, power upper, family],
 the family a list of segment chains from the top down.
+
+LARGE_DIGEST pins the INCOMPARABLE engine at the support sizes near the
+cap, in the same canonical form, one record per case:
+["incomparable", case, norm, witness tree, check_fixed_point, [iterate m
+for m in (1, 2, |supp| - 2)]], where case is ["sweep", n, seed] for
+sweep_case(seed, n) with n in (12, 13, 14) and the seeds of SWEEP_SEEDS,
+and ["ties", shape, i] for the i-th vector of tie_cases().
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
+from baire_lab.trees import chain_tree, comb_tree, star_tree
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
@@ -31,12 +40,16 @@ from baire_lab.tsirelson import (
     tsirelson_norm,
     tsirelson_witness_tree,
 )
-from baire_lab.vectors import BaseNorm
-from util import benchmark_size_vectors, random_case
+from baire_lab.vectors import BaseNorm, TreeVector
+from util import benchmark_size_vectors, random_case, sweep_case
 
 SEEDS = 300
 
 DIGEST = "6eeeb37b186ec3b8fcd0974fe2c73c06e60eefc08e164115e5082bdfa4ad8d60"
+
+SWEEP_SEEDS = {12: (0, 1, 2), 13: (0, 1, 2), 14: (0, 1, 13)}
+
+LARGE_DIGEST = "eebe742dbfd19fccff46ef7dda89a8d77185f5d4b7853501ffd1a9b488cc0683"
 
 
 def _report(r):
@@ -72,7 +85,45 @@ def records():
                 yield ["baire_dp", i, token, p, _report(baire_norm_report(x, params))]
 
 
-def digest():
+def tie_cases():
+    """(shape, vector) pairs with entries 1 and 2 on supports of 10 to 14
+    nodes of chains, stars (low and raised indices) and combs, where equal
+    child values make the first optimum a matter of search order.  Each
+    condition of the skip-dominance cut fires here without the other; the
+    "no later set can start" one only on the combs."""
+    rng = random.Random(25)
+    shapes = [
+        ("chain", chain_tree(20)),
+        ("star", star_tree(13)),
+        ("star_raised", star_tree(13, 4)),
+        ("comb", comb_tree(10)),
+    ]
+    for shape, tree in shapes:
+        for n in (10, 12, 14):
+            supp = rng.sample(tree.sorted_nodes(), n)
+            yield shape, TreeVector(tree, {t: Fraction(rng.choice((1, 2))) for t in supp})
+
+
+def _incomparable(case, x):
+    n = len(x.entries)
+    return [
+        "incomparable", case,
+        str(tsirelson_norm(x, INCOMPARABLE)),
+        tsirelson_witness_tree(x, INCOMPARABLE),
+        check_fixed_point(x, INCOMPARABLE),
+        [str(tsirelson_iterate(x, INCOMPARABLE, m)) for m in (1, 2, n - 2)],
+    ]
+
+
+def large_records():
+    for n, seeds in SWEEP_SEEDS.items():
+        for seed in seeds:
+            yield _incomparable(["sweep", n, seed], sweep_case(seed, n))
+    for i, (shape, x) in enumerate(tie_cases()):
+        yield _incomparable(["ties", shape, i], x)
+
+
+def digest(records=records):
     h = hashlib.sha256()
     for record in records():
         h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
@@ -82,3 +133,7 @@ def digest():
 
 def test_outputs_pinned():
     assert digest() == DIGEST
+
+
+def test_large_support_incomparable_pinned():
+    assert digest(large_records) == LARGE_DIGEST

@@ -38,7 +38,7 @@ from tsirelson_reference import (
     reference_norm,
     reference_witness_tree,
 )
-from util import random_case, random_nonroot_case
+from util import random_case, random_nonroot_case, sweep_case
 
 
 def naive_iterates(x, variant):
@@ -263,10 +263,12 @@ def test_run_count_lemma():
                 assert eng.best_split(i, j, level) == scan
 
 
-def _outputs(x, variant, order, norm, witness, check, iterate):
-    """Norm, witness JSON, fixed-point check and the iterates at every level
-    0..|supp| + 1 of x, with the four calls made in `order`."""
-    levels = range(len(x.support) + 2)
+def _outputs(x, variant, order, norm, witness, check, iterate, levels=None):
+    """Norm, witness JSON, fixed-point check and the iterates at `levels`
+    (by default every level 0..|supp| + 1) of x, with the four calls made
+    in `order`."""
+    if levels is None:
+        levels = range(len(x.support) + 2)
     calls = {
         "norm": lambda: norm(x, variant),
         "witness": lambda: json.dumps(witness(x, variant)),
@@ -341,19 +343,50 @@ def test_ctx_index_is_clamped_at_the_support_size():
         assert ctx.idx == tuple(min(tree.index(t), ctx.n) for t in ctx.nodes)
 
 
+def _shape_cases():
+    """Vectors of support 4, 8 and 12 on a chain (no two nodes
+    incomparable), stars with low and raised indices (every two leaves
+    incomparable) and a comb (a mix)."""
+    rng = random.Random(12)
+    for tree in (chain_tree(16), star_tree(12), star_tree(11, 3), comb_tree(8)):
+        for n in (4, 8, 12):
+            supp = rng.sample(tree.sorted_nodes(), n)
+            yield TreeVector(tree, {
+                t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
+                for t in supp
+            })
+
+
 def test_matches_reference_engines():
-    # criterion 3's distribution: every iterate level, the norm, the check
-    # and the witness JSON agree with fresh, non-collapsing engines
+    # criterion 3's distribution, then chains, stars and combs, where the
+    # skip-dominance cut fires most: every iterate level, the norm, the
+    # check and the witness JSON agree with fresh, non-collapsing engines.
+    # The reference builds a fresh engine per level, so above support 8
+    # the shapes ask it for levels 1, 2 and n - 2 only
     rng = random.Random(10)
-    order = ("norm", "witness", "check", "iterate")
+    cases = []
     for _ in range(25):
         while True:
             _, x = random_case(rng.randrange(2**32), max_nodes=16, max_support=12)
             if x.support:
                 break
+        cases.append((x, None))
+    for x in _shape_cases():
+        n = len(x.entries)
+        cases.append((x, None if n <= 8 else (1, 2, n - 2)))
+    order = ("norm", "witness", "check", "iterate")
+    for x, levels in cases:
         for variant in (INCOMPARABLE, STANDARD):
-            want = _outputs(x, variant, order, *_REFERENCE)
-            assert _outputs(x, variant, order, *_SHARED) == want, (variant, x)
+            want = _outputs(x, variant, order, *_REFERENCE, levels=levels)
+            assert _outputs(x, variant, order, *_SHARED, levels=levels) == want, (variant, x)
+
+
+def test_incomparable_search_work_is_bounded():
+    # the skip-dominance cut leaves 147 memo entries on this case; without
+    # it the fixed point fills 5,674
+    eng = _IncEngine(_Ctx(sweep_case(13, 14)))
+    eng.value()
+    assert len(eng.memo) <= 600
 
 
 def test_shared_engine_call_order():

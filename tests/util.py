@@ -22,6 +22,15 @@ def random_case(seed, max_nodes=10, max_support=8, max_branch=3):
     return tree, TreeVector(tree, entries)
 
 
+def sweep_case(seed, n):
+    """The Tsirelson sweep case of support size n: n nodes of a 2n-node
+    random tree with positive entries of numerator and denominator <= 9."""
+    rng = random.Random(seed)
+    tree = random_tree(seed, 2 * n, 3)
+    supp = rng.sample(tree.sorted_nodes(), n)
+    return TreeVector(tree, {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in supp})
+
+
 def benchmark_size_vectors():
     """700-entry vectors on 1,000-node trees, the sizes the Baire DP and
     ground_norm run at in the benchmark: four random trees and the
