@@ -14,7 +14,6 @@ from baire_lab.trees import (
     completely_incomparable,
     enumeration_index,
     make_tree,
-    maximal_chains,
     random_tree,
     rank,
     star_tree,
@@ -23,7 +22,6 @@ from baire_lab.vectors import (
     BaseNorm,
     NormValue,
     TreeVector,
-    base_norm_of_segment,
     linear_combination,
 )
 from baire_lab.baire import BaireParams, ZERO, baire_norm, baire_norm_oracle
@@ -54,10 +52,9 @@ from baire_lab.verify import (
 
 __all__ = [
     "FiniteTree", "Segment", "make_tree", "enumeration_index",
-    "completely_incomparable", "maximal_chains", "rank",
+    "completely_incomparable", "rank",
     "chain_tree", "star_tree", "comb_tree", "random_tree",
-    "TreeVector", "BaseNorm", "NormValue", "base_norm_of_segment",
-    "linear_combination",
+    "TreeVector", "BaseNorm", "NormValue", "linear_combination",
     "BaireParams", "ZERO", "baire_norm", "baire_norm_oracle",
     "INCOMPARABLE", "STANDARD", "tsirelson_norm", "tsirelson_iterate",
     "ground_norm", "schedule", "dg_lower_bound", "dg_upper_bound",

@@ -250,11 +250,6 @@ class Segment:
         return "Segment(%r)" % (self.chain,)
 
 
-def maximal_chains(tree):
-    """All root-to-leaf paths of the tree, as Segments."""
-    return [Segment.from_ids(tree, 0, v) for v, kids in enumerate(tree.kids) if not kids]
-
-
 def rank(tree):
     """Finite ordinal rank: 0 for {()}, else 1 + max rank of child subtrees.
 

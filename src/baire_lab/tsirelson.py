@@ -45,6 +45,19 @@ half-sum <= |R'|, or a single set E with |E|'/2 <= |R'|.  So |R| <= |R'| +
 x_r/2 < |R'| + x_r, and cutting the last element off a run of length >= 2
 in an optimal k-split gives a strictly better (k + 1)-split.
 
+Singleton-start lemma: in the scan of [i, j) over starts l, let l be the
+first with idx[l] >= j - l.  Its split is k = j - l, every run a
+singleton, whose value is its own at every level (level-collapse lemma
+below), so its run-sum is the prefix sum of vals over [l, j).  Every later
+start l' has idx[l'] >= j - l' too.  The support is sorted by enumeration
+index, so clamped indices never fall along it: if idx[l'] = n, then
+idx[l'] >= j - l'; else idx[l] < n as well, neither is clamped, and
+idx[l'] > idx[l] >= j - l > j - l'.  So l' also splits into singletons,
+and its sum covers a strict subset of the positive values l's covers, so
+it is strictly smaller.  Only a strictly better candidate is recorded, so
+stopping the scan at l, after taking its candidate if k >= 2, keeps the
+best sum and the first optimal (l, k).
+
 Skip-dominance lemma: in the INCOMPARABLE family search, let a set O be
 open at a position p that no closed set forbids.  If no later set can
 start (count + 2 > maxk), or every later position comparable with p is
@@ -69,17 +82,18 @@ completion, hence every skip completion, and "skip" would record nothing:
 the best sum and the first optimal family are unchanged.
 
 Index-clamp lemma: `_Ctx` keeps each support node's enumeration index
-clamped at n = |supp|, and no value or recorded first optimum changes.
-The engines read an index only through `count + 2 <= maxk`, `maxk0 >= 2`
-and `min(idx[l], j - l)`.  Since j - l <= n, the last is the same with
-min(idx[l], n).  In the first, count + 1 disjoint nonempty sets are open
-or closed and the position about to start a new one is in none of them,
-so count + 2 <= n.  In the second, for n >= 2 the clamp keeps the test,
-and for n = 1 no family of k >= 2 nonempty sets exists, so the branch
-records nothing either way.  Every entry adds at least 1 to the numeral
-of `enumeration_index`, so index(t) >= len(t): a node of depth >= n gets n
-without computing its index, and no engine builds an integer longer than
-about n digits of base B + 1, however deep the node or large its labels.
+clamped at n = |supp|, and no value or recorded first optimum changes.  The
+engines read an index only through `count + 2 <= maxk`, `maxk0 >= 2`,
+`min(idx[l], j - l)` and `idx[l] >= j - l`.  Since j - l <= n, the last
+two are the same with min(idx[l], n).  In the first, count + 1 disjoint
+nonempty sets are open or closed and the position about to start a new one
+is in none of them, so count + 2 <= n.  In the second, for n >= 2 the
+clamp keeps the test, and for n = 1 no family of k >= 2 nonempty sets
+exists, so the branch records nothing either way.  Every entry adds at
+least 1 to the numeral of `enumeration_index`, so index(t) >= len(t): a
+node of depth >= n gets n without computing its index, and no engine
+builds an integer longer than about n digits of base B + 1, however deep
+the node or large its labels.
 
 Level-collapse lemma: on a set A the m-th iterate equals the fixed point
 whenever m >= |A| - 1, so both engines answer such a level from the
@@ -120,6 +134,7 @@ first optimum.
 
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import lcm
 
 from baire_lab.sequences import FiniteBlockSequence
@@ -307,16 +322,20 @@ class _StdEngine:
     Level None means the implicit fixed point, memoized under the bare
     key; an integer means the corresponding iterate, memoized under
     (i, j, level), with a level >= j - i - 1 read as the fixed point by the
-    level-collapse lemma.  `split` holds the first optimal family start
-    and size (l, k) of each interval whose family beats its sup, `part`
-    the best sum and first optimal cut t of each split into two or more
-    runs.
+    level-collapse lemma.  The memo starts with every singleton, whose
+    value at every level is its own.  `split` holds the first optimal
+    family start and size (l, k) of each interval whose family beats its
+    sup, `part` the best sum and first optimal cut t of each split into
+    two or more runs that `partition` computed.  An all-singleton split
+    (k = j - l) is a prefix sum, so it has no `part` entry and `members`
+    reads it as singletons.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.root = (0, ctx.n)
-        self.memo = {}
+        self.prefix = (0, *accumulate(ctx.vals))
+        self.memo = {(t, t + 1): v for t, v in enumerate(ctx.vals)}
         self.part = {}
         self.split = {}
 
@@ -337,11 +356,21 @@ class _StdEngine:
 
     def best_split(self, i, j, level):
         """Best run-sum over admissible (l, k) in [i, j), with its argmax;
-        by the run-count lemma only k = min(idx[l], j - l) is tried."""
+        by the run-count lemma only k = min(idx[l], j - l) is tried, and by
+        the singleton-start lemma the scan stops at the first l with
+        idx[l] >= j - l."""
+        idx = self.ctx.idx
         best = 0
         arg = None
         for l in range(i, j):
-            k = min(self.ctx.idx[l], j - l)
+            k = j - l
+            if idx[l] >= k:
+                cand = self.prefix[j] - self.prefix[l]
+                if k >= 2 and cand > best:
+                    best = cand
+                    arg = (l, k)
+                break
+            k = idx[l]
             if k >= 2:
                 cand = self.partition(l, j, k, level)
                 if cand > best:
@@ -376,6 +405,8 @@ class _StdEngine:
             return None
         s, parts = split
         j = key[1]
+        if parts == j - s:
+            return [(t, t + 1) for t in range(s, j)]
         runs = []
         while parts > 1:
             t = self.part[s, j, parts, None][1]

@@ -35,8 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from baire_lab.trees import Segment
-
 # relative interval width for irrational roots: 2**-ROOT_BITS
 ROOT_BITS = 48
 
@@ -433,13 +431,3 @@ def linear_combination(tree, vectors, coeffs):
 def unit_vector(tree, node, value=1):
     return TreeVector(tree, {tuple(node): Fraction(value)})
 
-
-def base_norm_of_segment(x, segment, base):
-    """Base norm of x along one segment of its tree."""
-    if not isinstance(segment, Segment):
-        segment = Segment(x.tree, segment)
-    elif segment.tree != x.tree:
-        raise ValueError("segment belongs to a different tree")
-    values = [x[node] for node in segment]
-    lo, hi = base.aggregate_abs(values)
-    return NormValue(lo, hi)

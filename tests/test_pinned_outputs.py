@@ -23,6 +23,12 @@ cap, in the same canonical form, one record per case:
 for m in (1, 2, |supp| - 2)]], where case is ["sweep", n, seed] for
 sweep_case(seed, n) with n in (12, 13, 14) and the seeds of SWEEP_SEEDS,
 and ["ties", shape, i] for the i-th vector of tie_cases().
+
+STANDARD_DIGEST pins the STANDARD engine at sizes above the support cap
+(raised for the test), in the same canonical form, one record per case:
+["standard", n, seed, norm, witness tree, check_fixed_point, iterates],
+for sweep_case(seed, n) with n and seed from STANDARD_SEEDS; iterates is
+[iterate m for m in (1, 2, n - 2)] at n = 20 and [] at n = 40.
 """
 
 import hashlib
@@ -30,6 +36,7 @@ import json
 import random
 from fractions import Fraction
 
+from baire_lab import tsirelson
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
 from baire_lab.trees import chain_tree, comb_tree, star_tree
 from baire_lab.tsirelson import (
@@ -50,6 +57,10 @@ DIGEST = "6eeeb37b186ec3b8fcd0974fe2c73c06e60eefc08e164115e5082bdfa4ad8d60"
 SWEEP_SEEDS = {12: (0, 1, 2), 13: (0, 1, 2), 14: (0, 1, 13)}
 
 LARGE_DIGEST = "eebe742dbfd19fccff46ef7dda89a8d77185f5d4b7853501ffd1a9b488cc0683"
+
+STANDARD_SEEDS = {20: (0, 1, 2), 40: (0, 1)}
+
+STANDARD_DIGEST = "13bae093abb75a2ff5340c586efd34ef0b5eceacf309d5384dd4620bdf0fc644"
 
 
 def _report(r):
@@ -123,6 +134,20 @@ def large_records():
         yield _incomparable(["ties", shape, i], x)
 
 
+def standard_records():
+    for n, seeds in STANDARD_SEEDS.items():
+        for seed in seeds:
+            x = sweep_case(seed, n)
+            levels = (1, 2, n - 2) if n == 20 else ()
+            yield [
+                "standard", n, seed,
+                str(tsirelson_norm(x, STANDARD)),
+                tsirelson_witness_tree(x, STANDARD),
+                check_fixed_point(x, STANDARD),
+                [str(tsirelson_iterate(x, STANDARD, m)) for m in levels],
+            ]
+
+
 def digest(records=records):
     h = hashlib.sha256()
     for record in records():
@@ -137,3 +162,8 @@ def test_outputs_pinned():
 
 def test_large_support_incomparable_pinned():
     assert digest(large_records) == LARGE_DIGEST
+
+
+def test_standard_sweep_sizes_pinned(monkeypatch):
+    monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(STANDARD_SEEDS))
+    assert digest(standard_records) == STANDARD_DIGEST

@@ -21,10 +21,10 @@ PUBLIC_NAMES = [
     "BaireParams", "BaseNorm", "ExperimentReport", "FiniteBlockSequence",
     "FiniteTree", "INCOMPARABLE", "NormValue", "STANDARD", "Segment",
     "TreeVector", "ZERO", "baire_norm", "baire_norm_oracle",
-    "base_norm_of_segment", "chain_tree", "comb_tree",
+    "chain_tree", "comb_tree",
     "completely_incomparable", "dg_lower_bound", "dg_upper_bound",
     "enumeration_index", "generate_incomparable_blocks", "ground_norm",
-    "linear_combination", "make_tree", "maximal_chains", "random_tree", "rank",
+    "linear_combination", "make_tree", "random_tree", "rank",
     "run_branch_isometry", "run_hi_suite", "run_tsirelson_suite",
     "schedule", "star_tree", "strict_singularity_witness",
     "tsirelson_iterate", "tsirelson_norm", "unconditionality_constant_lower",
@@ -38,7 +38,7 @@ def _choices(parser, dest):
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(baire_lab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(baire_lab, name) is not None, name

@@ -15,7 +15,6 @@ from baire_lab.trees import (
     enumeration_index,
     is_prefix,
     make_tree,
-    maximal_chains,
     random_tree,
     rank,
     star_tree,
@@ -128,13 +127,12 @@ def test_leaves_and_chains():
     t = comb_tree(3)
     leaves = set(t.leaves())
     assert (1,) in leaves
-    chains = maximal_chains(t)
-    assert all(ch.chain[0] == () for ch in chains)
-    assert len(chains) == len(leaves)
-    # built from (root id, leaf id): the prefixes of each leaf, in order
-    for tree in (comb_tree(40), random_tree(7, 80, 3)):
+    assert len(leaves) == sum(not kids for kids in t.kids)
+    # Segment.from_ids(tree, root id, leaf id): the prefixes of each leaf, in order
+    for tree in (t, comb_tree(40), random_tree(7, 80, 3)):
+        chains = [Segment.from_ids(tree, 0, tree.id_of[leaf]) for leaf in tree.leaves()]
+        assert all(ch.chain[0] == () for ch in chains)
         expected = [[leaf[:i] for i in range(len(leaf) + 1)] for leaf in tree.leaves()]
-        chains = maximal_chains(tree)
         assert [ch.chain for ch in chains] == expected
         assert chains == [Segment(tree, c) for c in expected]
 

@@ -189,39 +189,41 @@ def test_norm_dominates_sup_and_below_half_l1():
         assert x.sup() <= v <= max(x.sup(), x.l1() / 2)
 
 
+def _witness_leaves(node):
+    if "node" in node:
+        return [tuple(node["node"])]
+    return [t for member in node["family"] for t in _witness_leaves(member)]
+
+
+def _replay(node, x, variant):
+    """Value of a witness node, checking every family node on the way."""
+    tree = x.tree
+    if "node" in node:
+        value = abs(x[tuple(node["node"])])
+    else:
+        members = node["family"]
+        groups = [sorted(_witness_leaves(m), key=tree.index) for m in members]
+        flat = [t for g in groups for t in g]
+        # k >= 2 disjoint members E_1 < ... < E_k with k <= min E_1
+        assert len(members) >= 2
+        assert len(set(flat)) == len(flat)
+        for a, b in zip(groups, groups[1:]):
+            assert tree.index(a[-1]) < tree.index(b[0])
+        assert len(members) <= tree.index(groups[0][0])
+        if variant == INCOMPARABLE:
+            for a, b in itertools.combinations(groups, 2):
+                assert not any(comparable(s, t) for s in a for t in b)
+        value = sum(_replay(m, x, variant) for m in members) / 2
+    assert Fraction(node["value"]) == value
+    return value
+
+
 def test_witness_tree_replays():
-    def leaves(node):
-        if "node" in node:
-            return [tuple(node["node"])]
-        return [t for member in node["family"] for t in leaves(member)]
-
-    def replay(node, x, variant):
-        """Value of a witness node, checking every family node on the way."""
-        tree = x.tree
-        if "node" in node:
-            value = abs(x[tuple(node["node"])])
-        else:
-            members = node["family"]
-            groups = [sorted(leaves(m), key=tree.index) for m in members]
-            flat = [t for g in groups for t in g]
-            # k >= 2 disjoint members E_1 < ... < E_k with k <= min E_1
-            assert len(members) >= 2
-            assert len(set(flat)) == len(flat)
-            for a, b in zip(groups, groups[1:]):
-                assert tree.index(a[-1]) < tree.index(b[0])
-            assert len(members) <= tree.index(groups[0][0])
-            if variant == INCOMPARABLE:
-                for a, b in itertools.combinations(groups, 2):
-                    assert not any(comparable(s, t) for s in a for t in b)
-            value = sum(replay(m, x, variant) for m in members) / 2
-        assert Fraction(node["value"]) == value
-        return value
-
     for seed in range(15):
         _, x = random_nonroot_case(seed, max_support=8)
         for variant in (INCOMPARABLE, STANDARD):
             wt = tsirelson_witness_tree(x, variant)
-            assert replay(wt, x, variant) == tsirelson_norm(x, variant)
+            assert _replay(wt, x, variant) == tsirelson_norm(x, variant)
 
 
 def _tie_case(seed):
@@ -553,3 +555,60 @@ def test_standard_part_table_holds_two_or_more_runs():
         for (s, j, parts, level), (value, cut) in eng.part.items():
             assert parts >= 2
             assert value == eng.f(s, cut, level) + eng.partition(cut, j, parts - 1, level)
+
+
+def _singleton_start_cases():
+    """STANDARD supports with entries 1 and 2 where the singleton-start
+    stop fires at the root (stars with base_label >= n, every index at
+    least n) or only in sub-intervals (supports off the root of deep
+    random trees, whose low indices come first)."""
+    rng = random.Random(26)
+    for n in (3, 5, 8, 12):
+        for base in (n, n + 2):
+            tree = star_tree(n, base_label=base)
+            for _ in range(2):
+                yield TreeVector(tree, {t: rng.choice((1, 2)) for t in tree.leaves()})
+    for seed in range(40):
+        tree = random_tree(seed, 24, 2)
+        nodes = tree.sorted_nodes()[1:]
+        supp = rng.sample(nodes, rng.randint(2, min(10, len(nodes))))
+        yield TreeVector(tree, {t: rng.choice((1, 2)) for t in supp})
+
+
+def test_standard_singleton_start_stop_matches_references():
+    # stopping the start scan at the first all-singleton start (the
+    # singleton-start lemma) keeps the norm, witness, check and iterates
+    # of the full scan in the reference engines and of the naive
+    # enumeration, and the witness replays
+    order = ("norm", "witness", "check", "iterate")
+    at_root = below_root = 0
+    for x in _singleton_start_cases():
+        n = len(x.entries)
+        levels = None if n <= 8 else (1, 2, n - 2)
+        want = _outputs(x, STANDARD, order, *_REFERENCE, levels=levels)
+        assert _outputs(x, STANDARD, order, *_SHARED, levels=levels) == want, x
+        assert _replay(tsirelson_witness_tree(x, STANDARD), x, STANDARD) == want["norm"]
+        if n <= 6:
+            naive = naive_iterates(x, STANDARD)
+            assert tsirelson_norm(x, STANDARD) == naive(n + 1), x
+            for m in range(n + 1):
+                assert tsirelson_iterate(x, STANDARD, m) == naive(m), (x, m)
+        idx = _Ctx(x).idx
+        if idx[0] >= n:
+            at_root += 1
+        elif any(2 <= n - l <= idx[l] for l in range(1, n)):
+            below_root += 1
+    assert at_root >= 10 and below_root >= 10, (at_root, below_root)
+
+
+def test_standard_all_singleton_starts_fill_no_part_table():
+    # every index of this star is at least n, so the first start of every
+    # interval splits into singletons and nothing reaches partition; a scan
+    # over every start fills 22 part entries here (11 at each level)
+    t = star_tree(12, base_label=12)
+    x = TreeVector(t, {leaf: 1 for leaf in t.leaves()})
+    assert tsirelson_norm(x, STANDARD) == 6
+    assert len(tsirelson_witness_tree(x, STANDARD)["family"]) == 12
+    assert check_fixed_point(x, STANDARD)
+    assert tsirelson_iterate(x, STANDARD, 2) == 6
+    assert _engine(x, STANDARD).part == {}

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baire_lab.cli import EXPONENT_MAX
-from baire_lab.trees import chain_tree, random_tree, star_tree
+from baire_lab.trees import Segment, chain_tree, random_tree, star_tree
 from baire_lab.vectors import (
     ROOT_BITS,
     BaseNorm,
     NormValue,
     TreeVector,
-    base_norm_of_segment,
     integer_nth_root,
     linear_combination,
     nth_root_bounds,
@@ -486,7 +485,7 @@ def test_l1_sup_consistency(entries):
 def test_base_norm_of_segment():
     t = chain_tree(3)
     x = TreeVector(t, {(): 1, (0, 0): -2})
-    v = base_norm_of_segment(x, [(), (0,), (0, 0)], BaseNorm.ell(1))
-    assert v == 3
-    v = base_norm_of_segment(x, [(0,)], BaseNorm.ell(1))
-    assert v == 0
+    v = BaseNorm.ell(1).aggregate_abs([x[node] for node in Segment(t, [(), (0,), (0, 0)])])
+    assert v == (3, 3)
+    v = BaseNorm.ell(1).aggregate_abs([x[node] for node in Segment(t, [(0,)])])
+    assert v == (0, 0)
