@@ -160,7 +160,10 @@ def _load_vector(path, tree):
     entries = {}
     try:
         for node, value in data["entries"]:
-            entries[node_from_json(node)] = _rational(value)
+            key = node_from_json(node)
+            if key in entries:
+                raise ValueError("node %r is listed twice" % (node,))
+            entries[key] = _rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ValueError("invalid vector in %s: %s" % (path, e))
     return TreeVector(tree, entries)

@@ -51,11 +51,15 @@ def enumeration_index(node, alphabet_bound):
     among those of length d.  Shorter sequences come first, so the index
     is compatible with the prefix order: s a strict prefix of t implies
     index(s) < index(t).  The root () always has index 0, and every entry
-    adds at least 1, so index(t) >= len(t).
+    adds at least 1, so index(t) >= len(t); an entry that is not a natural
+    would break that, and is refused.
     """
     base = alphabet_bound + 1
     index = 0
     for entry in node:
+        # type, not isinstance, as in node_from_json: a bool is no label
+        if type(entry) is not int or entry < 0:
+            raise ValueError("node entry %r is not a natural" % (entry,))
         if entry > alphabet_bound:
             raise ValueError(
                 "node entry %d exceeds alphabet bound %d" % (entry, alphabet_bound)
@@ -157,10 +161,6 @@ class FiniteTree:
     def index(self, node):
         """Enumeration index of a node under this tree's alphabet bound."""
         return enumeration_index(tuple(node), self.alphabet_bound)
-
-    def sorted_nodes(self):
-        """All nodes in enumeration order."""
-        return list(self.order)
 
     def leaves(self):
         """The leaves in enumeration order."""
@@ -276,6 +276,8 @@ def star_tree(n, base_label=0):
     """
     if n < 1:
         raise ValueError("star_tree needs n >= 1")
+    if base_label < 0:
+        raise ValueError("star_tree needs base_label >= 0")
     return make_tree([(base_label + i,) for i in range(n)])
 
 

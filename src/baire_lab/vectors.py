@@ -236,9 +236,6 @@ class NormValue:
             raise ValueError("norm value is an interval, not exact")
         return self.lower
 
-    def contains(self, value):
-        return self.lower <= value <= self.upper
-
     def overlaps(self, other):
         return self.lower <= other.upper and other.lower <= self.upper
 
@@ -285,11 +282,6 @@ class BaseNorm:
     def root_exponent(self):
         """The exponent that takes a power sum to the norm: 1/q, or 1 for sup."""
         return Fraction(1) if self.kind == "sup" else 1 / self.q
-
-    @property
-    def is_exact(self):
-        """Whether segment values stay in Q (l_1 and sup do)."""
-        return self.root_exponent == 1
 
     def __eq__(self, other):
         return isinstance(other, BaseNorm) and (self.kind, self.q) == (other.kind, other.q)
@@ -392,24 +384,11 @@ class TreeVector:
         items = sorted(self.entries.items())
         return "TreeVector(%r)" % (items,)
 
-    def add(self, other):
-        return linear_combination(self.tree, [self, other], [1, 1])
-
     def scale(self, c):
         return linear_combination(self.tree, [self], [c])
 
-    def restrict(self, nodes):
-        nodes = {tuple(n) for n in nodes}
-        for n in nodes:
-            if n not in self.tree:
-                raise ValueError("restriction node %r is not in the tree" % (n,))
-        return TreeVector(self.tree, {n: v for n, v in self.entries.items() if n in nodes})
-
     def l1(self):
         return sum((abs(v) for v in self.entries.values()), Fraction(0))
-
-    def sup(self):
-        return max((abs(v) for v in self.entries.values()), default=Fraction(0))
 
 
 def linear_combination(tree, vectors, coeffs):

@@ -20,7 +20,7 @@ from baire_lab.tsirelson import (
     tsirelson_iterate,
     tsirelson_norm,
 )
-from baire_lab.vectors import BaseNorm, TreeVector
+from baire_lab.vectors import BaseNorm, TreeVector, linear_combination
 from baire_lab.verify import (
     _case_blocks,
     run_branch_isometry,
@@ -142,9 +142,7 @@ def test_criterion_8_bracketing_and_unconditionality():
     # suite 4-5 style cases
     for case in range(20):
         tree, blocks, coeffs = _case_blocks(case * 31 + 7)
-        combo = TreeVector(tree, {})
-        for b, c in zip(blocks, coeffs):
-            combo = combo.add(b.scale(c))
+        combo = linear_combination(tree, blocks, coeffs)
         flipped = TreeVector(tree, {t: -v for t, v in combo.entries.items()})
         for variant in (INCOMPARABLE, STANDARD):
             if tsirelson_norm(combo, variant) != tsirelson_norm(flipped, variant):

@@ -406,6 +406,17 @@ def test_malformed_vector_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "") and err == 'error: vector file %s needs an "entries" key\n' % x
 
 
+def test_vector_node_listed_twice_exits_2(tmp_path, capsys):
+    # a repeated node was read as the last of its values, without a word
+    t = tmp_path / "t.json"
+    run(capsys, "gen", "chain", "--n", "3", "--out", str(t))
+    x = tmp_path / "x.json"
+    write_vector(x, [[[0], "1"], [[0], "2"]])
+    code, out, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid vector in %s: node [0] is listed twice\n" % x
+
+
 def test_vector_strings_in_exponent_notation_exit_2(tmp_path, capsys):
     # strings in exponent notation are refused unparsed: "1e5000" passes
     # the int-to-str digit limit, and "1e9999999" takes about 15 s to parse

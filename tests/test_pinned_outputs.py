@@ -111,7 +111,7 @@ def tie_cases():
     ]
     for shape, tree in shapes:
         for n in (10, 12, 14):
-            supp = rng.sample(tree.sorted_nodes(), n)
+            supp = rng.sample(tree.order, n)
             yield shape, TreeVector(tree, {t: Fraction(rng.choice((1, 2))) for t in supp})
 
 

@@ -13,7 +13,7 @@ from baire_lab.sequences import (
 )
 from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.tsirelson import INCOMPARABLE, STANDARD, tsirelson_norm
-from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
+from baire_lab.vectors import BaseNorm, TreeVector, linear_combination, unit_vector
 
 TSIRELSON = partial(tsirelson_norm, variant=INCOMPARABLE)
 # an interval norm's ratios fall short of 1 by the rounding of its bounds
@@ -57,7 +57,7 @@ def test_empty_block_sequence_rejected():
 def test_block_sequence_window_validation():
     t = star_tree(3)
     b0, b1, b2 = (unit_vector(t, (i,)) for i in range(3))
-    seq = FiniteBlockSequence([b0, b1.add(b2)])
+    seq = FiniteBlockSequence([b0, linear_combination(t, [b1, b2], [1, 1])])
     assert seq.tree == t and seq.starts == [(0,), (1,)]
     c = chain_tree(2)
     cases = [
@@ -65,7 +65,8 @@ def test_block_sequence_window_validation():
         ([b0, unit_vector(star_tree(4), (1,))], "block 1 lives on a different tree"),
         ([b0, TreeVector(t, {})], "block 1 is zero"),
         ([b1, b0], "blocks 0 and 1 do not occupy increasing index windows"),
-        ([b0.add(b2), b1], "blocks 0 and 1 do not occupy increasing index windows"),
+        ([linear_combination(t, [b0, b2], [1, 1]), b1],
+         "blocks 0 and 1 do not occupy increasing index windows"),
         ([unit_vector(c, ()), unit_vector(c, (0,))],
          "blocks 0 and 1 have comparable supports"),
     ]

@@ -67,6 +67,20 @@ def test_enumeration_index_rejects_out_of_alphabet():
         enumeration_index((2,), 1)
 
 
+def test_labels_outside_the_naturals_are_refused():
+    # star_tree(3, base_label=-2) gave (-1,) the root's index 0 and (-2,)
+    # index -1, below its length
+    with pytest.raises(ValueError, match="base_label >= 0"):
+        star_tree(3, base_label=-2)
+    for entry in (-1, 1.0, "1"):
+        with pytest.raises(ValueError, match="is not a natural"):
+            enumeration_index((0, entry), 4)
+    # FiniteTree itself is unchecked; its index refuses the label
+    t = make_tree([(-2,), (-1,), (0,)])
+    with pytest.raises(ValueError, match="is not a natural"):
+        t.index((-2,))
+
+
 @given(nodes_st, nodes_st)
 def test_enumeration_order_is_length_lex(s, t):
     # the enumeration order never depends on the alphabet bound
@@ -89,7 +103,7 @@ def test_tree_requires_prefix_closure():
     with pytest.raises(ValueError, match=r"missing \(0, 0\)"):
         FiniteTree([(), (0,), (0, 0, 0)])
     # deep: 3,000 nodes build and sort by enumeration index quickly
-    deep = chain_tree(3000).sorted_nodes()
+    deep = chain_tree(3000).order
     assert [len(t) for t in deep] == list(range(3000))
 
 
@@ -101,7 +115,7 @@ def test_make_tree_closes():
 def _assert_arena(tree):
     """The arena against the enumeration index and the prefix definitions."""
     order = tree.order
-    assert order == sorted(tree.nodes, key=tree.index) == tree.sorted_nodes()
+    assert order == sorted(tree.nodes, key=tree.index)
     assert all(tree.id_of[t] == i for i, t in enumerate(order))
     assert tree.parent[0] is None
     for i in range(1, len(order)):

@@ -130,10 +130,21 @@ def test_star_small_indices():
     assert tsirelson_norm(x, INCOMPARABLE) == Fraction(3, 2)
 
 
+def test_labels_outside_the_naturals_are_refused():
+    # (-1,) had the root's index 0 and (-2,) index -1, and both variants
+    # gave the all-ones vector the value 1
+    t = make_tree([(-2,), (-1,), (0,)])
+    x = TreeVector(t, {(i,): 1 for i in (-2, -1, 0)})
+    for variant in (INCOMPARABLE, STANDARD):
+        with pytest.raises(ValueError, match="is not a natural"):
+            tsirelson_norm(x, variant)
+
+
 def test_iterate_zero_is_sup():
     for seed in range(10):
         _, x = random_nonroot_case(seed, max_support=6)
-        assert tsirelson_iterate(x, INCOMPARABLE, 0) == x.sup()
+        sup = max(map(abs, x.entries.values()), default=Fraction(0))
+        assert tsirelson_iterate(x, INCOMPARABLE, 0) == sup
 
 
 def test_iterates_monotone_and_stabilize():
@@ -186,7 +197,8 @@ def test_norm_dominates_sup_and_below_half_l1():
     for seed in range(20):
         _, x = random_nonroot_case(seed, max_support=8)
         v = tsirelson_norm(x, INCOMPARABLE)
-        assert x.sup() <= v <= max(x.sup(), x.l1() / 2)
+        sup = max(map(abs, x.entries.values()), default=Fraction(0))
+        assert sup <= v <= max(sup, x.l1() / 2)
 
 
 def _witness_leaves(node):
@@ -301,7 +313,7 @@ def _deep_vectors():
             for _ in range(rng.randint(2, 5))
         ]
         tree = make_tree(paths)
-        supp = rng.sample(tree.sorted_nodes(), rng.randint(2, min(7, len(tree))))
+        supp = rng.sample(tree.order, rng.randint(2, min(7, len(tree))))
         yield TreeVector(tree, {
             t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1]) for t in supp
         })
@@ -352,7 +364,7 @@ def _shape_cases():
     rng = random.Random(12)
     for tree in (chain_tree(16), star_tree(12), star_tree(11, 3), comb_tree(8)):
         for n in (4, 8, 12):
-            supp = rng.sample(tree.sorted_nodes(), n)
+            supp = rng.sample(tree.order, n)
             yield TreeVector(tree, {
                 t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
                 for t in supp
@@ -463,7 +475,7 @@ def test_spreading_lowers_no_norm():
     for _ in range(150):
         n, b, s = rng.randint(2, 9), rng.randint(0, 4), rng.randint(1, 5)
         low, high = star_tree(n, b), star_tree(n, b + s)
-        supp = rng.sample(low.sorted_nodes(), rng.randint(1, n + 1))
+        supp = rng.sample(low.order, rng.randint(1, n + 1))
         entries = {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in supp}
         x = TreeVector(low, entries)
         y = TreeVector(high, {tuple(v + s for v in t): c for t, c in entries.items()})
@@ -570,7 +582,7 @@ def _singleton_start_cases():
                 yield TreeVector(tree, {t: rng.choice((1, 2)) for t in tree.leaves()})
     for seed in range(40):
         tree = random_tree(seed, 24, 2)
-        nodes = tree.sorted_nodes()[1:]
+        nodes = tree.order[1:]
         supp = rng.sample(nodes, rng.randint(2, min(10, len(nodes))))
         yield TreeVector(tree, {t: rng.choice((1, 2)) for t in supp})
 

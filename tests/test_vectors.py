@@ -354,7 +354,7 @@ def test_base_norm_power_domain(base, root_exponent, monkeypatch):
         agg = (plo, phi) if root_exponent == 1 else pow_bounds(plo, phi, root_exponent)
         assert base.aggregate_abs(values) == agg
         # exact kinds stay in Q without a single root call
-        if base.is_exact:
+        if root_exponent == 1:
             assert calls == []
 
 
@@ -366,7 +366,7 @@ def test_norm_value_exactness():
     assert not w.is_exact
     with pytest.raises(ValueError):
         w.exact
-    assert w.contains(Fraction(3, 2))
+    assert w.lower <= Fraction(3, 2) <= w.upper
     assert w.overlaps(NormValue(2, 3))
     assert not w.overlaps(NormValue(3, 4))
 
@@ -428,14 +428,14 @@ def test_tree_vector_algebra():
     t = star_tree(3)
     x = unit_vector(t, (0,))
     y = unit_vector(t, (0,), Fraction(-1))
-    assert (x.add(y)).support == frozenset()
+    assert linear_combination(t, [x, y], [1, 1]).support == frozenset()
     assert x.scale(Fraction(2, 3))[(0,)] == Fraction(2, 3)
     with pytest.raises(ValueError, match="^cannot combine vectors on different trees$"):
-        x.add(unit_vector(star_tree(4), (0,)))
+        linear_combination(t, [x, unit_vector(star_tree(4), (0,))], [1, 1])
     # entries keep the first vector's order, then the second's new nodes
     x = TreeVector(t, {(0,): Fraction(1, 2), (1,): 3})
     y = TreeVector(t, {(2,): 1, (0,): Fraction(-1, 2)})
-    assert list(x.add(y).entries.items()) == [((1,), 3), ((2,), 1)]
+    assert list(linear_combination(t, [x, y], [1, 1]).entries.items()) == [((1,), 3), ((2,), 1)]
     assert list(x.scale(-2).entries.items()) == [((0,), -1), ((1,), -6)]
 
 
@@ -454,7 +454,7 @@ def test_linear_combination_matches_chained_add_scale():
         coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
         chained = TreeVector(tree, {})
         for v, c in zip(vectors, coeffs):
-            chained = chained.add(v.scale(c))
+            chained = linear_combination(tree, [chained, v.scale(c)], [1, 1])
         assert linear_combination(tree, vectors, coeffs) == chained
     t = star_tree(3)
     with pytest.raises(ValueError):
@@ -465,21 +465,12 @@ def test_linear_combination_matches_chained_add_scale():
             linear_combination(t, [unit_vector(t, (0,)), unit_vector(t, (1,))], coeffs)
 
 
-def test_restrict():
-    t = chain_tree(3)
-    x = TreeVector(t, {(): 1, (0,): 2, (0, 0): 3})
-    r = x.restrict([(0,), (0, 0)])
-    assert r.l1() == 5
-    with pytest.raises(ValueError):
-        x.restrict([(7,)])
-
-
 @given(st.dictionaries(st.integers(0, 3), fractions_st, max_size=4))
 def test_l1_sup_consistency(entries):
     t = star_tree(4)
     x = TreeVector(t, {(k,): v for k, v in entries.items()})
-    assert x.sup() <= x.l1()
-    assert (x.sup() == 0) == (not x.support)
+    assert max(map(abs, x.entries.values()), default=Fraction(0)) <= x.l1()
+    assert (x.l1() == 0) == (not x.support)
 
 
 def test_base_norm_of_segment():

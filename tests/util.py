@@ -27,7 +27,7 @@ def sweep_case(seed, n):
     random tree with positive entries of numerator and denominator <= 9."""
     rng = random.Random(seed)
     tree = random_tree(seed, 2 * n, 3)
-    supp = rng.sample(tree.sorted_nodes(), n)
+    supp = rng.sample(tree.order, n)
     return TreeVector(tree, {t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for t in supp})
 
 
@@ -37,7 +37,7 @@ def benchmark_size_vectors():
     500-tooth comb."""
     rng = random.Random(5)
     for tree in [random_tree(s, 1000, 3) for s in range(4)] + [comb_tree(500)]:
-        supp = rng.sample(tree.sorted_nodes(), 700)
+        supp = rng.sample(tree.order, 700)
         yield TreeVector(tree, {
             t: Fraction(rng.randint(1, 9), rng.randint(1, 6)) * rng.choice([1, -1]) for t in supp
         })
