@@ -57,6 +57,15 @@ them every value and family, is the one the Fraction arithmetic gave.
 Inside the DP pairs are (upper, lower), so that tuple order is the DP's
 order: chains are compared by their upper end first.  The oracle keeps
 Fraction pairs.
+
+Chain reuse: the terms, the chain aggregates and ends, and the set of
+distinct aggregate ends do not depend on p, so _chains computes them
+apart and keeps the last result, keyed by (tree, entries, base kind,
+base q): everything that pass reads.  A sweep over p on one vector and
+base makes one chain pass.  The pass is a pure function of its key, so
+the order of calls changes no value and no family, a vector changed in
+place or scaled gets a fresh pass, and segments are built on the calling
+vector's tree.
 """
 
 from fractions import Fraction
@@ -107,13 +116,23 @@ class BaireReport:
         self.family = family
 
 
-def _dp(x, params):
-    tree = x.tree
-    if not tree.nodes:
-        raise ValueError("baire norm of a vector on the empty tree")
-    base, p = params.base, params.p
+# (key, chains) of the last vector and base _chains ran on
+_last = (None, None)
+
+
+def _chains(x, base):
+    """The part of the DP that does not depend on p, for x and the base
+    norm: [scale, chain_agg, ends, None], whose last slot the p-case fills
+    with the distinct aggregates and their ends when it first needs them.
+    The last result is reused while its key matches."""
+    global _last
+    key = (x.tree, dict(x.entries), base.kind, base.q)
+    # one read of the slot, so a concurrent swap cannot pair key and chains wrongly
+    last_key, chains = _last
+    if last_key == key:
+        return chains
     sup = base.kind == "sup"
-    parent = tree.parent
+    parent = x.tree.parent
     n = len(parent)
 
     # one term per distinct |coefficient|, keyed by its integer numerator
@@ -151,6 +170,18 @@ def _dp(x, params):
         if up is not None and tail >= chain_agg[up]:
             chain_agg[up] = tail
             ends[up] = end
+    chains = [scale, chain_agg, ends, None]
+    _last = (key, chains)
+    return chains
+
+
+def _dp(x, params):
+    tree = x.tree
+    if not tree.nodes:
+        raise ValueError("baire norm of a vector on the empty tree")
+    base, p = params.base, params.p
+    chains = _chains(x, base)
+    scale, chain_agg, ends, distinct = chains
 
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
@@ -159,10 +190,15 @@ def _dp(x, params):
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    aggs = set(chain_agg)
+    if distinct is None:
+        aggs = set(chain_agg)
+        distinct = chains[3] = (aggs, {end for agg in aggs for end in agg})
+    aggs, agg_ends = distinct
     seg_exp = p * base.root_exponent
-    mscale, bounds = pow_ends({end for agg in aggs for end in agg}, scale, seg_exp)
+    mscale, bounds = pow_ends(agg_ends, scale, seg_exp)
     seg_power = {agg: (bounds[agg[0]][1], bounds[agg[1]][0]) for agg in aggs}
+    parent = tree.parent
+    n = len(parent)
     # f(v) = max(M(v), sum of f over its children), the sums pushed up;
     # the last turn, the root's, leaves f(root) in (hi, lo)
     kids_hi = [0] * n

@@ -169,12 +169,16 @@ class _Ctx:
         """The exact value of grid value v."""
         return Fraction(v, self.scale)
 
-    def sup(self, mask):
-        best = 0
+    def sup_l1(self, mask):
+        """The largest and the sum of the grid values in mask."""
+        best = total = 0
         for i in range(self.n):
-            if (mask >> i) & 1 and self.vals[i] > best:
-                best = self.vals[i]
-        return best
+            if (mask >> i) & 1:
+                v = self.vals[i]
+                total += v
+                if v > best:
+                    best = v
+        return best, total
 
     def leaf(self, value, positions):
         """Witness leaf with value string `value`: the first position of
@@ -288,9 +292,13 @@ class _IncEngine:
         value = self.memo.get(key)
         if value is not None:
             return value
-        sup = self.ctx.sup(mask)
-        if level == 0:
+        sup, l1 = self.ctx.sup_l1(mask)
+        # a family sums to at most l1, so when l1 <= 2 * sup none beats the
+        # sup: the first l_1 cut of _family_search, without its set-up
+        if level == 0 or l1 <= 2 * sup:
             value = sup
+            if level is None:
+                self.family[mask] = None
         else:
             child = self.f if level is None else partial(self.f, level=level - 1)
             total, blocks = _family_search(self.ctx, self.comp, mask, child, sup)
@@ -490,7 +498,7 @@ def check_fixed_point(x, variant):
     if eng.beaten(value):
         return False
     # ... and the value must be attained by the sup or by the recorded family
-    if value == eng.ctx.sup(eng.ctx.full):
+    if value == eng.ctx.sup_l1(eng.ctx.full)[0]:
         return True
     members = eng.members(eng.root)
     return members is not None and sum(eng.memo[member] for member in members) == 2 * value

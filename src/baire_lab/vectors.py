@@ -328,10 +328,19 @@ class TreeVector:
     """
 
     def __init__(self, tree, entries):
+        if not hasattr(entries, "keys"):
+            # pairs: a repeated node is refused, where dict() would keep
+            # its last value without a word
+            pairs, entries = entries, {}
+            for node, value in pairs:
+                node = tuple(node)
+                if node in entries:
+                    raise ValueError("node %r is listed twice" % (node,))
+                entries[node] = value
         id_of = tree.id_of
         clean = {}
         keys, ids = [], []
-        for node, value in dict(entries).items():
+        for node, value in entries.items():
             node = tuple(node)
             # the membership test, which also gives the node's id
             i = id_of.get(node)

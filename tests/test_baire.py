@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire_lab import baire
 from baire_lab.baire import (
     ZERO,
     BaireParams,
@@ -28,7 +29,7 @@ from baire_lab.trees import (
 )
 from baire_lab.vectors import BaseNorm, NormValue, TreeVector, linear_combination, unit_vector
 from baire_reference import reference_report
-from util import benchmark_size_vectors, random_case
+from util import benchmark_size_vectors, clear_reuse_slots, random_case
 
 L1 = BaseNorm.ell(1)
 P1 = BaireParams(1, L1)
@@ -184,6 +185,85 @@ def test_in_place_changes_are_seen():
         assert after == results(TreeVector(tree, dict(x.entries)))
         assert after != before
         before = after
+
+
+def _cold(x, params):
+    clear_reuse_slots()
+    return _fingerprint(baire_norm_report(x, params))
+
+
+SWEEP = [
+    BaireParams(Fraction(p), BaseNorm.parse(base))
+    for base in ("sup", "l1", "l2", "l3/2") for p in ("0", "1", "3/2", "2")
+]
+
+
+def test_chain_slot_call_order():
+    # the 16 (base, p) reports of a vector share one chain pass per base;
+    # the order of the calls, and evictions between them, change no byte
+    other = TreeVector(star_tree(2), {(0,): 1})
+    orders = [SWEEP, SWEEP[::-1], SWEEP[::4] + SWEEP[1::4] + SWEEP[2::4] + SWEEP[3::4]]
+    for i, x in enumerate(benchmark_size_vectors()):
+        want = {id(params): _cold(x, params) for params in SWEEP}
+        for order in orders:
+            for params in order:
+                assert _fingerprint(baire_norm_report(x, params)) == want[id(params)], (i, params)
+        for params in random.Random(i).sample(SWEEP, len(SWEEP)):
+            baire_norm_report(other, params)  # evict the chain slot
+            assert _fingerprint(baire_norm_report(x, params)) == want[id(params)], (i, params)
+
+
+def test_chain_slot_sees_the_base():
+    _, x = random_case(3, max_nodes=12, max_support=8)
+    tokens = ["l1", "l2", "l1", "sup", "l1", "l3", "l3/2", "l3"]
+    for p in (ZERO, 1, Fraction(3, 2)):
+        want = {token: _cold(x, BaireParams(p, BaseNorm.parse(token))) for token in tokens}
+        assert len({str(v) for v in want.values()}) == 5
+        for token in tokens:
+            got = _fingerprint(baire_norm_report(x, BaireParams(p, BaseNorm.parse(token))))
+            assert got == want[token], (p, token)
+
+
+def test_chain_slot_hits_on_equal_tree_and_base():
+    # the key holds values: an equal tree, entries dict and base hit the
+    # slot, and the segments are built on the calling vector's tree
+    x = next(benchmark_size_vectors())
+    twin = TreeVector(FiniteTree(list(x.tree.order)), dict(x.entries))
+    assert twin.tree == x.tree and twin.tree is not x.tree
+    for token in ("sup", "l2"):
+        for p in (ZERO, Fraction(3, 2)):
+            want = _cold(twin, BaireParams(p, BaseNorm.parse(token)))
+            _cold(x, BaireParams(p, BaseNorm.parse(token)))
+            chains = baire._last[1]
+            report = baire_norm_report(twin, BaireParams(p, BaseNorm.parse(token)))
+            assert baire._last[1] is chains
+            assert _fingerprint(report) == want
+            assert all(seg.tree is twin.tree for seg in report.family)
+
+
+def test_chain_slot_sees_the_scale():
+    # x / 2 has the terms of x on a grid twice as fine
+    star = TreeVector(star_tree(3), {(0,): 1, (1,): 2})
+    for x in [star] + [random_case(seed, max_nodes=12)[1] for seed in range(6)]:
+        half = x.scale(Fraction(1, 2))
+        for params in SWEEP:
+            want = _cold(half, params)
+            full = baire_norm_report(x, params).value
+            got = baire_norm_report(half, params)
+            assert _fingerprint(got) == want, (x, params)
+            assert got.value.overlaps(NormValue(full.lower / 2, full.upper / 2))
+    assert baire_norm(star, P1) == 3
+    assert baire_norm(star.scale(Fraction(1, 2)), P1) == Fraction(3, 2)
+
+
+def test_chain_slot_keeps_the_empty_tree_check():
+    x = TreeVector(star_tree(2), {(0,): 1})
+    for params in (P0, P1):
+        baire_norm(x, params)
+        slot = baire._last
+        with pytest.raises(ValueError, match="empty tree"):
+            baire_norm(TreeVector(FiniteTree([]), {}), params)
+        assert baire._last is slot
 
 
 @pytest.mark.parametrize("params", [P1, P2, P0], ids=["p1", "p2", "p0"])

@@ -29,6 +29,18 @@ STANDARD_DIGEST pins the STANDARD engine at sizes above the support cap
 ["standard", n, seed, norm, witness tree, check_fixed_point, iterates],
 for sweep_case(seed, n) with n and seed from STANDARD_SEEDS; iterates is
 [iterate m for m in (1, 2, n - 2)] at n = 20 and [] at n = 40.
+
+HI_DIGEST pins the hi layer in the same canonical form, with every tuple
+as a list:
+- for each vector i of benchmark_size_vectors(), each (start, width) of
+  HI_WINDOWS and each depth in (1, 2): ["dg", i, start, width, depth,
+  value, witness entries, witness provenance] for dg_lower_bound with ops
+  HI_OPS on the vector kept to the support nodes start..start + width - 1
+  in enumeration order; the entries are [node, value] pairs in sorted
+  node order;
+- for each (m, n) of DESK_PAIRS: ["singularity", m, n, nodes, ground,
+  lower, upper, ratio, witness entries, witness provenance] for
+  strict_singularity_witness(star_tree(n), n, m).
 """
 
 import hashlib
@@ -38,6 +50,7 @@ from fractions import Fraction
 
 from baire_lab import tsirelson
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
+from baire_lab.hi import DESK_PAIRS, dg_lower_bound, strict_singularity_witness
 from baire_lab.trees import chain_tree, comb_tree, star_tree
 from baire_lab.tsirelson import (
     INCOMPARABLE,
@@ -61,6 +74,12 @@ LARGE_DIGEST = "eebe742dbfd19fccff46ef7dda89a8d77185f5d4b7853501ffd1a9b488cc0683
 STANDARD_SEEDS = {20: (0, 1, 2), 40: (0, 1)}
 
 STANDARD_DIGEST = "13bae093abb75a2ff5340c586efd34ef0b5eceacf309d5384dd4620bdf0fc644"
+
+HI_WINDOWS = ((0, 20), (150, 25), (300, 30))
+
+HI_OPS = ((2, 4), (4, 16))
+
+HI_DIGEST = "882d687e0f665049c1415509632ad2ddcf4ed256f26b47b1e44c1fcb8d2259b2"
 
 
 def _report(r):
@@ -148,6 +167,34 @@ def standard_records():
             ]
 
 
+def _canon(v):
+    """A witness entry or provenance as JSON: tuples as lists, fractions as str."""
+    if isinstance(v, (tuple, list)):
+        return [_canon(u) for u in v]
+    return str(v) if isinstance(v, Fraction) else v
+
+
+def _witness(f):
+    return [_canon(sorted(f.entries.items())), _canon(f.provenance)]
+
+
+def hi_records():
+    for i, x in enumerate(benchmark_size_vectors()):
+        supp = sorted(x.entries, key=x.tree.index)
+        for start, width in HI_WINDOWS:
+            w = TreeVector(x.tree, {t: x.entries[t] for t in supp[start:start + width]})
+            for depth in (1, 2):
+                value, witness = dg_lower_bound(w, depth, HI_OPS)
+                yield ["dg", i, start, width, depth, str(value), *_witness(witness)]
+    for m, n in DESK_PAIRS:
+        r = strict_singularity_witness(star_tree(n), n, m)
+        yield [
+            "singularity", m, n, _canon(r["nodes"]),
+            *(str(r[k]) for k in ("ground", "lower", "upper", "ratio")),
+            *_witness(r["witness"]),
+        ]
+
+
 def digest(records=records):
     h = hashlib.sha256()
     for record in records():
@@ -167,3 +214,7 @@ def test_large_support_incomparable_pinned():
 def test_standard_sweep_sizes_pinned(monkeypatch):
     monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(STANDARD_SEEDS))
     assert digest(standard_records) == STANDARD_DIGEST
+
+
+def test_hi_layer_pinned():
+    assert digest(hi_records) == HI_DIGEST

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from baire_lab import baire, tsirelson
 from baire_lab.trees import comb_tree, random_tree
 from baire_lab.vectors import TreeVector
 
@@ -59,3 +60,11 @@ def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
         for t in supp
     }
     return tree, TreeVector(tree, entries)
+
+
+def clear_reuse_slots():
+    """Empty the Tsirelson engine slot and the Baire chain slot, so that the
+    next call on any vector is a cold one; a best-of-N timing loop on one
+    vector calls this before each timed call, or it times only slot hits."""
+    tsirelson._last = (None, None)
+    baire._last = (None, None)
