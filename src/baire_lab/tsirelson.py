@@ -19,8 +19,8 @@ and the m-th iterate (level m) alike.  Both engines offer the same surface
 so each public function has one body.
 
 The INCOMPARABLE engine walks the support in enumeration order, growing
-one set at a time, pruning with the l_1 upper bound and the skip-dominance
-lemma, and records the optimal family of every subset.
+one set at a time, pruning with the open-set slack bound and the
+skip-dominance lemma, and records the optimal family of every subset.
 
 The STANDARD norm only ever needs contiguous index intervals of the
 support: the subset norm is monotone under inclusion, so gap elements
@@ -74,12 +74,32 @@ comp(O) agree on every position after p, which are the only ones tested
 from then on.  Either way every decision stays admissible, and the grow
 family is the skip family with p added to the member that contains O.
 Every child value (each iterate level, and the fixed point) is monotone
-under inclusion, so the grow sum is at least the skip sum.  The l_1 bound
-cuts only traces that cannot beat the best sum so far, and the search
-records only strictly better sums.  "Grow" is searched before "skip", so
-when "skip" would start, the best sum is already at least every grow
-completion, hence every skip completion, and "skip" would record nothing:
-the best sum and the first optimal family are unchanged.
+under inclusion, so the grow sum is at least the skip sum.  The completion
+bound (open-set slack lemma) cuts only traces that cannot strictly beat
+the best sum so far, and the search records only strictly better sums.
+"Grow" is searched before "skip", so when "skip" would start, the best
+sum is already at least every grow completion, hence every skip
+completion, and "skip" would record nothing: the best sum and the first
+optimal family are unchanged.
+
+Open-set slack lemma: in the INCOMPARABLE family search, a trace with
+closed sum `total`, open set O and unread suffix S completes to at most
+total + l1(O) - slack(O) + l1(S), where slack(O) = min(l1(O) - sup(O),
+l1(O) // 2).  At every level and at the fixed point a set E with |E| >= 2
+has value <= max(sup E, l1(E)/2) = l1(E) - min(l1(E) - sup E, l1(E)/2):
+the value is either the sup or half a sum of child values over disjoint
+members, and each child value is at most its own l1.  A singleton E has
+value sup E = l1(E) and gives up l1(E) - sup E = 0, so the bound holds for
+every nonempty set.  The final set O' of the trace contains O, and adding
+positions never shrinks l1 - sup (the sup grows by at most the added
+value) or l1/2, so O' gives up at least slack(O); the positions of S not
+in O' add at most their values.  Floor division keeps slack(O) at most
+the real l1(O)/2, so the bound stays safe on the grid.  For a singleton
+O, and before the first set opens (O empty, slack 0), it is the plain
+l_1 bound total + l1(O) + l1(S).  The search cuts a trace only when the
+bound is <= the best sum so far, so a cut trace could not be recorded,
+which needs a strictly better sum: values, witnesses and first optima are
+the same as with every trace searched.
 
 Index-clamp lemma: `_Ctx` keeps each support node's enumeration index
 clamped at n = |supp|, and no value or recorded first optimum changes.  The
@@ -196,8 +216,12 @@ def _family_search(ctx, comp, mask, childf, incumbent):
     plain sum (the caller halves it); blocks is the best family as a list
     of bitmasks, or None if no family beats 2 * incumbent, and then
     best_sum is 2 * incumbent.  incumbent is the value the family must
-    strictly exceed after halving, which drives the l_1 pruning.  Every
-    value is a grid value.
+    strictly exceed after halving, the first best sum the completion bound
+    is tested against.  Every value is a grid value.
+
+    A trace is cut as soon as its completion bound (the open-set slack
+    lemma) is at most the best sum; the open set's l1 and sup are carried
+    down the recursion for it.
 
     While a set is open, the "skip" branch at a position is cut whenever
     growing the open set by that position provably does at least as well
@@ -216,9 +240,12 @@ def _family_search(ctx, comp, mask, childf, incumbent):
     best = [2 * incumbent, None]
     blocks = []
 
-    def rec(pi, open_mask, open_comp, open_l1, count, total, forbidden, maxk):
-        # upper bound on any completion of this trace
-        if total + open_l1 + suffix[pi] <= best[0]:
+    def rec(pi, open_mask, open_comp, open_l1, open_sup, count, total, forbidden, maxk):
+        # upper bound on any completion of this trace: the open set gives up
+        # at least its slack, min(gap, half) (the open-set slack lemma)
+        gap = open_l1 - open_sup
+        half = open_l1 >> 1
+        if total + open_l1 - (gap if gap < half else half) + suffix[pi] <= best[0]:
             return
         if pi == npos:
             if open_mask and count >= 1:
@@ -238,11 +265,11 @@ def _family_search(ctx, comp, mask, childf, incumbent):
                     if not (fb & bit):
                         v = childf(open_mask)
                         blocks.append(open_mask)
-                        rec(pi + 1, bit, comp[p], vals[p], count + 1, total + v, fb, maxk)
+                        rec(pi + 1, bit, comp[p], vals[p], vals[p], count + 1, total + v, fb, maxk)
                         blocks.pop()
                 # grow the open set
                 rec(pi + 1, open_mask | bit, open_comp | comp[p], open_l1 + vals[p],
-                    count, total, forbidden, maxk)
+                    vals[p] if vals[p] > open_sup else open_sup, count, total, forbidden, maxk)
                 # skip-dominance lemma: skipping p can only win if a new set
                 # may still start and p blocks a later position nothing blocks
                 if not (room and later[pi] & ~(open_comp | forbidden)):
@@ -251,11 +278,11 @@ def _family_search(ctx, comp, mask, childf, incumbent):
                 # open the first set here; k is capped by this node's index
                 maxk0 = ctx.idx[p]
                 if maxk0 >= 2:
-                    rec(pi + 1, bit, comp[p], vals[p], 0, 0, forbidden, maxk0)
+                    rec(pi + 1, bit, comp[p], vals[p], vals[p], 0, 0, forbidden, maxk0)
         # skip this position
-        rec(pi + 1, open_mask, open_comp, open_l1, count, total, forbidden, maxk)
+        rec(pi + 1, open_mask, open_comp, open_l1, open_sup, count, total, forbidden, maxk)
 
-    rec(0, 0, 0, 0, 0, 0, 0, 0)
+    rec(0, 0, 0, 0, 0, 0, 0, 0, 0)
     return best[0], best[1]
 
 
@@ -294,7 +321,7 @@ class _IncEngine:
             return value
         sup, l1 = self.ctx.sup_l1(mask)
         # a family sums to at most l1, so when l1 <= 2 * sup none beats the
-        # sup: the first l_1 cut of _family_search, without its set-up
+        # sup: the first cut of _family_search, without its set-up
         if level == 0 or l1 <= 2 * sup:
             value = sup
             if level is None:
@@ -464,9 +491,9 @@ def tsirelson_norm(x, variant):
 def tsirelson_iterate(x, variant, m):
     """The m-th iterate of the norm recursion; m = 0 is the sup norm and
     m >= |supp| - 1 is the norm."""
-    eng = _engine(x, variant)
     if m < 0:
         raise ValueError("iterate level must be >= 0")
+    eng = _engine(x, variant)
     return Fraction(0) if eng is None else eng.ctx.rational(eng.value(m))
 
 

@@ -30,6 +30,11 @@ STANDARD_DIGEST pins the STANDARD engine at sizes above the support cap
 for sweep_case(seed, n) with n and seed from STANDARD_SEEDS; iterates is
 [iterate m for m in (1, 2, n - 2)] at n = 20 and [] at n = 40.
 
+ABOVE_CAP_DIGEST pins the INCOMPARABLE engine above the support cap
+(raised for the test), in the same canonical form, one record per case:
+["incomparable", n, seed, norm, witness tree, check_fixed_point] for
+sweep_case(seed, n) with n and seed from ABOVE_CAP_SEEDS.
+
 HI_DIGEST pins the hi layer in the same canonical form, with every tuple
 as a list:
 - for each vector i of benchmark_size_vectors(), each (start, width) of
@@ -74,6 +79,10 @@ LARGE_DIGEST = "eebe742dbfd19fccff46ef7dda89a8d77185f5d4b7853501ffd1a9b488cc0683
 STANDARD_SEEDS = {20: (0, 1, 2), 40: (0, 1)}
 
 STANDARD_DIGEST = "13bae093abb75a2ff5340c586efd34ef0b5eceacf309d5384dd4620bdf0fc644"
+
+ABOVE_CAP_SEEDS = {16: (0, 1, 2, 3, 4, 5), 18: (3, 10)}
+
+ABOVE_CAP_DIGEST = "8bccd56ffeb6926e319a2a81ed822beeb204cecaf0e8ca7c56df80f21464bab7"
 
 HI_WINDOWS = ((0, 20), (150, 25), (300, 30))
 
@@ -167,6 +176,18 @@ def standard_records():
             ]
 
 
+def above_cap_records():
+    for n, seeds in ABOVE_CAP_SEEDS.items():
+        for seed in seeds:
+            x = sweep_case(seed, n)
+            yield [
+                "incomparable", n, seed,
+                str(tsirelson_norm(x, INCOMPARABLE)),
+                tsirelson_witness_tree(x, INCOMPARABLE),
+                check_fixed_point(x, INCOMPARABLE),
+            ]
+
+
 def _canon(v):
     """A witness entry or provenance as JSON: tuples as lists, fractions as str."""
     if isinstance(v, (tuple, list)):
@@ -214,6 +235,11 @@ def test_large_support_incomparable_pinned():
 def test_standard_sweep_sizes_pinned(monkeypatch):
     monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(STANDARD_SEEDS))
     assert digest(standard_records) == STANDARD_DIGEST
+
+
+def test_incomparable_above_cap_pinned(monkeypatch):
+    monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(ABOVE_CAP_SEEDS))
+    assert digest(above_cap_records) == ABOVE_CAP_DIGEST
 
 
 def test_hi_layer_pinned():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire_lab import tsirelson
 from baire_lab.trees import (
     FiniteTree,
     chain_tree,
@@ -199,6 +200,22 @@ def test_norm_dominates_sup_and_below_half_l1():
         v = tsirelson_norm(x, INCOMPARABLE)
         sup = max(map(abs, x.entries.values()), default=Fraction(0))
         assert sup <= v <= max(sup, x.l1() / 2)
+
+
+def test_open_set_slack_law():
+    # the open-set slack lemma's premise, oracle-free: on a support A with
+    # |A| >= 2 every iterate level 0..|A| - 1 and the fixed point are at most
+    # max(sup, l1 / 2), in both variants
+    cases = [random_case(seed)[1] for seed in range(200)]
+    cases += [sweep_case(seed, n) for n in range(2, 15) for seed in range(3)]
+    for x in cases:
+        n = len(x.entries)
+        if n < 2:
+            continue
+        cap = max(max(map(abs, x.entries.values())), x.l1() / 2)
+        for variant in (INCOMPARABLE, STANDARD):
+            levels = [tsirelson_iterate(x, variant, m) for m in range(n)]
+            assert max(levels + [tsirelson_norm(x, variant)]) <= cap, (variant, x)
 
 
 def _witness_leaves(node):
@@ -403,6 +420,14 @@ def test_incomparable_search_work_is_bounded():
     assert len(eng.memo) <= 600
 
 
+def test_incomparable_search_work_is_bounded_above_the_cap():
+    # the open-set slack bound leaves 307 memo entries on this case; with
+    # the plain l_1 bound the fixed point fills 1,085
+    eng = _IncEngine(_Ctx(sweep_case(0, 18)))
+    eng.value()
+    assert len(eng.memo) <= 600
+
+
 def test_shared_engine_call_order():
     # one engine serves every call on the same vector; the order of the
     # calls changes no value and no recorded witness
@@ -431,6 +456,20 @@ def test_shared_engine_keeps_input_checks():
     with pytest.raises(ValueError, match="iterate level"):
         tsirelson_iterate(x, INCOMPARABLE, -1)
     assert tsirelson_iterate(x, INCOMPARABLE, 13) == 7
+
+
+def test_refused_iterate_level_leaves_the_engine_slot():
+    # a negative level is refused before any engine is built, so the shared
+    # slot still holds the last vector's engine, whatever else is wrong
+    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2})
+    y = TreeVector(star_tree(4, base_label=4), {(4,): 1, (5,): 1})
+    big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
+    tsirelson_norm(x, INCOMPARABLE)
+    slot = tsirelson._last
+    for z, variant in ((y, INCOMPARABLE), (y, "bogus"), (big, INCOMPARABLE)):
+        with pytest.raises(ValueError, match=r"^iterate level must be >= 0$"):
+            tsirelson_iterate(z, variant, -1)
+        assert tsirelson._last is slot
 
 
 def test_shared_engine_sees_in_place_changes():
