@@ -58,6 +58,21 @@ it is strictly smaller.  Only a strictly better candidate is recorded, so
 stopping the scan at l, after taking its candidate if k >= 2, keeps the
 best sum and the first optimal (l, k).
 
+l1-incumbent lemma: at every level and at the fixed point the value of a
+run is at most its l1: the sup is, and a family value is half a sum of
+child values over disjoint members, each at most its own l1 by induction.
+So every split of [l, j) into runs has run-sum at most prefix[j] -
+prefix[l], the l1 of [l, j), and this bound only falls as l grows.  The
+scan of [i, j) starts from an incumbent (f passes 2 * sup of [i, j), and
+`beaten` 2 * value) and records only strictly better candidates, so once
+the l1 of [l, j) is at most the best sum, no start from l on could be
+recorded, and the scan stops.  Every start that could reach the optimum
+is scanned, so the first strict improvement on the incumbent, and with it
+every value, iterate and first optimal (l, k), is the one of the full
+scan.  A start that survives the cut has run-sum prefix[j] - prefix[l] >
+best if it splits into singletons, so the singleton start is recorded
+without a further test.
+
 Skip-dominance lemma: in the INCOMPARABLE family search, let a set O be
 open at a position p that no closed set forbids.  If no later set can
 start (count + 2 > maxk), or every later position comparable with p is
@@ -133,7 +148,8 @@ So `_Ctx` fixes one scale, lcm(support denominators) << (n - 1), both
 engines hold every value v as the integer v * scale.  A family member
 has at most n - 1 elements, so its grid value is even and halving a
 family sum is exact floor division.
-`Fraction` is built only on the way out, by `_Ctx.rational`.
+`Fraction` is built only on the way out, by `_Ctx.rational`; witness
+strings come from `_Ctx.text`, which reduces v / scale by one gcd.
 
 Spreading lemma: moving the support by a map that keeps enumeration order
 and comparability and only raises indices, as from star_tree(n, b) to
@@ -155,9 +171,10 @@ first optimum.
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from baire_lab.sequences import FiniteBlockSequence
+from baire_lab.trees import enumeration_index
 from baire_lab.vectors import TreeVector
 
 INCOMPARABLE = "incomparable"
@@ -173,21 +190,35 @@ class _Ctx:
 
     def __init__(self, x):
         tree = x.tree
-        # support positions in enumeration order, which is arena id order
-        ids, coeffs = zip(*sorted(zip(x.entry_ids(), x.entries.values())))
+        order, bound = tree.order, tree.alphabet_bound
         self.tree = tree
-        self.ids = ids
-        self.nodes = tuple(tree.order[v] for v in ids)
-        self.n = n = len(ids)
-        # clamped at n (the index-clamp lemma); depth >= n means index >= n
-        self.idx = tuple(n if len(t) >= n else min(tree.index(t), n) for t in self.nodes)
-        self.full = (1 << self.n) - 1
-        self.scale = lcm(*(c.denominator for c in coeffs)) << (self.n - 1)
-        self.vals = tuple(abs(c.numerator) * (self.scale // c.denominator) for c in coeffs)
+        self.n = n = len(x.entries)
+        ids, nodes, idx, ratios = [], [], [], []
+        # support positions in enumeration order, which is arena id order
+        for v, c in sorted(zip(x.entry_ids(), x.entries.values())):
+            t = order[v]
+            ids.append(v)
+            nodes.append(t)
+            # clamped at n (the index-clamp lemma); depth >= n means index >= n
+            idx.append(n if len(t) >= n else min(enumeration_index(t, bound), n))
+            ratios.append(c.as_integer_ratio())
+        self.ids = tuple(ids)
+        self.nodes = tuple(nodes)
+        self.idx = tuple(idx)
+        self.full = (1 << n) - 1
+        self.scale = scale = lcm(*(d for _, d in ratios)) << (n - 1)
+        self.vals = tuple(abs(a) * (scale // d) for a, d in ratios)
 
     def rational(self, v):
         """The exact value of grid value v."""
         return Fraction(v, self.scale)
+
+    def text(self, v):
+        """str(self.rational(v)) for a grid value v >= 0, reduced by one gcd
+        with the scale, without building the Fraction."""
+        g = gcd(v, self.scale)
+        den = self.scale // g
+        return str(v // g) if den == 1 else "%d/%d" % (v // g, den)
 
     def sup_l1(self, mask):
         """The largest and the sum of the grid values in mask."""
@@ -360,10 +391,11 @@ class _StdEngine:
     level-collapse lemma.  The memo starts with every singleton, whose
     value at every level is its own.  `split` holds the first optimal
     family start and size (l, k) of each interval whose family beats its
-    sup, `part` the best sum and first optimal cut t of each split into
-    two or more runs that `partition` computed.  An all-singleton split
-    (k = j - l) is a prefix sum, so it has no `part` entry and `members`
-    reads it as singletons.
+    sup, `part` the best sum and first optimal cut t of each split of
+    [s, j) into 1 < parts < j - s runs that `partition` computed.  A split
+    into singletons (parts = j - s) is a prefix sum, so it has no `part`
+    entry, whether it is a whole family or the tail of a cut walk, and
+    `members` reads it as singletons.
     """
 
     def __init__(self, ctx):
@@ -382,27 +414,32 @@ class _StdEngine:
             return self.memo[key]
         value = max(self.ctx.vals[i:j])
         if level != 0:
-            best, arg = self.best_split(i, j, None if level is None else level - 1)
-            if best > 2 * value:
+            best, arg = self.best_split(i, j, None if level is None else level - 1, 2 * value)
+            if arg is not None:
                 value = best // 2
                 self.split[key] = arg
         self.memo[key] = value
         return value
 
-    def best_split(self, i, j, level):
-        """Best run-sum over admissible (l, k) in [i, j), with its argmax;
-        by the run-count lemma only k = min(idx[l], j - l) is tried, and by
-        the singleton-start lemma the scan stops at the first l with
-        idx[l] >= j - l."""
-        idx = self.ctx.idx
-        best = 0
+    def best_split(self, i, j, level, incumbent=0):
+        """First strict improvement on `incumbent` of the best run-sum over
+        admissible (l, k) in [i, j), with its argmax, or (incumbent, None).
+        By the run-count lemma only k = min(idx[l], j - l) is tried; the
+        scan stops at the first l whose suffix l1 is at most the best sum
+        (the l1-incumbent lemma) or with idx[l] >= j - l (the
+        singleton-start lemma)."""
+        idx, prefix = self.ctx.idx, self.prefix
+        best = incumbent
         arg = None
         for l in range(i, j):
+            rest = prefix[j] - prefix[l]
+            if rest <= best:
+                break
             k = j - l
             if idx[l] >= k:
-                cand = self.prefix[j] - self.prefix[l]
-                if k >= 2 and cand > best:
-                    best = cand
+                # the all-singleton sum is rest, which beats best
+                if k >= 2:
+                    best = rest
                     arg = (l, k)
                 break
             k = idx[l]
@@ -417,6 +454,8 @@ class _StdEngine:
         """Best sum splitting [s, j) into exactly `parts` nonempty runs."""
         if parts == 1:
             return self.f(s, j, level)
+        if parts == j - s:
+            return self.prefix[j] - self.prefix[s]
         key = (s, j, parts, level)
         found = self.part.get(key)
         if found is None:
@@ -440,21 +479,20 @@ class _StdEngine:
             return None
         s, parts = split
         j = key[1]
-        if parts == j - s:
-            return [(t, t + 1) for t in range(s, j)]
         runs = []
-        while parts > 1:
+        while 1 < parts < j - s:
             t = self.part[s, j, parts, None][1]
             runs.append((s, t))
             s, parts = t, parts - 1
-        runs.append((s, j))
-        return runs
+        if parts == j - s:
+            return runs + [(t, t + 1) for t in range(s, j)]
+        return runs + [(s, j)]
 
     def positions(self, key):
         return range(*key)
 
     def beaten(self, value):
-        return self.best_split(*self.root, None)[0] > 2 * value
+        return self.best_split(*self.root, None, 2 * value)[1] is not None
 
 
 # (key, engine) of the last engine `_engine` built
@@ -505,7 +543,7 @@ def tsirelson_witness_tree(x, variant):
     eng.value()
 
     def build(key):
-        value = str(eng.ctx.rational(eng.memo[key]))
+        value = eng.ctx.text(eng.memo[key])
         members = eng.members(key)
         if members is None:
             return eng.ctx.leaf(value, eng.positions(key))

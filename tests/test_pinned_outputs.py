@@ -46,17 +46,28 @@ as a list:
 - for each (m, n) of DESK_PAIRS: ["singularity", m, n, nodes, ground,
   lower, upper, ratio, witness entries, witness provenance] for
   strict_singularity_witness(star_tree(n), n, m).
+
+CLI_DIGEST pins `baire-lab tsirelson --json` at its boundary, in the same
+canonical form, one record per call: [argv, exit code, stdout], with each
+file path in argv as its bare file name.  For each (name, tree, entries)
+of cli_cases(), the tree is written to <name>_tree.json as
+tree_to_json_dict(tree) and the entries to <name>_vector.json as
+[node, str(value)] pairs, and for each variant in (standard,
+incomparable) the calls are the plain one and --iterate m for
+m = 0, 1, 2, 3, in that order.
 """
 
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
 from baire_lab import tsirelson
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
+from baire_lab.cli import main
 from baire_lab.hi import DESK_PAIRS, dg_lower_bound, strict_singularity_witness
-from baire_lab.trees import chain_tree, comb_tree, star_tree
+from baire_lab.trees import chain_tree, comb_tree, star_tree, tree_to_json_dict
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
@@ -66,7 +77,7 @@ from baire_lab.tsirelson import (
     tsirelson_witness_tree,
 )
 from baire_lab.vectors import BaseNorm, TreeVector
-from util import benchmark_size_vectors, random_case, sweep_case
+from util import benchmark_size_vectors, random_case, random_nonroot_case, sweep_case
 
 SEEDS = 300
 
@@ -89,6 +100,8 @@ HI_WINDOWS = ((0, 20), (150, 25), (300, 30))
 HI_OPS = ((2, 4), (4, 16))
 
 HI_DIGEST = "882d687e0f665049c1415509632ad2ddcf4ed256f26b47b1e44c1fcb8d2259b2"
+
+CLI_DIGEST = "cb8692ca42175ca7558fd59f5aa7357294fa9639dca46bcf6681144e645f41d7"
 
 
 def _report(r):
@@ -216,6 +229,46 @@ def hi_records():
         ]
 
 
+def cli_cases():
+    """Ten small (name, tree, entries) cases: four random_nonroot_case
+    vectors with signed fractional entries whose STANDARD witnesses nest
+    two deep, two sweep_case vectors where the variants differ, a star of
+    ones whose indices allow every split, a star and a comb of tied 1s and
+    2s, and the zero vector."""
+    for seed in (18, 111, 155, 209):
+        tree, x = random_nonroot_case(seed, max_nodes=14, max_support=9)
+        yield "nested%d" % seed, tree, x.entries
+    for seed in (0, 3):
+        x = sweep_case(seed, 8)
+        yield "sweep%d" % seed, x.tree, x.entries
+    star = star_tree(6, base_label=6)
+    yield "star_ones", star, {t: Fraction(1) for t in star.leaves()}
+    ties = star_tree(7, base_label=3)
+    yield "star_ties", ties, {t: Fraction(1 + i % 2) for i, t in enumerate(ties.leaves())}
+    comb = comb_tree(4)
+    yield "comb_ties", comb, {t: Fraction(2 - i % 2) for i, t in enumerate(comb.order[1:])}
+    yield "zero", chain_tree(3), {}
+
+
+def cli_records(tmp_path, capsys):
+    for name, tree, entries in cli_cases():
+        tree_file = tmp_path / (name + "_tree.json")
+        vector_file = tmp_path / (name + "_vector.json")
+        tree_file.write_text(json.dumps(tree_to_json_dict(tree)))
+        vector_file.write_text(json.dumps(
+            {"entries": [[list(t), str(v)] for t, v in entries.items()]}
+        ))
+        for variant in (STANDARD, INCOMPARABLE):
+            argv = ["tsirelson", "--tree", str(tree_file), "--vector", str(vector_file),
+                    "--variant", variant, "--json"]
+            for extra in ([], *(["--iterate", str(m)] for m in range(4))):
+                code = main(argv + extra)
+                out = capsys.readouterr().out
+                shown = [os.path.basename(a) if a.startswith(str(tmp_path)) else a
+                         for a in argv + extra]
+                yield [shown, code, out]
+
+
 def digest(records=records):
     h = hashlib.sha256()
     for record in records():
@@ -244,3 +297,7 @@ def test_incomparable_above_cap_pinned(monkeypatch):
 
 def test_hi_layer_pinned():
     assert digest(hi_records) == HI_DIGEST
+
+
+def test_tsirelson_cli_pinned(tmp_path, capsys):
+    assert digest(lambda: cli_records(tmp_path, capsys)) == CLI_DIGEST

@@ -19,6 +19,7 @@ from baire_lab.trees import (
     star_tree,
 )
 from baire_lab.tsirelson import (
+    DEFAULT_SUPPORT_CAP,
     INCOMPARABLE,
     STANDARD,
     _Ctx,
@@ -33,13 +34,14 @@ from baire_lab.tsirelson import (
     verify_sandwich18,
 )
 from baire_lab.vectors import TreeVector, unit_vector
+from tsirelson_reference import _engine as reference_engine
 from tsirelson_reference import (
     reference_check_fixed_point,
     reference_iterate,
     reference_norm,
     reference_witness_tree,
 )
-from util import random_case, random_nonroot_case, sweep_case
+from util import clear_reuse_slots, random_case, random_nonroot_case, sweep_case
 
 
 def naive_iterates(x, variant):
@@ -269,13 +271,17 @@ def _tie_case(seed):
     return TreeVector(tree, {t: rng.choice([1, 2, 3, 4]) for t in supp})
 
 
+def _split_cases():
+    """Random signed supports and tie-heavy ones, up to 9 nodes."""
+    cases = [random_nonroot_case(seed, max_support=9)[1] for seed in range(150)]
+    return cases + [_tie_case(seed) for seed in range(150)]
+
+
 def test_run_count_lemma():
     # partition(l, j, k) strictly increases in k up to the admissible
     # maximum, so best_split tries only that k and still returns the first
     # optimal (l, k) of a scan over every k: the witnesses do not move
-    cases = [random_nonroot_case(seed, max_support=9)[1] for seed in range(150)]
-    cases += [_tie_case(seed) for seed in range(150)]
-    for x in cases:
+    for x in _split_cases():
         eng = _StdEngine(_Ctx(x))
         n, idx = eng.ctx.n, eng.ctx.idx
         for level in (None, 0, 1, 2):
@@ -292,6 +298,31 @@ def test_run_count_lemma():
                         if sums[l, j][k - 1] > scan[0]:
                             scan = (sums[l, j][k - 1], (l, k))
                 assert eng.best_split(i, j, level) == scan
+
+
+def test_l1_incumbent_cut_keeps_the_first_improvement():
+    # best_split(i, j, level, incumbent) cuts the start scan once the
+    # suffix l1 is at most the best sum (the l1-incumbent lemma); it must
+    # still return the first strict improvement on the incumbent of a scan
+    # over every start and every k, or (incumbent, None)
+    for x in _split_cases():
+        eng = _StdEngine(_Ctx(x))
+        n, idx, vals = eng.ctx.n, eng.ctx.idx, eng.ctx.vals
+        for level in (None, 0, 1, 2):
+            for i, j in itertools.combinations(range(n + 1), 2):
+                scan = [
+                    (eng.partition(l, j, k, level), (l, k))
+                    for l in range(i, j)
+                    for k in range(2, min(idx[l], j - l) + 1)
+                ]
+                top = max((c for c, _ in scan), default=0)
+                for incumbent in (0, 2 * max(vals[i:j]), top):
+                    want = (incumbent, None)
+                    for cand, arg in scan:
+                        if cand > want[0]:
+                            want = (cand, arg)
+                    got = eng.best_split(i, j, level, incumbent)
+                    assert got == want, (x.entries, i, j, level, incumbent)
 
 
 def _outputs(x, variant, order, norm, witness, check, iterate, levels=None):
@@ -596,8 +627,9 @@ def test_block_sequence_validation():
 
 
 def test_standard_part_table_holds_two_or_more_runs():
-    # a split into one run is the interval's own value, read from memo;
-    # part keeps (best sum, first optimal cut) of the other splits
+    # a split into one run is the interval's own value, read from memo, and
+    # one into singletons a prefix sum; part keeps (best sum, first optimal
+    # cut) of the other splits
     for seed in range(40):
         _, x = random_nonroot_case(seed, max_support=9)
         eng = _StdEngine(_Ctx(x))
@@ -663,3 +695,67 @@ def test_standard_all_singleton_starts_fill_no_part_table():
     assert check_fixed_point(x, STANDARD)
     assert tsirelson_iterate(x, STANDARD, 2) == 6
     assert _engine(x, STANDARD).part == {}
+
+
+def test_standard_singleton_tails_of_cut_walks():
+    # partition's last cut leaves parts == j - s runs, singletons, which it
+    # takes as a prefix sum below any start with k < j - l: part holds no
+    # such key, and members reads the tail of its cut walk as singletons
+    # where the reference engine walks its recorded cuts to the end
+    tails = 0
+    for x in _split_cases():
+        if not x.entries:
+            continue
+        eng = _StdEngine(_Ctx(x))
+        eng.value()
+        eng.value(2)
+        ref = reference_engine(x, STANDARD, DEFAULT_SUPPORT_CAP)
+        assert all(parts < j - s for s, j, parts, _ in eng.part), x.entries
+        for key, (l, k) in eng.split.items():
+            if len(key) == 3:
+                continue
+            ref.f(*key, None)
+            runs = eng.members(key)
+            assert runs == ref.members(key), (x.entries, key)
+            # a family not all singletons whose last two runs are: its cut
+            # walk ends in a singleton tail
+            tails += 1 < k < key[1] - l and runs[-2] == (runs[-1][0] - 1, runs[-1][0])
+        wt = tsirelson_witness_tree(x, STANDARD)
+        assert _replay(wt, x, STANDARD) == tsirelson_norm(x, STANDARD), x.entries
+    assert tails >= 10, tails
+
+
+def test_standard_work_is_bounded():
+    # memo and part entries after norm, witness and check on 40 sweep
+    # cases of 6 and 8 nodes: 612 with the l1-incumbent cut and the
+    # all-singleton partitions, 1,001 with neither
+    total = 0
+    for n in (6, 8):
+        for seed in range(20):
+            x = sweep_case(seed, n)
+            clear_reuse_slots()
+            tsirelson_norm(x, STANDARD)
+            tsirelson_witness_tree(x, STANDARD)
+            check_fixed_point(x, STANDARD)
+            eng = _engine(x, STANDARD)
+            total += len(eng.memo) + len(eng.part)
+    assert total <= 612, total
+
+
+def test_ctx_text_is_the_fraction_string():
+    # the witness writes grid values through _Ctx.text, one gcd with the
+    # scale in place of a Fraction; integral values print without "/1"
+    integral = 0
+    for seed in range(100):
+        _, x = random_case(seed)
+        if not x.entries:
+            continue
+        ctx = _Ctx(x)
+        assert ctx.text(0) == "0" and ctx.text(ctx.scale) == "1"
+        for eng in (_IncEngine(ctx), _StdEngine(ctx)):
+            eng.value()
+            eng.value(1)
+            for v in eng.memo.values():
+                assert ctx.text(v) == str(Fraction(v, ctx.scale)), (seed, v)
+                integral += v % ctx.scale == 0
+    assert integral >= 100, integral
