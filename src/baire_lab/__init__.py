@@ -38,11 +38,7 @@ from baire_lab.hi import (
     schedule,
     strict_singularity_witness,
 )
-from baire_lab.sequences import (
-    FiniteBlockSequence,
-    generate_incomparable_blocks,
-    unconditionality_constant_lower,
-)
+from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.verify import (
     ExperimentReport,
     run_branch_isometry,
@@ -59,8 +55,7 @@ __all__ = [
     "INCOMPARABLE", "STANDARD", "tsirelson_norm", "tsirelson_iterate",
     "ground_norm", "schedule", "dg_lower_bound", "dg_upper_bound",
     "strict_singularity_witness",
-    "FiniteBlockSequence", "generate_incomparable_blocks",
-    "unconditionality_constant_lower",
+    "FiniteBlockSequence",
     "ExperimentReport", "run_branch_isometry", "run_tsirelson_suite",
     "run_hi_suite",
 ]

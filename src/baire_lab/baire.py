@@ -72,7 +72,6 @@ from fractions import Fraction
 from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix
-from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.vectors import NormValue, pow_bounds, pow_ends
 
 
@@ -300,42 +299,3 @@ def baire_norm_oracle_report(x, params, cap=12):
 
 def baire_norm_oracle(x, params, cap=12):
     return baire_norm_oracle_report(x, params, cap).value
-
-
-class BlockProfile:
-    def __init__(self, norm, profile):
-        self.norm = norm
-        self.profile = profile
-
-
-def incomparable_block_profile(blocks, coeffs, params):
-    """Norm of a coefficient combination of a block sequence, with the l_p
-    profile of (coeff * block norm).
-
-    The two are equal, or overlap where they are intervals.  A segment is
-    a chain, and a chain meets at most one of several completely
-    incomparable supports, so every family of x = sum c_i b_i splits into
-    families for the single c_i b_i: |x| is at most the profile.
-    Conversely, segments trimmed to the supports of different blocks are
-    completely incomparable: if s_1 <= u <= w <= t_2, with u on a segment
-    from s_1 to t_1 in block 1's support and w on one from s_2 to t_2 in
-    block 2's, then s_1 and t_2 would be comparable (and likewise with 1
-    and 2 swapped).  So the optimal families of the blocks together are a
-    family of x, and |x| = (sum |c_i|^p |b_i|^p)^(1/p); for p = 0 it is
-    the max of |c_i| |b_i|.
-    """
-    seq = FiniteBlockSequence(blocks)
-    norm = baire_norm(seq.combine(coeffs), params)
-
-    terms = []
-    for b, c in zip(blocks, coeffs):
-        nb = baire_norm(b, params)
-        terms.append((abs(Fraction(c)) * nb.lower, abs(Fraction(c)) * nb.upper))
-    if params.p is ZERO:
-        profile = (max(lo for lo, _ in terms), max(hi for _, hi in terms))
-    else:
-        total = _EXACT_ZERO
-        for t in terms:
-            total = _s_add(total, pow_bounds(*t, params.p))
-        profile = pow_bounds(*total, 1 / params.p)
-    return BlockProfile(norm, NormValue(*profile))

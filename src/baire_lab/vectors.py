@@ -236,9 +236,6 @@ class NormValue:
             raise ValueError("norm value is an interval, not exact")
         return self.lower
 
-    def overlaps(self, other):
-        return self.lower <= other.upper and other.lower <= self.upper
-
     def __eq__(self, other):
         if isinstance(other, NormValue):
             return self.lower == other.lower and self.upper == other.upper
@@ -323,20 +320,16 @@ class BaseNorm:
 class TreeVector:
     """Finitely supported rational vector indexed by tree nodes.
 
+    entries is a mapping from tree nodes to values Fraction() reads; zero
+    values are dropped and a node outside the tree is refused.  A mapping
+    holds each node once, so reading a repeated node from a file is the
+    loader's check (cli._load_vector).
+
     Beside entries the vector keeps the arena ids of its entry nodes, for
     the DPs that run on the tree's arena (see entry_ids).
     """
 
     def __init__(self, tree, entries):
-        if not hasattr(entries, "keys"):
-            # pairs: a repeated node is refused, where dict() would keep
-            # its last value without a word
-            pairs, entries = entries, {}
-            for node, value in pairs:
-                node = tuple(node)
-                if node in entries:
-                    raise ValueError("node %r is listed twice" % (node,))
-                entries[node] = value
         id_of = tree.id_of
         clean = {}
         keys, ids = [], []

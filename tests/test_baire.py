@@ -14,7 +14,6 @@ from baire_lab.baire import (
     baire_norm_oracle,
     baire_norm_oracle_report,
     baire_norm_report,
-    incomparable_block_profile,
 )
 from baire_lab.hi import dg_lower_bound, ground_norm
 from baire_lab.trees import (
@@ -27,7 +26,15 @@ from baire_lab.trees import (
     random_tree,
     star_tree,
 )
-from baire_lab.vectors import BaseNorm, NormValue, TreeVector, linear_combination, unit_vector
+from baire_lab.sequences import FiniteBlockSequence
+from baire_lab.vectors import (
+    BaseNorm,
+    NormValue,
+    TreeVector,
+    linear_combination,
+    pow_bounds,
+    unit_vector,
+)
 from baire_reference import reference_report
 from util import benchmark_size_vectors, clear_reuse_slots, random_case
 
@@ -251,7 +258,7 @@ def test_chain_slot_sees_the_scale():
             full = baire_norm_report(x, params).value
             got = baire_norm_report(half, params)
             assert _fingerprint(got) == want, (x, params)
-            assert got.value.overlaps(NormValue(full.lower / 2, full.upper / 2))
+            assert got.value.lower <= full.upper / 2 and full.lower / 2 <= got.value.upper
     assert baire_norm(star, P1) == 3
     assert baire_norm(star.scale(Fraction(1, 2)), P1) == Fraction(3, 2)
 
@@ -283,7 +290,7 @@ def _agree(got, want):
     """Equal when both are exact, else the intervals overlap."""
     if got.is_exact and want.is_exact:
         return got == want
-    return got.overlaps(want)
+    return got.lower <= want.upper and want.lower <= got.upper
 
 
 @pytest.mark.parametrize("p", MATRIX_PS)
@@ -500,11 +507,38 @@ def test_dp_matches_oracle_property(seed):
     assert baire_norm_report(x, P1).power == baire_norm_oracle_report(x, P1, cap=8).power
 
 
+def _block_profile(blocks, coeffs, params):
+    """The norm of sum c_i b_i, and the l_p profile of (|c_i| |b_i|): the l_p
+    sum of the block norms (their max for p = 0) by pow_bounds.
+
+    The two are equal, or overlap where they are intervals.  A segment is
+    a chain, and a chain meets at most one of several completely
+    incomparable supports, so every family of x = sum c_i b_i splits into
+    families for the single c_i b_i: |x| is at most the profile.
+    Conversely, segments trimmed to the supports of different blocks are
+    completely incomparable: if s_1 <= u <= w <= t_2, with u on a segment
+    from s_1 to t_1 in block 1's support and w on one from s_2 to t_2 in
+    block 2's, then s_1 and t_2 would be comparable (and likewise with 1
+    and 2 swapped).  So the optimal families of the blocks together are a
+    family of x.
+    """
+    norm = baire_norm(FiniteBlockSequence(blocks).combine(coeffs), params)
+    terms = []
+    for b, c in zip(blocks, coeffs):
+        v = baire_norm(b, params)
+        terms.append((abs(c) * v.lower, abs(c) * v.upper))
+    if params.p is ZERO:
+        return norm, NormValue(max(lo for lo, _ in terms), max(hi for _, hi in terms))
+    powers = [pow_bounds(*t, params.p) for t in terms]
+    total = sum(lo for lo, _ in powers), sum(hi for _, hi in powers)
+    return norm, NormValue(*pow_bounds(*total, 1 / params.p))
+
+
 def test_block_profile_star():
     t = star_tree(4, base_label=0)
     blocks = [unit_vector(t, (i,)) for i in range(4)]
-    prof = incomparable_block_profile(blocks, [1, 1, 1, 1], P1)
-    assert prof.norm == 4 and prof.profile == 4
+    norm, profile = _block_profile(blocks, [1, 1, 1, 1], P1)
+    assert norm == 4 and profile == 4
 
 
 def _random_block_sequence(seed):
@@ -537,8 +571,8 @@ def _random_block_sequence(seed):
 
 def test_block_profile_equals_norm():
     # a chain meets at most one completely incomparable support, so the
-    # norm of sum c_i b_i is the l_p aggregate of |c_i| |b_i| (see the
-    # incomparable_block_profile docstring)
+    # norm of sum c_i b_i is the l_p aggregate of |c_i| |b_i| (see
+    # _block_profile)
     bases = [BaseNorm.sup(), L1, BaseNorm.ell(2), BaseNorm.ell(Fraction(3, 2))]
     ps = [ZERO, 1, Fraction(3, 2), 2, 3]
     exact = chained = 0
@@ -549,31 +583,10 @@ def test_block_profile_equals_norm():
         )
         for base in bases:
             for p in ps:
-                prof = incomparable_block_profile(blocks, coeffs, BaireParams(p, base))
-                norm, profile = prof.norm, prof.profile
+                norm, profile = _block_profile(blocks, coeffs, BaireParams(p, base))
                 if norm.is_exact and profile.is_exact:
                     exact += 1
                     assert norm.exact == profile.exact, (seed, base, p)
                 else:
                     assert norm.lower <= profile.upper and profile.lower <= norm.upper
     assert exact >= 200 and chained >= 15
-
-
-def test_block_profile_rejects_blocks_out_of_order():
-    # incomparable, but the second block starts before the first one ends
-    t = star_tree(3)
-    first = TreeVector(t, {(0,): 1, (2,): 1})
-    with pytest.raises(ValueError, match="increasing index windows"):
-        incomparable_block_profile([first, unit_vector(t, (1,))], [1, 1], P1)
-
-
-def test_block_profile_rejects_comparable_blocks():
-    t = chain_tree(3)
-    blocks = [unit_vector(t, ()), unit_vector(t, (0,))]
-    with pytest.raises(ValueError):
-        incomparable_block_profile(blocks, [1, 1], P1)
-
-
-def test_block_profile_rejects_empty_block_list():
-    with pytest.raises(ValueError, match="empty block sequence"):
-        incomparable_block_profile([], [], P1)

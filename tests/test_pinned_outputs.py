@@ -55,6 +55,18 @@ tree_to_json_dict(tree) and the entries to <name>_vector.json as
 [node, str(value)] pairs, and for each variant in (standard,
 incomparable) the calls are the plain one and --iterate m for
 m = 0, 1, 2, 3, in that order.
+
+CLI_ALL_DIGEST pins every other command at its boundary, in the same
+canonical form, one record per call of cli_all_calls(), in order:
+[argv, exit code, stdout, stderr], with each file path in argv, stdout
+and stderr as its bare file name.  A call with --out has a fifth item,
+the JSON report it wrote without its "wall_time_seconds" key.  The input
+files are written by cli_all_files(): tree.json and vector.json hold the
+nested18 case of cli_cases() in the CLI_DIGEST form, partial.json lists
+the nodes [0, 1] and [2] without their prefixes, star15.json and
+ones15.json hold star_tree(15) and a 1 on each of its leaves, twice.json
+lists the node [0] twice, bad.json is cut off mid-array, and deep.json
+has one node of DEPTH_MAX + 1 entries.
 """
 
 import hashlib
@@ -65,7 +77,7 @@ from fractions import Fraction
 
 from baire_lab import tsirelson
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
-from baire_lab.cli import main
+from baire_lab.cli import DEPTH_MAX, main
 from baire_lab.hi import DESK_PAIRS, dg_lower_bound, strict_singularity_witness
 from baire_lab.trees import chain_tree, comb_tree, star_tree, tree_to_json_dict
 from baire_lab.tsirelson import (
@@ -102,6 +114,8 @@ HI_OPS = ((2, 4), (4, 16))
 HI_DIGEST = "882d687e0f665049c1415509632ad2ddcf4ed256f26b47b1e44c1fcb8d2259b2"
 
 CLI_DIGEST = "cb8692ca42175ca7558fd59f5aa7357294fa9639dca46bcf6681144e645f41d7"
+
+CLI_ALL_DIGEST = "746a89a3a1e03fb7c54717d91d3fb843a4fdf206bd66d44629504f2ca3e85152"
 
 
 def _report(r):
@@ -269,6 +283,76 @@ def cli_records(tmp_path, capsys):
                 yield [shown, code, out]
 
 
+def _vector_json(entries):
+    return json.dumps({"entries": [[list(t), str(v)] for t, v in entries.items()]})
+
+
+def cli_all_files(d):
+    _, tree, entries = next(cli_cases())
+    star = star_tree(15)
+    files = {
+        "tree.json": json.dumps(tree_to_json_dict(tree)),
+        "vector.json": _vector_json(entries),
+        "partial.json": json.dumps({"nodes": [[0, 1], [2]]}),
+        "star15.json": json.dumps(tree_to_json_dict(star)),
+        "ones15.json": _vector_json({t: Fraction(1) for t in star.leaves()}),
+        "twice.json": json.dumps({"entries": [[[0], "1"], [[0], "2"]]}),
+        "bad.json": '{"nodes": [[0]',
+        "deep.json": json.dumps({"nodes": [[0] * (DEPTH_MAX + 1)]}),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+
+
+def cli_all_calls(d):
+    """One call of every command and error class the CLI_DIGEST calls leave
+    out: gen of each shape, rank, baire, ground, hi, the three verify
+    suites with --out, then one call for each class of input error."""
+    f = {name: str(d / name) for name in (
+        "tree.json", "vector.json", "partial.json", "star15.json", "ones15.json",
+        "twice.json", "bad.json", "deep.json", "branch.json", "tsirelson.json", "hi.json",
+    )}
+    x = ["--tree", f["tree.json"], "--vector", f["vector.json"]]
+    return [
+        ["gen", "chain", "--n", "4"],
+        ["gen", "star", "--n", "4"],
+        ["gen", "comb", "--n", "4"],
+        ["gen", "random", "--max-nodes", "4"],
+        ["rank", "--tree", f["tree.json"]],
+        ["rank", "--tree", f["partial.json"], "--json"],
+        ["baire", *x],
+        ["baire", *x, "--p", "3/2", "--base", "l2", "--json"],
+        ["ground", *x],
+        ["ground", *x, "--json"],
+        ["hi", "witness", "--pairs", "2:4,4:16"],
+        ["hi", "schedule", "--jmax", "2", "--json"],
+        ["verify", "branch", "--cases", "10", "--seed", "1", "--out", f["branch.json"]],
+        ["verify", "tsirelson", "--cases", "5", "--seed", "1", "--out", f["tsirelson.json"]],
+        ["verify", "hi", "--pairs", "2:4,2:8", "--out", f["hi.json"]],
+        ["rank", "--tree", f["bad.json"]],
+        ["ground", "--tree", f["tree.json"], "--vector", f["twice.json"]],
+        ["tsirelson", "--tree", f["star15.json"], "--vector", f["ones15.json"]],
+        ["baire", *x, "--p", "9"],
+        ["rank", "--tree", f["deep.json"]],
+        ["hi", "witness", "--pairs", "2:x"],
+    ]
+
+
+def cli_all_records(tmp_path, capsys):
+    cli_all_files(tmp_path)
+    prefix = str(tmp_path) + os.sep
+    for argv in cli_all_calls(tmp_path):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        record = [[a.replace(prefix, "") for a in argv], code,
+                  out.replace(prefix, ""), err.replace(prefix, "")]
+        if "--out" in argv:
+            report = json.loads((tmp_path / argv[-1]).read_text())
+            del report["wall_time_seconds"]
+            record.append(report)
+        yield record
+
+
 def digest(records=records):
     h = hashlib.sha256()
     for record in records():
@@ -301,3 +385,7 @@ def test_hi_layer_pinned():
 
 def test_tsirelson_cli_pinned(tmp_path, capsys):
     assert digest(lambda: cli_records(tmp_path, capsys)) == CLI_DIGEST
+
+
+def test_cli_pinned(tmp_path, capsys):
+    assert digest(lambda: cli_all_records(tmp_path, capsys)) == CLI_ALL_DIGEST

@@ -1,10 +1,15 @@
 """The public surface: the package's __all__, the CLI contract, and the
 names the benchmark's tracer (bench/tracer.py) wraps.
 
+Every name in __all__ has a caller outside tests/: the package's own
+modules, a demo or the benchmark reads it, or it is an oracle (ORACLES).
+
 Both stay stable, or their changes are recorded in CHANGES.md; a change
 here is a change of that contract, not a refactor.
 """
 
+import ast
+import glob
 import importlib
 import os
 import sys
@@ -23,12 +28,15 @@ PUBLIC_NAMES = [
     "TreeVector", "ZERO", "baire_norm", "baire_norm_oracle",
     "chain_tree", "comb_tree",
     "completely_incomparable", "dg_lower_bound", "dg_upper_bound",
-    "enumeration_index", "generate_incomparable_blocks", "ground_norm",
+    "enumeration_index", "ground_norm",
     "linear_combination", "make_tree", "random_tree", "rank",
     "run_branch_isometry", "run_hi_suite", "run_tsirelson_suite",
     "schedule", "star_tree", "strict_singularity_witness",
-    "tsirelson_iterate", "tsirelson_norm", "unconditionality_constant_lower",
+    "tsirelson_iterate", "tsirelson_norm",
 ]
+
+# public names kept as references for the fast paths, with tests as callers
+ORACLES = {"baire_norm_oracle"}
 
 
 def _choices(parser, dest):
@@ -38,7 +46,7 @@ def _choices(parser, dest):
 
 
 def test_all_is_pinned_and_resolves():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(baire_lab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(baire_lab, name) is not None, name
@@ -59,3 +67,32 @@ def test_tracer_names_resolve():
     assert names
     for module, attribute in names:
         assert hasattr(importlib.import_module("baire_lab." + module), attribute), attribute
+
+
+def _caller_files():
+    """The package's modules but __init__.py, the demos, and the
+    benchmark's modules but its tests."""
+    package = sorted(glob.glob(os.path.join(ROOT, "src", "baire_lab", "*.py")))
+    return (
+        [f for f in package if os.path.basename(f) != "__init__.py"]
+        + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+        + [f for f in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+           if not os.path.basename(f).startswith("test_")]
+    )
+
+
+def test_every_public_name_has_a_caller():
+    # a name is read where it shows as a Name, an Attribute or a name
+    # imported from a module; a definition alone is not a caller
+    read = set()
+    for path in _caller_files():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert sorted(set(baire_lab.__all__) - read - ORACLES) == []

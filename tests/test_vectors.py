@@ -367,8 +367,6 @@ def test_norm_value_exactness():
     with pytest.raises(ValueError):
         w.exact
     assert w.lower <= Fraction(3, 2) <= w.upper
-    assert w.overlaps(NormValue(2, 3))
-    assert not w.overlaps(NormValue(3, 4))
 
 
 def test_base_norm_parse():
@@ -422,22 +420,6 @@ def test_tree_vector_keeps_fractions_and_converts_the_rest():
     assert x.entries == {(0,): half, (1,): 3, (2,): Fraction(1, 3)}
     assert y[(0,)] == 5 and y.entry_ids() == [t.id_of[(0,)], t.id_of[(2,)]]
     assert x.entry_ids() == [t.id_of[(0,)], t.id_of[(1,)], t.id_of[(2,)]]
-
-
-def test_tree_vector_reads_pairs_and_refuses_a_repeated_node():
-    t = star_tree(3)
-    want = TreeVector(t, {(0,): 1, (2,): Fraction(-1, 2)})
-    assert TreeVector(t, [((0,), 1), ((2,), Fraction(-1, 2))]) == want
-    # list nodes are read as tuples, in pairs as in a dict's items
-    x = TreeVector(t, [([0], 1), ([2], "-1/2")])
-    assert x == want and list(x.entries) == [(0,), (2,)]
-    assert x.entry_ids() == [t.id_of[(0,)], t.id_of[(2,)]]
-    assert TreeVector(t, iter([([1], 3)])).entries == {(1,): 3}
-    for pairs in ([((0,), 1), ((0,), 2)], [([0], 1), ((0,), 1)], [((1,), 0), ([1], 0)]):
-        with pytest.raises(ValueError, match=r"node \(\d,\) is listed twice"):
-            TreeVector(t, pairs)
-    with pytest.raises(ValueError, match="not in the tree"):
-        TreeVector(t, [([5], 1)])
 
 
 def test_tree_vector_algebra():
