@@ -27,10 +27,11 @@ end j are lists over the window start i:
     C_1[i] = best(i, j, d),
     C_c[i] = max(best(i, j, d), max over i < t < j of best(i, t, d) + C_{c-1}[t]),
 
-so C_c[i] is the best sum of at most c successively supported level-d
-functionals on [i, j), and an op (m, cap) offers C_cap[i] // m to
-best(i, j, d + 1).  Each entry keeps its head end t, or None when the
-whole window wins.
+so C_c[i] = C_c(i, j) is the best sum of at most c successively supported
+level-d functionals on [i, j): unfolding the recurrence, the max over the
+splits of [i, j) into at most c consecutive runs of the sum of best over
+the runs.  An op (m, cap) offers C_cap(i, j) // m to best(i, j, d + 1).
+Each entry keeps its head end t, or None when the whole window wins.
 
 Clamp lemma: C_c(i, j) = C_{j-i}(i, j) for every c >= j - i, and the
 choices agree too.  By induction on j - i: for j - i = 1 there is no t,
@@ -41,10 +42,52 @@ c is; so C_c(i, j) makes the same comparisons for every such c.  Hence a
 c-row is computed only for i <= j - c and copies the (c - 1)-row above
 that, and every lookup uses min(cap, j - i).
 
+Two builders fill only the entries a later read uses.  Below the top
+level, level d + 1 needs best(i, j, d + 1) on every window but only the
+values C_cap(i, j), which the doubling gives for every window at once;
+head ends are never read there.  The top level needs best(0, n, depth)
+alone, and each op the witness takes needs the head ends at one right
+end: `_split` builds one table at one right end, reachable entries only.
+
+Doubling lemma: for a, b >= 1,
+
+    C_{a+b}(i, j) = max(C_a(i, j), max over i + a <= t < j of C_a(i, t) + C_b(t, j)).
+
+Every term is the value of a split into at most a + b runs, so the right
+side is at most the left.  Conversely, a best split into r <= a + b runs
+is counted by C_a(i, j) if r <= a; otherwise its first a runs end at some
+t with i + a <= t < j, and the runs before t are worth at most C_a(i, t),
+the r - a <= b runs after it at most C_b(t, j).  Where j - i <= a the t
+range is empty and C_{a+b}(i, j) = C_a(i, j), the clamp lemma.  So
+C_{2a} comes from C_a on the windows longer than a, and C_c for
+c = min(cap, n) (the clamp lemma again: no window is longer than n) is
+the product of the C_{2^k} over the binary digits of c, the highest
+first; each distinct c is built once per level.
+
+Reachability lemma: at right end j let W be the wanted rows min(cap, j),
+one per op, and lo(c) = min of w - c over the w in W with w >= c.  Row c
+is computed for lo(c) <= i <= j - c (lo(c) <= j - c, as every w <= j)
+and copies row c - 1 above j - c.  Every w >= c counts for c - 1 with
+one more, so lo(c - 1) <= lo(c) + 1.  By induction on c, row c holds
+C_c(i, j) at every i >= lo(c): a computed entry reads row c - 1 at t in
+(i, j), and t >= lo(c) + 1 >= lo(c - 1); a copied entry, at i > j - c,
+is C_{c-1}(i, j) = C_c(i, j) by the clamp lemma, with i >= lo(c - 1) too.
+Every lookup reads a computed entry.  A first lookup is at
+c = min(cap, j - i): if cap <= j - i then w = cap = c is in W and
+lo(c) = 0; otherwise c = j - i < cap, and w = min(cap, j) has
+c <= w <= j, so lo(c) <= w - c <= j - c = i.  A walk step from (c, i)
+goes to (c', t) with t > i and c' = min(c - 1, j - t): if c' = j - t
+then lo(c') <= j - c' = t, and otherwise lo(c') <= lo(c) + 1 <= t.  The
+top level reads each op's row at i = 0, so one table serves it and every
+witness lookup at that right end.
+
 Tie rules: the ground functional is tried first and each op in order,
 replacing the best so far only when strictly larger; in a table the
 whole window wins ties, and among splits the first t with the strictly
-largest sum wins (max of the sums, then its first index).
+largest sum wins (max of the sums, then its first index).  So every
+pick and head end is a function of the values alone, and a table built
+later at a right end, from the kept level rows, records the same choices
+as one built with every entry.
 """
 
 from fractions import Fraction
@@ -178,11 +221,12 @@ class _Search:
     the entries' denominators times lcm(m)**depth: a value at depth d is
     a multiple of lcm(m)**(depth - d), so total // m is exact.
 
-    The run-split tables, the clamp lemma and the tie rules are in the
-    module docstring.  best(i, ., d) is one row list per i; level d + 1
-    reads it from the level-d tables at every right end, one entry per
-    op.  The top level needs only best(0, n, depth), so its tables are
-    built at j = n alone.
+    The run-split tables, the doubling, the lemmas and the tie rules are
+    in the module docstring.  best(i, ., d) is one row list per i, kept in
+    rows[d] for the tables the witness builds later.  Level d + 1 below
+    the top reads the values C_cap(i, j) of every window from `_runs`;
+    the top level needs only best(0, n, depth), so its table is built at
+    j = n alone.
 
     The witness is built directly from the recorded choices (`ends`,
     `picks`, `cuts`) along the chosen path only, so `_witness` recurses no
@@ -202,9 +246,11 @@ class _Search:
         self.scale = lcm(*(b for _, b in ratios)) * lcm(*(m for m, _ in ops)) ** depth
         self.weights = [abs(a) * (self.scale // b) for a, b in ratios]
         self.up = tree.nearest_ancestors(ids)
-        # picks[d][i][j]: the index of the op that won best(i, j, d), or
-        # -1 for the ground functional; cuts[d][j][c][i]: the head end
-        # chosen for C_c[i] at right end j over level-d windows
+        # rows[d][i][j] = best(i, j, d); picks[d][i][j]: the index of the op
+        # that won best(i, j, d), or -1 for the ground functional;
+        # cuts[d][j][c][i]: the head end chosen for C_c[i] at right end j
+        # over level-d windows, built by `_split` when first needed
+        self.rows = [None] * depth
         self.picks = [None] * (depth + 1)
         self.cuts = [[None] * (self.n + 1) for _ in range(depth)]
 
@@ -234,14 +280,17 @@ class _Search:
         ground, self.ends = zip(*map(self._ground_from, range(n)))
         rows = ground
         for d in range(self.depth):
-            # best(i, j, d + 1) from the level-d tables: every window below
+            # best(i, j, d + 1) from the level-d rows: every window below
             # the top level, only [0, n) at the top
+            self.rows[d] = rows
             top = d == self.depth - 1
             width = 1 if top else n
+            if not top:
+                columns = self._runs(rows)
             up = [row[:] for row in islice(ground, width)]
             picks = [[-1] * (n + 1) for _ in range(width)]
             for j in [n] if top else range(1, n + 1):
-                per_op = self._split(rows, d, j)
+                per_op = self._split(d, j) if top else [cols[j] for cols in columns]
                 for i in range(min(width, j)):
                     value = up[i][j]
                     for k, (m, _) in enumerate(ops):
@@ -254,23 +303,51 @@ class _Search:
             self.picks[d + 1] = picks
         return rows[0][n], self._witness(0, n, self.depth)
 
-    def _split(self, rows, level, j):
-        """Build the run-split tables at right end j over the level-`level`
-        rows, record their head ends in cuts[level][j], and return, per op,
-        the list of C_{min(cap, j - i)}[i] over i.
+    def _runs(self, rows):
+        """Per op, the columns of C_{min(cap, n)} over the level rows `rows`:
+        cols[j][i] = C_{min(cap, n)}(i, j), by the doubling lemma."""
+        n = self.n
+        # powers[k]: C_{2**k} as (rows, columns)
+        powers = [(rows, list(zip(*rows)))]
+        built = {}
+        for c in {min(cap, n) for _, cap in self.ops}:
+            while len(powers) < c.bit_length():
+                a = 1 << (len(powers) - 1)
+                powers.append(_product(powers[-1], powers[-1], a))
+            # the highest binary digit first, then each lower one that is set
+            high = c.bit_length() - 1
+            runs, a = powers[high], 1 << high
+            for k in reversed(range(high)):
+                if c >> k & 1:
+                    runs = _product(runs, powers[k], a)
+                    a += 1 << k
+            built[c] = runs[1]
+        return [built[min(cap, n)] for _, cap in self.ops]
 
-        Row c is computed for i <= j - c and copies row c - 1 above that,
-        which by the clamp lemma is its value there.
+    def _split(self, level, j):
+        """Build the run-split table at right end j over the level-`level`
+        rows, reachable entries only, record its head ends in
+        cuts[level][j], and return, per op, its row C_{min(cap, j)}, which
+        the top level reads at i = 0.
+
+        Row c is computed for lo(c) <= i <= j - c and copies row c - 1 above
+        that (the reachability lemma); its entries below lo(c) are never
+        read.
         """
+        rows = self.rows[level]
         want = [min(cap, j) for _, cap in self.ops]
+        most = max(want)
+        lo = [0] * (most + 1)
+        for c in range(most - 1, 0, -1):
+            lo[c] = 0 if c in want else lo[c + 1] + 1
         cur = [row[j] for row in islice(rows, j)]
         table = [None, cur]
         cuts = [None, [None] * j]
-        for c in range(2, max(want) + 1):
+        for c in range(2, most + 1):
             prev = cur
             cur = prev[:]
             cut = [None] * (j - c + 1)
-            for i in range(j - c + 1):
+            for i in range(lo[c], j - c + 1):
                 row = rows[i]
                 whole = row[j]
                 sums = list(map(add, row[i + 1:j], prev[i + 1:j]))
@@ -297,6 +374,8 @@ class _Search:
                 p = self.up[p]
             return ground_functional(chain)
         m, cap = self.ops[pick]
+        if self.cuts[d - 1][j] is None:
+            self._split(d - 1, j)
         cuts = self.cuts[d - 1][j]
         c = min(cap, j - i)
         parts = []
@@ -308,14 +387,39 @@ class _Search:
             i, c = t, min(c - 1, j - t)
 
 
+def _product(a_runs, b_runs, a):
+    """The doubling lemma's product of a_runs = C_a and b_runs = C_b, each
+    as (rows, columns): C_{a+b} as (rows, columns), computed on the windows
+    longer than a and copied from C_a on the rest."""
+    rows = []
+    b_cols = b_runs[1]
+    for i, a_row in enumerate(a_runs[0]):
+        row = a_row[:]
+        heads = a_row[i + a:]
+        for j in range(i + a + 1, len(row)):
+            best = max(map(add, heads, b_cols[j][i + a:j]))
+            if best > row[j]:
+                row[j] = best
+        rows.append(row)
+    return rows, list(zip(*rows))
+
+
 def dg_lower_bound(x, depth, ops):
     """Certified lower bound for the norming-set norm, with a witness
-    functional whose derivation replays to the claimed value."""
+    functional whose derivation replays to the claimed value.
+
+    The depth and every m and n of ops are ints (type, not isinstance, as
+    for node labels: a bool is refused), checked before any value is read.
+    """
+    if type(depth) is not int:
+        raise ValueError("depth must be an int, not %r" % (depth,))
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not ops:
         raise ValueError("ops must be nonempty")
     for m, n in ops:
+        if type(m) is not int or type(n) is not int:
+            raise ValueError("ops entries must be ints, not %r" % ((m, n),))
         if m < 1 or n < 1:
             raise ValueError("ops entries must be positive")
     if not x.entries:

@@ -25,7 +25,7 @@ from baire_lab.hi import (
 from baire_lab.trees import chain_tree, comb_tree, random_tree, star_tree
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from hi_reference import reference_dg_lower_bound
-from util import benchmark_size_vectors, random_case
+from util import HI_OPS, HI_WINDOWS, benchmark_size_vectors, random_case, window_vector
 
 
 def test_ground_functional_validation():
@@ -165,17 +165,57 @@ def test_replay_check_survives_python_O():
 def test_window_tables_match_fraction_reference():
     # the run-split tables against the recursive Fraction search: cap 1
     # (no split), a cap equal to the support size and one far above it
-    # (the clamp), a repeated op, depth 3, and unit magnitudes for ties
+    # (the clamp), a repeated op, depth 3, and unit magnitudes for ties;
+    # at depths 2 and 3, caps whose binary digits mix powers of two in the
+    # doubling, and cap n - 1, the largest cap the top window does not clamp
     def op_lists(n):
         return [[(2, 1)], [(2, n)], [(3, 10 * n + 7), (2, 1)], [(2, 4), (2, 4)], [(2, 2), (3, n)]]
 
+    def mixed_op_lists(n):
+        return [[(2, 3)], [(3, 5), (2, 6)], [(2, 7)], [(2, max(n - 1, 1))]]
+
+    def check(vec):
+        n = len(vec.entries)
+        _assert_matches_reference(vec, op_lists(n), range(4))
+        _assert_matches_reference(vec, mixed_op_lists(n), (2, 3))
+
     for seed in range(24):
         tree, x = random_case(seed, max_nodes=20, max_support=11)
-        units = TreeVector(tree, {t: v / abs(v) for t, v in x.entries.items()})
-        for vec in (x, units):
-            _assert_matches_reference(vec, op_lists(len(vec.entries)), range(4))
-    star = TreeVector(star_tree(9), {(i,): (-1) ** i for i in range(9)})
-    _assert_matches_reference(star, op_lists(9), range(4))
+        check(x)
+        check(TreeVector(tree, {t: v / abs(v) for t, v in x.entries.items()}))
+    check(TreeVector(star_tree(9), {(i,): (-1) ** i for i in range(9)}))
+
+
+def test_window_dp_work_is_bounded(monkeypatch):
+    # below the top level the values come from the doubling, so `_split`
+    # builds one table at j = n for the top and one per (level, right end)
+    # the witness reads; the bounds are the most calls these windows make
+    calls = []
+    split = baire_lab.hi._Search._split
+
+    def counted(self, level, j):
+        calls.append((level, j))
+        return split(self, level, j)
+
+    monkeypatch.setattr(baire_lab.hi._Search, "_split", counted)
+    most = {1: 1, 2: 3, 3: 7}
+    for x in benchmark_size_vectors():
+        for start, width in HI_WINDOWS:
+            w = window_vector(x, start, width)
+            for depth, bound in most.items():
+                calls.clear()
+                dg_lower_bound(w, depth, HI_OPS)
+                assert calls[0] == (depth - 1, width)
+                assert len(set(calls)) == len(calls) <= bound, (start, width, depth, calls)
+    # the top table fills only the entries a lookup reaches: with one op of
+    # cap n = 128, the one entry of each row c on the lookup's path, i = n - c;
+    # every such entry of the unit star splits, so it records a head end
+    search = baire_lab.hi._Search(TreeVector(star_tree(128), {(i,): 1 for i in range(128)}),
+                                  [(2, 128)], 1)
+    search.run()
+    cuts = search.cuts[0][128]
+    for c in range(2, 129):
+        assert [i for i, t in enumerate(cuts[c]) if t is not None] == [128 - c]
 
 
 def test_dg_validation():
@@ -186,6 +226,22 @@ def test_dg_validation():
         dg_lower_bound(x, 1, [])
     with pytest.raises(ValueError):
         dg_lower_bound(x, 1, [(0, 4)])
+
+
+@pytest.mark.parametrize("depth, ops", [
+    (1, [(Fraction(3, 2), 4)]),
+    (1, [(2, 4.0)]),
+    (1, [(True, 4)]),
+    (1, [(2, True)]),
+    (1.5, [(2, 4)]),
+    (True, [(2, 4)]),
+    (1, [(2, 4), (3, Fraction(5))]),
+])
+def test_dg_refuses_non_integer_inputs(depth, ops):
+    # the depth and every m and n are ints; a bool is not, as for node labels
+    _, x = random_case(0)
+    with pytest.raises(ValueError):
+        dg_lower_bound(x, depth, ops)
 
 
 def test_star_even_op_beats_ground():

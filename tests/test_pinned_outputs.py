@@ -47,6 +47,15 @@ as a list:
   lower, upper, ratio, witness entries, witness provenance] for
   strict_singularity_witness(star_tree(n), n, m).
 
+HI_LARGE_DIGEST pins the hi layer at sizes the Fraction reference cannot
+reach, in the HI_DIGEST form: for each vector i of HI_LARGE_VECTORS of
+benchmark_size_vectors() and each width of HI_LARGE_WIDTHS, the window
+of support nodes HI_LARGE_START..HI_LARGE_START + width - 1 ("signed"),
+and at width HI_LARGE_UNIT_WIDTH also that window with every entry
+replaced by its sign ("unit", for ties); for each of these, each ops of
+HI_LARGE_OPS and each depth in (2, 3): ["dg_large", i, width, magnitudes,
+ops, depth, value, witness entries, witness provenance].
+
 CLI_DIGEST pins `baire-lab tsirelson --json` at its boundary, in the same
 canonical form, one record per call: [argv, exit code, stdout], with each
 file path in argv as its bare file name.  For each (name, tree, entries)
@@ -89,7 +98,15 @@ from baire_lab.tsirelson import (
     tsirelson_witness_tree,
 )
 from baire_lab.vectors import BaseNorm, TreeVector
-from util import benchmark_size_vectors, random_case, random_nonroot_case, sweep_case
+from util import (
+    HI_OPS,
+    HI_WINDOWS,
+    benchmark_size_vectors,
+    random_case,
+    random_nonroot_case,
+    sweep_case,
+    window_vector,
+)
 
 SEEDS = 300
 
@@ -107,11 +124,19 @@ ABOVE_CAP_SEEDS = {16: (0, 1, 2, 3, 4, 5), 18: (3, 10)}
 
 ABOVE_CAP_DIGEST = "8bccd56ffeb6926e319a2a81ed822beeb204cecaf0e8ca7c56df80f21464bab7"
 
-HI_WINDOWS = ((0, 20), (150, 25), (300, 30))
-
-HI_OPS = ((2, 4), (4, 16))
-
 HI_DIGEST = "882d687e0f665049c1415509632ad2ddcf4ed256f26b47b1e44c1fcb8d2259b2"
+
+HI_LARGE_VECTORS = (0, 4)
+
+HI_LARGE_START = 100
+
+HI_LARGE_WIDTHS = (40, 60)
+
+HI_LARGE_UNIT_WIDTH = 40
+
+HI_LARGE_OPS = (((2, 4), (4, 16)), ((2, 4), (4, 64)), ((3, 5), (2, 6), (4, 7)))
+
+HI_LARGE_DIGEST = "94e8ead0194122f23015eac0f834b6dd11f33ae15feb80e0d2640c37555881bc"
 
 CLI_DIGEST = "cb8692ca42175ca7558fd59f5aa7357294fa9639dca46bcf6681144e645f41d7"
 
@@ -228,9 +253,8 @@ def _witness(f):
 
 def hi_records():
     for i, x in enumerate(benchmark_size_vectors()):
-        supp = sorted(x.entries, key=x.tree.index)
         for start, width in HI_WINDOWS:
-            w = TreeVector(x.tree, {t: x.entries[t] for t in supp[start:start + width]})
+            w = window_vector(x, start, width)
             for depth in (1, 2):
                 value, witness = dg_lower_bound(w, depth, HI_OPS)
                 yield ["dg", i, start, width, depth, str(value), *_witness(witness)]
@@ -241,6 +265,22 @@ def hi_records():
             *(str(r[k]) for k in ("ground", "lower", "upper", "ratio")),
             *_witness(r["witness"]),
         ]
+
+
+def hi_large_records():
+    vectors = list(benchmark_size_vectors())
+    for i in HI_LARGE_VECTORS:
+        for width in HI_LARGE_WIDTHS:
+            w = window_vector(vectors[i], HI_LARGE_START, width)
+            cases = [("signed", w)]
+            if width == HI_LARGE_UNIT_WIDTH:
+                cases.append(("unit", TreeVector(w.tree, {t: v / abs(v) for t, v in w.entries.items()})))
+            for magnitudes, vec in cases:
+                for ops in HI_LARGE_OPS:
+                    for depth in (2, 3):
+                        value, witness = dg_lower_bound(vec, depth, ops)
+                        yield ["dg_large", i, width, magnitudes, _canon(ops), depth,
+                               str(value), *_witness(witness)]
 
 
 def cli_cases():
@@ -381,6 +421,10 @@ def test_incomparable_above_cap_pinned(monkeypatch):
 
 def test_hi_layer_pinned():
     assert digest(hi_records) == HI_DIGEST
+
+
+def test_hi_large_windows_pinned():
+    assert digest(hi_large_records) == HI_LARGE_DIGEST
 
 
 def test_tsirelson_cli_pinned(tmp_path, capsys):

@@ -44,6 +44,20 @@ def benchmark_size_vectors():
         })
 
 
+#: the (start, width) windows of benchmark_size_vectors() and the ops that
+#: HI_DIGEST pins and the hi work guard runs
+HI_WINDOWS = ((0, 20), (150, 25), (300, 30))
+
+HI_OPS = ((2, 4), (4, 16))
+
+
+def window_vector(x, start, width):
+    """x kept to its support nodes start..start + width - 1 in enumeration
+    order, the windows the hi tests cut from benchmark_size_vectors()."""
+    supp = sorted(x.entries, key=x.tree.index)[start:start + width]
+    return TreeVector(x.tree, {t: x.entries[t] for t in supp})
+
+
 def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
     """Like random_case but keeps the root out of the support."""
     rng = random.Random(seed)
