@@ -35,6 +35,12 @@ ABOVE_CAP_DIGEST pins the INCOMPARABLE engine above the support cap
 ["incomparable", n, seed, norm, witness tree, check_fixed_point] for
 sweep_case(seed, n) with n and seed from ABOVE_CAP_SEEDS.
 
+ITERATE_DIGEST pins every iterate below the collapse level in both
+engines, above the support cap (raised for the test), in the same
+canonical form, one record per case: [variant, n, seed, norm, [iterate m
+for m = 1..n - 2]] for sweep_case(seed, n) with n and seed from
+ITERATE_SEEDS, variant in (standard, incomparable).
+
 HI_DIGEST pins the hi layer in the same canonical form, with every tuple
 as a list:
 - for each vector i of benchmark_size_vectors(), each (start, width) of
@@ -123,6 +129,10 @@ STANDARD_DIGEST = "13bae093abb75a2ff5340c586efd34ef0b5eceacf309d5384dd4620bdf0fc
 ABOVE_CAP_SEEDS = {16: (0, 1, 2, 3, 4, 5), 18: (3, 10)}
 
 ABOVE_CAP_DIGEST = "8bccd56ffeb6926e319a2a81ed822beeb204cecaf0e8ca7c56df80f21464bab7"
+
+ITERATE_SEEDS = {14: (0, 1, 2), 16: (0, 1, 2), 18: (0, 1, 2)}
+
+ITERATE_DIGEST = "7b729e3471c91385ba5036fa679b148d16a88415d9761592393e26c46da205ab"
 
 HI_DIGEST = "882d687e0f665049c1415509632ad2ddcf4ed256f26b47b1e44c1fcb8d2259b2"
 
@@ -238,6 +248,18 @@ def above_cap_records():
                 tsirelson_witness_tree(x, INCOMPARABLE),
                 check_fixed_point(x, INCOMPARABLE),
             ]
+
+
+def iterate_records():
+    for variant in (STANDARD, INCOMPARABLE):
+        for n, seeds in ITERATE_SEEDS.items():
+            for seed in seeds:
+                x = sweep_case(seed, n)
+                yield [
+                    variant, n, seed,
+                    str(tsirelson_norm(x, variant)),
+                    [str(tsirelson_iterate(x, variant, m)) for m in range(1, n - 1)],
+                ]
 
 
 def _canon(v):
@@ -417,6 +439,11 @@ def test_standard_sweep_sizes_pinned(monkeypatch):
 def test_incomparable_above_cap_pinned(monkeypatch):
     monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(ABOVE_CAP_SEEDS))
     assert digest(above_cap_records) == ABOVE_CAP_DIGEST
+
+
+def test_every_iterate_pinned(monkeypatch):
+    monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", max(ITERATE_SEEDS))
+    assert digest(iterate_records) == ITERATE_DIGEST
 
 
 def test_hi_layer_pinned():
