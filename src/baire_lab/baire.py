@@ -25,9 +25,11 @@ the walk that collects the family reads a node's children.
 
 Beside each node's best single-chain aggregate the DP records the ids of
 the first and last support node of that chain, or None if it meets no
-support.  A family segment is built from those two endpoint ids alone
-(Segment.from_ids): the ancestors of the last one, up to the first, read
-off the parent ids, with no tuple hashed.
+support.  A family segment is built from those two endpoint ids alone:
+the ancestors of the last one, up to the first, read off the parent ids,
+with no tuple hashed.  The walk that collects the family, and the
+0-variant's read at the root, gather the endpoint pairs and build every
+segment in one pass (trees.segments_from_ids).
 Chain aggregates never decrease toward the root, since a parent adds a
 nonnegative term to its best child's aggregate, or with the sup base takes
 a max with it.  So the root holds the best single chain, and the
@@ -48,7 +50,7 @@ exponent:
 - chain aggregates are then sums of integers over scale;
 - M(v) comes from one more pow_ends call, on every distinct end of a
   chain aggregate over scale, raised to p * root_exponent, on a grid of
-  its own;
+  its own, and is read through the aggregate's id (see Chain reuse);
 - only the root value goes back to Fraction.
 
 Integers over one positive denominator add and compare exactly as the
@@ -58,20 +60,24 @@ Inside the DP pairs are (upper, lower), so that tuple order is the DP's
 order: chains are compared by their upper end first.  The oracle keeps
 Fraction pairs.
 
-Chain reuse: the terms, the chain aggregates and ends, and the set of
-distinct aggregate ends do not depend on p, so _chains computes them
-apart and keeps the last result, keyed by (tree, entries, base kind,
-base q): everything that pass reads.  A sweep over p on one vector and
-base makes one chain pass.  The pass is a pure function of its key, so
-the order of calls changes no value and no family, a vector changed in
-place or scaled gets a fresh pass, and segments are built on the calling
-vector's tree.
+Chain reuse: the terms, the chain aggregates and ends, and the
+numbering of the distinct aggregates do not depend on p, so _chains
+computes them apart and keeps the last result, keyed by (tree, entries,
+base kind, base q): everything that pass reads.  The first p-case on a
+result numbers the distinct aggregates once (_agg_ids): agg_id[v], the
+aggregates in id order and their set of ends.  Each p-case then makes
+one pow_ends call on that end set and reads M(v) from two int lists
+indexed by id, so its bottom-up loop hashes nothing.  A sweep over p on
+one vector and base makes one chain pass and one numbering.  The pass
+is a pure function of its key, so the order of calls changes no value
+and no family, a vector changed in place or scaled gets a fresh pass,
+and segments are built on the calling vector's tree.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from baire_lab.trees import Segment, completely_incomparable, is_prefix
+from baire_lab.trees import Segment, completely_incomparable, is_prefix, segments_from_ids
 from baire_lab.vectors import NormValue, pow_bounds, pow_ends
 
 
@@ -122,8 +128,8 @@ _last = (None, None)
 def _chains(x, base):
     """The part of the DP that does not depend on p, for x and the base
     norm: [scale, chain_agg, ends, None], whose last slot the p-case fills
-    with the distinct aggregates and their ends when it first needs them.
-    The last result is reused while its key matches."""
+    with _agg_ids(chain_agg) when it first needs it, so the 0-variant
+    builds no table.  The last result is reused while its key matches."""
     global _last
     key = (x.tree, dict(x.entries), base.kind, base.q)
     # one read of the slot, so a concurrent swap cannot pair key and chains wrongly
@@ -174,6 +180,15 @@ def _chains(x, base):
     return chains
 
 
+def _agg_ids(chain_agg):
+    """(agg_id, aggs, agg_ends): agg_id[v] numbers v's chain aggregate among
+    the distinct ones, aggs lists them in id order, and agg_ends is the set
+    of their ends."""
+    ids = {}
+    agg_id = [ids.setdefault(agg, len(ids)) for agg in chain_agg]
+    return agg_id, list(ids), {end for agg in ids for end in agg}
+
+
 def _dp(x, params):
     tree = x.tree
     if not tree.nodes:
@@ -185,17 +200,16 @@ def _dp(x, params):
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
         hi, lo = chain_agg[0]
-        family = [Segment.from_ids(tree, *ends[0])] if ends[0] else []
+        family = segments_from_ids(tree, [ends[0]] if ends[0] else [])
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
     if distinct is None:
-        aggs = set(chain_agg)
-        distinct = chains[3] = (aggs, {end for agg in aggs for end in agg})
-    aggs, agg_ends = distinct
-    seg_exp = p * base.root_exponent
-    mscale, bounds = pow_ends(agg_ends, scale, seg_exp)
-    seg_power = {agg: (bounds[agg[0]][1], bounds[agg[1]][0]) for agg in aggs}
+        distinct = chains[3] = _agg_ids(chain_agg)
+    agg_id, aggs, agg_ends = distinct
+    mscale, bounds = pow_ends(agg_ends, scale, p * base.root_exponent)
+    seg_hi = [bounds[hi][1] for hi, _ in aggs]
+    seg_lo = [bounds[lo][0] for _, lo in aggs]
     parent = tree.parent
     n = len(parent)
     # f(v) = max(M(v), sum of f over its children), the sums pushed up;
@@ -204,7 +218,8 @@ def _dp(x, params):
     kids_lo = [0] * n
     pick_chain = [False] * n
     for v in range(n - 1, -1, -1):
-        m_hi, m_lo = seg_power[chain_agg[v]]
+        a = agg_id[v]
+        m_hi, m_lo = seg_hi[a], seg_lo[a]
         hi, lo = kids_hi[v], kids_lo[v]
         pick_chain[v] = m_hi >= hi
         hi = m_hi if m_hi > hi else hi
@@ -216,14 +231,15 @@ def _dp(x, params):
 
     # picked chains in depth-first order, children in sorted order
     kids = tree.kids
-    family = []
+    picked = []
     stack = [0]
     while stack:
         v = stack.pop()
         if not pick_chain[v]:
             stack.extend(reversed(kids[v]))
         elif ends[v]:
-            family.append(Segment.from_ids(tree, *ends[v]))
+            picked.append(ends[v])
+    family = segments_from_ids(tree, picked)
     return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
 
 

@@ -78,9 +78,9 @@ CASES_MAX = 100_000
 
 # numerator and denominator of --p and of the Q in --base lQ are at most
 # this: the Baire DP raises every chain aggregate to the power p/Q, and at
-# 8 the slowest pair (p = 8/7, Q = 7/6, a 49th root) takes about 0.06 s on
-# a 1,000-node tree, against 0.3 s at 12 (p = 12/11, Q = 11/10) and 1 s at
-# 16 (Python 3.11, 2-core x86-64 container)
+# 8 the slowest pair (p = 8/7, Q = 7/6, a 49th root) takes about 0.05 s on
+# a 1,000-node tree with 700 entries, against 0.2-0.25 s at 12 (p = 12/11,
+# Q = 11/10) and 0.6-0.8 s at 16 (Python 3.11, 2-core x86-64 container)
 EXPONENT_MAX = 8
 
 

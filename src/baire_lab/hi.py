@@ -129,7 +129,12 @@ def schedule(j_max):
 
 
 class Functional:
-    """Tree-indexed rational functional with a replayable derivation."""
+    """Tree-indexed rational functional with a replayable derivation.
+
+    Functional(entries, provenance) checks every entry it is given; the
+    builders below, whose entries are in [-1, 1] by construction, make
+    their entries once and skip that pass (_of).
+    """
 
     def __init__(self, entries, provenance):
         clean = {}
@@ -144,6 +149,15 @@ class Functional:
         self.entries = clean
         self.provenance = provenance
 
+    @classmethod
+    def _of(cls, entries, provenance):
+        """A functional on entries that already map tuple nodes to nonzero
+        Fractions in [-1, 1], kept as given."""
+        f = cls.__new__(cls)
+        f.entries = entries
+        f.provenance = provenance
+        return f
+
     def __call__(self, x):
         return sum(
             (v * x[node] for node, v in self.entries.items()), Fraction(0)
@@ -156,23 +170,37 @@ class Functional:
         return "Functional(%r)" % (self.provenance,)
 
 
+# the two signs, shared by every ground functional's entries
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
+
+
 def ground_functional(nodes_and_signs):
     """+-1 signs along a chain of nodes."""
     chain = sorted((tuple(n) for n, _ in nodes_and_signs), key=len)
     for s, t in zip(chain, chain[1:]):
         if not is_prefix(s, t):
             raise ValueError("ground functional nodes must form a chain")
-    entries = {tuple(n): Fraction(sign) for n, sign in nodes_and_signs}
-    for v in entries.values():
-        if abs(v) != 1:
-            raise ValueError("ground functional signs must be +-1")
-    return Functional(
+    entries = {tuple(n): sign for n, sign in nodes_and_signs}
+    for node, sign in entries.items():
+        v = _SIGNS.get(sign)
+        if v is None:
+            v = Fraction(sign)
+            if abs(v) != 1:
+                raise ValueError("ground functional signs must be +-1")
+        entries[node] = v
+    return Functional._of(
         entries, ("ground", tuple(sorted(entries.items())))
     )
 
 
 def even_op_functional(m, n, parts):
-    """(1/m)(f_1 + ... + f_k) with successively supported parts, k <= n."""
+    """(1/m)(f_1 + ... + f_k) with successively supported parts, k <= n.
+
+    m is an int >= 1, so each entry v / m of a part's entry v stays in
+    [-1, 1]; the parts have disjoint supports, so each node takes one.
+    """
+    if type(m) is not int or m < 1:
+        raise ValueError("averaging operation needs an int m >= 1, not %r" % (m,))
     if not parts:
         raise ValueError("averaging operation needs at least one functional")
     if len(parts) > n:
@@ -189,8 +217,8 @@ def even_op_functional(m, n, parts):
             raise ValueError("averaging operation parts must be successively supported")
         prev_max = supp[-1]
         for node, v in f.entries.items():
-            entries[node] = entries.get(node, Fraction(0)) + Fraction(v, m)
-    return Functional(entries, ("even_op", m, n, tuple(p.provenance for p in parts)))
+            entries[node] = v / m
+    return Functional._of(entries, ("even_op", m, n, tuple(p.provenance for p in parts)))
 
 
 def ground_norm(x):

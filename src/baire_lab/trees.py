@@ -13,7 +13,7 @@ every node after all of its descendants (bottom-up).  Tuples are hashed only
 where a caller's node meets the arena, through id_of: once per entry when a
 TreeVector is built, and once per node when a Segment is given its nodes.
 Walks along the tree read integer lists, and a Segment made from two ids
-(Segment.from_ids) hashes no tuple until its node set is asked for.
+(segments_from_ids) hashes no tuple until its node set is asked for.
 """
 
 import bisect
@@ -189,8 +189,8 @@ class Segment:
     one pass: sorted by length, the nodes are the prefixes of the deepest,
     one per depth, and the deepest is in the (prefix-closed) tree.  That
     costs O(L * d) for L nodes of depth up to d, since every node is
-    hashed and compared with a prefix of the deepest; Segment.from_ids
-    takes two arena ids instead and hashes nothing.
+    hashed and compared with a prefix of the deepest; segments_from_ids
+    takes arena ids instead and hashes nothing.
     """
 
     def __init__(self, tree, nodes):
@@ -206,29 +206,6 @@ class Segment:
         self.tree = tree
         self.nodes = nodes
         self.chain = chain
-
-    @classmethod
-    def from_ids(cls, tree, top, bottom):
-        """The segment from arena id top down to arena id bottom.
-
-        The walk up parent ids from the bottom is the convexity check:
-        ids fall along it, so it stops at the first id <= top, which is
-        the top exactly when the top is an ancestor of the bottom (or the
-        bottom itself).  O(L) for L nodes.
-        """
-        order, parent = tree.order, tree.parent
-        u = bottom
-        chain = [order[u]]
-        while u > top:
-            u = parent[u]
-            chain.append(order[u])
-        if u != top:
-            raise ValueError("segment is not a convex chain at %r" % (order[top],))
-        chain.reverse()
-        seg = cls.__new__(cls)
-        seg.tree = tree
-        seg.chain = chain
-        return seg
 
     @cached_property
     def nodes(self):
@@ -248,6 +225,34 @@ class Segment:
 
     def __repr__(self):
         return "Segment(%r)" % (self.chain,)
+
+
+def segments_from_ids(tree, pairs):
+    """The segment from arena id top down to arena id bottom, for each
+    (top, bottom) of pairs, in order: one pass, with the tree's arena read
+    once.
+
+    The walk up parent ids from the bottom is the convexity check: ids
+    fall along it, so it stops at the first id <= top, which is the top
+    exactly when the top is an ancestor of the bottom (or the bottom
+    itself).  O(L) for L nodes, and no node is hashed.
+    """
+    order, parent = tree.order, tree.parent
+    new = Segment.__new__
+    out = []
+    for top, u in pairs:
+        chain = [order[u]]
+        while u > top:
+            u = parent[u]
+            chain.append(order[u])
+        if u != top:
+            raise ValueError("segment is not a convex chain at %r" % (order[top],))
+        chain.reverse()
+        seg = new(Segment)
+        seg.tree = tree
+        seg.chain = chain
+        out.append(seg)
+    return out
 
 
 def rank(tree):

@@ -156,12 +156,19 @@ def pow_ends(ends, scale, exponent):
     that divides scale filters nothing, since N is 0 modulo it.
 
     Seeded Newton: the ends are walked in descending order, and each
-    inexact one passes root_floor the (root, shift) it gave at the last
-    inexact one, a larger value (see root_floor).
+    inexact one starts from the (root, shift) of the last inexact one, a
+    larger value (see root_floor).  The shift band test of root_floor is
+    made inline: while A**a << b * (shift - ROOT_BITS) >= scale**a the
+    shift stays, and the root is integer_nth_root of the radicand
+    root_floor would form, from the last root; root_floor is entered only
+    when the band grows, and then finds the new shift.  Its result is the
+    same either way.
 
     mscale is the lcm of the denominators s**a and 2**shift, which need
     not be the reduced ones; a value that leaves as a Fraction reduces,
-    so the grid does not show in any output.
+    so the grid does not show in any output.  The ends are kept grouped
+    by denominator, so each bound is lifted to the grid by one multiplier
+    mscale // d per distinct denominator d, not one division per end.
     """
     a, b = exponent.numerator, exponent.denominator
     scale_a = scale**a
@@ -170,8 +177,10 @@ def pow_ends(ends, scale, exponent):
     m, residues = residue_table(b)
     c = pow(scale, b - 1, m)
     den_root = {}  # g -> the b-th root of scale // g, or None
-    raw = {}
+    exact = []  # (A, r**a, rs**a)
     root, shift = None, ROOT_BITS  # root_floor's at the last inexact end
+    band, lift, roots = 0, b * shift, []
+    inexact = {1 << shift: roots}  # 2**shift -> [(A, root)]
     for A in sorted(ends, reverse=True):
         if A * c % m in residues:
             g = gcd(A, scale)
@@ -183,14 +192,32 @@ def pow_ends(ends, scale, exponent):
             if rs is not None:
                 r = integer_nth_root(A // g, b)
                 if r**b == A // g:
-                    raw[A] = (r**a, r**a, rs**a)
+                    exact.append((A, r**a, rs**a))
                     continue
-        root, shift = root_floor(A**a, scale_a, b, shift, root)
-        raw[A] = (root, root + 1, 1 << shift)
-    mscale = lcm(*{d for _, _, d in raw.values()})
-    return mscale, {
-        A: (lo * (mscale // d), hi * (mscale // d)) for A, (lo, hi, d) in raw.items()
-    }
+        num = A**a
+        if num << band < scale_a:
+            # the band grows: root_floor finds the new shift
+            root, shift = root_floor(num, scale_a, b, shift, root)
+            band, lift = b * (shift - ROOT_BITS), b * shift
+            inexact[1 << shift] = roots = []
+        else:
+            root = integer_nth_root((num << lift) // scale_a, b, root)
+        roots.append((A, root))
+    if not inexact[1 << ROOT_BITS]:
+        del inexact[1 << ROOT_BITS]  # no inexact end in the first band
+    dens = {d for _, _, d in exact}.union(inexact)
+    mscale = lcm(*dens)
+    mult = {d: mscale // d for d in dens}
+    bounds = {}
+    for A, r, d in exact:
+        r *= mult[d]
+        bounds[A] = (r, r)
+    for d, roots in inexact.items():
+        k = mult[d]
+        for A, r in roots:
+            r *= k
+            bounds[A] = (r, r + k)
+    return mscale, bounds
 
 
 def pow_bounds(lo, hi, exponent):

@@ -263,6 +263,43 @@ def test_chain_slot_sees_the_scale():
     assert baire_norm(star.scale(Fraction(1, 2)), P1) == Fraction(3, 2)
 
 
+def test_chain_slot_numbers_the_aggregates_once_per_sweep(monkeypatch):
+    # a p-sweep on one vector and base numbers the chain aggregates once
+    # and makes one pow_ends call per p-case, each on that table's end set;
+    # a vector changed in place then gets a fresh pass and a fresh table
+    tables, ends = [], []
+    agg_ids, pow_ends = baire._agg_ids, baire.pow_ends
+
+    def counted_ids(chain_agg):
+        tables.append(agg_ids(chain_agg))
+        return tables[-1]
+
+    def counted_pow(agg_ends, scale, exponent):
+        ends.append(agg_ends)
+        return pow_ends(agg_ends, scale, exponent)
+
+    x = next(benchmark_size_vectors())
+    node = next(iter(x.entries))
+    changed = TreeVector(x.tree, {**x.entries, node: Fraction(13, 7)})
+    base = BaseNorm.parse("l3/2")
+    sweep = [BaireParams(p, base) for p in (ZERO, 1, Fraction(3, 2), 2)]
+    want = [[_cold(y, params) for params in sweep] for y in (x, changed)]
+    clear_reuse_slots()
+    monkeypatch.setattr(baire, "_agg_ids", counted_ids)
+    monkeypatch.setattr(baire, "pow_ends", counted_pow)
+    for k in range(2):
+        if k:
+            x.entries[node] = Fraction(13, 7)
+        for params, fingerprint in zip(sweep, want[k]):
+            assert _fingerprint(baire_norm_report(x, params)) == fingerprint, (k, params)
+        # the chain pass's term call, then one call per p-case
+        assert len(tables) == k + 1 and len(ends) == 4 * (k + 1)
+        agg_id, aggs, agg_ends = tables[k]
+        assert all(e is agg_ends for e in ends[4 * k + 1:])
+        assert agg_ends == {end for agg in aggs for end in agg}
+        assert sorted(set(agg_id)) == list(range(len(aggs)))
+
+
 def test_chain_slot_keeps_the_empty_tree_check():
     x = TreeVector(star_tree(2), {(0,): 1})
     for params in (P0, P1):

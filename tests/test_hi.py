@@ -13,6 +13,7 @@ from baire_lab.baire import ZERO, BaireParams, baire_norm
 import baire_lab.hi
 from baire_lab.hi import (
     DESK_PAIRS,
+    Functional,
     dg_lower_bound,
     dg_upper_bound,
     even_op_functional,
@@ -47,6 +48,20 @@ def test_even_op_functional():
         even_op_functional(2, 1, [f1, f2])  # more parts than n
     with pytest.raises(ValueError):
         even_op_functional(2, 4, [f2, f1])  # not successively supported
+    for m in (0, Fraction(1, 2), 2.0, True):
+        with pytest.raises(ValueError, match="int m >= 1"):
+            even_op_functional(m, 4, [f1, f2])
+
+
+def test_functional_checks_the_entries_a_caller_gives():
+    f = Functional({(0,): "1/2", (1,): 0, (2,): -1}, ("ground", ()))
+    assert f.entries == {(0,): Fraction(1, 2), (2,): Fraction(-1)}
+    with pytest.raises(ValueError, match="leaves"):
+        Functional({(0,): Fraction(3, 2)}, ("ground", ()))
+    # signs given as any rational +-1 read as the shared signs' values
+    g = ground_functional([((), Fraction(-1)), ((0,), "1")])
+    assert g.entries == {(): -1, (0,): 1}
+    assert all(type(v) is Fraction for v in g.entries.values())
 
 
 def test_ground_norm_examples():

@@ -17,6 +17,7 @@ from baire_lab.trees import (
     make_tree,
     random_tree,
     rank,
+    segments_from_ids,
     star_tree,
     tree_from_json_dict,
     tree_to_json_dict,
@@ -142,9 +143,9 @@ def test_leaves_and_chains():
     leaves = set(t.leaves())
     assert (1,) in leaves
     assert len(leaves) == sum(not kids for kids in t.kids)
-    # Segment.from_ids(tree, root id, leaf id): the prefixes of each leaf, in order
+    # segments_from_ids(tree, (root id, leaf id) pairs): the prefixes of each leaf, in order
     for tree in (t, comb_tree(40), random_tree(7, 80, 3)):
-        chains = [Segment.from_ids(tree, 0, tree.id_of[leaf]) for leaf in tree.leaves()]
+        chains = segments_from_ids(tree, [(0, tree.id_of[leaf]) for leaf in tree.leaves()])
         assert all(ch.chain[0] == () for ch in chains)
         expected = [[leaf[:i] for i in range(len(leaf) + 1)] for leaf in tree.leaves()]
         assert [ch.chain for ch in chains] == expected
@@ -176,8 +177,10 @@ def test_segment_validation():
 def test_segment_from_ids():
     t = make_tree([(0, 0), (1, 0)])
     ids = t.id_of
-    for top, bottom in [((), (0, 0)), ((0,), (0, 0)), ((1, 0), (1, 0)), ((), ())]:
-        seg = Segment.from_ids(t, ids[top], ids[bottom])
+    pairs = [((), (0, 0)), ((0,), (0, 0)), ((1, 0), (1, 0)), ((), ())]
+    segs = segments_from_ids(t, [(ids[top], ids[bottom]) for top, bottom in pairs])
+    assert segments_from_ids(t, []) == []
+    for (top, bottom), seg in zip(pairs, segs, strict=True):
         ref = Segment(t, [bottom[:i] for i in range(len(top), len(bottom) + 1)])
         assert seg.chain == ref.chain and seg.nodes == ref.nodes and len(seg) == len(ref)
         assert seg == ref and hash(seg) == hash(ref)
@@ -185,7 +188,7 @@ def test_segment_from_ids():
     # deeper node, a node of the same depth, a later id
     for top, bottom in [((1,), (0, 0)), ((0, 0), (0,)), ((1, 0), (0, 0)), ((0, 0), (1, 0))]:
         with pytest.raises(ValueError, match="not a convex chain"):
-            Segment.from_ids(t, ids[top], ids[bottom])
+            segments_from_ids(t, [(ids[(0,)], ids[(0, 0)]), (ids[top], ids[bottom])])
 
 
 def test_rank_values():

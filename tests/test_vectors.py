@@ -230,6 +230,38 @@ def test_pow_ends_dense_ends_match_reference():
                 assert (Fraction(lo, mscale), Fraction(hi, mscale)) == ref.pow_bounds(value, value, e)
 
 
+def test_pow_ends_across_three_shift_bands():
+    """Dense ends with values near 1, near 2**-(ROOT_BITS * b) and below
+    2**-(2 * ROOT_BITS * b), exact ends mixed in, against the cold walk,
+    grid included: the walk meets shifts ROOT_BITS, 2 * ROOT_BITS and
+    3 * ROOT_BITS or more, and lifts each band and the exact ends by its
+    own multiplier."""
+    rng = random.Random(37)
+    for b in (2, 3, 4, 7):
+        # scale = s0**b, so t**b / scale = (t / s0)**b is exact for every t
+        s0 = (3 << (2 * ROOT_BITS + 9)) + 1
+        scale = s0**b
+        ends = set()
+        for k in (0, 1, 2):
+            edge = -(-scale >> (ROOT_BITS * b * k))  # value 2**(-ROOT_BITS * b * k)
+            ends |= set(range(max(edge - 40, 1), edge + 40))
+            ends |= {rng.randint(edge // 3, edge * 3) for _ in range(60)}
+            t = s0 >> (ROOT_BITS * k)
+            ends |= {u**b for u in range(max(t - 10, 1), t + 10)}
+        ends |= {rng.randint(1, 1 << 40) for _ in range(60)} | {u**b for u in range(1, 30)}
+        for a in (1, b + 1):
+            e = Fraction(a, b)
+            mscale, bounds = pow_ends(ends, scale, e)
+            assert (mscale, bounds) == _cold_pow_ends(ends, scale, e), (b, e)
+            assert mscale % (1 << (3 * ROOT_BITS)) == 0 and mscale % s0**a == 0, (b, e)
+            exact = sum(lo == hi for lo, hi in bounds.values())
+            assert 50 < exact < len(ends) - 300, (b, e, exact)
+            for A in rng.sample(sorted(ends), 20):
+                value = Fraction(A, scale)
+                lo, hi = bounds[A]
+                assert (Fraction(lo, mscale), Fraction(hi, mscale)) == ref.pow_bounds(value, value, e)
+
+
 def test_pow_ends_output_does_not_depend_on_the_order_of_ends():
     from itertools import permutations
 
