@@ -82,6 +82,11 @@ the nodes [0, 1] and [2] without their prefixes, star15.json and
 ones15.json hold star_tree(15) and a 1 on each of its leaves, twice.json
 lists the node [0] twice, bad.json is cut off mid-array, and deep.json
 has one node of DEPTH_MAX + 1 entries.
+
+GEN_DIGEST pins `baire-lab gen` at larger sizes, in the same canonical
+form, one record per call of gen_calls(), in order: [argv, exit code,
+stdout]: chain and comb at --n 300, star at --n 300 with --base-label 7,
+and random at --max-nodes 300 for each seed 0..2 and --max-branch 3 and 5.
 """
 
 import hashlib
@@ -151,6 +156,8 @@ HI_LARGE_DIGEST = "94e8ead0194122f23015eac0f834b6dd11f33ae15feb80e0d2640c3755588
 CLI_DIGEST = "cb8692ca42175ca7558fd59f5aa7357294fa9639dca46bcf6681144e645f41d7"
 
 CLI_ALL_DIGEST = "746a89a3a1e03fb7c54717d91d3fb843a4fdf206bd66d44629504f2ca3e85152"
+
+GEN_DIGEST = "3bbda544c937d7fa437beb9a2eb38efd5679f752da403f4e7678075c53c4fffd"
 
 
 def _report(r):
@@ -415,6 +422,22 @@ def cli_all_records(tmp_path, capsys):
         yield record
 
 
+def gen_calls():
+    calls = [["gen", shape, "--n", "300"] for shape in ("chain", "comb")]
+    calls.append(["gen", "star", "--n", "300", "--base-label", "7"])
+    for seed in range(3):
+        for branch in ("3", "5"):
+            calls.append(["gen", "random", "--max-nodes", "300", "--seed", str(seed),
+                          "--max-branch", branch])
+    return calls
+
+
+def gen_records(capsys):
+    for argv in gen_calls():
+        code = main(argv)
+        yield [argv, code, capsys.readouterr().out]
+
+
 def digest(records=records):
     h = hashlib.sha256()
     for record in records():
@@ -460,3 +483,7 @@ def test_tsirelson_cli_pinned(tmp_path, capsys):
 
 def test_cli_pinned(tmp_path, capsys):
     assert digest(lambda: cli_all_records(tmp_path, capsys)) == CLI_ALL_DIGEST
+
+
+def test_gen_pinned(capsys):
+    assert digest(lambda: gen_records(capsys)) == GEN_DIGEST
