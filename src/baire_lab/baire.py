@@ -258,9 +258,11 @@ def _candidate_segments(x):
     """Segments with both endpoints in supp(x); every family reduces to these.
 
     A segment's shortest and longest nodes are its endpoints, so distinct
-    pairs (s, t) give distinct segments.
+    pairs (s, t) give distinct segments.  The support is walked in
+    enumeration order, (length, lexicographic), so the candidates, and with
+    them the first optimal family, do not depend on the order of entries.
     """
-    supp = sorted(x.support, key=len)
+    supp = sorted(x.support, key=lambda t: (len(t), t))
     out = []
     for s in supp:
         for t in supp:

@@ -121,7 +121,7 @@ from util import (
 
 SEEDS = 300
 
-DIGEST = "6eeeb37b186ec3b8fcd0974fe2c73c06e60eefc08e164115e5082bdfa4ad8d60"
+DIGEST = "2e051d3b5f94aeeef173d95b125edb9de2521c1e3f1e36dd6159028c516f4776"
 
 SWEEP_SEEDS = {12: (0, 1, 2), 13: (0, 1, 2), 14: (0, 1, 13)}
 

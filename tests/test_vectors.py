@@ -22,7 +22,18 @@ from baire_lab.vectors import (
     unit_vector,
 )
 from baire_lab import vectors
+from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
+from baire_lab.hi import dg_lower_bound, ground_norm
+from baire_lab.tsirelson import (
+    INCOMPARABLE,
+    STANDARD,
+    check_fixed_point,
+    tsirelson_iterate,
+    tsirelson_norm,
+    tsirelson_witness_tree,
+)
 import roots_reference as ref
+from util import HI_OPS, clear_reuse_slots, random_case
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=16)
 positive_fractions_st = st.fractions(
@@ -452,6 +463,37 @@ def test_tree_vector_keeps_fractions_and_converts_the_rest():
     assert x.entries == {(0,): half, (1,): 3, (2,): Fraction(1, 3)}
     assert y[(0,)] == 5 and y.entry_ids() == [t.id_of[(0,)], t.id_of[(2,)]]
     assert x.entry_ids() == [t.id_of[(0,)], t.id_of[(1,)], t.id_of[(2,)]]
+
+
+def _outputs(x):
+    """Every engine's output on x, from cold reuse slots: the Baire DP and
+    oracle reports, both Tsirelson variants (norm, witness, fixed-point
+    check, every iterate), the ground norm and the norming-set bound."""
+    clear_reuse_slots()
+    out = []
+    for token in ("l1", "sup", "l2"):
+        for p in (0, 1, Fraction(3, 2)):
+            params = BaireParams(p, BaseNorm.parse(token))
+            for r in (baire_norm_report(x, params), baire_norm_oracle_report(x, params)):
+                out.append((r.value, r.power, [seg.chain for seg in r.family]))
+    for variant in (STANDARD, INCOMPARABLE):
+        out.append((
+            tsirelson_norm(x, variant),
+            tsirelson_witness_tree(x, variant),
+            check_fixed_point(x, variant),
+            [tsirelson_iterate(x, variant, m) for m in range(len(x.entries) + 1)],
+        ))
+    out.append(ground_norm(x))
+    value, witness = dg_lower_bound(x, 2, HI_OPS)
+    out.append((value, list(witness.entries.items()), witness.provenance))
+    return out
+
+
+def test_outputs_do_not_depend_on_entry_order():
+    for seed in range(40):
+        tree, x = random_case(seed, max_nodes=12, max_support=8)
+        twin = TreeVector(tree, dict(reversed(list(x.entries.items()))))
+        assert _outputs(twin) == _outputs(x), seed
 
 
 def test_tree_vector_algebra():
