@@ -16,10 +16,9 @@ other node of v's subtree and with all of v's ancestors, so choosing one
 freezes the rest of that subtree while leaving sibling subtrees free.
 
 The DP runs on the tree's arena (see trees): it reads the support as
-the node ids the vector keeps (TreeVector.entry_ids, mapped once per
-vector, not once per call), every per-node table is a list indexed by
-id, and since a parent's id is smaller than its children's, bottom-up is
-descending ids.
+the node ids the vector keeps (TreeVector.ids), every per-node table is a
+list indexed by id, and since a parent's id is smaller than its
+children's, bottom-up is descending ids.
 Each node pushes its chain aggregate and its f to its parent, so only
 the walk that collects the family reads a node's children.
 
@@ -43,10 +42,9 @@ with lower == upper on exact paths.  The DP computes them on one integer
 grid rather than in Fractions, with vectors.pow_ends applying every
 exponent:
 
-- the terms come from one pow_ends call: the entries' absolute
-  numerators over the lcm of their denominators, raised to the base's
-  term_exponent, once per distinct |x_t|, on the grid scale that call
-  returns;
+- the terms come from one pow_ends call: the vector's |x_t| on its
+  integer grid (TreeVector.grid), raised to the base's term_exponent,
+  once per distinct |x_t|, on the grid scale that call returns;
 - chain aggregates are then sums of integers over scale;
 - M(v) comes from one more pow_ends call, on every distinct end of a
   chain aggregate over scale, raised to p * root_exponent, on a grid of
@@ -62,20 +60,20 @@ Fraction pairs.
 
 Chain reuse: the terms, the chain aggregates and ends, and the
 numbering of the distinct aggregates do not depend on p, so _chains
-computes them apart and keeps the last result, keyed by (tree, entries,
-base kind, base q): everything that pass reads.  The first p-case on a
-result numbers the distinct aggregates once (_agg_ids): agg_id[v], the
-aggregates in id order and their set of ends.  Each p-case then makes
-one pow_ends call on that end set and reads M(v) from two int lists
-indexed by id, so its bottom-up loop hashes nothing.  A sweep over p on
-one vector and base makes one chain pass and one numbering.  The pass
-is a pure function of its key, so the order of calls changes no value
-and no family, a vector changed in place or scaled gets a fresh pass,
+computes them apart and keeps the last result, keyed by (vector, base
+kind, base q): everything that pass reads.  A vector is a value, so the
+same vector hits by identity and an equal one by TreeVector.__eq__.  The
+first p-case on a result numbers the distinct aggregates once
+(_agg_ids): agg_id[v], the aggregates in id order and their set of ends.
+Each p-case then makes one pow_ends call on that end set and reads M(v)
+from two int lists indexed by id, so its bottom-up loop hashes nothing.
+A sweep over p on one vector and base makes one chain pass and one
+numbering.  The pass is a pure function of its key, so the order of
+calls changes no value and no family, a scaled vector gets a fresh pass,
 and segments are built on the calling vector's tree.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix, segments_from_ids
 from baire_lab.vectors import NormValue, pow_bounds, pow_ends
@@ -131,7 +129,7 @@ def _chains(x, base):
     with _agg_ids(chain_agg) when it first needs it, so the 0-variant
     builds no table.  The last result is reused while its key matches."""
     global _last
-    key = (x.tree, dict(x.entries), base.kind, base.q)
+    key = (x, base.kind, base.q)
     # one read of the slot, so a concurrent swap cannot pair key and chains wrongly
     last_key, chains = _last
     if last_key == key:
@@ -140,15 +138,13 @@ def _chains(x, base):
     parent = x.tree.parent
     n = len(parent)
 
-    # one term per distinct |coefficient|, keyed by its integer numerator
-    # over the common denominator, since hashing a Fraction is slow; pairs
-    # are (upper, lower) from here on
-    ratios = [c.as_integer_ratio() for c in x.entries.values()]
-    den = lcm(*{d for _, d in ratios})
-    nums = [abs(a) * (den // d) for a, d in ratios]
+    # one term per distinct |coefficient|, keyed by its integer over the
+    # grid denominator, since hashing a Fraction is slow; pairs are
+    # (upper, lower) from here on
+    nums, den = x.grid()
     scale, terms = pow_ends(set(nums), den, base.term_exponent)
     term = [None] * n
-    for i, A in zip(x.entry_ids(), nums):
+    for i, A in zip(x.ids, nums):
         term[i] = terms[A][::-1]
 
     # bottom-up over descending ids; before v's turn, its slots hold its
@@ -258,11 +254,12 @@ def _candidate_segments(x):
     """Segments with both endpoints in supp(x); every family reduces to these.
 
     A segment's shortest and longest nodes are its endpoints, so distinct
-    pairs (s, t) give distinct segments.  The support is walked in
-    enumeration order, (length, lexicographic), so the candidates, and with
-    them the first optimal family, do not depend on the order of entries.
+    pairs (s, t) give distinct segments.  The support is walked in the
+    order of entries, enumeration order, so the candidates, and with them
+    the first optimal family, do not depend on the order the entries were
+    given in.
     """
-    supp = sorted(x.support, key=lambda t: (len(t), t))
+    supp = list(x.entries)
     out = []
     for s in supp:
         for t in supp:

@@ -226,13 +226,12 @@ def ground_norm(x):
     tree = x.tree
     if not tree.nodes:
         raise ValueError("ground norm of a vector on the empty tree")
-    # |x_t| as integers over one common denominator, by id; parents come
-    # first, so one ascending pass turns them into chain sums from the root
-    ratios = [c.as_integer_ratio() for c in x.entries.values()]
-    scale = lcm(*(b for _, b in ratios))
+    # |x_t| on the vector's integer grid, by id; parents come first, so
+    # one ascending pass turns them into chain sums from the root
+    mags, scale = x.grid()
     sums = [0] * len(tree.order)
-    for v, (a, b) in zip(x.entry_ids(), ratios):
-        sums[v] = abs(a) * (scale // b)
+    for v, A in zip(x.ids, mags):
+        sums[v] = A
     for v, up in enumerate(islice(tree.parent, 1, None), 1):
         sums[v] += sums[up]
     return Fraction(max(sums), scale)
@@ -262,18 +261,16 @@ class _Search:
     """
 
     def __init__(self, x, ops, depth):
-        tree = x.tree
-        # support positions in enumeration order, which is arena id order
-        ids, vals = zip(*sorted(zip(x.entry_ids(), x.entries.values())))
-        self.nodes = [tree.order[v] for v in ids]
-        self.signs = [_sign(v) for v in vals]
-        self.n = len(ids)
+        # support positions in the order of entries, enumeration order
+        self.nodes = list(x.entries)
+        self.signs = [_sign(v) for v in x.entries.values()]
+        self.n = len(x.ids)
         self.ops = ops
         self.depth = depth
-        ratios = [v.as_integer_ratio() for v in vals]
-        self.scale = lcm(*(b for _, b in ratios)) * lcm(*(m for m, _ in ops)) ** depth
-        self.weights = [abs(a) * (self.scale // b) for a, b in ratios]
-        self.up = tree.nearest_ancestors(ids)
+        mags, den = x.grid()
+        self.scale = den * lcm(*(m for m, _ in ops)) ** depth
+        self.weights = [a * (self.scale // den) for a in mags]
+        self.up = x.tree.nearest_ancestors(x.ids)
         # rows[d][i][j] = best(i, j, d); picks[d][i][j]: the index of the op
         # that won best(i, j, d), or -1 for the ground functional;
         # cuts[d][j][c][i]: the head end chosen for C_c[i] at right end j

@@ -18,18 +18,16 @@ class FiniteBlockSequence:
         if not blocks:
             raise ValueError("empty block sequence")
         tree = blocks[0].tree
-        # each support as ascending arena ids, which is enumeration order;
-        # equal trees number their nodes alike
-        ids = []
         for i, b in enumerate(blocks):
             if b.tree != tree:
                 raise ValueError("block %d lives on a different tree" % i)
             if not b.entries:
                 raise ValueError("block %d is zero" % i)
-            ids.append(sorted(b.entry_ids()))
-        supports = [[tree.order[v] for v in block_ids] for block_ids in ids]
+        # each support in enumeration order, with its ascending arena ids;
+        # equal trees number their nodes alike
+        supports = [list(b.entries) for b in blocks]
         for i in range(len(blocks) - 1):
-            if ids[i][-1] >= ids[i + 1][0]:
+            if blocks[i].ids[-1] >= blocks[i + 1].ids[0]:
                 raise ValueError(
                     "blocks %d and %d do not occupy increasing index windows"
                     % (i, i + 1)

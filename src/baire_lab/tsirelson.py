@@ -144,10 +144,10 @@ Grid lemma: on a set A every value either engine makes (memo entry,
 run sum, family sum) is a sum of support values over 2^d with
 d <= |A| - 1.  Induction on |A|: the sup has d = 0, and a family halves a
 sum of values on proper subsets B, whose d is at most |B| - 1 <= |A| - 2.
-So `_Ctx` fixes one scale, lcm(support denominators) << (n - 1), both
-engines hold every value v as the integer v * scale.  A family member
-has at most n - 1 elements, so its grid value is even and halving a
-family sum is exact floor division.
+So `_Ctx` fixes one scale, the vector's grid denominator (the lcm of
+the support denominators) << (n - 1), and both engines hold every value v
+as the integer v * scale.  A family member has at most n - 1 elements, so
+its grid value is even and halving a family sum is exact floor division.
 `Fraction` is built only on the way out, by `_Ctx.rational`; witness
 strings come from `_Ctx.text`, which reduces v / scale by one gcd.
 
@@ -158,10 +158,11 @@ image of an admissible family keeps its order and incomparabilities, and
 k <= idx(min E_1) <= idx(image), so it is admissible; induct on |A|.
 
 Engine reuse: `_engine` keeps the last engine it built and returns it
-when the next call asks for the same variant on the same content: the key
-is (variant, tree, entries), everything an engine reads, so a hit builds
-nothing.  So the norm, witness, fixed-point check and iterates of one
-vector share one memo, a vector changed in place (or scaled, which moves
+when the next call asks for the same variant on the same vector: the key
+is (variant, vector), everything an engine reads, so a hit builds
+nothing.  A vector is a value, so the same vector hits by identity and an
+equal one by TreeVector.__eq__.  So the norm, witness, fixed-point check
+and iterates of one vector share one memo, a scaled vector (which moves
 the grid) gets a new engine, and one slot keeps memory flat.  Sharing is
 safe because every memo, `family`, `split` and `part` entry is a pure
 function of its key: the order of calls changes no value and no recorded
@@ -171,7 +172,7 @@ first optimum.
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 
 from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.trees import enumeration_index
@@ -184,30 +185,23 @@ DEFAULT_SUPPORT_CAP = 14
 
 
 class _Ctx:
-    """Sorted support, its arena ids, grid values and enumeration indices:
-    vals[i] is |x_t| * scale for the i-th support node t (see the grid
-    lemma)."""
+    """The support in enumeration order, its arena ids, grid values and
+    enumeration indices: vals[i] is |x_t| * scale for the i-th support node
+    t (see the grid lemma)."""
 
     def __init__(self, x):
-        tree = x.tree
-        order, bound = tree.order, tree.alphabet_bound
-        self.tree = tree
-        self.n = n = len(x.entries)
-        ids, nodes, idx, ratios = [], [], [], []
-        # support positions in enumeration order, which is arena id order
-        for v, c in sorted(zip(x.entry_ids(), x.entries.values())):
-            t = order[v]
-            ids.append(v)
-            nodes.append(t)
-            # clamped at n (the index-clamp lemma); depth >= n means index >= n
-            idx.append(n if len(t) >= n else min(enumeration_index(t, bound), n))
-            ratios.append(c.as_integer_ratio())
-        self.ids = tuple(ids)
-        self.nodes = tuple(nodes)
-        self.idx = tuple(idx)
+        self.tree = tree = x.tree
+        self.n = n = len(x.ids)
+        # support positions in the order of entries, enumeration order
+        self.ids = x.ids
+        self.nodes = nodes = tuple(x.entries)
+        # clamped at n (the index-clamp lemma); depth >= n means index >= n
+        bound = tree.alphabet_bound
+        self.idx = tuple(n if len(t) >= n else min(enumeration_index(t, bound), n) for t in nodes)
         self.full = (1 << n) - 1
-        self.scale = scale = lcm(*(d for _, d in ratios)) << (n - 1)
-        self.vals = tuple(abs(a) * (scale // d) for a, d in ratios)
+        mags, den = x.grid()
+        self.scale = den << (n - 1)
+        self.vals = tuple(a << (n - 1) for a in mags)
 
     def rational(self, v):
         """The exact value of grid value v."""
@@ -511,7 +505,7 @@ def _engine(x, variant):
         )
     if not x.entries:
         return None
-    key = (variant, x.tree, dict(x.entries))
+    key = (variant, x)
     # one read of the slot, so a concurrent swap cannot pair key and engine wrongly
     last_key, eng = _last
     if last_key != key:
@@ -528,7 +522,10 @@ def tsirelson_norm(x, variant):
 
 def tsirelson_iterate(x, variant, m):
     """The m-th iterate of the norm recursion; m = 0 is the sup norm and
-    m >= |supp| - 1 is the norm."""
+    m >= |supp| - 1 is the norm.  m is an int (type, not isinstance, as for
+    node labels: a bool is refused), checked before anything else."""
+    if type(m) is not int:
+        raise ValueError("iterate level must be an int, not %r" % (m,))
     if m < 0:
         raise ValueError("iterate level must be >= 0")
     eng = _engine(x, variant)

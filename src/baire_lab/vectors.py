@@ -34,12 +34,16 @@ docstring and in integer_nth_root's:
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import itemgetter
+from types import MappingProxyType
 
 # relative interval width for irrational roots: 2**-ROOT_BITS
 ROOT_BITS = 48
 
 # entries in one residue table of pow_ends' filter, at most
 RESIDUES_MAX = 2000
+
+_first = itemgetter(0)
 
 
 def integer_nth_root(x, n, start=None):
@@ -345,21 +349,23 @@ class BaseNorm:
 
 
 class TreeVector:
-    """Finitely supported rational vector indexed by tree nodes.
+    """Finitely supported rational vector indexed by tree nodes, a value.
 
-    entries is a mapping from tree nodes to values Fraction() reads; zero
-    values are dropped and a node outside the tree is refused.  A mapping
-    holds each node once, so reading a repeated node from a file is the
-    loader's check (cli._load_vector).
+    The constructor reads a mapping from tree nodes to values Fraction()
+    reads; zero values are dropped and a node outside the tree is refused.
+    A mapping holds each node once, so reading a repeated node from a file
+    is the loader's check (cli._load_vector).
 
-    Beside entries the vector keeps the arena ids of its entry nodes, for
-    the DPs that run on the tree's arena (see entry_ids).
+    entries is a read-only mapping from the support nodes to their nonzero
+    Fractions, in enumeration order, which is ascending arena-id order, and
+    ids holds the arena ids of those nodes, as a tuple in the same order.
+    Every engine reads the support in that order from them, and the
+    |coefficients| on one integer grid from grid().
     """
 
     def __init__(self, tree, entries):
         id_of = tree.id_of
-        clean = {}
-        keys, ids = [], []
+        items = []
         for node, value in entries.items():
             node = tuple(node)
             # the membership test, which also gives the node's id
@@ -369,31 +375,22 @@ class TreeVector:
             if not isinstance(value, Fraction):
                 value = Fraction(value)
             if value:
-                clean[node] = value
-                keys.append(node)
-                ids.append(i)
+                items.append((i, node, value))
+        items.sort(key=_first)
         self.tree = tree
-        self.entries = clean
-        # two keys equal as tuples would leave keys longer than clean; the
-        # staleness check in entry_ids then recomputes
-        self._ids = (keys, ids)
+        self.entries = MappingProxyType({node: value for _, node, value in items})
+        ids = tuple(map(_first, items))
+        if len(ids) != len(self.entries):
+            # two keys of the mapping named one node; the last value stays
+            ids = tuple(dict.fromkeys(ids))
+        self.ids = ids
 
-    def entry_ids(self):
-        """The arena ids of the entry nodes, in the order of entries.
-
-        entries may be changed in place, so the ids are kept with the list
-        of keys they were computed for and recomputed when list(entries)
-        differs from it.  The keys are the same objects while entries is
-        unchanged, so that check is one identity test per entry, where a
-        lookup in id_of hashes a tuple as long as the node.
-        """
-        keys = list(self.entries)
-        known, ids = self._ids
-        if known != keys:
-            id_of = self.tree.id_of
-            ids = [id_of[t] for t in keys]
-            self._ids = (keys, ids)
-        return ids
+    def grid(self):
+        """(mags, den): each |x_t|, in the order of entries, as an integer
+        over den, the lcm of the entries' denominators."""
+        ratios = [v.as_integer_ratio() for v in self.entries.values()]
+        den = lcm(*(d for _, d in ratios))
+        return [abs(a) * (den // d) for a, d in ratios], den
 
     @property
     def support(self):
@@ -410,8 +407,7 @@ class TreeVector:
         )
 
     def __repr__(self):
-        items = sorted(self.entries.items())
-        return "TreeVector(%r)" % (items,)
+        return "TreeVector(%r)" % (list(self.entries.items()),)
 
     def scale(self, c):
         return linear_combination(self.tree, [self], [c])

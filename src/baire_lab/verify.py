@@ -31,8 +31,7 @@ def norm_value_json(v):
 
 
 def vector_to_json_dict(x):
-    entries = sorted(x.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {"entries": [[list(node), rational_str(val)] for node, val in entries]}
+    return {"entries": [[list(node), rational_str(val)] for node, val in x.entries.items()]}
 
 
 class ExperimentReport:

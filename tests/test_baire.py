@@ -162,8 +162,9 @@ def test_family_segments_equal_validated_segments():
 
 
 def test_in_place_changes_are_seen():
-    # the vector keeps the arena ids of its entries; a changed value, an
-    # added entry and a deleted one must each be seen, as by a fresh vector
+    # entries are read-only, so a change is made on a copy, which keeps the
+    # arena ids of its own entries; a changed value, an added entry and a
+    # deleted one must each be seen, as by a fresh vector on cold slots
     tree = comb_tree(12)
     x = TreeVector(tree, {(0,) * i + (1,): i + 1 for i in range(0, 12, 2)})
     matrix = [
@@ -181,14 +182,19 @@ def test_in_place_changes_are_seen():
         )
 
     changes = [
-        lambda e: e.__setitem__((1,), Fraction(-7, 2)),
-        lambda e: e.__setitem__((0,) * 11, Fraction(50)),
-        lambda e: e.__delitem__((0, 0, 1)),
+        lambda e: {**e, (1,): Fraction(-7, 2)},
+        lambda e: {**e, (0,) * 11: Fraction(50)},
+        lambda e: {t: v for t, v in e.items() if t != (0, 0, 1)},
     ]
+    with pytest.raises(TypeError):
+        x.entries[(1,)] = Fraction(-7, 2)
+    with pytest.raises(TypeError):
+        del x.entries[(0, 0, 1)]
     before = results(x)
     for change in changes:
-        change(x.entries)
+        x = TreeVector(tree, change(x.entries))
         after = results(x)
+        clear_reuse_slots()
         assert after == results(TreeVector(tree, dict(x.entries)))
         assert after != before
         before = after
@@ -266,7 +272,7 @@ def test_chain_slot_sees_the_scale():
 def test_chain_slot_numbers_the_aggregates_once_per_sweep(monkeypatch):
     # a p-sweep on one vector and base numbers the chain aggregates once
     # and makes one pow_ends call per p-case, each on that table's end set;
-    # a vector changed in place then gets a fresh pass and a fresh table
+    # a changed copy then gets a fresh pass and a fresh table
     tables, ends = [], []
     agg_ids, pow_ends = baire._agg_ids, baire.pow_ends
 
@@ -284,14 +290,16 @@ def test_chain_slot_numbers_the_aggregates_once_per_sweep(monkeypatch):
     base = BaseNorm.parse("l3/2")
     sweep = [BaireParams(p, base) for p in (ZERO, 1, Fraction(3, 2), 2)]
     want = [[_cold(y, params) for params in sweep] for y in (x, changed)]
+    with pytest.raises(TypeError):
+        x.entries[node] = Fraction(13, 7)
+    with pytest.raises(TypeError):
+        del x.entries[node]
     clear_reuse_slots()
     monkeypatch.setattr(baire, "_agg_ids", counted_ids)
     monkeypatch.setattr(baire, "pow_ends", counted_pow)
-    for k in range(2):
-        if k:
-            x.entries[node] = Fraction(13, 7)
+    for k, y in enumerate((x, changed)):
         for params, fingerprint in zip(sweep, want[k]):
-            assert _fingerprint(baire_norm_report(x, params)) == fingerprint, (k, params)
+            assert _fingerprint(baire_norm_report(y, params)) == fingerprint, (k, params)
         # the chain pass's term call, then one call per p-case
         assert len(tables) == k + 1 and len(ends) == 4 * (k + 1)
         agg_id, aggs, agg_ends = tables[k]

@@ -503,16 +503,37 @@ def test_refused_iterate_level_leaves_the_engine_slot():
         assert tsirelson._last is slot
 
 
+def test_iterate_level_must_be_an_int():
+    # a level that is not an int, a bool among them, is refused before any
+    # other check, as a negative one is, so the slot keeps the last engine
+    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2})
+    y = sweep_case(0, 10)
+    big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
+    tsirelson_norm(x, INCOMPARABLE)
+    slot = tsirelson._last
+    for z, variant in ((y, INCOMPARABLE), (y, STANDARD), (y, "bogus"), (big, STANDARD)):
+        for m in (True, False, 0.5, 1.0, -1.0, Fraction(1), Fraction(1, 2)):
+            with pytest.raises(ValueError, match=r"^iterate level must be an int, not "):
+                tsirelson_iterate(z, variant, m)
+            assert tsirelson._last is slot
+    assert tsirelson_iterate(y, STANDARD, 1) == Fraction(1373, 280)
+
+
 def test_shared_engine_sees_in_place_changes():
-    # the engine is keyed by content, so changing entries in place is seen
+    # entries are read-only, so the engine slot cannot go stale: a change
+    # in place raises, and a changed copy gets an engine of its own
     t = star_tree(4, base_label=4)
     x = TreeVector(t, {(4 + i,): 1 for i in range(4)})
     for variant in (INCOMPARABLE, STANDARD):
         assert tsirelson_norm(x, variant) == 2
-        x.entries[(4,)] = Fraction(5)
-        assert tsirelson_norm(x, variant) == reference_norm(x, variant) == 5
-        assert tsirelson_witness_tree(x, variant) == reference_witness_tree(x, variant)
-        x.entries[(4,)] = Fraction(1)
+        with pytest.raises(TypeError):
+            x.entries[(4,)] = Fraction(5)
+        with pytest.raises(TypeError):
+            del x.entries[(4,)]
+        y = TreeVector(t, {**x.entries, (4,): Fraction(5)})
+        assert tsirelson_norm(y, variant) == reference_norm(y, variant) == 5
+        assert tsirelson_witness_tree(y, variant) == reference_witness_tree(y, variant)
+        assert tsirelson_norm(x, variant) == 2
 
 
 def test_shared_engine_sees_the_grid_scale():

@@ -457,12 +457,34 @@ def test_tree_vector_keeps_fractions_and_converts_the_rest():
     assert TreeVector(t, {(0,): Fraction(0), (1,): "0"}).support == frozenset()
     y = TreeVector(t, x.entries)
     assert y == x and all(y.entries[k] is v for k, v in x.entries.items())
-    # y has entries of its own: a change in place reaches y and its ids only
-    y.entries[(0,)] = Fraction(5)
-    del y.entries[(1,)]
+    # entries are read-only: a change is made on a copy, with ids of its own
+    with pytest.raises(TypeError):
+        y.entries[(0,)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del y.entries[(1,)]
+    z = TreeVector(t, {**{k: v for k, v in y.entries.items() if k != (1,)}, (0,): Fraction(5)})
     assert x.entries == {(0,): half, (1,): 3, (2,): Fraction(1, 3)}
-    assert y[(0,)] == 5 and y.entry_ids() == [t.id_of[(0,)], t.id_of[(2,)]]
-    assert x.entry_ids() == [t.id_of[(0,)], t.id_of[(1,)], t.id_of[(2,)]]
+    assert z[(0,)] == 5 and z.ids == (t.id_of[(0,)], t.id_of[(2,)])
+    assert x.ids == y.ids == (t.id_of[(0,)], t.id_of[(1,)], t.id_of[(2,)])
+
+
+def test_entries_ids_and_grid_in_enumeration_order():
+    for seed in range(40):
+        tree, x = random_case(seed, max_nodes=12, max_support=8)
+        for y in (x, TreeVector(tree, dict(reversed(list(x.entries.items()))))):
+            nodes = list(y.entries)
+            assert nodes == sorted(y.support, key=tree.index)
+            assert list(y.ids) == sorted(y.ids)
+            assert y.ids == tuple(tree.id_of[t] for t in nodes)
+            mags, den = y.grid()
+            assert den == lcm(*(v.denominator for v in y.entries.values()))
+            assert [Fraction(a, den) for a in mags] == [abs(v) for v in y.entries.values()]
+    # two keys that name one node keep it once, with the last value
+    t = star_tree(2)
+    x = TreeVector(t, {(1,): 3, (0,): 1, range(1): 2})
+    assert list(x.entries.items()) == [((0,), 2), ((1,), 3)]
+    assert x.ids == (t.id_of[(0,)], t.id_of[(1,)])
+    assert TreeVector(t, {}).grid() == ([], 1)
 
 
 def _outputs(x):
@@ -504,7 +526,7 @@ def test_tree_vector_algebra():
     assert x.scale(Fraction(2, 3))[(0,)] == Fraction(2, 3)
     with pytest.raises(ValueError, match="^cannot combine vectors on different trees$"):
         linear_combination(t, [x, unit_vector(star_tree(4), (0,))], [1, 1])
-    # entries keep the first vector's order, then the second's new nodes
+    # entries are in enumeration order, whatever order the terms came in
     x = TreeVector(t, {(0,): Fraction(1, 2), (1,): 3})
     y = TreeVector(t, {(2,): 1, (0,): Fraction(-1, 2)})
     assert list(linear_combination(t, [x, y], [1, 1]).entries.items()) == [((1,), 3), ((2,), 1)]

@@ -78,7 +78,9 @@ def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
 
 def clear_reuse_slots():
     """Empty the Tsirelson engine slot and the Baire chain slot, so that the
-    next call on any vector is a cold one; a best-of-N timing loop on one
-    vector calls this before each timed call, or it times only slot hits."""
+    next call on any vector is a cold one.  Both slots hold the last
+    vector, which the same vector hits by identity and an equal one by
+    TreeVector.__eq__: a best-of-N timing loop on one vector calls this
+    before each timed call, or it times only slot hits."""
     tsirelson._last = (None, None)
     baire._last = (None, None)
