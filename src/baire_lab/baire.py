@@ -59,21 +59,23 @@ order: chains are compared by their upper end first.  The oracle keeps
 Fraction pairs.
 
 Chain reuse: the terms, the chain aggregates and ends, and the
-numbering of the distinct aggregates do not depend on p, so _chains
-computes them apart and keeps the last result, keyed by (vector, base
-kind, base q): everything that pass reads.  A vector is a value, so the
-same vector hits by identity and an equal one by TreeVector.__eq__.  The
-first p-case on a result numbers the distinct aggregates once
-(_agg_ids): agg_id[v], the aggregates in id order and their set of ends.
-Each p-case then makes one pow_ends call on that end set and reads M(v)
-from two int lists indexed by id, so its bottom-up loop hashes nothing.
-A sweep over p on one vector and base makes one chain pass and one
-numbering.  The pass is a pure function of its key, so the order of
+numbering of the distinct aggregates do not depend on p.  _chains
+computes the first three and _numbering the last (_agg_ids: agg_id[v],
+the aggregates in id order and their set of ends), each in a cache of
+one entry keyed by (vector, base): everything it reads.  Both are
+values, so the same vector hits by identity and an equal one by
+TreeVector.__eq__.  The numbering is its own cache so that the 0-variant
+builds no table.  Each p-case makes one pow_ends call on the end set and
+reads M(v) from two int lists indexed by id, so its bottom-up loop hashes
+nothing.  A sweep over p on one vector and base makes one chain pass and
+one numbering.  Both are pure functions of their key, so the order of
 calls changes no value and no family, a scaled vector gets a fresh pass,
-and segments are built on the calling vector's tree.
+and segments are built on the calling vector's tree.  Call them
+positionally: lru_cache keys f(x, base) and f(x, base=base) apart.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix, segments_from_ids
 from baire_lab.vectors import NormValue, pow_bounds, pow_ends
@@ -98,7 +100,10 @@ class BaireParams:
 
     def __init__(self, p, base):
         if p is not ZERO:
-            p = Fraction(p)
+            try:
+                p = Fraction(p)
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in baire p %r" % (p,)) from None
             if p == 0:
                 p = ZERO
             elif p < 1:
@@ -119,21 +124,10 @@ class BaireReport:
         self.family = family
 
 
-# (key, chains) of the last vector and base _chains ran on
-_last = (None, None)
-
-
+@lru_cache(maxsize=1)
 def _chains(x, base):
     """The part of the DP that does not depend on p, for x and the base
-    norm: [scale, chain_agg, ends, None], whose last slot the p-case fills
-    with _agg_ids(chain_agg) when it first needs it, so the 0-variant
-    builds no table.  The last result is reused while its key matches."""
-    global _last
-    key = (x, base.kind, base.q)
-    # one read of the slot, so a concurrent swap cannot pair key and chains wrongly
-    last_key, chains = _last
-    if last_key == key:
-        return chains
+    norm: (scale, chain_agg, ends)."""
     sup = base.kind == "sup"
     parent = x.tree.parent
     n = len(parent)
@@ -171,9 +165,13 @@ def _chains(x, base):
         if up is not None and tail >= chain_agg[up]:
             chain_agg[up] = tail
             ends[up] = end
-    chains = [scale, chain_agg, ends, None]
-    _last = (key, chains)
-    return chains
+    return scale, chain_agg, ends
+
+
+@lru_cache(maxsize=1)
+def _numbering(x, base):
+    """_agg_ids of the chain aggregates, cached apart from _chains."""
+    return _agg_ids(_chains(x, base)[1])
 
 
 def _agg_ids(chain_agg):
@@ -190,8 +188,7 @@ def _dp(x, params):
     if not tree.nodes:
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
-    chains = _chains(x, base)
-    scale, chain_agg, ends, distinct = chains
+    scale, chain_agg, ends = _chains(x, base)
 
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
@@ -200,9 +197,7 @@ def _dp(x, params):
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    if distinct is None:
-        distinct = chains[3] = _agg_ids(chain_agg)
-    agg_id, aggs, agg_ends = distinct
+    agg_id, aggs, agg_ends = _numbering(x, base)
     mscale, bounds = pow_ends(agg_ends, scale, p * base.root_exponent)
     seg_hi = [bounds[hi][1] for hi, _ in aggs]
     seg_lo = [bounds[lo][0] for _, lo in aggs]

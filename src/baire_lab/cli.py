@@ -7,12 +7,12 @@ codes: 0 pass, 1 verification failure, 2 usage/input error or internal
 error.  Every ValueError a command raises is an input error: `main` prints
 its message and exits 2.
 
-One parser per process: `main` builds it on its first call and keeps it,
-since building the argparse tree costs about as much as a small command.
-It dispatches by name at call time, to the module's cmd_<command>, so a
-replaced cmd_ function is the one that runs.  A one-shot console run
-builds one parser either way; in-process callers gain.  build_parser()
-still returns a fresh parser.
+One parser per process: `main` gets it from _parser, a functools.cache of
+build_parser, since building the argparse tree costs about as much as a
+small command.  It dispatches by name at call time, to the module's
+cmd_<command>, so a replaced cmd_ function is the one that runs.  A
+one-shot console run builds one parser either way; in-process callers
+gain.  build_parser() still returns a fresh parser.
 """
 
 import argparse
@@ -20,6 +20,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import compress, count
 from operator import ne
 
@@ -417,14 +418,11 @@ def build_parser():
 
 
 # the parser of this process, built on the first main call
-_parser = None
+_parser = cache(build_parser)
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = globals()["cmd_" + args.command](args)
         # a broken pipe on the last write shows here, not at exit

@@ -157,20 +157,19 @@ star_tree(n, b + s), lowers no value of either variant at any level.  The
 image of an admissible family keeps its order and incomparabilities, and
 k <= idx(min E_1) <= idx(image), so it is admissible; induct on |A|.
 
-Engine reuse: `_engine` keeps the last engine it built and returns it
-when the next call asks for the same variant on the same vector: the key
-is (variant, vector), everything an engine reads, so a hit builds
-nothing.  A vector is a value, so the same vector hits by identity and an
-equal one by TreeVector.__eq__.  So the norm, witness, fixed-point check
-and iterates of one vector share one memo, a scaled vector (which moves
-the grid) gets a new engine, and one slot keeps memory flat.  Sharing is
-safe because every memo, `family`, `split` and `part` entry is a pure
-function of its key: the order of calls changes no value and no recorded
-first optimum.
+Engine reuse: `_engine` checks its input and returns `_built(variant,
+x)`, a cache of one entry keyed by (variant, vector), everything an engine
+reads, so a hit builds nothing.  A vector is a value, so the same vector
+hits by identity and an equal one by TreeVector.__eq__.  So the norm,
+witness, fixed-point check and iterates of one vector share one memo, a
+scaled vector (which moves the grid) gets a new engine, and one entry
+keeps memory flat.  Sharing is safe because every memo, `family`, `split`
+and `part` entry is a pure function of its key: the order of calls
+changes no value and no recorded first optimum.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import gcd
 
@@ -489,14 +488,10 @@ class _StdEngine:
         return self.best_split(*self.root, None, 2 * value)[1] is not None
 
 
-# (key, engine) of the last engine `_engine` built
-_last = (None, None)
-
-
 def _engine(x, variant):
-    """The engine of `variant` on the support of x, or None if x = 0; the
-    last engine built is reused while its key matches."""
-    global _last
+    """The engine of `variant` on the support of x, or None if x = 0.  The
+    checks run outside the cache, so a vector over the cap is refused even
+    if a higher cap built its engine, and x = 0 evicts nothing."""
     if variant not in (INCOMPARABLE, STANDARD):
         raise ValueError("unknown variant %r" % (variant,))
     if len(x.entries) > DEFAULT_SUPPORT_CAP:
@@ -505,13 +500,12 @@ def _engine(x, variant):
         )
     if not x.entries:
         return None
-    key = (variant, x)
-    # one read of the slot, so a concurrent swap cannot pair key and engine wrongly
-    last_key, eng = _last
-    if last_key != key:
-        eng = (_IncEngine if variant == INCOMPARABLE else _StdEngine)(_Ctx(x))
-        _last = (key, eng)
-    return eng
+    return _built(variant, x)
+
+
+@lru_cache(maxsize=1)
+def _built(variant, x):
+    return (_IncEngine if variant == INCOMPARABLE else _StdEngine)(_Ctx(x))
 
 
 def tsirelson_norm(x, variant):

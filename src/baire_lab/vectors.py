@@ -314,6 +314,9 @@ class BaseNorm:
     def __eq__(self, other):
         return isinstance(other, BaseNorm) and (self.kind, self.q) == (other.kind, other.q)
 
+    def __hash__(self):
+        return hash((self.kind, self.q))
+
     def __repr__(self):
         if self.kind == "sup":
             return "BaseNorm.sup()"
@@ -324,7 +327,11 @@ class BaseNorm:
         if token == "sup":
             return BaseNorm.sup()
         if token.startswith("l"):
-            return BaseNorm.ell(Fraction(token[1:]))
+            try:
+                q = Fraction(token[1:])
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in base norm token %r" % (token,)) from None
+            return BaseNorm.ell(q)
         raise ValueError("unknown base norm token %r" % (token,))
 
     def term(self, size):
@@ -360,7 +367,8 @@ class TreeVector:
     Fractions, in enumeration order, which is ascending arena-id order, and
     ids holds the arena ids of those nodes, as a tuple in the same order.
     Every engine reads the support in that order from them, and the
-    |coefficients| on one integer grid from grid().
+    |coefficients| on one integer grid from grid().  It hashes by ids, no
+    Fraction, so the engines' caches key on the vector itself.
     """
 
     def __init__(self, tree, entries):
@@ -405,6 +413,10 @@ class TreeVector:
             and self.tree == other.tree
             and self.entries == other.entries
         )
+
+    def __hash__(self):
+        # equal vectors have equal trees, which number their nodes alike
+        return hash(self.ids)
 
     def __repr__(self):
         return "TreeVector(%r)" % (list(self.entries.items()),)

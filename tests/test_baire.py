@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baire_lab import baire
+from baire_lab import baire, tsirelson
 from baire_lab.baire import (
     ZERO,
     BaireParams,
@@ -27,6 +27,14 @@ from baire_lab.trees import (
     star_tree,
 )
 from baire_lab.sequences import FiniteBlockSequence
+from baire_lab.tsirelson import (
+    INCOMPARABLE,
+    STANDARD,
+    check_fixed_point,
+    tsirelson_iterate,
+    tsirelson_norm,
+    tsirelson_witness_tree,
+)
 from baire_lab.vectors import (
     BaseNorm,
     NormValue,
@@ -36,7 +44,7 @@ from baire_lab.vectors import (
     unit_vector,
 )
 from baire_reference import reference_report
-from util import benchmark_size_vectors, clear_reuse_slots, random_case
+from util import benchmark_size_vectors, clear_reuse_slots, random_case, sweep_case
 
 L1 = BaseNorm.ell(1)
 P1 = BaireParams(1, L1)
@@ -211,6 +219,18 @@ SWEEP = [
 ]
 
 
+def _traffic(f):
+    info = f.cache_info()
+    return info.misses, info.hits
+
+
+def _twin(x):
+    """An equal vector on an equal tree, sharing no object with x."""
+    twin = TreeVector(FiniteTree(list(x.tree.order)), dict(x.entries))
+    assert twin == x and hash(twin) == hash(x) and twin.tree is not x.tree
+    return twin
+
+
 def test_chain_slot_call_order():
     # the 16 (base, p) reports of a vector share one chain pass per base;
     # the order of the calls, and evictions between them, change no byte
@@ -239,17 +259,18 @@ def test_chain_slot_sees_the_base():
 
 def test_chain_slot_hits_on_equal_tree_and_base():
     # the key holds values: an equal tree, entries dict and base hit the
-    # slot, and the segments are built on the calling vector's tree
+    # caches, and the segments are built on the calling vector's tree
     x = next(benchmark_size_vectors())
-    twin = TreeVector(FiniteTree(list(x.tree.order)), dict(x.entries))
-    assert twin.tree == x.tree and twin.tree is not x.tree
+    twin = _twin(x)
     for token in ("sup", "l2"):
         for p in (ZERO, Fraction(3, 2)):
             want = _cold(twin, BaireParams(p, BaseNorm.parse(token)))
             _cold(x, BaireParams(p, BaseNorm.parse(token)))
-            chains = baire._last[1]
+            (cm, ch), (nm, nh) = _traffic(baire._chains), _traffic(baire._numbering)
             report = baire_norm_report(twin, BaireParams(p, BaseNorm.parse(token)))
-            assert baire._last[1] is chains
+            # the 0-variant reads no numbering
+            assert _traffic(baire._chains) == (cm, ch + 1)
+            assert _traffic(baire._numbering) == (nm, nh + (p is not ZERO))
             assert _fingerprint(report) == want
             assert all(seg.tree is twin.tree for seg in report.family)
 
@@ -312,10 +333,47 @@ def test_chain_slot_keeps_the_empty_tree_check():
     x = TreeVector(star_tree(2), {(0,): 1})
     for params in (P0, P1):
         baire_norm(x, params)
-        slot = baire._last
+        slots = baire._chains.cache_info(), baire._numbering.cache_info()
         with pytest.raises(ValueError, match="empty tree"):
             baire_norm(TreeVector(FiniteTree([]), {}), params)
-        assert baire._last is slot
+        assert (baire._chains.cache_info(), baire._numbering.cache_info()) == slots
+
+
+def test_cache_traffic(monkeypatch):
+    # (a) the four Tsirelson calls on one vector build one engine, and
+    # (c) an equal vector on an equal tree then hits it
+    x = sweep_case(0, 10)
+    for variant in (INCOMPARABLE, STANDARD):
+        clear_reuse_slots()
+        tsirelson_norm(x, variant)
+        tsirelson_witness_tree(x, variant)
+        check_fixed_point(x, variant)
+        tsirelson_iterate(x, variant, 1)
+        assert _traffic(tsirelson._built) == (1, 3), variant
+        tsirelson_norm(_twin(x), variant)
+        assert _traffic(tsirelson._built) == (1, 4), variant
+    # (b) a base-major sweep makes one chain pass and one numbering per
+    # base, and (c) an equal vector on an equal tree hits both caches
+    y = next(benchmark_size_vectors())
+    clear_reuse_slots()
+    for params in SWEEP:
+        baire_norm_report(y, params)
+    assert _traffic(baire._chains) == (4, 16)
+    assert _traffic(baire._numbering) == (4, 8)
+    baire_norm_report(_twin(y), SWEEP[-1])
+    assert _traffic(baire._chains) == (4, 17)
+    assert _traffic(baire._numbering) == (4, 9)
+    # (d) the cap is checked outside the cache: an engine built under a
+    # raised cap is not handed out once the cap is back
+    star = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
+    for variant in (INCOMPARABLE, STANDARD):
+        monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", 15)
+        assert tsirelson_norm(star, variant) == Fraction(15, 2)
+        monkeypatch.setattr(tsirelson, "DEFAULT_SUPPORT_CAP", 14)
+        info = tsirelson._built.cache_info()
+        with pytest.raises(ValueError, match=r"^support cap exceeded: \|supp\| = 15 > 14$"):
+            tsirelson_norm(star, variant)
+        assert tsirelson._built.cache_info() == info
 
 
 @pytest.mark.parametrize("params", [P1, P2, P0], ids=["p1", "p2", "p0"])

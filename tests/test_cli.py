@@ -520,7 +520,7 @@ def _outcome(capsys, argv):
     return code, out.out, out.err
 
 
-def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys):
     # main keeps one parser per process; a run of calls through it, usage
     # errors and --help included, prints what a freshly built parser does
     t, x = tmp_path / "t.json", tmp_path / "x.json"
@@ -535,15 +535,18 @@ def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
     ]
     main(["rank", "--tree", str(t)])
     capsys.readouterr()
-    parser = cli._parser
+    parser = cli._parser()
+    info = cli._parser.cache_info()
     cached = [_outcome(capsys, argv) for argv in calls]
-    assert cli._parser is parser
+    assert cli._parser() is parser
+    assert cli._parser.cache_info() == info._replace(hits=info.hits + len(calls) + 1)
     assert [code for code, _, _ in cached] == [2, 0, 2, 0, 0]
     assert cached[2][2].startswith("error: cannot read ")
     for argv, (code, out, _) in zip(calls, cached):
-        monkeypatch.setattr(cli, "_parser", None)
+        cli._parser.cache_clear()
         assert _outcome(capsys, argv)[:2] == (code, out), argv
-        assert cli._parser is not parser
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser() is not parser
 
 
 def test_module_help_lists_every_subcommand():

@@ -496,11 +496,13 @@ def test_refused_iterate_level_leaves_the_engine_slot():
     y = TreeVector(star_tree(4, base_label=4), {(4,): 1, (5,): 1})
     big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
     tsirelson_norm(x, INCOMPARABLE)
-    slot = tsirelson._last
+    slot = tsirelson._built.cache_info()
     for z, variant in ((y, INCOMPARABLE), (y, "bogus"), (big, INCOMPARABLE)):
         with pytest.raises(ValueError, match=r"^iterate level must be >= 0$"):
             tsirelson_iterate(z, variant, -1)
-        assert tsirelson._last is slot
+        assert tsirelson._built.cache_info() == slot
+    tsirelson_norm(x, INCOMPARABLE)
+    assert tsirelson._built.cache_info() == slot._replace(hits=slot.hits + 1)
 
 
 def test_iterate_level_must_be_an_int():
@@ -510,12 +512,12 @@ def test_iterate_level_must_be_an_int():
     y = sweep_case(0, 10)
     big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
     tsirelson_norm(x, INCOMPARABLE)
-    slot = tsirelson._last
+    slot = tsirelson._built.cache_info()
     for z, variant in ((y, INCOMPARABLE), (y, STANDARD), (y, "bogus"), (big, STANDARD)):
         for m in (True, False, 0.5, 1.0, -1.0, Fraction(1), Fraction(1, 2)):
             with pytest.raises(ValueError, match=r"^iterate level must be an int, not "):
                 tsirelson_iterate(z, variant, m)
-            assert tsirelson._last is slot
+            assert tsirelson._built.cache_info() == slot
     assert tsirelson_iterate(y, STANDARD, 1) == Fraction(1373, 280)
 
 

@@ -420,6 +420,15 @@ def test_base_norm_parse():
         BaseNorm.parse("linf")
     with pytest.raises(ValueError):
         BaseNorm.ell(Fraction(1, 2))
+    # a zero denominator was a ZeroDivisionError; every other malformed
+    # token is a ValueError
+    for token in ("l", "lx", "l0"):
+        with pytest.raises(ValueError):
+            BaseNorm.parse(token)
+    with pytest.raises(ValueError, match=r"^zero denominator in base norm token 'l1/0'$"):
+        BaseNorm.parse("l1/0")
+    with pytest.raises(ValueError, match=r"^zero denominator in baire p '1/0'$"):
+        BaireParams("1/0", BaseNorm.sup())
 
 
 def test_aggregate_abs_exact_kinds():

@@ -13,7 +13,7 @@ def random_case(seed, max_nodes=10, max_support=8, max_branch=3):
     rng = random.Random(seed)
     tree = random_tree(seed=rng.randrange(2**32), max_nodes=max_nodes,
                        max_branch=max_branch)
-    nodes = sorted(tree.nodes, key=tree.index)
+    nodes = list(tree.nodes)
     k = rng.randint(1, min(max_support, len(nodes)))
     supp = rng.sample(nodes, k)
     entries = {
@@ -54,7 +54,7 @@ HI_OPS = ((2, 4), (4, 16))
 def window_vector(x, start, width):
     """x kept to its support nodes start..start + width - 1 in enumeration
     order, the windows the hi tests cut from benchmark_size_vectors()."""
-    supp = sorted(x.entries, key=x.tree.index)[start:start + width]
+    supp = list(x.entries)[start:start + width]
     return TreeVector(x.tree, {t: x.entries[t] for t in supp})
 
 
@@ -64,7 +64,7 @@ def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
     while True:
         tree = random_tree(seed=rng.randrange(2**32), max_nodes=max_nodes,
                            max_branch=max_branch)
-        nodes = sorted(tree.nodes, key=tree.index)[1:]
+        nodes = list(tree.nodes)[1:]
         if nodes:
             break
     k = rng.randint(1, min(max_support, len(nodes)))
@@ -77,10 +77,12 @@ def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
 
 
 def clear_reuse_slots():
-    """Empty the Tsirelson engine slot and the Baire chain slot, so that the
-    next call on any vector is a cold one.  Both slots hold the last
-    vector, which the same vector hits by identity and an equal one by
-    TreeVector.__eq__: a best-of-N timing loop on one vector calls this
-    before each timed call, or it times only slot hits."""
-    tsirelson._last = (None, None)
-    baire._last = (None, None)
+    """Empty the Tsirelson engine cache and the Baire chain and numbering
+    caches, so that the next call on any vector is a cold one.  Each holds
+    one entry keyed on the last vector, which the same vector hits by
+    identity and an equal one by TreeVector.__eq__: a best-of-N timing loop
+    on one vector calls this before each timed call, or it times only
+    cache hits."""
+    tsirelson._built.cache_clear()
+    baire._chains.cache_clear()
+    baire._numbering.cache_clear()
