@@ -126,9 +126,11 @@ is in none of them, so count + 2 <= n.  In the second, for n >= 2 the
 clamp keeps the test, and for n = 1 no family of k >= 2 nonempty sets
 exists, so the branch records nothing either way.  Every entry adds at
 least 1 to the numeral of `enumeration_index`, so index(t) >= len(t): a
-node of depth >= n gets n without computing its index, and no engine
-builds an integer longer than about n digits of base B + 1, however deep
-the node or large its labels.
+node of depth >= n gets n without computing its index.  `_Ctx` computes
+the other indices in its one loop over the support, by Horner's rule
+over every entry, each checked as `enumeration_index` checks it, so no
+engine builds an integer longer than n - 1 digits of base B + 1,
+however deep the node or large its labels.
 
 Level-collapse lemma: on a set A the m-th iterate equals the fixed point
 whenever m >= |A| - 1, so both engines answer such a level from the
@@ -174,7 +176,6 @@ from itertools import accumulate
 from math import gcd
 
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.trees import enumeration_index
 from baire_lab.vectors import TreeVector
 
 INCOMPARABLE = "incomparable"
@@ -185,8 +186,15 @@ DEFAULT_SUPPORT_CAP = 14
 
 class _Ctx:
     """The support in enumeration order, its arena ids, grid values and
-    enumeration indices: vals[i] is |x_t| * scale for the i-th support node
-    t (see the grid lemma)."""
+    clamped enumeration indices.  vals[i] is |x_t| * scale for the i-th
+    support node t (the grid lemma), from one x.grid call that lifts each
+    magnitude by 2^(n - 1) as it reads it.  idx[i] is min(index(t), n)
+    (the index-clamp lemma), from one loop over the support: a node of
+    depth >= n gets n unread, a shorter one its numeral by Horner's rule,
+    with every entry checked as `enumeration_index` checks it, also after
+    the numeral passes n.  Every entry of a tree node is the last entry of
+    one of its prefixes, so the alphabet-bound check there cannot fail.
+    """
 
     def __init__(self, x):
         self.tree = tree = x.tree
@@ -194,13 +202,23 @@ class _Ctx:
         # support positions in the order of entries, enumeration order
         self.ids = x.ids
         self.nodes = nodes = tuple(x.entries)
-        # clamped at n (the index-clamp lemma); depth >= n means index >= n
-        bound = tree.alphabet_bound
-        self.idx = tuple(n if len(t) >= n else min(enumeration_index(t, bound), n) for t in nodes)
+        base = tree.alphabet_bound + 1
+        idx = []
+        for t in nodes:
+            if len(t) >= n:
+                idx.append(n)
+                continue
+            index = 0
+            for e in t:
+                # type, not isinstance, as in enumeration_index
+                if type(e) is not int or e < 0:
+                    raise ValueError("node entry %r is not a natural" % (e,))
+                index = index * base + e + 1
+            idx.append(index if index < n else n)
+        self.idx = tuple(idx)
         self.full = (1 << n) - 1
-        mags, den = x.grid()
+        self.vals, den = x.grid(n - 1)
         self.scale = den << (n - 1)
-        self.vals = tuple(a << (n - 1) for a in mags)
 
     def rational(self, v):
         """The exact value of grid value v."""
@@ -223,12 +241,6 @@ class _Ctx:
                 if v > best:
                     best = v
         return best, total
-
-    def leaf(self, value, positions):
-        """Witness leaf with value string `value`: the first position of
-        largest value."""
-        i = max(positions, key=self.vals.__getitem__)
-        return {"value": value, "node": list(self.nodes[i])}
 
 
 def _family_search(ctx, comp, mask, childf, incumbent):
@@ -367,7 +379,7 @@ class _IncEngine:
         return self.family[mask]
 
     def positions(self, mask):
-        return (i for i in range(self.ctx.n) if (mask >> i) & 1)
+        return [i for i in range(self.ctx.n) if (mask >> i) & 1]
 
     def beaten(self, value):
         found = _family_search(self.ctx, self.comp, self.root, self.f, value)
@@ -403,8 +415,9 @@ class _StdEngine:
         if level is not None and level >= j - i - 1:
             level = None
         key = (i, j) if level is None else (i, j, level)
-        if key in self.memo:
-            return self.memo[key]
+        value = self.memo.get(key)
+        if value is not None:
+            return value
         value = max(self.ctx.vals[i:j])
         if level != 0:
             best, arg = self.best_split(i, j, None if level is None else level - 1, 2 * value)
@@ -532,13 +545,18 @@ def tsirelson_witness_tree(x, variant):
     if eng is None:
         return {"value": "0"}
     eng.value()
+    memo, members, positions = eng.memo, eng.members, eng.positions
+    text, vals, nodes = eng.ctx.text, eng.ctx.vals, eng.ctx.nodes
 
     def build(key):
-        value = eng.ctx.text(eng.memo[key])
-        members = eng.members(key)
-        if members is None:
-            return eng.ctx.leaf(value, eng.positions(key))
-        return {"value": value, "family": [build(member) for member in members]}
+        value = text(memo[key])
+        family = members(key)
+        if family is not None:
+            return {"value": value, "family": [build(member) for member in family]}
+        # a leaf names the first position of largest value
+        at = positions(key)
+        i = at[0] if len(at) == 1 else max(at, key=vals.__getitem__)
+        return {"value": value, "node": list(nodes[i])}
 
     return build(eng.root)
 
@@ -554,7 +572,7 @@ def check_fixed_point(x, variant):
     if eng.beaten(value):
         return False
     # ... and the value must be attained by the sup or by the recorded family
-    if value == eng.ctx.sup_l1(eng.ctx.full)[0]:
+    if value == max(eng.ctx.vals):
         return True
     members = eng.members(eng.root)
     return members is not None and sum(eng.memo[member] for member in members) == 2 * value

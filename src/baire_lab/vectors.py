@@ -283,7 +283,10 @@ class BaseNorm:
 
     def __init__(self, kind, q=None):
         if kind == "ell":
-            q = Fraction(q)
+            try:
+                q = Fraction(q)
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in ell_q base norm q %r" % (q,)) from None
             if q < 1:
                 raise ValueError("ell_q base norm needs q >= 1")
             self.q = q
@@ -381,7 +384,12 @@ class TreeVector:
             if i is None:
                 raise ValueError("support node %r is not in the tree" % (node,))
             if not isinstance(value, Fraction):
-                value = Fraction(value)
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        "zero denominator in value %r of node %r" % (value, node)
+                    ) from None
             if value:
                 items.append((i, node, value))
         items.sort(key=_first)
@@ -393,12 +401,12 @@ class TreeVector:
             ids = tuple(dict.fromkeys(ids))
         self.ids = ids
 
-    def grid(self):
-        """(mags, den): each |x_t|, in the order of entries, as an integer
-        over den, the lcm of the entries' denominators."""
+    def grid(self, shift=0):
+        """(mags, den): each |x_t| * 2**shift, in the order of entries, as
+        an integer over den, the lcm of the entries' denominators."""
         ratios = [v.as_integer_ratio() for v in self.entries.values()]
-        den = lcm(*(d for _, d in ratios))
-        return [abs(a) * (den // d) for a, d in ratios], den
+        den = lcm(*[d for _, d in ratios])
+        return [abs(a) * ((den // d) << shift) for a, d in ratios], den
 
     @property
     def support(self):

@@ -143,6 +143,26 @@ def test_labels_outside_the_naturals_are_refused():
             tsirelson_norm(x, variant)
 
 
+def test_a_label_after_the_clamp_is_still_refused():
+    # (7, -1) is shorter than the support size 4, and its first entry
+    # already takes the numeral to 8 >= 4; a _Ctx that stopped reading at
+    # the clamp would take it as index 4 and never see the -1
+    t = make_tree([(7, -1), (0,), (1,), (2,)])
+    x = TreeVector(t, {node: 1 for node in [(7, -1), (0,), (1,), (2,)]})
+    for variant in (INCOMPARABLE, STANDARD):
+        with pytest.raises(ValueError, match="^node entry -1 is not a natural$"):
+            tsirelson_norm(x, variant)
+
+
+def test_witness_leaf_names_the_first_position_of_largest_value():
+    # 2, 3, 3, 1 down a chain: no family strictly beats the sup 3, which
+    # two nodes attain, and the leaf names the first, (0, 0)
+    x = TreeVector(chain_tree(5), {(0,) * d: v for d, v in zip(range(1, 5), (2, 3, 3, 1))})
+    for variant in (INCOMPARABLE, STANDARD):
+        assert tsirelson_norm(x, variant) == 3
+        assert tsirelson_witness_tree(x, variant) == {"value": "3", "node": [0, 0]}
+
+
 def test_iterate_zero_is_sup():
     for seed in range(10):
         _, x = random_nonroot_case(seed, max_support=6)
@@ -403,6 +423,11 @@ def test_ctx_index_is_clamped_at_the_support_size():
         ctx = _Ctx(x)
         tree = x.tree
         assert ctx.idx == tuple(min(tree.index(t), ctx.n) for t in ctx.nodes)
+        # the grid values, lifted by 2**(n - 1) (the grid lemma)
+        mags, den = x.grid()
+        assert ctx.vals == [a << (ctx.n - 1) for a in mags]
+        assert ctx.scale == den << (ctx.n - 1)
+        assert [Fraction(v, ctx.scale) for v in ctx.vals] == [abs(v) for v in x.entries.values()]
 
 
 def _shape_cases():

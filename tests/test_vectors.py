@@ -431,6 +431,19 @@ def test_base_norm_parse():
         BaireParams("1/0", BaseNorm.sup())
 
 
+def test_zero_denominators_in_library_values_are_value_errors():
+    # BaseNorm.ell and TreeVector read their values with a bare Fraction(),
+    # and "1/0" raised ZeroDivisionError there
+    for make in (lambda: BaseNorm.ell("1/0"), lambda: BaseNorm("ell", "3/0")):
+        with pytest.raises(ValueError, match=r"^zero denominator in ell_q base norm q '[13]/0'$"):
+            make()
+    t = star_tree(2)
+    with pytest.raises(ValueError, match=r"^zero denominator in value '1/0' of node \(0,\)$"):
+        TreeVector(t, {(0,): "1/0"})
+    with pytest.raises(ValueError, match=r"^zero denominator in value '2/0' of node \(1,\)$"):
+        TreeVector(t, {(0,): 1, (1,): "2/0"})
+
+
 def test_aggregate_abs_exact_kinds():
     vals = [Fraction(1, 2), Fraction(-2), Fraction(0)]
     lo, hi = BaseNorm.ell(1).aggregate_abs(vals)
@@ -488,6 +501,8 @@ def test_entries_ids_and_grid_in_enumeration_order():
             mags, den = y.grid()
             assert den == lcm(*(v.denominator for v in y.entries.values()))
             assert [Fraction(a, den) for a in mags] == [abs(v) for v in y.entries.values()]
+            # the shift lifts every magnitude by 2**shift on the same den
+            assert y.grid(3) == ([a << 3 for a in mags], den)
     # two keys that name one node keep it once, with the last value
     t = star_tree(2)
     x = TreeVector(t, {(1,): 3, (0,): 1, range(1): 2})
