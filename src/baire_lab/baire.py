@@ -60,18 +60,17 @@ Fraction pairs.
 
 Chain reuse: the terms, the chain aggregates and ends, and the
 numbering of the distinct aggregates do not depend on p.  _chains
-computes the first three and _numbering the last (_agg_ids: agg_id[v],
-the aggregates in id order and their set of ends), each in a cache of
-one entry keyed by (vector, base): everything it reads.  Both are
+computes them all (agg_id[v] numbers v's aggregate, aggs lists the
+distinct ones in id order, agg_ends is the set of their ends) in a cache
+of one entry keyed by (vector, base): everything it reads.  Both are
 values, so the same vector hits by identity and an equal one by
-TreeVector.__eq__.  The numbering is its own cache so that the 0-variant
-builds no table.  Each p-case makes one pow_ends call on the end set and
-reads M(v) from two int lists indexed by id, so its bottom-up loop hashes
-nothing.  A sweep over p on one vector and base makes one chain pass and
-one numbering.  Both are pure functions of their key, so the order of
-calls changes no value and no family, a scaled vector gets a fresh pass,
-and segments are built on the calling vector's tree.  Call them
-positionally: lru_cache keys f(x, base) and f(x, base=base) apart.
+TreeVector.__eq__.  Each p-case makes one pow_ends call on the end set
+and reads M(v) from two int lists indexed by id, so its bottom-up loop
+hashes nothing.  A sweep over p on one vector and base makes one chain
+pass.  _chains is a pure function of its key, so the order of calls
+changes no value and no family, a scaled vector gets a fresh pass, and
+segments are built on the calling vector's tree.  Call it positionally:
+lru_cache keys f(x, base) and f(x, base=base) apart.
 """
 
 from fractions import Fraction
@@ -127,7 +126,7 @@ class BaireReport:
 @lru_cache(maxsize=1)
 def _chains(x, base):
     """The part of the DP that does not depend on p, for x and the base
-    norm: (scale, chain_agg, ends)."""
+    norm: (scale, chain_agg, ends, agg_id, aggs, agg_ends)."""
     sup = base.kind == "sup"
     parent = x.tree.parent
     n = len(parent)
@@ -165,22 +164,11 @@ def _chains(x, base):
         if up is not None and tail >= chain_agg[up]:
             chain_agg[up] = tail
             ends[up] = end
-    return scale, chain_agg, ends
 
-
-@lru_cache(maxsize=1)
-def _numbering(x, base):
-    """_agg_ids of the chain aggregates, cached apart from _chains."""
-    return _agg_ids(_chains(x, base)[1])
-
-
-def _agg_ids(chain_agg):
-    """(agg_id, aggs, agg_ends): agg_id[v] numbers v's chain aggregate among
-    the distinct ones, aggs lists them in id order, and agg_ends is the set
-    of their ends."""
+    # number the distinct aggregates in id order
     ids = {}
     agg_id = [ids.setdefault(agg, len(ids)) for agg in chain_agg]
-    return agg_id, list(ids), {end for agg in ids for end in agg}
+    return scale, chain_agg, ends, agg_id, list(ids), {end for agg in ids for end in agg}
 
 
 def _dp(x, params):
@@ -188,7 +176,7 @@ def _dp(x, params):
     if not tree.nodes:
         raise ValueError("baire norm of a vector on the empty tree")
     base, p = params.base, params.p
-    scale, chain_agg, ends = _chains(x, base)
+    scale, chain_agg, ends, agg_id, aggs, agg_ends = _chains(x, base)
 
     if p is ZERO:
         # aggregates never decrease toward the root, so it holds the max
@@ -197,7 +185,6 @@ def _dp(x, params):
         return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    agg_id, aggs, agg_ends = _numbering(x, base)
     mscale, bounds = pow_ends(agg_ends, scale, p * base.root_exponent)
     seg_hi = [bounds[hi][1] for hi, _ in aggs]
     seg_lo = [bounds[lo][0] for _, lo in aggs]

@@ -61,9 +61,10 @@ from baire_lab.verify import (
 SCHEDULE_JMAX = 3
 
 # a pair m:n makes hi witness and verify hi build a star with n leaves
-# and one run-split table of one entry per row, quadratic in n (n = 128
-# takes about 0.01 s on a 2-core Xeon VM, Python 3.11)
-PAIRS_NMAX = 128
+# and run the window DP on its n positions; the bound keeps a pair near
+# 0.01 s: n = 192 takes 0.006-0.011 s, n = 128 0.003-0.006 s, n = 512
+# 0.04 s and n = 1,024 0.16 s (2-core Xeon VM, Python 3.11)
+PAIRS_NMAX = 192
 
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
 # (a 3,000-entry node takes about 0.1 GB to load); this bounds tree-file

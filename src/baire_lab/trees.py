@@ -20,9 +20,6 @@ import bisect
 import random
 from functools import cached_property
 from itertools import groupby, islice
-from operator import itemgetter
-
-_last = itemgetter(-1)
 
 
 def is_prefix(s, t):
@@ -81,14 +78,26 @@ class FiniteTree:
     (None for the root); kids[i] lists the ids of its children, ascending,
     which is their sorted order.  kids is built on first use, since only
     walks down the tree need it.
+
+    The last entry of every node must be a natural, as enumeration_index
+    checks it; any other label is refused before it can sway the alphabet
+    bound and with it every index.
     """
 
     def __init__(self, nodes):
+        distinct = {tuple(n) for n in nodes}
+        # each node's last entry must be a natural (type, not isinstance, as
+        # in enumeration_index); every entry of a node is the last entry of
+        # one of its prefixes, so the largest is the alphabet bound
+        lasts = [t[-1] for t in distinct if t]
+        if not set(map(type, lasts)) <= {int} or min(lasts, default=0) < 0:
+            bad = next(e for e in lasts if type(e) is not int or e < 0)
+            raise ValueError("node entry %r is not a natural" % (bad,))
         # enumeration order is (length, lexicographic): sort the distinct
         # nodes by length, then each level on its own, so that no two
         # nodes of different depths are ever compared entry by entry
         order = []
-        for _, level in groupby(sorted({tuple(n) for n in nodes}, key=len), len):
+        for _, level in groupby(sorted(distinct, key=len), len):
             order.extend(sorted(level))
         id_of = dict(zip(order, range(len(order))))
         try:
@@ -101,8 +110,7 @@ class FiniteTree:
         self.order = order
         self.id_of = id_of
         self.parent = parent
-        # every entry is the last entry of a node: the prefix ending there
-        self.alphabet_bound = max(map(_last, islice(order, 1, None)), default=0)
+        self.alphabet_bound = max(lasts, default=0)
 
     @property
     def nodes(self):

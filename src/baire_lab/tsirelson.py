@@ -194,6 +194,9 @@ class _Ctx:
     with every entry checked as `enumeration_index` checks it, also after
     the numeral passes n.  Every entry of a tree node is the last entry of
     one of its prefixes, so the alphabet-bound check there cannot fail.
+    FiniteTree checks those last entries, but a prefix may stand in the
+    tree as an equal tuple of other types ((7, 1.0) == (7, 1)), so the
+    check here stays.
     """
 
     def __init__(self, x):

@@ -266,11 +266,9 @@ def test_chain_slot_hits_on_equal_tree_and_base():
         for p in (ZERO, Fraction(3, 2)):
             want = _cold(twin, BaireParams(p, BaseNorm.parse(token)))
             _cold(x, BaireParams(p, BaseNorm.parse(token)))
-            (cm, ch), (nm, nh) = _traffic(baire._chains), _traffic(baire._numbering)
+            misses, hits = _traffic(baire._chains)
             report = baire_norm_report(twin, BaireParams(p, BaseNorm.parse(token)))
-            # the 0-variant reads no numbering
-            assert _traffic(baire._chains) == (cm, ch + 1)
-            assert _traffic(baire._numbering) == (nm, nh + (p is not ZERO))
+            assert _traffic(baire._chains) == (misses, hits + 1)
             assert _fingerprint(report) == want
             assert all(seg.tree is twin.tree for seg in report.family)
 
@@ -291,15 +289,11 @@ def test_chain_slot_sees_the_scale():
 
 
 def test_chain_slot_numbers_the_aggregates_once_per_sweep(monkeypatch):
-    # a p-sweep on one vector and base numbers the chain aggregates once
-    # and makes one pow_ends call per p-case, each on that table's end set;
-    # a changed copy then gets a fresh pass and a fresh table
-    tables, ends = [], []
-    agg_ids, pow_ends = baire._agg_ids, baire.pow_ends
-
-    def counted_ids(chain_agg):
-        tables.append(agg_ids(chain_agg))
-        return tables[-1]
+    # a p-sweep on one vector and base makes one chain pass, which numbers
+    # the chain aggregates, and one pow_ends call per p-case, each on the
+    # cached end set; a changed copy then gets a fresh pass and a fresh table
+    ends = []
+    pow_ends = baire.pow_ends
 
     def counted_pow(agg_ends, scale, exponent):
         ends.append(agg_ends)
@@ -316,14 +310,14 @@ def test_chain_slot_numbers_the_aggregates_once_per_sweep(monkeypatch):
     with pytest.raises(TypeError):
         del x.entries[node]
     clear_reuse_slots()
-    monkeypatch.setattr(baire, "_agg_ids", counted_ids)
     monkeypatch.setattr(baire, "pow_ends", counted_pow)
     for k, y in enumerate((x, changed)):
         for params, fingerprint in zip(sweep, want[k]):
             assert _fingerprint(baire_norm_report(y, params)) == fingerprint, (k, params)
         # the chain pass's term call, then one call per p-case
-        assert len(tables) == k + 1 and len(ends) == 4 * (k + 1)
-        agg_id, aggs, agg_ends = tables[k]
+        assert baire._chains.cache_info().misses == k + 1 and len(ends) == 4 * (k + 1)
+        _, chain_agg, _, agg_id, aggs, agg_ends = baire._chains(y, base)
+        assert [aggs[a] for a in agg_id] == chain_agg
         assert all(e is agg_ends for e in ends[4 * k + 1:])
         assert agg_ends == {end for agg in aggs for end in agg}
         assert sorted(set(agg_id)) == list(range(len(aggs)))
@@ -333,10 +327,10 @@ def test_chain_slot_keeps_the_empty_tree_check():
     x = TreeVector(star_tree(2), {(0,): 1})
     for params in (P0, P1):
         baire_norm(x, params)
-        slots = baire._chains.cache_info(), baire._numbering.cache_info()
+        slot = baire._chains.cache_info()
         with pytest.raises(ValueError, match="empty tree"):
             baire_norm(TreeVector(FiniteTree([]), {}), params)
-        assert (baire._chains.cache_info(), baire._numbering.cache_info()) == slots
+        assert baire._chains.cache_info() == slot
 
 
 def test_cache_traffic(monkeypatch):
@@ -352,17 +346,15 @@ def test_cache_traffic(monkeypatch):
         assert _traffic(tsirelson._built) == (1, 3), variant
         tsirelson_norm(_twin(x), variant)
         assert _traffic(tsirelson._built) == (1, 4), variant
-    # (b) a base-major sweep makes one chain pass and one numbering per
-    # base, and (c) an equal vector on an equal tree hits both caches
+    # (b) a base-major sweep makes one chain pass per base, and (c) an
+    # equal vector on an equal tree hits it
     y = next(benchmark_size_vectors())
     clear_reuse_slots()
     for params in SWEEP:
         baire_norm_report(y, params)
-    assert _traffic(baire._chains) == (4, 16)
-    assert _traffic(baire._numbering) == (4, 8)
+    assert _traffic(baire._chains) == (4, 12)
     baire_norm_report(_twin(y), SWEEP[-1])
-    assert _traffic(baire._chains) == (4, 17)
-    assert _traffic(baire._numbering) == (4, 9)
+    assert _traffic(baire._chains) == (4, 13)
     # (d) the cap is checked outside the cache: an engine built under a
     # raised cap is not handed out once the cap is back
     star = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})

@@ -1,21 +1,25 @@
 """The public surface: the package's __all__, the CLI contract, and the
 names the benchmark's tracer (bench/tracer.py) wraps.
 
-Every name in __all__ has a caller outside tests/: the package's own
-modules, a demo or the benchmark reads it, or it is an oracle (ORACLES).
+Every name in __all__, and every public method and property of a public
+class of the package, has a caller outside tests/: the package's own
+modules, a demo or the benchmark reads it, or it is an oracle (ORACLES)
+or held by a reference module (REFERENCE_HELD).
 
 Both stay stable, or their changes are recorded in CHANGES.md; a change
 here is a change of that contract, not a refactor.
 """
 
 import ast
+import functools
 import glob
 import importlib
+import inspect
 import os
 import sys
 
 import baire_lab
-from baire_lab.cli import build_parser
+from baire_lab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -38,6 +42,10 @@ PUBLIC_NAMES = [
 # public names kept as references for the fast paths, with tests as callers
 ORACLES = {"baire_norm_oracle"}
 
+# public methods whose only reader is a reference module under tests/, which
+# stays unchanged: tests/baire_reference.py reads FiniteTree.children
+REFERENCE_HELD = {("FiniteTree", "children")}
+
 
 def _choices(parser, dest):
     """The choices of the argument (or subcommand) of parser stored in dest."""
@@ -53,11 +61,19 @@ def test_all_is_pinned_and_resolves():
 
 
 def test_cli_commands_are_pinned():
-    parser = build_parser()
+    parser = cli.build_parser()
     commands = _choices(parser, "command")
     assert sorted(commands) == ["baire", "gen", "ground", "hi", "rank", "tsirelson", "verify"]
     assert sorted(_choices(commands["hi"], "hi_command")) == ["schedule", "witness"]
     assert list(_choices(commands["verify"], "suite")) == ["branch", "tsirelson", "hi"]
+
+
+def test_every_command_has_its_handler():
+    # main dispatches through globals()["cmd_" + command], so a stray or a
+    # missing handler would show only at run time
+    handlers = {name[len("cmd_"):] for name, f in vars(cli).items()
+                if name.startswith("cmd_") and callable(f)}
+    assert handlers == set(_choices(cli.build_parser(), "command"))
 
 
 def test_tracer_names_resolve():
@@ -81,6 +97,21 @@ def _caller_files():
     )
 
 
+def _public_members():
+    """(class name, member name) of every public method and property of
+    every public class defined in the package."""
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "baire_lab", "*.py"))):
+        module = importlib.import_module("baire_lab." + os.path.basename(path)[:-3])
+        for name, cls in vars(module).items():
+            if (not inspect.isclass(cls) or cls.__module__ != module.__name__
+                    or name.startswith("_")):
+                continue
+            for member, value in vars(cls).items():
+                if not member.startswith("_") and (inspect.isfunction(value) or isinstance(
+                        value, (property, functools.cached_property, staticmethod, classmethod))):
+                    yield name, member
+
+
 def test_every_public_name_has_a_caller():
     # a name is read where it shows as a Name, an Attribute or a name
     # imported from a module; a definition alone is not a caller
@@ -96,3 +127,8 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     assert sorted(set(baire_lab.__all__) - read - ORACLES) == []
+    members = set(_public_members())
+    assert ("FiniteTree", "index") in members and REFERENCE_HELD <= members
+    # a held member that gains a reader leaves the set
+    assert sorted(m for m in REFERENCE_HELD if m[1] in read) == []
+    assert sorted(m for m in members - REFERENCE_HELD if m[1] not in read) == []

@@ -76,10 +76,15 @@ def test_labels_outside_the_naturals_are_refused():
     for entry in (-1, 1.0, "1"):
         with pytest.raises(ValueError, match="is not a natural"):
             enumeration_index((0, entry), 4)
-    # FiniteTree itself is unchecked; its index refuses the label
-    t = make_tree([(-2,), (-1,), (0,)])
-    with pytest.raises(ValueError, match="is not a natural"):
-        t.index((-2,))
+    # FiniteTree refuses a non-natural last entry when it is built; 1.5
+    # gave the alphabet bound 1.5 and index((1,)) 2.0, and "a" a TypeError
+    # from the sort
+    for nodes in ([(-2,), (-1,), (0,)], [(1.5,), (0,), (1,), (0, 0)], [("a",), (0,), (1,)],
+                  [(0,), (0, True)]):
+        with pytest.raises(ValueError, match="^node entry .* is not a natural$"):
+            make_tree(nodes)
+    with pytest.raises(ValueError, match="^node entry -1 is not a natural$"):
+        FiniteTree([(), (0,), (0, -1)])
 
 
 @given(nodes_st, nodes_st)

@@ -134,23 +134,27 @@ def test_star_small_indices():
 
 
 def test_labels_outside_the_naturals_are_refused():
-    # (-1,) had the root's index 0 and (-2,) index -1, and both variants
-    # gave the all-ones vector the value 1
-    t = make_tree([(-2,), (-1,), (0,)])
-    x = TreeVector(t, {(i,): 1 for i in (-2, -1, 0)})
-    for variant in (INCOMPARABLE, STANDARD):
+    # the tree is refused before any vector is built on it: with (-2,) and
+    # (-1,), (-1,) had the root's index 0 and (-2,) index -1, and both
+    # variants gave the all-ones vector the value 1; with (1.5,), both
+    # computed with base 2.5 and float indices on a support avoiding it
+    for nodes in ([(-2,), (-1,), (0,)], [(1.5,), (0,), (1,), (0, 0)]):
         with pytest.raises(ValueError, match="is not a natural"):
-            tsirelson_norm(x, variant)
+            make_tree(nodes)
 
 
 def test_a_label_after_the_clamp_is_still_refused():
-    # (7, -1) is shorter than the support size 4, and its first entry
-    # already takes the numeral to 8 >= 4; a _Ctx that stopped reading at
-    # the clamp would take it as index 4 and never see the -1
-    t = make_tree([(7, -1), (0,), (1,), (2,)])
-    x = TreeVector(t, {node: 1 for node in [(7, -1), (0,), (1,), (2,)]})
+    # (7, 1.0) == (7, 1), so the tree keeps (7, 1.0, 0), and FiniteTree,
+    # which checks last entries, passes it; the node is shorter than the
+    # support size 4, and its first entry already takes the numeral to
+    # 8 >= 4; a _Ctx that stopped reading at the clamp would take it as
+    # index 4 and never see the 1.0
+    support = [(7, 1.0, 0), (0,), (1,), (2,)]
+    t = make_tree([(7, 1)] + support)
+    assert (7, 1.0, 0) in t.order
+    x = TreeVector(t, {node: 1 for node in support})
     for variant in (INCOMPARABLE, STANDARD):
-        with pytest.raises(ValueError, match="^node entry -1 is not a natural$"):
+        with pytest.raises(ValueError, match="^node entry 1.0 is not a natural$"):
             tsirelson_norm(x, variant)
 
 

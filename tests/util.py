@@ -77,12 +77,10 @@ def random_nonroot_case(seed, max_nodes=16, max_support=12, max_branch=3):
 
 
 def clear_reuse_slots():
-    """Empty the Tsirelson engine cache and the Baire chain and numbering
-    caches, so that the next call on any vector is a cold one.  Each holds
-    one entry keyed on the last vector, which the same vector hits by
-    identity and an equal one by TreeVector.__eq__: a best-of-N timing loop
-    on one vector calls this before each timed call, or it times only
-    cache hits."""
+    """Empty the Tsirelson engine cache and the Baire chain cache, so that
+    the next call on any vector is a cold one.  Each holds one entry keyed
+    on the last vector, which the same vector hits by identity and an
+    equal one by TreeVector.__eq__: a best-of-N timing loop on one vector
+    calls this before each timed call, or it times only cache hits."""
     tsirelson._built.cache_clear()
     baire._chains.cache_clear()
-    baire._numbering.cache_clear()
