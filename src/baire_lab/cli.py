@@ -67,10 +67,12 @@ SCHEDULE_JMAX = 3
 PAIRS_NMAX = 192
 
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
-# (a 3,000-entry node takes about 0.1 GB to load); this bounds tree-file
-# nodes, verify branch --max-len and the node count of every gen shape (a
-# random tree may be one chain), and DEPTH_MAX**2 bounds the entries of a
-# tree file's prefix closure, which gen comb --n DEPTH_MAX reaches
+# (rank on a file of one 3,000-entry node peaks at about 55 MB, 35 MB over
+# a small file, and on gen chain --n 3000 at about 0.1 GB); this bounds
+# tree-file nodes, verify branch --max-len and the node count of every gen
+# shape (a random tree may be one chain), and DEPTH_MAX**2 bounds the
+# entries of a tree file's prefix closure, which gen comb --n DEPTH_MAX
+# reaches
 DEPTH_MAX = 3000
 
 # verify branch and verify tsirelson hold every record until the report is

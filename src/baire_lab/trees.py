@@ -14,12 +14,35 @@ where a caller's node meets the arena, through id_of: once per entry when a
 TreeVector is built, and once per node when a Segment is given its nodes.
 Walks along the tree read integer lists, and a Segment made from two ids
 (segments_from_ids) hashes no tuple until its node set is asked for.
+
+The arena is built from a trie of the input paths, keyed by label: every
+prefix of a path is a trie node and every trie node is such a prefix, so
+the trie's nodes are the prefix closure.  A walk of the trie gives the
+arena with no prefix set, no sort of tuples and no parent lookup.
+
+Breadth-first lemma.  Walk the trie breadth-first from the root, a queue
+of nodes, and at each node append its children in ascending label order.
+Then the queue lists the nodes in enumeration order, parent[i] (the
+position of the node being visited when i was appended) is < i, and the
+children of a node hold consecutive ascending ids.  Proof: by induction
+on the depth d, the depth-d nodes stand in the queue consecutively, in
+lexicographic order, after every shallower node.  This holds at d = 0,
+the root alone.  The depth-(d+1) nodes are exactly the children of the
+depth-d nodes, appended while those are visited; by hypothesis that is
+after every node of depth <= d was appended, and in the depth-d nodes'
+lexicographic order.  For s < s' of depth d, s + (a,) < s' + (b,)
+lexicographically whatever a and b are, and s + (a,) < s + (b,) iff
+a < b; so visiting s before s', each with its labels ascending, appends
+the depth-(d+1) nodes in lexicographic order, and each node's children in
+one run.  Length first, then lexicographic, is the enumeration order; a
+node is appended only while its parent is visited, after the parent was
+appended, so parent[i] < i.
 """
 
 import bisect
 import random
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import islice
 
 
 def is_prefix(s, t):
@@ -68,9 +91,11 @@ def enumeration_index(node, alphabet_bound):
 class FiniteTree:
     """Immutable prefix-closed finite set of nodes, with its arena.
 
-    Construct through make_tree, which takes the prefix closure of its
-    input.  The per-tree alphabet bound (max entry occurring anywhere in
-    the tree) fixes the canonical enumeration used by index().
+    FiniteTree(nodes) takes a prefix-closed collection of nodes and refuses
+    any other; make_tree takes the prefix closure of its input.  Both build
+    the arena from the trie of their input (see the module docstring).  The
+    per-tree alphabet bound (max entry occurring anywhere in the tree) fixes
+    the canonical enumeration used by index().
 
     The arena, read-only: order[i] is the node with id i, in enumeration
     order; id_of maps a node to its id, and its keys, in enumeration
@@ -79,38 +104,62 @@ class FiniteTree:
     which is their sorted order.  kids is built on first use, since only
     walks down the tree need it.
 
-    The last entry of every node must be a natural, as enumeration_index
-    checks it; any other label is refused before it can sway the alphabet
-    bound and with it every index.
+    Every entry of every node must be a natural, as enumeration_index
+    checks it; the trie refuses any other label where it first goes in,
+    before it can sway the alphabet bound and with it every index.  A later
+    label equal to a trie label, as 1.0 or True to 1, is not new and goes
+    unchecked.  A node given as a tuple stands in the tree as given, so the
+    tree shares the input's tuples, unless its last entry is such a label;
+    any other node (a prefix no input lists, or one given as a list) is
+    built from the trie's labels, which are ints.  So the last entry of
+    every node is an int, and make_tree([(7, 1), (7, 1.0, 0)]) holds
+    (7, 1.0, 0).
     """
 
     def __init__(self, nodes):
-        distinct = {tuple(n) for n in nodes}
-        # each node's last entry must be a natural (type, not isinstance, as
-        # in enumeration_index); every entry of a node is the last entry of
-        # one of its prefixes, so the largest is the alphabet bound
-        lasts = [t[-1] for t in distinct if t]
-        if not set(map(type, lasts)) <= {int} or min(lasts, default=0) < 0:
-            bad = next(e for e in lasts if type(e) is not int or e < 0)
-            raise ValueError("node entry %r is not a natural" % (bad,))
-        # enumeration order is (length, lexicographic): sort the distinct
-        # nodes by length, then each level on its own, so that no two
-        # nodes of different depths are ever compared entry by entry
-        order = []
-        for _, level in groupby(sorted(distinct, key=len), len):
-            order.extend(sorted(level))
-        id_of = dict(zip(order, range(len(order))))
-        try:
-            # every parent present implies every prefix present, by
-            # induction; without the root, the first node's parent is missing
-            parent = [id_of[t[:-1]] if t else None for t in order]
-        except KeyError:
-            missing = next(t[:-1] for t in order if t and t[:-1] not in id_of)
-            raise ValueError("tree is not prefix-closed: missing %r" % (missing,)) from None
+        ends, trie_of = self._build(nodes)
+        if len(ends) < len(trie_of):
+            # the trie holds a prefix that no input node is: report the
+            # parent of the first input node, in enumeration order, whose
+            # parent is not an input node
+            given = [t in ends for t in trie_of]
+            missing = next(self.order[up] for i, up in enumerate(islice(self.parent, 1, None), 1)
+                           if given[i] and not given[up])
+            raise ValueError("tree is not prefix-closed: missing %r" % (missing,))
+
+    def _build(self, paths):
+        """Fill the arena with the prefix closure of the paths, walking
+        their trie breadth-first with each node's labels sorted (the
+        breadth-first lemma).  Returns the trie's ends (see _trie) and
+        trie_of, the trie node of each id."""
+        below, ends = _trie(paths)
+        # without a path there is no root either: the empty tree
+        order, parent, trie_of = ([()], [None], [0]) if ends else ([], [], [])
+        # the walk reaches every trie node; one int object per id, shared
+        # by parent and id_of
+        ids = list(range(len(below)))
+        bound = 0
+        # trie_of grows as it is read: it is the walk's queue
+        for i, t in zip(ids, trie_of):
+            kids = below[t]
+            if kids:
+                node = order[i]
+                for label in sorted(kids):
+                    u = kids[label]
+                    # a path given as a tuple stands for its node as it
+                    # is, unless its last label is an equal non-int
+                    p = ends.get(u)
+                    order.append(p if type(p) is tuple and type(p[-1]) is int
+                                 else node + (label,))
+                    parent.append(i)
+                    trie_of.append(u)
+                if label > bound:
+                    bound = label
         self.order = order
-        self.id_of = id_of
+        self.id_of = dict(zip(order, ids))
         self.parent = parent
-        self.alphabet_bound = max(lasts, default=0)
+        self.alphabet_bound = bound
+        return ends, trie_of
 
     @property
     def nodes(self):
@@ -177,15 +226,79 @@ class FiniteTree:
 
 def make_tree(paths):
     """Prefix closure of the given paths, as a FiniteTree."""
-    closed = set()
+    return tree_from_paths(paths)[0]
+
+
+# a path of at most this many labels is walked from the trie's root, which
+# costs about what finding where it leaves the last long path would
+_SHORT_PATH = 12
+
+
+def _trie(paths):
+    """The trie of the paths: below[t] maps each label under trie node t to
+    its trie node, 0 is the root, and ends maps each trie node a path ends
+    at to the first path that does, one entry per distinct path.
+
+    A label is checked to be a natural when it first goes in.  A long path
+    starts its walk where it leaves the last long path, whose trie nodes
+    trail keeps, so a file that lists every prefix of a deep node costs
+    slice comparisons in C, not one dict lookup per entry.  The root is no
+    one's child, so a child's trie node is > 0, and get(label) or a new
+    node is the child along label.
+    """
+    below = [{}]
+    ends = {}
+    trail, last = [0], ()
     for p in paths:
-        p = tuple(p)
-        # closed stays prefix-closed, so stop at the first prefix present
-        for i in range(len(p), -1, -1):
-            if p[:i] in closed:
-                break
-            closed.add(p[:i])
-    return FiniteTree(closed)
+        if len(p) > _SHORT_PATH:
+            k = _common_prefix(p, last)
+            del trail[k + 1:]
+            t = trail[k]
+            for label in islice(p, k, None):
+                t = below[t].get(label) or _new_node(below, t, label)
+                trail.append(t)
+            last = p
+        else:
+            t = 0
+            for label in p:
+                t = below[t].get(label) or _new_node(below, t, label)
+        ends.setdefault(t, p)
+    return below, ends
+
+
+def _new_node(below, t, label):
+    """A new trie node under t along label, which must be a natural."""
+    # type, not isinstance, as in enumeration_index: a bool is no label
+    if type(label) is not int or label < 0:
+        raise ValueError("node entry %r is not a natural" % (label,))
+    below[t][label] = u = len(below)
+    below.append({})
+    return u
+
+
+def _common_prefix(p, q):
+    """The length of the longest common prefix of p and q, in O(log) slice
+    comparisons, each in C.
+
+    The search gallops down from the shorter length, then bisects: in a
+    file that lists every prefix, consecutive paths share all but their
+    last label or two, and the first or second comparison settles it.
+    """
+    lo = hi = min(len(p), len(q))
+    step = 0
+    # the common prefix is at most hi; p[:lo] == q[:lo] once the loop ends;
+    # the label at lo - 1 is tested first, as it often settles a probe
+    while lo and (p[lo - 1] != q[lo - 1] or p[:lo] != q[:lo]):
+        hi = lo - 1
+        lo = max(hi - step, 0)
+        step = 2 * step + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if p[lo:mid] == q[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class Segment:
@@ -347,8 +460,9 @@ def paths_from_json_dict(data):
 
 def tree_from_paths(paths):
     """The prefix closure of the paths and the count of nodes it added."""
-    tree = make_tree(paths)
-    return tree, len(tree) - len(set(paths))
+    tree = FiniteTree.__new__(FiniteTree)
+    ends, _ = tree._build(paths)
+    return tree, len(tree) - len(ends)
 
 
 def tree_from_json_dict(data):

@@ -194,9 +194,10 @@ class _Ctx:
     with every entry checked as `enumeration_index` checks it, also after
     the numeral passes n.  Every entry of a tree node is the last entry of
     one of its prefixes, so the alphabet-bound check there cannot fail.
-    FiniteTree checks those last entries, but a prefix may stand in the
-    tree as an equal tuple of other types ((7, 1.0) == (7, 1)), so the
-    check here stays.
+    FiniteTree checks each label where it first enters the tree, but a
+    node given as a tuple stands in the tree as given, and a label equal
+    to one already there is not new ((7, 1.0, 0) after (7, 1)); a
+    vector's own key may also be such a tuple, so the check here stays.
     """
 
     def __init__(self, x):

@@ -18,10 +18,17 @@ def test_interleave_ab_runs_a_against_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "standard_certify: 5 cases, 2 passes"
+    # each side's fastest build of the two passes, and their ratio
+    setup = re.fullmatch(r"set-up: A min build (\S+) s, B min build (\S+) s, B / A (\S+)",
+                         lines[1])
+    builds = [float(setup.group(1)), float(setup.group(2))]
+    assert all(v > 0 for v in builds)
+    # the builds are printed to 1 us, the ratio from the unrounded times
+    assert abs(float(setup.group(3)) - builds[1] / builds[0]) < 0.05
     sums = [float(re.fullmatch(r"%s sum of case minima (\S+) ms" % side, line).group(1))
-            for side, line in zip("AB", lines[1:3])]
+            for side, line in zip("AB", lines[2:4])]
     assert all(v > 0 for v in sums)
-    ratio = float(re.match(r"B / A (\S+) ", lines[3]).group(1))
+    ratio = float(re.match(r"B / A (\S+) ", lines[4]).group(1))
     # the sums are printed to 1 us, the ratio from the unrounded sums
     assert abs(ratio - sums[1] / sums[0]) < 0.01
 

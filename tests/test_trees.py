@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from baire_lab.trees import (
     segments_from_ids,
     star_tree,
     tree_from_json_dict,
+    tree_from_paths,
     tree_to_json_dict,
 )
 
@@ -108,7 +110,7 @@ def test_tree_requires_prefix_closure():
         FiniteTree([(), (0, 1)])
     with pytest.raises(ValueError, match=r"missing \(0, 0\)"):
         FiniteTree([(), (0,), (0, 0, 0)])
-    # deep: 3,000 nodes build and sort by enumeration index quickly
+    # deep: a 3,000-node chain is one path, whose trie is built in one walk
     deep = chain_tree(3000).order
     assert [len(t) for t in deep] == list(range(3000))
 
@@ -275,3 +277,181 @@ def test_nodes_is_a_view_of_the_arena():
     same = FiniteTree(reversed(t.order))
     assert same == t and same is not t and hash(same) == hash(t)
     assert t != make_tree([(2,), (0, 1)]) and t != chain_tree(5)
+
+
+# The sort-based construction that the trie replaced, kept as the reference:
+# the prefix closure as a set of prefix tuples, each node's last entry
+# checked, the nodes sorted by (length, lex), and every parent found by
+# slicing off the last entry.
+
+
+def _reference_closure(paths):
+    closed = set()
+    for p in paths:
+        p = tuple(p)
+        # closed stays prefix-closed, so stop at the first prefix present
+        for i in range(len(p), -1, -1):
+            if p[:i] in closed:
+                break
+            closed.add(p[:i])
+    return closed
+
+
+def _reference_arena(nodes):
+    """(order, parent, id_of, alphabet_bound, kids) of a prefix-closed node
+    collection, or the ValueError of FiniteTree(nodes)."""
+    distinct = {tuple(n) for n in nodes}
+    lasts = [t[-1] for t in distinct if t]
+    if not set(map(type, lasts)) <= {int} or min(lasts, default=0) < 0:
+        bad = next(e for e in lasts if type(e) is not int or e < 0)
+        raise ValueError("node entry %r is not a natural" % (bad,))
+    order = []
+    for _, level in groupby(sorted(distinct, key=len), len):
+        order.extend(sorted(level))
+    id_of = dict(zip(order, range(len(order))))
+    try:
+        parent = [id_of[t[:-1]] if t else None for t in order]
+    except KeyError:
+        missing = next(t[:-1] for t in order if t and t[:-1] not in id_of)
+        raise ValueError("tree is not prefix-closed: missing %r" % (missing,)) from None
+    kids = [[] for _ in order]
+    for i, up in enumerate(parent[1:], 1):
+        kids[up].append(i)
+    return order, parent, id_of, max(lasts, default=0), kids
+
+
+def _arena(tree):
+    return tree.order, tree.parent, tree.id_of, tree.alphabet_bound, tree.kids
+
+
+def _outcome(build, arg):
+    """What build(arg) gives: the arena, with the closure count when build
+    returns one, or the message of its ValueError."""
+    try:
+        out = build(arg)
+    except ValueError as e:
+        return "ValueError: %s" % e
+    if isinstance(out, tuple) and isinstance(out[0], FiniteTree):
+        return _arena(out[0]), out[1]
+    return _arena(out) if isinstance(out, FiniteTree) else out
+
+
+def _reference_tree_from_paths(paths):
+    arena = _reference_arena(_reference_closure(paths))
+    return arena, len(arena[0]) - len({tuple(p) for p in paths})
+
+
+def _assert_matches_reference(paths, finite_tree=True):
+    """tree_from_paths and make_tree against the reference, and unless told
+    not to, FiniteTree on the reference closure, in the set's order."""
+    ref = _outcome(_reference_tree_from_paths, paths)
+    assert _outcome(tree_from_paths, paths) == ref
+    assert _outcome(make_tree, paths) == (ref if isinstance(ref, str) else ref[0])
+    if finite_tree and not isinstance(ref, str):
+        assert _outcome(FiniteTree, _reference_closure(paths)) == ref[0]
+
+
+def _as_given(path, as_list):
+    return list(path) if as_list else tuple(path)
+
+
+# short paths meet the root walk, long ones (past 12 labels) the walk from
+# where a path leaves the last long one
+short_paths = st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=5), st.booleans()),
+                       max_size=12)
+long_paths = st.lists(st.tuples(st.lists(st.sampled_from((0, 0, 0, 1)), max_size=40),
+                                st.booleans()), max_size=12)
+
+
+@given(st.one_of(short_paths, long_paths), st.data())
+@settings(max_examples=200, deadline=None)
+def test_trie_matches_the_sort_based_reference(drawn, data):
+    # tuples and lists, duplicated, shuffled, missing prefixes, empty
+    paths = [_as_given(p, as_list) for p, as_list in drawn]
+    if paths:
+        paths += data.draw(st.lists(st.sampled_from(paths), max_size=4))
+    paths = data.draw(st.permutations(paths))
+    _assert_matches_reference(paths)
+    # FiniteTree on a shuffled part of the closure: the same arena or the
+    # same "missing" message
+    closed = sorted(_reference_closure(paths))
+    kept = data.draw(st.permutations([t for t, keep in zip(
+        closed, data.draw(st.lists(st.booleans(), min_size=len(closed), max_size=len(closed))))
+        if keep]))
+    assert _outcome(FiniteTree, kept) == _outcome(_reference_arena, kept)
+
+
+def _listed(tree):
+    return [list(t) for t in tree.order]
+
+
+def test_shapes_match_the_reference():
+    for n in (1, 2, 13, 14, 40, 300):
+        chain = [(0,) * i for i in range(n)]
+        comb = chain + [(0,) * i + (1,) for i in range(n)]
+        star = [(i,) for i in range(n)]
+        for nodes in (chain, comb, star):
+            # every prefix listed: in enumeration order, in the benchmark's
+            # order (spine first), reversed, as lists; then the leaves alone
+            enum, _, _, _, kids = _reference_arena(_reference_closure(nodes))
+            leaves = [t for t, k in zip(enum, kids) if not k]
+            for paths in (enum, nodes, enum[::-1], [list(t) for t in nodes], leaves):
+                _assert_matches_reference(paths)
+        assert _arena(chain_tree(n)) == _reference_arena(chain)
+        assert _arena(comb_tree(n)) == _reference_arena(comb + [(0,) * (n - 1) + (1,)])
+        assert _arena(star_tree(n, base_label=3)) == _reference_arena([()] + [(3 + i,) for i in range(n)])
+
+
+BAD_LABELS = (-1, -7, 1.5, "1", "a", 1.0, 0.0, True, False)
+
+
+@given(st.one_of(short_paths, long_paths), st.sampled_from(BAD_LABELS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_label_refusals_match_the_reference(drawn, bad, data):
+    # one non-natural value put in at some places; 1.0, 0.0, True and False
+    # equal a natural, and make_tree refuses them exactly where the
+    # reference does: where no earlier path put that natural.  FiniteTree
+    # checks each label where it first enters the trie, the reference only
+    # each node's last entry, so on a node set that lists a deeper node
+    # first, a value equal to a natural can meet one check and not the
+    # other; the others are refused by both wherever they stand
+    paths = [list(p) for p, _ in drawn]
+    for p in paths:
+        for j in data.draw(st.lists(st.integers(0, len(p)), max_size=2)):
+            p.insert(j, bad)
+    paths = [_as_given(p, as_list) for p, (_, as_list) in zip(paths, drawn)]
+    _assert_matches_reference(paths, finite_tree=bad not in (0, 1))
+
+
+def test_pinned_refusals_match_the_reference():
+    # the refusals pinned above, through both constructions
+    for nodes in ([(-2,), (-1,), (0,)], [(1.5,), (0,), (1,), (0, 0)], [("a",), (0,), (1,)],
+                  [(0,), (0, True)]):
+        ref = _outcome(_reference_arena, _reference_closure(nodes))
+        assert ref.startswith("ValueError: node entry ")
+        assert _outcome(make_tree, nodes) == ref
+        assert _outcome(tree_from_paths, nodes) == ref
+    for nodes in ([(), (0, -1)], [(), (0, 1)], [(), (0,), (0, 0, 0)], [(0,)], [(1, 0), (0,)]):
+        ref = _outcome(_reference_arena, nodes)
+        assert ref.startswith("ValueError: ")
+        assert _outcome(FiniteTree, nodes) == ref
+
+
+def test_given_tuples_stand_in_the_tree():
+    # a node given as a tuple is the tree's node; a prefix no path lists,
+    # and a node given as a list, are built from the trie's int labels
+    p, q = (0, 1), (2, 0, 0)
+    # of equal tuples, the first given is kept
+    t = make_tree([p, [2, 0], q, tuple([0, 1])])
+    assert t.order[t.id_of[p]] is p and t.order[t.id_of[q]] is q
+    assert t.order == [(), (0,), (2,), (0, 1), (2, 0), (2, 0, 0)]
+    assert all(type(n) is tuple and all(type(e) is int for e in n) for n in t.order)
+    # an equal label of another type is not new, so the trie takes it as
+    # the natural already there, unchecked
+    t = make_tree([(7, 1), (7, 1.0, 0), (7, True)])
+    assert t.order == [(), (7,), (7, 1), (7, 1, 0)] and len(t) == 4
+    assert type(t.order[3][1]) is float and type(t.order[2][1]) is int
+    assert t.alphabet_bound == 7
+    # but a given tuple ending in one is not kept: every last entry is an int
+    t = FiniteTree([(), (0,), (0, 1, 0), (0, 1.0)])
+    assert [type(n[-1]) for n in t.order[1:]] == [int, int, int]

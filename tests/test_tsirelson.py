@@ -144,11 +144,12 @@ def test_labels_outside_the_naturals_are_refused():
 
 
 def test_a_label_after_the_clamp_is_still_refused():
-    # (7, 1.0) == (7, 1), so the tree keeps (7, 1.0, 0), and FiniteTree,
-    # which checks last entries, passes it; the node is shorter than the
-    # support size 4, and its first entry already takes the numeral to
-    # 8 >= 4; a _Ctx that stopped reading at the clamp would take it as
-    # index 4 and never see the 1.0
+    # 1.0 == 1, so the tree's trie takes the 1.0 of (7, 1.0, 0) as the
+    # label 1 that (7, 1) put there, which is no new label and goes
+    # unchecked, and the tree keeps the given tuple (7, 1.0, 0); the node is
+    # shorter than the support size 4, and its first entry already takes
+    # the numeral to 8 >= 4; a _Ctx that stopped reading at the clamp would
+    # take it as index 4 and never see the 1.0
     support = [(7, 1.0, 0), (0,), (1,), (2,)]
     t = make_tree([(7, 1)] + support)
     assert (7, 1.0, 0) in t.order

@@ -8,11 +8,14 @@ checkout's src/baire_lab is copied into a temporary directory under its
 own package name, baire_lab_a and baire_lab_b, with the package's import
 statements renamed to match, so both versions live in this one process.
 The workload (bench/workloads.py of checkout A, so both sides run the same
-inputs) builds its cases once for each side.  Every pass then runs every
-case on A and on B, alternating which side goes first from case to case
-and from pass to pass, with gc.collect() before each run.  The report is
-the sum over cases of each case's minimum over the passes, for each side,
-and the ratio B / A of those sums; a ratio below 1 means B is faster.
+inputs) builds its cases for each side once per pass, alternating which
+side builds first from pass to pass, with gc.collect() before each build.
+Every pass then runs every case on A and on B, alternating which side goes
+first from case to case and from pass to pass, with gc.collect() before
+each run.  The report is each side's fastest build (workload.build, the
+set-up that bench/run.py times as setup_s) and their ratio B / A, then the
+sum over cases of each case's minimum over the passes, for each side, and
+the ratio B / A of those sums; a ratio below 1 means B is faster.
 Each side's outputs of the first pass go through the workload's checks,
 and the exit code is 1 if either side fails them.
 
@@ -60,16 +63,25 @@ def load_side(checkout, name, scratch):
 
 
 def interleave(workload, data, labs, passes):
-    """Per-case minimum seconds of each side over `passes` passes, and each
-    side's outputs of the first pass."""
-    built = [workload.build(lab, data, lambda: None) for lab in labs]
-    # as bench/run.py does: the set-up's objects are left out of every
-    # collection, so gc.collect() before a run costs little
-    gc.collect()
-    gc.freeze()
-    best = [[float("inf")] * len(built[0]) for _ in labs]
+    """Per-case minimum seconds of each side over `passes` passes, each
+    side's minimum build seconds, and each side's outputs of the first
+    pass."""
+    best = None
+    build = [float("inf")] * len(labs)
     outputs = [[] for _ in labs]
     for p in range(passes):
+        built = [None] * len(labs)
+        for side in (0, 1) if p % 2 == 0 else (1, 0):
+            gc.collect()
+            t0 = time.perf_counter()
+            built[side] = workload.build(labs[side], data, lambda: None)
+            build[side] = min(build[side], time.perf_counter() - t0)
+        if best is None:
+            best = [[float("inf")] * len(built[0]) for _ in labs]
+        # as bench/run.py does: the set-up's objects are left out of every
+        # collection, so gc.collect() before a run costs little
+        gc.collect()
+        gc.freeze()
         for i in range(len(built[0])):
             order = (0, 1) if (i + p) % 2 == 0 else (1, 0)
             for side in order:
@@ -80,8 +92,8 @@ def interleave(workload, data, labs, passes):
                 best[side][i] = min(best[side][i], time.perf_counter() - t0)
                 if p == 0:
                     outputs[side].append(workload.keep(case, out))
-    gc.unfreeze()
-    return best, outputs
+        gc.unfreeze()
+    return best, build, outputs
 
 
 def main(argv=None):
@@ -117,7 +129,7 @@ def main(argv=None):
             labs = [load_side(os.path.abspath(checkout), "%s_%s" % (PACKAGE, side), scratch)
                     for checkout, side in ((args.a, "a"), (args.b, "b"))]
             data = workload.make_inputs(args.seed, args.seconds, os.path.join(scratch, "out"))
-            best, outputs = interleave(workload, data, labs, args.passes)
+            best, build, outputs = interleave(workload, data, labs, args.passes)
         finally:
             sys.path.remove(scratch)
         code = 0
@@ -130,6 +142,8 @@ def main(argv=None):
 
     sums = [sum(side) for side in best]
     print("%s: %d cases, %d passes" % (args.workload, len(best[0]), args.passes))
+    print("set-up: A min build %.6f s, B min build %.6f s, B / A %.4f"
+          % (build[0], build[1], build[1] / build[0]))
     print("A sum of case minima %.3f ms" % (1e3 * sums[0]))
     print("B sum of case minima %.3f ms" % (1e3 * sums[1]))
     print("B / A %.4f (cases_per_s %+.1f%%)" % (sums[1] / sums[0], 100 * (sums[0] / sums[1] - 1)))
