@@ -21,13 +21,12 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count
-from operator import ne
 
 from baire_lab.baire import BaireParams, baire_norm_report
 from baire_lab.hi import DESK_PAIRS, ground_norm, schedule
 from baire_lab.trees import (
     chain_tree,
+    closure_entries,
     comb_tree,
     node_from_json,
     paths_from_json_dict,
@@ -99,23 +98,6 @@ def _load_json(path):
         raise ValueError("malformed JSON in %s: %s" % (path, e))
 
 
-def _closure_entries(paths):
-    """The entries of all nodes of the prefix closure of the paths, counted
-    without building it: in sorted order, each path adds its prefixes
-    longer than its common prefix with the path before it."""
-    total, last = 0, ()
-    for p in sorted(paths):
-        # the common prefix is where they first differ; in a prefix-closed
-        # file the path before p extends p's parent, so look from there
-        k = max(min(len(p) - 1, len(last)), 0)
-        if last[:k] != p[:k]:
-            k = 0
-        common = next(compress(count(k), map(ne, last[k:], p[k:])), min(len(last), len(p)))
-        total += (len(p) * (len(p) + 1) - common * (common + 1)) // 2
-        last = p
-    return total
-
-
 def _load_tree(path):
     data = _load_json(path)
     if isinstance(data, dict) and isinstance(data.get("nodes"), list):
@@ -132,7 +114,7 @@ def _load_tree(path):
     # the paths' own prefixes, shared ones counted again, bound the
     # closure's entries from above: count exactly only past the bound
     if sum(len(p) * (len(p) + 1) // 2 for p in paths) > DEPTH_MAX**2:
-        entries = _closure_entries(paths)
+        entries = closure_entries(paths)
         if entries > DEPTH_MAX**2:
             raise ValueError(
                 "tree in %s is too large: its prefix closure has %d entries,"
@@ -164,7 +146,7 @@ def _load_vector(path, tree):
     entries = {}
     try:
         for node, value in data["entries"]:
-            key = node_from_json(node)
+            key = tuple(node_from_json(node))
             if key in entries:
                 raise ValueError("node %r is listed twice" % (node,))
             entries[key] = _rational(value)

@@ -18,7 +18,10 @@ Walks along the tree read integer lists, and a Segment made from two ids
 The arena is built from a trie of the input paths, keyed by label: every
 prefix of a path is a trie node and every trie node is such a prefix, so
 the trie's nodes are the prefix closure.  A walk of the trie gives the
-arena with no prefix set, no sort of tuples and no parent lookup.
+arena with no prefix set, no sort of tuples and no parent lookup.  Each
+node is its parent's tuple plus its trie label, so every node is a tuple
+of ints that the tree made, not the input's tuple or list; a TreeVector
+keys its entries by these same tuples.
 
 Breadth-first lemma.  Walk the trie breadth-first from the root, a queue
 of nodes, and at each node append its children in ascending label order.
@@ -108,12 +111,9 @@ class FiniteTree:
     checks it; the trie refuses any other label where it first goes in,
     before it can sway the alphabet bound and with it every index.  A later
     label equal to a trie label, as 1.0 or True to 1, is not new and goes
-    unchecked.  A node given as a tuple stands in the tree as given, so the
-    tree shares the input's tuples, unless its last entry is such a label;
-    any other node (a prefix no input lists, or one given as a list) is
-    built from the trie's labels, which are ints.  So the last entry of
-    every node is an int, and make_tree([(7, 1), (7, 1.0, 0)]) holds
-    (7, 1.0, 0).
+    unchecked.  Every node is built from the trie's labels, so it is a
+    tuple of ints whatever the input gave, and no input tuple or list is
+    kept: make_tree([(7, 1), (7, 1.0, 0)]) holds (7, 1, 0).
     """
 
     def __init__(self, nodes):
@@ -145,14 +145,9 @@ class FiniteTree:
             if kids:
                 node = order[i]
                 for label in sorted(kids):
-                    u = kids[label]
-                    # a path given as a tuple stands for its node as it
-                    # is, unless its last label is an equal non-int
-                    p = ends.get(u)
-                    order.append(p if type(p) is tuple and type(p[-1]) is int
-                                 else node + (label,))
+                    order.append(node + (label,))
                     parent.append(i)
-                    trie_of.append(u)
+                    trie_of.append(kids[label])
                 if label > bound:
                     bound = label
         self.order = order
@@ -236,8 +231,8 @@ _SHORT_PATH = 12
 
 def _trie(paths):
     """The trie of the paths: below[t] maps each label under trie node t to
-    its trie node, 0 is the root, and ends maps each trie node a path ends
-    at to the first path that does, one entry per distinct path.
+    its trie node, 0 is the root, and ends is the set of the trie nodes a
+    path ends at, one per distinct path.
 
     A label is checked to be a natural when it first goes in.  A long path
     starts its walk where it leaves the last long path, whose trie nodes
@@ -247,7 +242,7 @@ def _trie(paths):
     node is the child along label.
     """
     below = [{}]
-    ends = {}
+    ends = set()
     trail, last = [0], ()
     for p in paths:
         if len(p) > _SHORT_PATH:
@@ -262,8 +257,21 @@ def _trie(paths):
             t = 0
             for label in p:
                 t = below[t].get(label) or _new_node(below, t, label)
-        ends.setdefault(t, p)
+        ends.add(t)
     return below, ends
+
+
+def closure_entries(paths):
+    """The entries of all nodes of the prefix closure of the paths, counted
+    without building it: in sorted order, each path adds its prefixes
+    longer than its common prefix with the path before it.  The paths are
+    all lists or all tuples, as sorted compares them."""
+    total, last = 0, ()
+    for p in sorted(paths):
+        common = _common_prefix(p, last)
+        total += (len(p) * (len(p) + 1) - common * (common + 1)) // 2
+        last = p
+    return total
 
 
 def _new_node(below, t, label):
@@ -444,15 +452,16 @@ def tree_to_json_dict(tree):
 
 
 def node_from_json(t):
-    """The node a JSON list of naturals stands for."""
+    """The JSON list t, checked to be a list of naturals."""
     # type, not isinstance: JSON true and false are bools, an int subclass
     if not isinstance(t, list) or not all(type(e) is int and e >= 0 for e in t):
         raise ValueError("node %r is not a list of naturals" % (t,))
-    return tuple(t)
+    return t
 
 
 def paths_from_json_dict(data):
-    """The nodes listed in {"nodes": [[...], ...]}, as tuples."""
+    """The nodes listed in {"nodes": [[...], ...]}, each the checked JSON
+    list itself: the tree builds its own tuples."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError('tree JSON needs a "nodes" list')
     return [node_from_json(t) for t in data["nodes"]]

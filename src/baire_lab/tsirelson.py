@@ -128,9 +128,8 @@ exists, so the branch records nothing either way.  Every entry adds at
 least 1 to the numeral of `enumeration_index`, so index(t) >= len(t): a
 node of depth >= n gets n without computing its index.  `_Ctx` computes
 the other indices in its one loop over the support, by Horner's rule
-over every entry, each checked as `enumeration_index` checks it, so no
-engine builds an integer longer than n - 1 digits of base B + 1,
-however deep the node or large its labels.
+over every entry, so no engine builds an integer longer than n - 1
+digits of base B + 1, however deep the node or large its labels.
 
 Level-collapse lemma: on a set A the m-th iterate equals the fixed point
 whenever m >= |A| - 1, so both engines answer such a level from the
@@ -190,14 +189,10 @@ class _Ctx:
     support node t (the grid lemma), from one x.grid call that lifts each
     magnitude by 2^(n - 1) as it reads it.  idx[i] is min(index(t), n)
     (the index-clamp lemma), from one loop over the support: a node of
-    depth >= n gets n unread, a shorter one its numeral by Horner's rule,
-    with every entry checked as `enumeration_index` checks it, also after
-    the numeral passes n.  Every entry of a tree node is the last entry of
-    one of its prefixes, so the alphabet-bound check there cannot fail.
-    FiniteTree checks each label where it first enters the tree, but a
-    node given as a tuple stands in the tree as given, and a label equal
-    to one already there is not new ((7, 1.0, 0) after (7, 1)); a
-    vector's own key may also be such a tuple, so the check here stays.
+    depth >= n gets n unread, a shorter one its numeral by Horner's rule.
+    The nodes are the tree's own tuples, whose every entry is a trie label
+    FiniteTree checked to be a natural and the last entry of a prefix, so
+    no check of `enumeration_index` can fail here.
     """
 
     def __init__(self, x):
@@ -214,9 +209,6 @@ class _Ctx:
                 continue
             index = 0
             for e in t:
-                # type, not isinstance, as in enumeration_index
-                if type(e) is not int or e < 0:
-                    raise ValueError("node entry %r is not a natural" % (e,))
                 index = index * base + e + 1
             idx.append(index if index < n else n)
         self.idx = tuple(idx)

@@ -366,7 +366,8 @@ class TreeVector:
     A mapping holds each node once, so reading a repeated node from a file
     is the loader's check (cli._load_vector).
 
-    entries is a read-only mapping from the support nodes to their nonzero
+    entries is a read-only mapping from the support nodes, each the tree's
+    own tuple (tree.order[id]), not the given key, to their nonzero
     Fractions, in enumeration order, which is ascending arena-id order, and
     ids holds the arena ids of those nodes, as a tuple in the same order.
     Every engine reads the support in that order from them, and the
@@ -391,10 +392,11 @@ class TreeVector:
                         "zero denominator in value %r of node %r" % (value, node)
                     ) from None
             if value:
-                items.append((i, node, value))
+                items.append((i, value))
         items.sort(key=_first)
         self.tree = tree
-        self.entries = MappingProxyType({node: value for _, node, value in items})
+        order = tree.order
+        self.entries = MappingProxyType({order[i]: value for i, value in items})
         ids = tuple(map(_first, items))
         if len(ids) != len(self.entries):
             # two keys of the mapping named one node; the last value stays

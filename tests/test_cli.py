@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from baire_lab import cli, trees
+from baire_lab import cli
 from baire_lab.cli import CASES_MAX, DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
 from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
 
@@ -583,7 +583,8 @@ def test_prefix_closure_is_bounded(tmp_path, capsys, monkeypatch):
     branches = tmp_path / "branches.json"
     branches.write_text(json.dumps({"nodes": [[i] + [0] * (DEPTH_MAX - 1) for i in range(8)]}))
     with monkeypatch.context() as m:
-        m.setattr(trees, "make_tree", never_built)
+        # the builder the loader calls
+        m.setattr(cli, "tree_from_paths", never_built)
         code, out, err = run(capsys, "rank", "--tree", str(branches))
     entries = 8 * DEPTH_MAX * (DEPTH_MAX + 1) // 2
     assert code == 2 and out == ""

@@ -25,10 +25,16 @@ def test_interleave_ab_runs_a_against_itself():
     assert all(v > 0 for v in builds)
     # the builds are printed to 1 us, the ratio from the unrounded times
     assert abs(float(setup.group(3)) - builds[1] / builds[0]) < 0.05
+    # each side's median build, at or above its fastest, and the passes in
+    # which B built faster
+    spread = re.fullmatch(r"set-up: A median build (\S+) s, B median build (\S+) s,"
+                          r" B faster in (\d+) of 2 passes", lines[2])
+    medians = [float(spread.group(1)), float(spread.group(2))]
+    assert all(m >= b for m, b in zip(medians, builds)) and 0 <= int(spread.group(3)) <= 2
     sums = [float(re.fullmatch(r"%s sum of case minima (\S+) ms" % side, line).group(1))
-            for side, line in zip("AB", lines[2:4])]
+            for side, line in zip("AB", lines[3:5])]
     assert all(v > 0 for v in sums)
-    ratio = float(re.match(r"B / A (\S+) ", lines[4]).group(1))
+    ratio = float(re.match(r"B / A (\S+) ", lines[5]).group(1))
     # the sums are printed to 1 us, the ratio from the unrounded sums
     assert abs(ratio - sums[1] / sums[0]) < 0.01
 

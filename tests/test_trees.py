@@ -10,6 +10,7 @@ from baire_lab.trees import (
     FiniteTree,
     Segment,
     chain_tree,
+    closure_entries,
     comb_tree,
     comparable,
     completely_incomparable,
@@ -24,6 +25,7 @@ from baire_lab.trees import (
     tree_from_paths,
     tree_to_json_dict,
 )
+from baire_lab.vectors import TreeVector
 
 nodes_st = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 
@@ -437,21 +439,72 @@ def test_pinned_refusals_match_the_reference():
         assert _outcome(FiniteTree, nodes) == ref
 
 
-def test_given_tuples_stand_in_the_tree():
-    # a node given as a tuple is the tree's node; a prefix no path lists,
-    # and a node given as a list, are built from the trie's int labels
-    p, q = (0, 1), (2, 0, 0)
-    # of equal tuples, the first given is kept
-    t = make_tree([p, [2, 0], q, tuple([0, 1])])
-    assert t.order[t.id_of[p]] is p and t.order[t.id_of[q]] is q
+def test_nodes_are_the_trees_own_int_tuples():
+    # every node is built from the trie's int labels: a node given as a
+    # tuple or a list stands in the tree as an equal tuple the tree made,
+    # and id_of is keyed by those same tuples
+    t = make_tree([(0, 1), [2, 0], (2, 0, 0), tuple([0, 1])])
     assert t.order == [(), (0,), (2,), (0, 1), (2, 0), (2, 0, 0)]
     assert all(type(n) is tuple and all(type(e) is int for e in n) for n in t.order)
+    assert all(n is m for n, m in zip(t.id_of, t.order))
     # an equal label of another type is not new, so the trie takes it as
-    # the natural already there, unchecked
+    # the natural already there, unchecked, and the node holds that natural
     t = make_tree([(7, 1), (7, 1.0, 0), (7, True)])
     assert t.order == [(), (7,), (7, 1), (7, 1, 0)] and len(t) == 4
-    assert type(t.order[3][1]) is float and type(t.order[2][1]) is int
+    assert all(type(e) is int for n in t.order for e in n)
     assert t.alphabet_bound == 7
-    # but a given tuple ending in one is not kept: every last entry is an int
     t = FiniteTree([(), (0,), (0, 1, 0), (0, 1.0)])
-    assert [type(n[-1]) for n in t.order[1:]] == [int, int, int]
+    assert t.order == [(), (0,), (0, 1), (0, 1, 0)]
+    assert all(type(e) is int for n in t.order for e in n)
+
+
+# a float or a bool equal to each of the naturals 0 and 1
+EQUAL_LABELS = {0: (0.0, False), 1: (1.0, True)}
+
+
+@given(st.one_of(short_paths, long_paths), st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_node_and_vector_key_is_the_trees_own_int_tuple(drawn, data):
+    # tuple and list paths, then copies of some of them with 1.0, 0.0, True
+    # or False in place of an equal natural; each copy comes after the path
+    # it copies, so the trie holds its labels already and takes them
+    # unchecked
+    paths = [_as_given(p, as_list) for p, as_list in drawn]
+    copies = []
+    for p in data.draw(st.lists(st.sampled_from(paths), max_size=4)) if paths else []:
+        c = list(p)
+        for j in data.draw(st.lists(st.integers(0, len(c) - 1), max_size=3)) if c else []:
+            if c[j] in EQUAL_LABELS:
+                c[j] = data.draw(st.sampled_from(EQUAL_LABELS[c[j]]))
+        copies.append(_as_given(c, data.draw(st.booleans())))
+    tree, _ = tree_from_paths(paths + copies)
+    assert tree == make_tree(paths)
+    assert all(type(t) is tuple and all(type(e) is int for e in t) for t in tree.order)
+    assert all(t is u for t, u in zip(tree.id_of, tree.order))
+    x = TreeVector(tree, {tuple(c): k for k, c in enumerate(copies, 1)})
+    assert len(x.ids) == len({tuple(c) for c in copies})
+    assert all(t is tree.order[i] for t, i in zip(x.entries, x.ids))
+
+
+@given(st.one_of(short_paths, long_paths), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closure_entries_counts_the_closure(drawn, as_list, data):
+    # lists or tuples, duplicated, shuffled, missing prefixes, empty
+    paths = [_as_given(p, as_list) for p, _ in drawn]
+    if paths:
+        paths += data.draw(st.lists(st.sampled_from(paths), max_size=4))
+    paths = data.draw(st.permutations(paths))
+    assert closure_entries(paths) == sum(map(len, make_tree(paths).order))
+
+
+def test_closure_entries_of_the_shapes():
+    # every prefix listed, shuffled, and the leaves alone: the comb of n
+    # teeth has n**2 closure entries, the chain of n nodes n(n - 1)/2
+    rng = random.Random(0)
+    for n in (1, 2, 13, 14, 40):
+        for tree, entries in ((comb_tree(n), n * n), (chain_tree(n), n * (n - 1) // 2)):
+            listed = _listed(tree)
+            rng.shuffle(listed)
+            assert closure_entries(listed) == entries
+            assert closure_entries(tree.leaves()) == entries
+    assert closure_entries([]) == closure_entries([()]) == 0

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baire_lab import tsirelson
+from baire_lab.baire import BaireParams, baire_norm, baire_norm_oracle
+from baire_lab.hi import ground_norm
 from baire_lab.trees import (
     FiniteTree,
     chain_tree,
@@ -33,7 +35,7 @@ from baire_lab.tsirelson import (
     verify_lemma_II1,
     verify_sandwich18,
 )
-from baire_lab.vectors import TreeVector, unit_vector
+from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from tsirelson_reference import _engine as reference_engine
 from tsirelson_reference import (
     reference_check_fixed_point,
@@ -143,20 +145,27 @@ def test_labels_outside_the_naturals_are_refused():
             make_tree(nodes)
 
 
-def test_a_label_after_the_clamp_is_still_refused():
+def test_a_label_after_the_clamp_reads_as_its_natural():
     # 1.0 == 1, so the tree's trie takes the 1.0 of (7, 1.0, 0) as the
-    # label 1 that (7, 1) put there, which is no new label and goes
-    # unchecked, and the tree keeps the given tuple (7, 1.0, 0); the node is
-    # shorter than the support size 4, and its first entry already takes
-    # the numeral to 8 >= 4; a _Ctx that stopped reading at the clamp would
-    # take it as index 4 and never see the 1.0
+    # label 1 that (7, 1) put there, and the tree's node is (7, 1, 0); a
+    # vector keyed (7, 1.0, 0) is keyed by that node, so both variants give
+    # it the norm of the vector keyed (7, 1, 0), as baire_norm and
+    # ground_norm do.  The node is shorter than the support size 4, and its
+    # first entry already takes the numeral to 8 >= 4
     support = [(7, 1.0, 0), (0,), (1,), (2,)]
     t = make_tree([(7, 1)] + support)
-    assert (7, 1.0, 0) in t.order
+    assert (7, 1, 0) in t.order
     x = TreeVector(t, {node: 1 for node in support})
+    assert all(type(e) is int for node in x.entries for e in node)
+    ints = [(7, 1, 0), (0,), (1,), (2,)]
+    y = TreeVector(make_tree([(7, 1)] + ints), {node: 1 for node in ints})
     for variant in (INCOMPARABLE, STANDARD):
-        with pytest.raises(ValueError, match="^node entry 1.0 is not a natural$"):
-            tsirelson_norm(x, variant)
+        assert tsirelson_norm(x, variant) == reference_norm(y, variant)
+        witness = json.dumps(tsirelson_witness_tree(x, variant))
+        assert witness == json.dumps(reference_witness_tree(y, variant))
+    params = BaireParams(2, BaseNorm.ell(1))
+    assert baire_norm(x, params) == baire_norm_oracle(y, params)
+    assert ground_norm(x) == ground_norm(y)
 
 
 def test_witness_leaf_names_the_first_position_of_largest_value():

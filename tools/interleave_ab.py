@@ -13,9 +13,11 @@ side builds first from pass to pass, with gc.collect() before each build.
 Every pass then runs every case on A and on B, alternating which side goes
 first from case to case and from pass to pass, with gc.collect() before
 each run.  The report is each side's fastest build (workload.build, the
-set-up that bench/run.py times as setup_s) and their ratio B / A, then the
-sum over cases of each case's minimum over the passes, for each side, and
-the ratio B / A of those sums; a ratio below 1 means B is faster.
+set-up that bench/run.py times as setup_s) and their ratio B / A; each
+side's median build and the number of passes in which B built faster,
+since one lucky build sets a side's minimum; then the sum over cases
+of each case's minimum over the passes, for each side, and the ratio
+B / A of those sums; a ratio below 1 means B is faster.
 Each side's outputs of the first pass go through the workload's checks,
 and the exit code is 1 if either side fails them.
 
@@ -37,6 +39,8 @@ import tempfile
 import time
 import types
 from importlib import import_module
+from operator import lt
+from statistics import median
 
 PACKAGE = "baire_lab"
 _IMPORT = re.compile(r"^(\s*(?:from|import)\s+)%s\b" % PACKAGE, re.M)
@@ -64,10 +68,10 @@ def load_side(checkout, name, scratch):
 
 def interleave(workload, data, labs, passes):
     """Per-case minimum seconds of each side over `passes` passes, each
-    side's minimum build seconds, and each side's outputs of the first
-    pass."""
+    side's build seconds of every pass, and each side's outputs of the
+    first pass."""
     best = None
-    build = [float("inf")] * len(labs)
+    build = [[] for _ in labs]
     outputs = [[] for _ in labs]
     for p in range(passes):
         built = [None] * len(labs)
@@ -75,7 +79,7 @@ def interleave(workload, data, labs, passes):
             gc.collect()
             t0 = time.perf_counter()
             built[side] = workload.build(labs[side], data, lambda: None)
-            build[side] = min(build[side], time.perf_counter() - t0)
+            build[side].append(time.perf_counter() - t0)
         if best is None:
             best = [[float("inf")] * len(built[0]) for _ in labs]
         # as bench/run.py does: the set-up's objects are left out of every
@@ -142,8 +146,11 @@ def main(argv=None):
 
     sums = [sum(side) for side in best]
     print("%s: %d cases, %d passes" % (args.workload, len(best[0]), args.passes))
+    fastest = [min(side) for side in build]
     print("set-up: A min build %.6f s, B min build %.6f s, B / A %.4f"
-          % (build[0], build[1], build[1] / build[0]))
+          % (fastest[0], fastest[1], fastest[1] / fastest[0]))
+    print("set-up: A median build %.6f s, B median build %.6f s, B faster in %d of %d passes"
+          % (median(build[0]), median(build[1]), sum(map(lt, build[1], build[0])), args.passes))
     print("A sum of case minima %.3f ms" % (1e3 * sums[0]))
     print("B sum of case minima %.3f ms" % (1e3 * sums[1]))
     print("B / A %.4f (cases_per_s %+.1f%%)" % (sums[1] / sums[0], 100 * (sums[0] / sums[1] - 1)))
