@@ -23,6 +23,14 @@ node is its parent's tuple plus its trie label, so every node is a tuple
 of ints that the tree made, not the input's tuple or list; a TreeVector
 keys its entries by these same tuples.
 
+A tree file, {"nodes": [[...], ...]}, is checked by paths_from_json_dict
+in two passes over the whole file, not one call per node: one in C that
+each node is a list, then one generator over all of their entries that
+each is a natural (an int, not a bool, and >= 0).  Only a file that fails
+is walked node by node, by node_from_json, to name its first refused node.
+The trie then checks only the labels that make new trie nodes, which is
+what a caller that gives paths directly (make_tree, FiniteTree) relies on.
+
 Breadth-first lemma.  Walk the trie breadth-first from the root, a queue
 of nodes, and at each node append its children in ascending label order.
 Then the queue lists the nodes in enumeration order, parent[i] (the
@@ -45,7 +53,7 @@ appended, so parent[i] < i.
 import bisect
 import random
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 
 
 def is_prefix(s, t):
@@ -234,29 +242,38 @@ def _trie(paths):
     its trie node, 0 is the root, and ends is the set of the trie nodes a
     path ends at, one per distinct path.
 
-    A label is checked to be a natural when it first goes in.  A long path
-    starts its walk where it leaves the last long path, whose trie nodes
-    trail keeps, so a file that lists every prefix of a deep node costs
-    slice comparisons in C, not one dict lookup per entry.  The root is no
-    one's child, so a child's trie node is > 0, and get(label) or a new
-    node is the child along label.
+    Every path is walked by one loop, which makes each new trie node
+    inline and checks its label to be a natural where it first goes in.
+    A long path starts that walk where it leaves the last long path, so a
+    file that lists every prefix of a deep node costs slice comparisons in
+    C, not one dict lookup per entry.  trail[d] is the trie node of the
+    last long path's first d labels; it is cut back to where the next long
+    path leaves that one, and extended along it only as far as that, with
+    lookups of nodes the trie holds already.
     """
     below = [{}]
     ends = set()
     trail, last = [0], ()
     for p in paths:
+        t = 0
         if len(p) > _SHORT_PATH:
             k = _common_prefix(p, last)
             del trail[k + 1:]
-            t = trail[k]
-            for label in islice(p, k, None):
-                t = below[t].get(label) or _new_node(below, t, label)
+            t = trail[-1]
+            for label in p[len(trail) - 1:k]:
+                t = below[t][label]
                 trail.append(t)
-            last = p
-        else:
-            t = 0
-            for label in p:
-                t = below[t].get(label) or _new_node(below, t, label)
+            last, p = p, p[k:]
+        for label in p:
+            kids = below[t]
+            t = kids.get(label)
+            if t is None:
+                # type, not isinstance, as in enumeration_index: a bool is
+                # no label
+                if type(label) is not int or label < 0:
+                    raise ValueError("node entry %r is not a natural" % (label,))
+                t = kids[label] = len(below)
+                below.append({})
         ends.add(t)
     return below, ends
 
@@ -264,24 +281,19 @@ def _trie(paths):
 def closure_entries(paths):
     """The entries of all nodes of the prefix closure of the paths, counted
     without building it: in sorted order, each path adds its prefixes
-    longer than its common prefix with the path before it.  The paths are
-    all lists or all tuples, as sorted compares them."""
+    longer than its common prefix with the path before it.
+
+    A list never equals or sorts with a tuple, so paths of more than one
+    type are compared as tuples; paths of one type are read as given."""
+    paths = list(paths)
+    if len(set(map(type, paths))) > 1:
+        paths = list(map(tuple, paths))
     total, last = 0, ()
     for p in sorted(paths):
         common = _common_prefix(p, last)
         total += (len(p) * (len(p) + 1) - common * (common + 1)) // 2
         last = p
     return total
-
-
-def _new_node(below, t, label):
-    """A new trie node under t along label, which must be a natural."""
-    # type, not isinstance, as in enumeration_index: a bool is no label
-    if type(label) is not int or label < 0:
-        raise ValueError("node entry %r is not a natural" % (label,))
-    below[t][label] = u = len(below)
-    below.append({})
-    return u
 
 
 def _common_prefix(p, q):
@@ -451,20 +463,31 @@ def tree_to_json_dict(tree):
     return {"nodes": [list(t) for t in tree.order]}
 
 
+def _naturals(nodes):
+    """True iff every entry of every node is a natural: one generator for
+    all the nodes, with no set-up per node."""
+    # type, not isinstance: JSON true and false are bools, an int subclass
+    return all(type(e) is int and e >= 0 for t in nodes for e in t)
+
+
 def node_from_json(t):
     """The JSON list t, checked to be a list of naturals."""
-    # type, not isinstance: JSON true and false are bools, an int subclass
-    if not isinstance(t, list) or not all(type(e) is int and e >= 0 for e in t):
+    if not isinstance(t, list) or not _naturals((t,)):
         raise ValueError("node %r is not a list of naturals" % (t,))
     return t
 
 
 def paths_from_json_dict(data):
     """The nodes listed in {"nodes": [[...], ...]}, each the checked JSON
-    list itself: the tree builds its own tuples."""
+    list itself: the tree builds its own tuples.  The whole list is checked
+    in two passes (see the module docstring); only a file that fails is
+    walked node by node, to name its first refused node."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError('tree JSON needs a "nodes" list')
-    return [node_from_json(t) for t in data["nodes"]]
+    nodes = data["nodes"]
+    if all(map(isinstance, nodes, repeat(list))) and _naturals(nodes):
+        return list(nodes)
+    return [node_from_json(t) for t in nodes]
 
 
 def tree_from_paths(paths):

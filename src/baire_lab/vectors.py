@@ -45,6 +45,10 @@ RESIDUES_MAX = 2000
 
 _first = itemgetter(0)
 
+# the value of every node off the support; a Fraction is immutable, so one
+# is shared by every lookup
+_ZERO = Fraction(0)
+
 
 def integer_nth_root(x, n, start=None):
     """Floor of the n-th root of a nonnegative integer x, by integer Newton
@@ -415,7 +419,7 @@ class TreeVector:
         return frozenset(self.entries)
 
     def __getitem__(self, node):
-        return self.entries.get(tuple(node), Fraction(0))
+        return self.entries.get(tuple(node), _ZERO)
 
     def __eq__(self, other):
         return (

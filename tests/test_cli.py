@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -432,6 +433,25 @@ def test_vector_strings_in_exponent_notation_exit_2(tmp_path, capsys):
     x.write_text('{"entries": [[[0], 0.0000001], [[0, 0], 1e2]]}')
     code, out, _ = run(capsys, "ground", "--tree", str(t), "--vector", str(x), "--json")
     assert code == 0 and json.loads(out)["value"] == "1000000001/10000000"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a vector's grid is not bounded yet, so"
+                   " the exact value's denominator passes the int-to-str digit limit")
+def test_a_huge_grid_is_refused_as_an_invalid_vector(tmp_path, capsys):
+    # the smallest reproducer of ROADMAP item 7: a 14-leaf star whose values
+    # are 1/(a 4,000-digit integer), each under the digit limit; today the
+    # STANDARD norm's denominator passes it when printed, and the CLI exits
+    # 2 naming sys.set_int_max_str_digits, not the file
+    rng = random.Random(0)
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(14))))
+    x = tmp_path / "x.json"
+    write_vector(x, [[[i], "1/%d" % rng.randrange(10**3999, 10**4000)] for i in range(14)])
+    code, out, err = run(capsys, "tsirelson", "--variant", "standard",
+                         "--tree", str(t), "--vector", str(x))
+    assert code == 2 and out == ""
+    assert "4300" not in err and "set_int_max_str_digits" not in err, err
+    assert err.startswith("error: invalid vector in %s: " % x), err
 
 
 LABELS = st.integers(0, 2)

@@ -31,10 +31,15 @@ def test_interleave_ab_runs_a_against_itself():
                           r" B faster in (\d+) of 2 passes", lines[2])
     medians = [float(spread.group(1)), float(spread.group(2))]
     assert all(m >= b for m, b in zip(medians, builds)) and 0 <= int(spread.group(3)) <= 2
+    # each side's fresh import in each pass, in pass order: every import
+    # compiles the sources, so it takes time, and the set-up of a pass is
+    # its import and its build
+    imports = re.fullmatch(r"import per pass: A (\S+) (\S+) s, B (\S+) (\S+) s", lines[3])
+    assert imports and all(float(v) > 0 for v in imports.groups())
     sums = [float(re.fullmatch(r"%s sum of case minima (\S+) ms" % side, line).group(1))
-            for side, line in zip("AB", lines[3:5])]
+            for side, line in zip("AB", lines[4:6])]
     assert all(v > 0 for v in sums)
-    ratio = float(re.match(r"B / A (\S+) ", lines[5]).group(1))
+    ratio = float(re.match(r"B / A (\S+) ", lines[6]).group(1))
     # the sums are printed to 1 us, the ratio from the unrounded sums
     assert abs(ratio - sums[1] / sums[0]) < 0.01
 

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire_lab import trees
 from baire_lab.trees import (
     FiniteTree,
     Segment,
@@ -17,6 +19,8 @@ from baire_lab.trees import (
     enumeration_index,
     is_prefix,
     make_tree,
+    node_from_json,
+    paths_from_json_dict,
     random_tree,
     rank,
     segments_from_ids,
@@ -264,6 +268,12 @@ def test_json_rejects_garbage():
     for node in ([True], [0, False]):
         with pytest.raises(ValueError, match="not a list of naturals"):
             tree_from_json_dict({"nodes": [node]})
+    # the first refused node is named, whatever kind of fault a later one has
+    for nodes, bad in (([[0], [1, -1], "x", [True]], [1, -1]), ([[0], "x", [1, -1]], "x"),
+                       ([[], [0, 1.0], [2]], [0, 1.0]), ([[0, [1]]], [0, [1]])):
+        with pytest.raises(ValueError, match="^node %s is not a list of naturals$"
+                           % re.escape(repr(bad))):
+            tree_from_json_dict({"nodes": nodes})
     with pytest.raises(ValueError):
         tree_from_json_dict([])
 
@@ -486,11 +496,13 @@ def test_every_node_and_vector_key_is_the_trees_own_int_tuple(drawn, data):
     assert all(t is tree.order[i] for t, i in zip(x.entries, x.ids))
 
 
-@given(st.one_of(short_paths, long_paths), st.booleans(), st.data())
+@given(st.one_of(short_paths, long_paths), st.sampled_from(("lists", "tuples", "mixed")),
+       st.data())
 @settings(max_examples=200, deadline=None)
-def test_closure_entries_counts_the_closure(drawn, as_list, data):
-    # lists or tuples, duplicated, shuffled, missing prefixes, empty
-    paths = [_as_given(p, as_list) for p, _ in drawn]
+def test_closure_entries_counts_the_closure(drawn, kind, data):
+    # lists, tuples or both mixed, duplicated, shuffled, missing prefixes,
+    # empty; mixed input raised TypeError from the sort
+    paths = [_as_given(p, as_list if kind == "mixed" else kind == "lists") for p, as_list in drawn]
     if paths:
         paths += data.draw(st.lists(st.sampled_from(paths), max_size=4))
     paths = data.draw(st.permutations(paths))
@@ -508,3 +520,63 @@ def test_closure_entries_of_the_shapes():
             assert closure_entries(listed) == entries
             assert closure_entries(tree.leaves()) == entries
     assert closure_entries([]) == closure_entries([()]) == 0
+
+
+# The per-node loader that the two-pass check replaced, kept as the
+# reference: every node through node_from_json, in order.
+
+
+def _reference_paths_from_json_dict(data):
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValueError('tree JSON needs a "nodes" list')
+    return [node_from_json(t) for t in data["nodes"]]
+
+
+# what a JSON file can hold where a node or an entry should be
+json_scalars = st.one_of(st.integers(-3, 5), st.sampled_from((1.0, 0.0, -1.5, True, False, None)),
+                         st.text(max_size=2))
+json_entries = st.one_of(st.integers(0, 5), json_scalars,
+                         st.lists(st.integers(0, 3), max_size=2))
+json_nodes = st.one_of(st.lists(st.integers(0, 5), max_size=6),
+                       st.lists(json_entries, max_size=4), json_scalars,
+                       st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1))
+
+
+@given(st.lists(json_nodes, max_size=8), st.lists(st.lists(st.integers(0, 5), max_size=6), max_size=8),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_paths_from_json_dict_matches_the_per_node_reference(drawn, valid, data):
+    # valid nodes, empty ones, and nodes holding negatives, 1.0, bools,
+    # strings, None, nested lists, or no list at all, mixed in at random
+    # places: the same list of the same list objects, or the same message
+    nodes = data.draw(st.permutations(valid + drawn))
+    for d in ({"nodes": nodes}, {"nodes": valid}):
+        try:
+            ref = _reference_paths_from_json_dict(d)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                paths_from_json_dict(d)
+            assert str(got.value) == str(e)
+        else:
+            out = paths_from_json_dict(d)
+            assert out == ref and all(a is b for a, b in zip(out, ref))
+            assert out is not d["nodes"]
+
+
+def test_a_valid_tree_file_makes_no_call_per_node(monkeypatch):
+    # the two passes check every node of a valid file: node_from_json runs
+    # only to name the first refused node of a file that fails
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return node_from_json(t)
+
+    monkeypatch.setattr(trees, "node_from_json", counted)
+    nodes = _listed(comb_tree(40)) + [[]]
+    assert paths_from_json_dict({"nodes": nodes}) == nodes
+    tree, added = tree_from_json_dict({"nodes": nodes})
+    assert tree == comb_tree(40) and added == 0 and calls == []
+    with pytest.raises(ValueError, match="not a list of naturals"):
+        paths_from_json_dict({"nodes": nodes + [[0, -1]]})
+    assert len(calls) == len(nodes) + 1

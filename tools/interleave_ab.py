@@ -7,15 +7,21 @@ instance a `git archive` of the parent commit and the working tree).  Each
 checkout's src/baire_lab is copied into a temporary directory under its
 own package name, baire_lab_a and baire_lab_b, with the package's import
 statements renamed to match, so both versions live in this one process.
-The workload (bench/workloads.py of checkout A, so both sides run the same
-inputs) builds its cases for each side once per pass, alternating which
-side builds first from pass to pass, with gc.collect() before each build.
+Each pass imports each side afresh, dropping the last import, and no
+bytecode is written or read, so every import compiles the sources: the
+import that bench/run.py's setup_s includes, under
+PYTHONDONTWRITEBYTECODE=1 or with no __pycache__.  The workload
+(bench/workloads.py of checkout A, so both sides run the same inputs) then
+builds its cases for each side on that import, alternating which side
+imports and builds first from pass to pass, with gc.collect() before each
+import.
 Every pass then runs every case on A and on B, alternating which side goes
 first from case to case and from pass to pass, with gc.collect() before
 each run.  The report is each side's fastest build (workload.build, the
 set-up that bench/run.py times as setup_s) and their ratio B / A; each
 side's median build and the number of passes in which B built faster,
-since one lucky build sets a side's minimum; then the sum over cases
+since one lucky build sets a side's minimum; each side's import time in
+every pass, in pass order; then the sum over cases
 of each case's minimum over the passes, for each side, and the ratio
 B / A of those sums; a ratio below 1 means B is faster.
 Each side's outputs of the first pass go through the workload's checks,
@@ -46,9 +52,9 @@ PACKAGE = "baire_lab"
 _IMPORT = re.compile(r"^(\s*(?:from|import)\s+)%s\b" % PACKAGE, re.M)
 
 
-def load_side(checkout, name, scratch):
-    """Copy checkout's src/baire_lab to scratch/name, rename its imports and
-    import it: a namespace of its submodules, as bench/run.py builds."""
+def copy_side(checkout, name, scratch):
+    """Copy checkout's src/baire_lab to scratch/name with its imports
+    renamed; returns the names of its submodules."""
     target = os.path.join(scratch, name)
     shutil.copytree(os.path.join(checkout, "src", PACKAGE), target,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -63,23 +69,36 @@ def load_side(checkout, name, scratch):
             fh.write(_IMPORT.sub(r"\g<1>" + name, text))
         if file != "__init__.py":
             modules.append(file[:-3])
+    return modules
+
+
+def import_side(name, modules):
+    """A fresh import of the copy `name`, dropping any earlier one: a
+    namespace of its submodules, as bench/run.py builds."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
     return types.SimpleNamespace(**{m: import_module("%s.%s" % (name, m)) for m in modules})
 
 
-def interleave(workload, data, labs, passes):
+def interleave(workload, data, sides, passes):
     """Per-case minimum seconds of each side over `passes` passes, each
-    side's build seconds of every pass, and each side's outputs of the
-    first pass."""
+    side's import and build seconds of every pass, and each side's outputs
+    of the first pass.  sides lists (name, modules) of each copy."""
     best = None
-    build = [[] for _ in labs]
-    outputs = [[] for _ in labs]
+    imports = [[] for _ in sides]
+    build = [[] for _ in sides]
+    outputs = [[] for _ in sides]
     for p in range(passes):
-        built = [None] * len(labs)
+        built = [None] * len(sides)
+        labs = [None] * len(sides)
         for side in (0, 1) if p % 2 == 0 else (1, 0):
             gc.collect()
             t0 = time.perf_counter()
+            labs[side] = import_side(*sides[side])
+            t1 = time.perf_counter()
             built[side] = workload.build(labs[side], data, lambda: None)
-            build[side].append(time.perf_counter() - t0)
+            imports[side].append(t1 - t0)
+            build[side].append(time.perf_counter() - t1)
         if best is None:
             best = [[float("inf")] * len(built[0]) for _ in labs]
         # as bench/run.py does: the set-up's objects are left out of every
@@ -97,7 +116,7 @@ def interleave(workload, data, labs, passes):
                 if p == 0:
                     outputs[side].append(workload.keep(case, out))
         gc.unfreeze()
-    return best, build, outputs
+    return best, imports, build, outputs
 
 
 def main(argv=None):
@@ -130,10 +149,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
         try:
-            labs = [load_side(os.path.abspath(checkout), "%s_%s" % (PACKAGE, side), scratch)
-                    for checkout, side in ((args.a, "a"), (args.b, "b"))]
+            sides = []
+            for checkout, side in ((args.a, "a"), (args.b, "b")):
+                name = "%s_%s" % (PACKAGE, side)
+                sides.append((name, copy_side(os.path.abspath(checkout), name, scratch)))
             data = workload.make_inputs(args.seed, args.seconds, os.path.join(scratch, "out"))
-            best, build, outputs = interleave(workload, data, labs, args.passes)
+            best, imports, build, outputs = interleave(workload, data, sides, args.passes)
         finally:
             sys.path.remove(scratch)
         code = 0
@@ -151,6 +172,8 @@ def main(argv=None):
           % (fastest[0], fastest[1], fastest[1] / fastest[0]))
     print("set-up: A median build %.6f s, B median build %.6f s, B faster in %d of %d passes"
           % (median(build[0]), median(build[1]), sum(map(lt, build[1], build[0])), args.passes))
+    print("import per pass: A %s s, B %s s"
+          % tuple(" ".join("%.6f" % t for t in side) for side in imports))
     print("A sum of case minima %.3f ms" % (1e3 * sums[0]))
     print("B sum of case minima %.3f ms" % (1e3 * sums[1]))
     print("B / A %.4f (cases_per_s %+.1f%%)" % (sums[1] / sums[0], 100 * (sums[0] / sums[1] - 1)))
