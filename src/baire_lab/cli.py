@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from baire_lab.baire import BaireParams, baire_norm_report
 from baire_lab.hi import DESK_PAIRS, ground_norm, schedule
@@ -65,6 +66,12 @@ SCHEDULE_JMAX = 3
 # 0.04 s and n = 1,024 0.16 s (2-core Xeon VM, Python 3.11)
 PAIRS_NMAX = 192
 
+# a call takes at most this many pairs: 128 pairs of 2:192 take
+# 0.9-1.0 s as one baire-lab process, 160 about 1.05 s and 200 1.3 s
+# (2-core container, Python 3.11); with --tree a pair costs more on a
+# larger tree, about 8.5 ms on gen comb --n 3000
+PAIRS_MAX = 128
+
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
 # (rank on a file of one 3,000-entry node peaks at about 55 MB, 35 MB over
 # a small file, and on gen chain --n 3000 at about 0.1 GB); this bounds
@@ -86,6 +93,15 @@ CASES_MAX = 100_000
 # Q = 11/10) and 0.6-0.8 s at 16 (Python 3.11, 2-core x86-64 container)
 EXPONENT_MAX = 8
 
+# a vector file's grid, the lcm of its denominators, has at most this many
+# bits: every engine computes on integers over the grid, so each step grows
+# with it.  On that 1,000-node tree with 700 entries the slowest pair is
+# then Q = 8 with p = 7/6 or 7/2, 0.6-0.9 s at 1,024 bits, 1.9 s at 2,048,
+# 8-10 s at 6,659 and 27 s (p = 7/4) at 14,000.  Printed values stay far
+# under the 4,300-digit int-to-str limit, which a Tsirelson denominator,
+# up to grid * 2**13, would pass past about 14,270 bits
+GRID_BITS_MAX = 1024
+
 
 def _load_json(path):
     try:
@@ -100,20 +116,20 @@ def _load_json(path):
 
 def _load_tree(path):
     data = _load_json(path)
-    if isinstance(data, dict) and isinstance(data.get("nodes"), list):
-        depth = max((len(t) for t in data["nodes"] if isinstance(t, list)), default=0)
-        if depth > DEPTH_MAX:
-            raise ValueError(
-                "tree in %s is too deep: a node has %d entries, at most %d are allowed"
-                % (path, depth, DEPTH_MAX)
-            )
     try:
         paths = paths_from_json_dict(data)
     except ValueError as e:
         raise ValueError("invalid tree in %s: %s" % (path, e))
+    lengths = list(map(len, paths))
+    depth = max(lengths, default=0)
+    if depth > DEPTH_MAX:
+        raise ValueError(
+            "tree in %s is too deep: a node has %d entries, at most %d are allowed"
+            % (path, depth, DEPTH_MAX)
+        )
     # the paths' own prefixes, shared ones counted again, bound the
     # closure's entries from above: count exactly only past the bound
-    if sum(len(p) * (len(p) + 1) // 2 for p in paths) > DEPTH_MAX**2:
+    if sum(n * (n + 1) // 2 for n in lengths) > DEPTH_MAX**2:
         entries = closure_entries(paths)
         if entries > DEPTH_MAX**2:
             raise ValueError(
@@ -144,12 +160,16 @@ def _load_vector(path, tree):
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError('vector file %s needs an "entries" key' % path)
     entries = {}
+    grid = 1
     try:
         for node, value in data["entries"]:
             key = tuple(node_from_json(node))
             if key in entries:
                 raise ValueError("node %r is listed twice" % (node,))
-            entries[key] = _rational(value)
+            entries[key] = value = _rational(value)
+            grid = lcm(grid, value.denominator)
+            if grid.bit_length() > GRID_BITS_MAX:
+                raise ValueError("the lcm of its denominators passes %d bits" % GRID_BITS_MAX)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ValueError("invalid vector in %s: %s" % (path, e))
     return TreeVector(tree, entries)
@@ -286,6 +306,8 @@ def _parse_pairs(text):
             raise ValueError("pairs need m >= 2 and n >= 1")
         if n > PAIRS_NMAX:
             raise ValueError("pair %d:%d is too large: n may be at most %d" % (m, n, PAIRS_NMAX))
+    if len(pairs) > PAIRS_MAX:
+        raise ValueError("%d pairs are too many: at most %d" % (len(pairs), PAIRS_MAX))
     return pairs
 
 

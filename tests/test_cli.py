@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from baire_lab import cli
-from baire_lab.cli import CASES_MAX, DEPTH_MAX, EXPONENT_MAX, PAIRS_NMAX, main
+from baire_lab.cli import (
+    CASES_MAX, DEPTH_MAX, EXPONENT_MAX, GRID_BITS_MAX, PAIRS_MAX, PAIRS_NMAX, main)
 from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
 
 
@@ -191,6 +192,37 @@ def test_hi_pairs_n_is_bounded(capsys):
     assert code == 0
     assert out.strip().splitlines()[1] == "2,%d,1,%d,%d,%d" % (
         PAIRS_NMAX, PAIRS_NMAX // 2, PAIRS_NMAX, PAIRS_NMAX // 2)
+
+
+def test_pair_count_is_bounded(capsys, monkeypatch):
+    # one pair past the bound is refused before any witness is built
+    def never_run(*args, **kwargs):
+        raise AssertionError("a refused pair list was run")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "witness_row", never_run)
+        m.setattr(cli, "run_hi_suite", never_run)
+        for argv in (["hi", "witness"], ["verify", "hi"]):
+            code, out, err = run(capsys, *argv, "--pairs", ",".join(["2:1"] * (PAIRS_MAX + 1)))
+            assert (code, out) == (2, "") and err == (
+                "error: %d pairs are too many: at most %d\n" % (PAIRS_MAX + 1, PAIRS_MAX))
+    code, out, _ = run(capsys, "hi", "witness", "--pairs", ",".join(["2:1"] * PAIRS_MAX))
+    assert code == 0 and len(out.splitlines()) == PAIRS_MAX + 1
+
+
+def test_grid_is_bounded(tmp_path, capsys):
+    # a grid of GRID_BITS_MAX bits loads (3 * 2**(GRID_BITS_MAX - 2)), one
+    # bit more is refused, though each denominator alone is under the bound
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(2))))
+    x = tmp_path / "x.json"
+    write_vector(x, [[[0], "1/%d" % 2**(GRID_BITS_MAX - 2)], [[1], "1/3"]])
+    assert run(capsys, "ground", "--tree", str(t), "--vector", str(x))[0] == 0
+    write_vector(x, [[[0], "1/%d" % 2**(GRID_BITS_MAX - 1)], [[1], "1/3"]])
+    code, out, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
+    assert (code, out) == (2, "") and err == (
+        "error: invalid vector in %s: the lcm of its denominators passes %d bits\n"
+        % (x, GRID_BITS_MAX))
 
 
 def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
@@ -435,13 +467,11 @@ def test_vector_strings_in_exponent_notation_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == "1000000001/10000000"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a vector's grid is not bounded yet, so"
-                   " the exact value's denominator passes the int-to-str digit limit")
 def test_a_huge_grid_is_refused_as_an_invalid_vector(tmp_path, capsys):
-    # the smallest reproducer of ROADMAP item 7: a 14-leaf star whose values
-    # are 1/(a 4,000-digit integer), each under the digit limit; today the
-    # STANDARD norm's denominator passes it when printed, and the CLI exits
-    # 2 naming sys.set_int_max_str_digits, not the file
+    # a 14-leaf star whose values are 1/(a 4,000-digit integer), each under
+    # the digit limit; unbounded, the STANDARD norm's denominator passed it
+    # when printed, and the CLI exited 2 naming sys.set_int_max_str_digits,
+    # not the file
     rng = random.Random(0)
     t = tmp_path / "t.json"
     t.write_text(json.dumps(tree_to_json_dict(star_tree(14))))
