@@ -37,7 +37,7 @@ def main():
     print("-- the desk-scale ratio table --")
     print("m, n, ground, lower, upper, ratio")
     for m, n in DESK_PAIRS:
-        row = strict_singularity_witness(star_tree(n), n, m)
+        row = strict_singularity_witness(n, m)
         print(
             "%d, %2d, %s, %s, %s, %s"
             % (m, n, row["ground"], row["lower"], row["upper"], row["ratio"])

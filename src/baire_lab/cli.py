@@ -52,7 +52,6 @@ from baire_lab.verify import (
     run_branch_isometry,
     run_hi_suite,
     run_tsirelson_suite,
-    witness_row,
 )
 
 
@@ -68,8 +67,7 @@ PAIRS_NMAX = 192
 
 # a call takes at most this many pairs: 128 pairs of 2:192 take
 # 0.9-1.0 s as one baire-lab process, 160 about 1.05 s and 200 1.3 s
-# (2-core container, Python 3.11); with --tree a pair costs more on a
-# larger tree, about 8.5 ms on gen comb --n 3000
+# (2-core container, Python 3.11)
 PAIRS_MAX = 128
 
 # a node with d entries brings its d prefixes, d**2 / 2 entries in all
@@ -93,13 +91,15 @@ CASES_MAX = 100_000
 # Q = 11/10) and 0.6-0.8 s at 16 (Python 3.11, 2-core x86-64 container)
 EXPONENT_MAX = 8
 
-# a vector file's grid, the lcm of its denominators, has at most this many
-# bits: every engine computes on integers over the grid, so each step grows
-# with it.  On that 1,000-node tree with 700 entries the slowest pair is
-# then Q = 8 with p = 7/6 or 7/2, 0.6-0.9 s at 1,024 bits, 1.9 s at 2,048,
-# 8-10 s at 6,659 and 27 s (p = 7/4) at 14,000.  Printed values stay far
-# under the 4,300-digit int-to-str limit, which a Tsirelson denominator,
-# up to grid * 2**13, would pass past about 14,270 bits
+# a vector file's grid, the lcm of its denominators, and each entry's
+# reduced numerator have at most this many bits: every engine computes on
+# integers over the grid, so each step grows with both.  On that 1,000-node
+# tree with 700 entries the slowest pair is then Q = 8 with p = 7/6 or 7/2,
+# 0.6-0.9 s at 1,024 bits (0.56-0.95 s with every numerator at 1,024 bits
+# too), 1.9 s at 2,048, 8-10 s at 6,659 and 27 s (p = 7/4) at 14,000.
+# Printed values stay far under the 4,300-digit int-to-str limit, which a
+# Tsirelson denominator, up to grid * 2**13, would pass past about 14,270
+# bits; a sum of 4,300-digit numerators passes it at once
 GRID_BITS_MAX = 1024
 
 
@@ -167,6 +167,8 @@ def _load_vector(path, tree):
             if key in entries:
                 raise ValueError("node %r is listed twice" % (node,))
             entries[key] = value = _rational(value)
+            if abs(value.numerator).bit_length() > GRID_BITS_MAX:
+                raise ValueError("the numerator of node %r passes %d bits" % (node, GRID_BITS_MAX))
             grid = lcm(grid, value.denominator)
             if grid.bit_length() > GRID_BITS_MAX:
                 raise ValueError("the lcm of its denominators passes %d bits" % GRID_BITS_MAX)
@@ -330,15 +332,13 @@ def cmd_hi(args):
             ["m  %s" % " ".join(data["m"]), "n  %s" % " ".join(data["n"])],
         )
         return 0
-    pairs = _parse_pairs(args.pairs)
-    # an empty tree file is a FiniteTree of len 0: test None, not truth
-    tree = _load_tree(args.tree) if args.tree else None
-    # every row before the header, so that a refused pair prints nothing
-    rows = [witness_row(star_tree(n) if tree is None else tree, m, n) for m, n in pairs]
-    print(",".join(("m", "n") + WITNESS_COLUMNS))
-    for (m, n), (row, _) in zip(pairs, rows):
-        print(",".join([str(m), str(n)] + [row[key] for key in WITNESS_COLUMNS]))
-    return 0 if all(row_ok for _, row_ok in rows) else 1
+    # the whole table before the header, so that a refused pair prints nothing
+    report = run_hi_suite(_parse_pairs(args.pairs))
+    columns = ("m", "n") + WITNESS_COLUMNS
+    print(",".join(columns))
+    for record in report.records:
+        print(",".join(str(record[key]) for key in columns))
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args):
@@ -407,7 +407,6 @@ def build_parser():
     p = sub.add_parser("hi", help="norming-set witnesses and growth schedule")
     hi_sub = p.add_subparsers(dest="hi_command", required=True)
     w = hi_sub.add_parser("witness", help="strict-singularity witness table")
-    w.add_argument("--tree", default=None)
     w.add_argument("--pairs", required=True, help='e.g. "2:4,2:8,4:64"')
     s = hi_sub.add_parser("schedule", help="exact (m_j), (n_j) sequences")
     s.add_argument("--jmax", type=int, required=True)

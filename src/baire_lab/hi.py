@@ -95,7 +95,7 @@ from itertools import islice
 from math import lcm
 from operator import add
 
-from baire_lab.trees import is_prefix
+from baire_lab.trees import is_prefix, star_tree
 from baire_lab.vectors import TreeVector
 
 #: small admissible (m, n) pairs for desk-scale experiments
@@ -463,25 +463,17 @@ def dg_upper_bound(x):
     return x.l1()
 
 
-def incomparable_nodes(tree, count):
-    """The first `count` leaves in enumeration order (leaves are pairwise
-    incomparable)."""
-    leaves = tree.leaves()
-    if len(leaves) < count:
-        raise ValueError(
-            "tree has only %d pairwise-incomparable leaves, need %d"
-            % (len(leaves), count)
-        )
-    return leaves[:count]
-
-
-def strict_singularity_witness(tree, n, m):
-    """Ratio between the depth-1 norming-set bound and the ground norm on a
-    sum of n incomparable unit vectors: the finite shadow of the strict
-    singularity of the identity into the ground-norm space."""
+def strict_singularity_witness(n, m):
+    """Ratio between the depth-1 norming-set bound and the ground norm on
+    the sum of the unit vectors at the n leaves of star_tree(n): the
+    finite shadow of the strict singularity of the identity into the
+    ground-norm space.  Its ground, lower, upper and ratio are those of
+    unit vectors on any n pairwise incomparable nodes: no node has a
+    support ancestor, so the window DP sees only m and n."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    targets = incomparable_nodes(tree, n)
+    tree = star_tree(n)
+    targets = tree.order[1:]
     x = TreeVector(tree, {t: Fraction(1) for t in targets})
     ground = ground_norm(x)
     lower, witness = dg_lower_bound(x, 1, [(m, n)])

@@ -198,26 +198,20 @@ def run_tsirelson_suite(cases, seed):
 WITNESS_COLUMNS = ("ground", "lower", "upper", "ratio")
 
 
-def witness_row(tree, m, n):
-    """The strict-singularity witness of (m, n) on tree as rational strings
-    (ground, lower, upper, ratio), and whether it passes: ground == 1 and
-    lower >= n/m."""
-    row = strict_singularity_witness(tree, n, m)
-    ok = row["ground"] == 1 and row["lower"] >= Fraction(n, m)
-    return {key: rational_str(row[key]) for key in WITNESS_COLUMNS}, ok
-
-
 def run_hi_suite(pairs):
-    """Strict-singularity witness table over (m, n) pairs."""
+    """Strict-singularity witness table over (m, n) pairs: per pair, the
+    witness's WITNESS_COLUMNS as rational strings, ok when ground == 1
+    and lower >= n/m."""
     pairs = list(pairs)  # read twice: for params and for the records
     if not pairs:
         raise ValueError("pairs must be nonempty")
 
     def records():
         for m, n in pairs:
-            tree = star_tree(n)
-            row, ok = witness_row(tree, m, n)
-            yield ({"m": m, "n": n, **row, "ok": ok},
-                   lambda: {"tree": tree_to_json_dict(tree), "m": m, "n": n})
+            row = strict_singularity_witness(n, m)
+            fields = {key: rational_str(row[key]) for key in WITNESS_COLUMNS}
+            ok = row["ground"] == 1 and row["lower"] >= Fraction(n, m)
+            yield ({"m": m, "n": n, **fields, "ok": ok},
+                   lambda: {"tree": tree_to_json_dict(star_tree(n)), "m": m, "n": n})
 
     return _run("hi_suite", {"pairs": [[m, n] for m, n in pairs]}, records())

@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from baire_lab import cli
+from baire_lab import cli, verify
 from baire_lab.cli import (
     CASES_MAX, DEPTH_MAX, EXPONENT_MAX, GRID_BITS_MAX, PAIRS_MAX, PAIRS_NMAX, main)
 from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
+from baire_lab.verify import run_hi_suite
 
 
 def run(capsys, *argv):
@@ -162,18 +164,33 @@ def test_hi_witness_csv(tmp_path, capsys):
     assert lines[0] == "m,n,ground,lower,upper,ratio"
     assert lines[1] == "2,4,1,2,4,2"
     assert lines[2] == "2,8,1,4,8,4"
-    # an empty tree file loads as a tree of len 0; it is used, not
-    # replaced by the default star
+    # the table is a function of the pairs alone: there is no tree to give
     t = tmp_path / "t.json"
-    t.write_text('{"nodes": []}')
-    code, out, err = run(capsys, "hi", "witness", "--tree", str(t), "--pairs", "2:4")
-    assert code == 2 and out == ""
-    assert err == "error: tree has only 0 pairwise-incomparable leaves, need 4\n"
-    # a refused second pair prints no partial table either
     t.write_text(json.dumps(tree_to_json_dict(star_tree(4))))
-    code, out, err = run(capsys, "hi", "witness", "--tree", str(t), "--pairs", "2:4,2:8")
-    assert code == 2 and out == ""
-    assert err == "error: tree has only 4 pairwise-incomparable leaves, need 8\n"
+    code, out, err = _outcome(capsys, ["hi", "witness", "--tree", str(t), "--pairs", "2:4"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --tree" in err
+
+
+# the pair lists of the other tests, the pins and the benchmark's cli_verify
+@pytest.mark.parametrize("pairs", ["2:4,2:8", "2:4,4:16", "2:4,2:8,4:16", "2:6,4:8",
+                                   "2:%d" % PAIRS_NMAX])
+def test_hi_witness_prints_the_hi_suite(capsys, monkeypatch, pairs):
+    # hi witness and verify hi share one table: the CSV is the report's
+    # record fields, and the exit code its verdict
+    report = run_hi_suite(cli._parse_pairs(pairs))
+    columns = ["m", "n", "ground", "lower", "upper", "ratio"]
+    code, out, err = run(capsys, "hi", "witness", "--pairs", pairs)
+    assert (code, err) == (0 if report.passed else 1, "")
+    assert out.splitlines() == [",".join(columns)] + [
+        ",".join(str(record[key]) for key in columns) for record in report.records]
+    # a failing record fails the command, with the table still printed
+    witness = verify.strict_singularity_witness
+    monkeypatch.setattr(verify, "strict_singularity_witness",
+                        lambda n, m: dict(witness(n, m), ground=0))
+    code, out, err = run(capsys, "hi", "witness", "--pairs", pairs)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == ",".join(columns)
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0"] * len(report.records)
 
 
 def test_hi_pairs_n_is_bounded(capsys):
@@ -200,7 +217,6 @@ def test_pair_count_is_bounded(capsys, monkeypatch):
         raise AssertionError("a refused pair list was run")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "witness_row", never_run)
         m.setattr(cli, "run_hi_suite", never_run)
         for argv in (["hi", "witness"], ["verify", "hi"]):
             code, out, err = run(capsys, *argv, "--pairs", ",".join(["2:1"] * (PAIRS_MAX + 1)))
@@ -223,6 +239,34 @@ def test_grid_is_bounded(tmp_path, capsys):
     assert (code, out) == (2, "") and err == (
         "error: invalid vector in %s: the lcm of its denominators passes %d bits\n"
         % (x, GRID_BITS_MAX))
+
+
+def test_numerators_are_bounded(tmp_path, capsys):
+    # a 14-leaf star of 4,300-digit integers: each token is under the
+    # int-to-str limit but their printed sum is not, so every command
+    # refuses the file as it loads, ground too
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(14))))
+    write_vector(x, [[[i], "9" * 4300] for i in range(14)])
+    refused = "error: invalid vector in %s: the numerator of node %s passes %d bits\n"
+    for argv in (["baire", "--p", "1", "--base", "l1"], ["tsirelson", "--variant", "standard"],
+                 ["ground"]):
+        code, out, err = run(capsys, *argv, "--tree", str(t), "--vector", str(x))
+        assert (code, out, err) == (2, "", refused % (x, [0], GRID_BITS_MAX)), argv
+    # every numerator and the grid at the bound: 2**1024 - 5 is prime to
+    # 3 * 2**1022, so each value is reduced and both have 1,024 bits
+    value = Fraction(2**GRID_BITS_MAX - 5, 3 * 2**(GRID_BITS_MAX - 2))
+    assert value.numerator.bit_length() == value.denominator.bit_length() == GRID_BITS_MAX
+    write_vector(x, [[[i], str(value)] for i in range(14)])
+    for argv in (["baire", "--p", "8", "--base", "l1"], ["baire", "--p", "7/2", "--base", "l8"],
+                 ["tsirelson", "--variant", "standard"], ["tsirelson", "--variant", "incomparable"],
+                 ["ground"]):
+        code, out, err = run(capsys, *argv, "--tree", str(t), "--vector", str(x))
+        assert code == 0 and out and err == "", argv
+    # one bit more, on a negative integer entry, is refused
+    write_vector(x, [[[0], "1"], [[1], "-%d" % 2**GRID_BITS_MAX]])
+    code, out, err = run(capsys, "ground", "--tree", str(t), "--vector", str(x))
+    assert (code, out, err) == (2, "", refused % (x, [1], GRID_BITS_MAX))
 
 
 def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
@@ -280,14 +324,19 @@ ENTRY_POINTS = [
     ("chain_tree", ["gen", "chain", "--n", "3"]),
     ("tree_to_json_dict", ["gen", "chain", "--n", "3"]),
     ("schedule", ["hi", "schedule", "--jmax", "2"]),
-    ("witness_row", ["hi", "witness", "--pairs", "2:4"]),
+    ("run_hi_suite", ["hi", "witness", "--pairs", "2:4"]),
     ("run_branch_isometry", ["verify", "branch", "--cases", "2"]),
     ("run_tsirelson_suite", ["verify", "tsirelson", "--cases", "2"]),
     ("run_hi_suite", ["verify", "hi", "--pairs", "2:4"]),
 ]
 
 
-@pytest.mark.parametrize("name, argv", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+# hi witness and verify hi share run_hi_suite; the id tells them apart
+ENTRY_IDS = [name + "-hi-witness" if argv[:2] == ["hi", "witness"] else name
+             for name, argv in ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("name, argv", ENTRY_POINTS, ids=ENTRY_IDS)
 def test_library_value_error_exits_2(tmp_path, monkeypatch, capsys, name, argv):
     # main maps every ValueError a command raises to an input error, with
     # the library's message as it is
@@ -524,7 +573,7 @@ def tree_and_entries(draw):
 @given(
     files=tree_and_entries(),
     pairs=PAIRS,
-    command=st.sampled_from(["baire", "tsirelson", "ground", "rank", "hi", "hi-tree"]),
+    command=st.sampled_from(["baire", "tsirelson", "ground", "rank", "hi"]),
 )
 def test_loaders_never_fail_internally(tmp_path, capsys, files, pairs, command):
     # whatever the files and --pairs hold, the CLI exits 0, or 2 with an
@@ -534,10 +583,8 @@ def test_loaders_never_fail_internally(tmp_path, capsys, files, pairs, command):
     x.write_text(json.dumps({"entries": files[1]}))
     if command == "rank":
         argv = ["rank", "--tree", str(t)]
-    elif command.startswith("hi"):
+    elif command == "hi":
         argv = ["hi", "witness", "--pairs=" + pairs]
-        if command == "hi-tree":
-            argv += ["--tree", str(t)]
     else:
         argv = [command, "--tree", str(t), "--vector", str(x)]
     code, _, err = run(capsys, *argv)

@@ -19,11 +19,10 @@ from baire_lab.hi import (
     even_op_functional,
     ground_functional,
     ground_norm,
-    incomparable_nodes,
     schedule,
     strict_singularity_witness,
 )
-from baire_lab.trees import chain_tree, comb_tree, random_tree, star_tree
+from baire_lab.trees import chain_tree, random_tree, star_tree
 from baire_lab.vectors import BaseNorm, TreeVector, unit_vector
 from hi_reference import reference_dg_lower_bound
 from util import HI_OPS, HI_WINDOWS, benchmark_size_vectors, random_case, window_vector
@@ -269,16 +268,8 @@ def test_star_even_op_beats_ground():
     assert witness.provenance[0] == "even_op"
 
 
-def test_incomparable_nodes():
-    t = comb_tree(4)
-    nodes = incomparable_nodes(t, 3)
-    assert len(nodes) == 3
-    with pytest.raises(ValueError):
-        incomparable_nodes(chain_tree(3), 2)
-
-
 def test_strict_singularity_witness_rows():
-    rows = [strict_singularity_witness(star_tree(n), n, m) for m, n in DESK_PAIRS]
+    rows = [strict_singularity_witness(n, m) for m, n in DESK_PAIRS]
     ratios = [r["ratio"] for r in rows]
     assert ratios == [2, 4, 8, 16]
     for (m, n), r in zip(DESK_PAIRS, rows):
@@ -289,10 +280,10 @@ def test_strict_singularity_witness_rows():
 
 
 def test_strict_singularity_degenerate():
-    r = strict_singularity_witness(star_tree(4), 4, 4)
+    r = strict_singularity_witness(4, 4)
     assert r["ratio"] == 1
     with pytest.raises(ValueError):
-        strict_singularity_witness(star_tree(4), 4, 1)
+        strict_singularity_witness(4, 1)
 
 
 def test_schedule_recurrences():

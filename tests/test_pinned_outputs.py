@@ -51,7 +51,7 @@ as a list:
   node order;
 - for each (m, n) of DESK_PAIRS: ["singularity", m, n, nodes, ground,
   lower, upper, ratio, witness entries, witness provenance] for
-  strict_singularity_witness(star_tree(n), n, m).
+  strict_singularity_witness(n, m).
 
 HI_LARGE_DIGEST pins the hi layer at sizes the Fraction reference cannot
 reach, in the HI_DIGEST form: for each vector i of HI_LARGE_VECTORS of
@@ -288,7 +288,7 @@ def hi_records():
                 value, witness = dg_lower_bound(w, depth, HI_OPS)
                 yield ["dg", i, start, width, depth, str(value), *_witness(witness)]
     for m, n in DESK_PAIRS:
-        r = strict_singularity_witness(star_tree(n), n, m)
+        r = strict_singularity_witness(n, m)
         yield [
             "singularity", m, n, _canon(r["nodes"]),
             *(str(r[k]) for k in ("ground", "lower", "upper", "ratio")),

@@ -1,10 +1,12 @@
 """The public surface: the package's __all__, the CLI contract, and the
 names the benchmark's tracer (bench/tracer.py) wraps.
 
-Every name in __all__, and every public method and property of a public
+Every name in __all__, every public function and class defined at module
+level in the package, and every public method and property of a public
 class of the package, has a caller outside tests/: the package's own
-modules, a demo or the benchmark reads it, or it is an oracle (ORACLES)
-or held by a reference module (REFERENCE_HELD).
+modules, a demo or the benchmark reads it, or it is a command handler
+(cmd_*), an oracle (ORACLES), named only by the tracer's LAYERS strings
+(TRACER_HELD) or held by a reference module (REFERENCE_HELD).
 
 Both stay stable, or their changes are recorded in CHANGES.md; a change
 here is a change of that contract, not a refactor.
@@ -41,6 +43,10 @@ PUBLIC_NAMES = [
 
 # public names kept as references for the fast paths, with tests as callers
 ORACLES = {"baire_norm_oracle"}
+
+# public functions that only bench/tracer.py's LAYERS strings name: the
+# tracer wraps them by name, and no code reads them
+TRACER_HELD = {"nth_root_bounds", "verify_lemma_II1"}
 
 # public methods whose only reader is a reference module under tests/, which
 # stays unchanged: tests/baire_reference.py reads FiniteTree.children
@@ -97,19 +103,27 @@ def _caller_files():
     )
 
 
+def _public_definitions():
+    """(name, value) of every public function and class defined at module
+    level in the package."""
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "baire_lab", "*.py"))):
+        module = importlib.import_module("baire_lab." + os.path.basename(path)[:-3])
+        for name, value in vars(module).items():
+            if ((inspect.isfunction(value) or inspect.isclass(value))
+                    and value.__module__ == module.__name__ and not name.startswith("_")):
+                yield name, value
+
+
 def _public_members():
     """(class name, member name) of every public method and property of
     every public class defined in the package."""
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "baire_lab", "*.py"))):
-        module = importlib.import_module("baire_lab." + os.path.basename(path)[:-3])
-        for name, cls in vars(module).items():
-            if (not inspect.isclass(cls) or cls.__module__ != module.__name__
-                    or name.startswith("_")):
-                continue
-            for member, value in vars(cls).items():
-                if not member.startswith("_") and (inspect.isfunction(value) or isinstance(
-                        value, (property, functools.cached_property, staticmethod, classmethod))):
-                    yield name, member
+    for name, cls in _public_definitions():
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            if not member.startswith("_") and (inspect.isfunction(value) or isinstance(
+                    value, (property, functools.cached_property, staticmethod, classmethod))):
+                yield name, member
 
 
 def test_every_public_name_has_a_caller():
@@ -127,6 +141,14 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     assert sorted(set(baire_lab.__all__) - read - ORACLES) == []
+    definitions = {name for name, _ in _public_definitions()}
+    handlers = {name for name in definitions if name.startswith("cmd_")}
+    assert "ground_norm" in definitions and TRACER_HELD <= definitions
+    # a held function stays named by the tracer, and one that gains a
+    # reader leaves the set
+    assert TRACER_HELD <= {attribute for _, attribute in tracer.LAYERS}
+    assert sorted(TRACER_HELD & read) == []
+    assert sorted(definitions - read - handlers - ORACLES - TRACER_HELD) == []
     members = set(_public_members())
     assert ("FiniteTree", "index") in members and REFERENCE_HELD <= members
     # a held member that gains a reader leaves the set

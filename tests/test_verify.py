@@ -133,7 +133,7 @@ def test_failure_bundles_are_each_cases_own(monkeypatch):
         _, _, coeffs = _case_blocks(rec["case_seed"])
         assert rec["replay"]["coeffs"] == [str(c) for c in coeffs]
     monkeypatch.setattr(verify, "strict_singularity_witness",
-                        lambda tree, n, m: dict(witness(tree, n, m), ground=0))
+                        lambda n, m: dict(witness(n, m), ground=0))
     records = run_hi_suite([(2, 4), (2, 8), (3, 9)]).records
     assert all(list(rec)[0] == "case" and list(rec)[-1] == "replay" for rec in records)
     assert [(rec["replay"]["m"], rec["replay"]["n"], len(rec["replay"]["tree"]["nodes"]))
