@@ -9,10 +9,14 @@ its message and exits 2.
 
 One parser per process: `main` gets it from _parser, a functools.cache of
 build_parser, since building the argparse tree costs about as much as a
-small command.  It dispatches by name at call time, to the module's
-cmd_<command>, so a replaced cmd_ function is the one that runs.  A
-one-shot console run builds one parser either way; in-process callers
-gain.  build_parser() still returns a fresh parser.
+small command.  A call whose first argument names a command parses the
+rest with that command's own parser alone, with the namespace, messages
+and exit codes of the full parse but not its top-level pass; the full
+parser serves only help and argv that names no command.  `main`
+dispatches by name at call time, to the module's cmd_<command>, so a
+replaced cmd_ function is the one that runs.  A one-shot console run
+builds one parser either way; in-process callers gain.  build_parser()
+still returns a fresh parser.  A --json call builds no text lines.
 """
 
 import argparse
@@ -190,10 +194,12 @@ def _write_or_print(payload, out):
 
 
 def _emit(data, args, text_lines):
+    """data as JSON with --json, else the lines text_lines() returns: a
+    --json call builds no text."""
     if args.json:
         _write_or_print(data, None)
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -230,7 +236,7 @@ def cmd_baire(args):
     _emit(
         data,
         args,
-        ["value   %s" % data["value"], "family  %d segment(s)" % len(family)]
+        lambda: ["value   %s" % data["value"], "family  %d segment(s)" % len(family)]
         + ["  %s" % seg for seg in family],
     )
     return 0
@@ -242,7 +248,7 @@ def cmd_tsirelson(args):
     if args.iterate is not None:
         value = tsirelson_iterate(x, args.variant, args.iterate)
         data = {"value": rational_str(value), "iterate": args.iterate}
-        _emit(data, args, ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
+        _emit(data, args, lambda: ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
         return 0
     value = tsirelson_norm(x, args.variant)
     witness = tsirelson_witness_tree(x, args.variant)
@@ -250,7 +256,7 @@ def cmd_tsirelson(args):
     _emit(
         data,
         args,
-        ["value    %s" % data["value"], "witness  %s" % json.dumps(witness)],
+        lambda: ["value    %s" % data["value"], "witness  %s" % json.dumps(witness)],
     )
     return 0
 
@@ -258,15 +264,15 @@ def cmd_tsirelson(args):
 def cmd_ground(args):
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    value = ground_norm(x)
-    _emit({"value": rational_str(value)}, args, ["value  %s" % rational_str(value)])
+    data = {"value": rational_str(ground_norm(x))}
+    _emit(data, args, lambda: ["value  %s" % data["value"]])
     return 0
 
 
 def cmd_rank(args):
     tree = _load_tree(args.tree)
     value = rank(tree)
-    _emit({"rank": value}, args, [str(value)])
+    _emit({"rank": value}, args, lambda: [str(value)])
     return 0
 
 
@@ -329,7 +335,7 @@ def cmd_hi(args):
         _emit(
             data,
             args,
-            ["m  %s" % " ".join(data["m"]), "n  %s" % " ".join(data["n"])],
+            lambda: ["m  %s" % " ".join(data["m"]), "n  %s" % " ".join(data["n"])],
         )
         return 0
     # the whole table before the header, so that a refused pair prints nothing
@@ -367,6 +373,8 @@ def build_parser():
         description="Exact tree-indexed norm computations and verifications.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's own parser, by name, for _parse
+    parser.commands = sub.choices
 
     p = sub.add_parser("baire", help="l_p-Baire sum norm of a tree vector")
     p.add_argument("--tree", required=True)
@@ -427,8 +435,28 @@ def build_parser():
 _parser = cache(build_parser)
 
 
+def _parse(argv):
+    """What _parser().parse_args(argv) returns or raises.
+
+    When argv[0] names a command, the full parse would hand all the rest
+    to that command's parser; calling it directly skips the top-level
+    pass.  Leftover arguments are the top-level parser's error, as in the
+    full parse.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         code = globals()["cmd_" + args.command](args)
         # a broken pipe on the last write shows here, not at exit

@@ -249,7 +249,8 @@ def _trie(paths):
     C, not one dict lookup per entry.  trail[d] is the trie node of the
     last long path's first d labels; it is cut back to where the next long
     path leaves that one, and extended along it only as far as that, with
-    lookups of nodes the trie holds already.
+    lookups of nodes the trie holds already.  A list slice never equals a
+    tuple slice, so the last long path takes the type of the next one.
     """
     below = [{}]
     ends = set()
@@ -257,6 +258,8 @@ def _trie(paths):
     for p in paths:
         t = 0
         if len(p) > _SHORT_PATH:
+            if type(p) is not type(last):
+                last = tuple(last) if type(p) is tuple else list(last)
             k = _common_prefix(p, last)
             del trail[k + 1:]
             t = trail[-1]

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from baire_lab.baire import ZERO, BaireParams, baire_norm
 from baire_lab.hi import strict_singularity_witness
@@ -38,7 +39,9 @@ class ExperimentReport:
     """Per-case records plus a digest binding (experiment, params, records).
 
     The report passes when every record is ok, so one without records
-    passes vacuously.
+    passes vacuously.  The digest is made on its first read, which
+    to_json_dict does, so a caller that reads only the records (hi
+    witness) skips the sorted dump and the sha256.
     """
 
     def __init__(self, experiment, params, records, wall_time):
@@ -47,10 +50,13 @@ class ExperimentReport:
         self.records = records
         self.passed = all(r["ok"] for r in records)
         self.wall_time = wall_time
+
+    @cached_property
+    def digest(self):
         payload = json.dumps(
-            [experiment, params, records], sort_keys=True, separators=(",", ":")
+            [self.experiment, self.params, self.records], sort_keys=True, separators=(",", ":")
         )
-        self.digest = hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json_dict(self):
         return {

@@ -64,21 +64,48 @@ def test_failures_set_the_exit_code(capsys):
     assert out[0] == "w, 2 pairs: failed share A 0.000000, B 0.000000"
 
 
+def test_all_runs_every_workload_and_exits_with_the_worst_code(monkeypatch, capsys):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    ran = []
+
+    def fake_run(checkout, workload, args, cache):
+        ran.append(workload)
+        # B's runs of the second workload are not correct
+        ok = checkout != "B" or workload != workloads[1]
+        return dict(result(0, ok), metrics={m["name"]: {"value": 1.0}
+                                            for m in benchmark["end_to_end"]})
+
+    monkeypatch.setattr(ab, "run", fake_run)
+    assert ab.main([ROOT, "B", "--workload", "all", "--seed", "1", "--seconds", "1"]) == 1
+    assert ran == [w for w in workloads for _ in range(20)]
+    blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("{")]
+    assert [block["workload"] for block in blocks] == workloads
+
+
 def tool(*argv):
     return subprocess.run([sys.executable, TOOL, ROOT, ROOT, "--seed", "1", *argv],
                           capture_output=True, text=True, timeout=120, check=False)
 
 
 def test_a_against_itself():
-    proc = tool("--workload", "standard_certify", "--seconds", "0.05", "--pairs", "2")
+    # one block per workload: its header, one line per metric, its JSON line
+    workloads = ["standard_certify", "cli_verify"]
+    proc = tool("--workload", ",".join(workloads), "--seconds", "0.05", "--pairs", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
-    assert [line.split(":")[0] for line in lines[1:-1]] == names
+    assert len(lines) == len(workloads) * (len(names) + 2)
     assert not any(line.endswith("better") for line in lines)
-    last = json.loads(lines[-1])
-    assert list(last["metrics"]) == names and last["pairs"] == 2
+    for workload, at in zip(workloads, range(0, len(lines), len(names) + 2)):
+        assert lines[at].startswith("%s, 2 pairs: " % workload)
+        assert [line.split(":")[0] for line in lines[at + 1:at + 1 + len(names)]] == names
+        last = json.loads(lines[at + 1 + len(names)])
+        assert last["workload"] == workload
+        assert list(last["metrics"]) == names and last["pairs"] == 2
 
 
 def test_an_unknown_workload_shows_run_py_message():

@@ -646,6 +646,78 @@ def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys):
         assert cli._parser() is not parser
 
 
+# every command with valid arguments
+PARSE_OK = [
+    ["baire", "--tree", "t", "--vector", "x", "--p", "2", "--base", "sup", "--json"],
+    ["tsirelson", "--tree", "t", "--vector", "x", "--variant", "standard", "--iterate", "2"],
+    ["ground", "--vector", "x", "--tree", "t", "--json"],
+    ["rank", "--tree", "t"],
+    ["gen", "random", "--seed", "3", "--max-nodes", "9", "--out", "o"],
+    ["hi", "witness", "--pairs", "2:4,4:16"],
+    ["hi", "schedule", "--jmax", "2", "--json"],
+    ["verify", "hi", "--pairs", "2:4", "--out", "o"],
+    ["verify", "branch", "--seed", "1", "--cases", "3", "--max-len", "5"],
+]
+# help, and each kind of usage error: an unrecognized argument, a missing
+# one, an invalid choice, an unknown command and none
+PARSE_EXITS = [
+    ["--help"],
+    ["baire", "-h"],
+    ["hi", "witness", "--tree", "t", "--pairs", "2:4"],
+    ["baire", "--vector", "x"],
+    ["tsirelson", "--tree", "t", "--vector", "x", "--variant", "bogus"],
+    ["bogus-subcommand"],
+    [],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = ("namespace", vars(parse(argv)))
+    except SystemExit as e:
+        result = ("exit", e.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_OK + PARSE_EXITS, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser(capsys, argv):
+    # main parses with the command's own parser: the namespace, or the exit
+    # code and every printed byte, is the full parser's
+    full = _parsed(capsys, cli.build_parser().parse_args, list(argv))
+    assert _parsed(capsys, cli._parse, list(argv)) == full
+    assert (full[0][0] == "exit") == (argv in PARSE_EXITS)
+
+
+def test_json_output_builds_no_text(tmp_path, capsys, monkeypatch):
+    # the text lines of tsirelson dump the witness with json.dumps
+    t, x = tmp_path / "t.json", tmp_path / "x.json"
+    t.write_text(json.dumps(tree_to_json_dict(star_tree(3))))
+    write_vector(x, [[[0], "1"], [[1], "3/2"], [[2], "1/2"]])
+    argv = ["tsirelson", "--tree", str(t), "--vector", str(x), "--json"]
+    expected = run(capsys, *argv)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps ran")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    assert run(capsys, *argv) == expected and expected[0] == 0
+
+
+def test_hi_witness_makes_no_digest(tmp_path, capsys, monkeypatch):
+    def no_sha256(*args, **kwargs):
+        raise AssertionError("sha256 ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify.hashlib, "sha256", no_sha256)
+        code, out, err = run(capsys, "hi", "witness", "--pairs", "2:4,2:8")
+    assert (code, err) == (0, "") and out.splitlines()[1] == "2,4,1,2,4,2"
+    rep = tmp_path / "rep.json"
+    assert run(capsys, "verify", "hi", "--out", str(rep))[:2] == (0, "hi_suite: pass\n")
+    assert json.loads(rep.read_text())["digest"] == (
+        "04c4cc04685ca7bac989cf0a116c7d2944a3cf3a017bdb90c70eec5e09a8db63")
+
+
 def test_module_help_lists_every_subcommand():
     # a one-shot run goes through python -m, where no parser is cached
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

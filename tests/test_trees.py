@@ -509,6 +509,29 @@ def test_closure_entries_counts_the_closure(drawn, kind, data):
     assert closure_entries(paths) == sum(map(len, make_tree(paths).order))
 
 
+def test_trie_follows_long_paths_of_mixed_types(monkeypatch):
+    # a list slice never equals a tuple slice: with lists and tuples
+    # alternating, every long path of a comb was walked from the root
+    order = comb_tree(200).order
+    common = trees._common_prefix
+
+    def prefixes(paths):
+        found = []
+
+        def recorded(p, q):
+            found.append(common(p, q))
+            return found[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_common_prefix", recorded)
+            return make_tree(paths), found
+
+    tree, found = prefixes(order)
+    assert tree == comb_tree(200) and max(found) == 198
+    assert prefixes([list(t) if i % 2 else t for i, t in enumerate(order)]) == (tree, found)
+    assert prefixes([list(t) for t in order]) == (tree, found)
+
+
 def test_closure_entries_of_the_shapes():
     # every prefix listed, shuffled, and the leaves alone: the comb of n
     # teeth has n**2 closure entries, the chain of n nodes n(n - 1)/2

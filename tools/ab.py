@@ -3,7 +3,9 @@
     python3 tools/ab.py A B --workload W --seed N --seconds S --pairs K
 
 A and B are checkouts of this repository, for instance `git archive`
-copies of the parent commit (A) and of the change (B).  Pair k runs each
+copies of the parent commit (A) and of the change (B).  W is a workload
+of bench/run.py, a comma-separated list of them, or all, the workloads
+of A's BENCHMARK.json; each runs its K pairs in turn.  Pair k runs each
 checkout's own bench/run.py in a fresh process, A first when k is even.
 Every run has PYTHONDONTWRITEBYTECODE=1 and its side's own empty
 PYTHONPYCACHEPREFIX, so every import compiles from source and neither side
@@ -19,9 +21,10 @@ median, the pairs B won and the verdict, the first that holds of
   unresolved     A's quartile spread is wider than that, unless every B run
                  beats every A run;
   no difference  otherwise.
-The last line is one JSON object with the same data.  Exit code 1 if a run
-is not correct or exits non-zero, or if B fails a larger share of its
-operations than A; 2 if a run prints no result line (its stderr is shown).
+A workload's block ends with one JSON object of the same data.  Exit code
+1 if a run is not correct or exits non-zero, or if B fails a larger share
+of a workload's operations than A; 2 if a run prints no result line (its
+stderr is shown, and no further run starts).
 """
 
 import argparse
@@ -53,11 +56,11 @@ def compare(a, b, spec):
             "verdict": verdict}
 
 
-def run(checkout, args, cache):
+def run(checkout, workload, args, cache):
     """One fresh bench/run.py process of checkout: its result line, with
     "ok" set when the run was correct and exited 0."""
     proc = subprocess.run(
-        [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", args.workload,
+        [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
         capture_output=True, text=True, check=False,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache),
@@ -101,22 +104,30 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="checkout A, the baseline")
     parser.add_argument("b", help="checkout B, the candidate")
-    parser.add_argument("--workload", required=True, help="one workload of bench/run.py")
+    parser.add_argument("--workload", required=True,
+                        help="workloads of bench/run.py, comma-separated, or all")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.workload == "all":
-        parser.error("one workload, and --pairs >= 2 for quartiles")
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2 for quartiles")
     with open(os.path.join(args.a, "BENCHMARK.json")) as fh:
-        specs = json.load(fh)["end_to_end"]
-    runs = ([], [])
+        benchmark = json.load(fh)
+    if args.workload == "all":
+        workloads = [w["name"] for w in benchmark["workloads"]]
+    else:
+        workloads = args.workload.split(",")
+    code = 0
     with tempfile.TemporaryDirectory() as cache_a, tempfile.TemporaryDirectory() as cache_b:
-        sides = [(args.a, cache_a, runs[0]), (args.b, cache_b, runs[1])]
-        for k in range(args.pairs):
-            for checkout, cache, results in sides if k % 2 == 0 else sides[::-1]:
-                results.append(run(checkout, args, cache))
-    return report(args.workload, specs, runs)
+        for workload in workloads:
+            runs = ([], [])
+            sides = [(args.a, cache_a, runs[0]), (args.b, cache_b, runs[1])]
+            for k in range(args.pairs):
+                for checkout, cache, results in sides if k % 2 == 0 else sides[::-1]:
+                    results.append(run(checkout, workload, args, cache))
+            code = max(code, report(workload, benchmark["end_to_end"], runs))
+    return code
 
 
 if __name__ == "__main__":
