@@ -134,6 +134,13 @@ class Functional:
     Functional(entries, provenance) checks every entry it is given; the
     builders below, whose entries are in [-1, 1] by construction, make
     their entries once and skip that pass (_of).
+
+    Calling it on a vector x replays it: the sum of f_t * x_t over the
+    nodes where both are nonzero, made on one integer grid.  Each product
+    is an integer over the product of the two denominators, every product
+    is lifted to the lcm of those denominators, and the integers are added
+    and reduced once, so the value is the Fraction a term-by-term sum
+    makes.
     """
 
     def __init__(self, entries, provenance):
@@ -159,9 +166,13 @@ class Functional:
         return f
 
     def __call__(self, x):
-        return sum(
-            (v * x[node] for node, v in self.entries.items()), Fraction(0)
-        )
+        get = x.entries.get
+        products = [
+            (v.numerator * w.numerator, v.denominator * w.denominator)
+            for node, v in self.entries.items() if (w := get(node)) is not None
+        ]
+        den = lcm(*[d for _, d in products])
+        return Fraction(sum(a * (den // d) for a, d in products), den)
 
     def support(self):
         return frozenset(self.entries)

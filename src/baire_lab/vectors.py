@@ -7,8 +7,16 @@ as certified rational intervals of relative width at most 2**-ROOT_BITS
 
 BaseNorm owns its power domain: a term is |v|**q (|v| for sup), a
 segment's power sum adds its terms (takes their max for sup), and its
-norm is the power sum raised to root_exponent, 1/q (1 for sup).  The
-Baire DP and its oracle use these members.
+norm is the power sum raised to root_exponent, 1/q (1 for sup).  Sums
+are made on one integer grid, not one Fraction at a time: power_sum
+reads its values as integers over their lcm, as TreeVector.grid does,
+and adds ints, exactly for sup and l_1, and through one pow_ends call on
+the distinct magnitudes for any other q.  That call gives each magnitude
+the bounds a lone pow_bounds call gives it (the lemma in power_sum), so
+the sums are the Fractions a term-by-term sum makes.  The Baire oracle
+uses these members, and the Baire DP takes its terms from the same
+pow_ends call on the vector's grid.  TreeVector.l1 is one sum over that
+grid too.
 
 One routine applies every exponent: pow_ends raises integers over one
 scale to a rational power, on one integer grid, exactly when the result
@@ -250,6 +258,14 @@ def nth_root_bounds(value, n):
     return pow_bounds(value, value, Fraction(1, n))
 
 
+def _grid(values, shift=0):
+    """(mags, den): each |v| * 2**shift of values, ints or Fractions, in
+    their order, as an integer over den, the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [abs(a) * ((den // d) << shift) for a, d in ratios], den
+
+
 class NormValue:
     """Exact rational or certified-interval value of a norm."""
 
@@ -341,18 +357,40 @@ class BaseNorm:
             return BaseNorm.ell(q)
         raise ValueError("unknown base norm token %r" % (token,))
 
-    def term(self, size):
-        """(lo, hi) bounds on size**q, or size twice for sup, where size is
-        an absolute value (a nonnegative Fraction)."""
-        return pow_bounds(size, size, self.term_exponent)
-
     def power_sum(self, values):
         """(lo, hi) bounds on the sum of the terms of |v| over values (their
-        max for sup): one segment's aggregate in the power domain."""
-        terms = [self.term(abs(Fraction(v))) for v in values]
+        max for sup): one segment's aggregate in the power domain.  values
+        are ints or Fractions.
+
+        The sum is made on one integer grid: each |v| is an integer A over
+        den, the lcm of the values' denominators, as TreeVector.grid reads
+        a vector's entries.
+        Sup and l_1 stay on that grid, exact and without a pow_ends call.
+        Any other q makes one pow_ends call on the distinct A, as the Baire
+        DP does, and adds the lower and the upper bounds as integers over
+        its grid.
+
+        Lemma: pow_ends over a set of ends gives each end the bounds, as
+        rationals, that a lone pow_bounds(v, v, q) gives it, so every sum is
+        the Fraction a term-by-term sum makes.  Whether (A/den)**q is
+        rational, and root_floor's least shift and floor root, depend only
+        on the rational A/den, not on how it is written.  The walk over the
+        descending ends keeps the last inexact end's shift while the band
+        test holds, and that shift is then this end's least one too, since
+        a smaller value needs a shift at least as large; otherwise
+        root_floor searches up from it.  So every inexact end takes the
+        floor root at its own least shift, as it does alone.
+        """
+        mags, den = _grid(values)
         if self.kind == "sup":
-            return max(terms, default=(Fraction(0), Fraction(0)))
-        return sum((lo for lo, _ in terms), Fraction(0)), sum((hi for _, hi in terms), Fraction(0))
+            top = Fraction(max(mags, default=0), den)
+            return top, top
+        if self.q == 1:
+            total = Fraction(sum(mags), den)
+            return total, total
+        scale, terms = pow_ends(set(mags), den, self.q)
+        return (Fraction(sum(terms[A][0] for A in mags), scale),
+                Fraction(sum(terms[A][1] for A in mags), scale))
 
     def aggregate_abs(self, values):
         """Combine absolute coefficient values along one segment.
@@ -410,9 +448,7 @@ class TreeVector:
     def grid(self, shift=0):
         """(mags, den): each |x_t| * 2**shift, in the order of entries, as
         an integer over den, the lcm of the entries' denominators."""
-        ratios = [v.as_integer_ratio() for v in self.entries.values()]
-        den = lcm(*[d for _, d in ratios])
-        return [abs(a) * ((den // d) << shift) for a, d in ratios], den
+        return _grid(self.entries.values(), shift)
 
     @property
     def support(self):
@@ -436,10 +472,12 @@ class TreeVector:
         return "TreeVector(%r)" % (list(self.entries.items()),)
 
     def scale(self, c):
-        return linear_combination(self.tree, [self], [c])
+        c = Fraction(c)
+        return TreeVector(self.tree, {node: c * v for node, v in self.entries.items()})
 
     def l1(self):
-        return sum((abs(v) for v in self.entries.values()), Fraction(0))
+        mags, den = self.grid()
+        return Fraction(sum(mags), den)
 
 
 def linear_combination(tree, vectors, coeffs):
@@ -454,7 +492,8 @@ def linear_combination(tree, vectors, coeffs):
             raise ValueError("cannot combine vectors on different trees")
         c = Fraction(c)
         for node, value in v.entries.items():
-            acc[node] = acc.get(node, 0) + c * value
+            old = acc.get(node)
+            acc[node] = c * value if old is None else old + c * value
     return TreeVector(tree, acc)
 
 

@@ -94,6 +94,13 @@ def _run(experiment, params, cases):
     return ExperimentReport(experiment, params, records, time.monotonic() - start)
 
 
+# run_branch_isometry builds each chain tree of at most this many nodes
+# once per run and keeps it; a longer one is built per case, since a chain's
+# node tuples grow with the square of its length (about 50 KB at 100 nodes,
+# 36 MB at 3,000), and the kept chains up to 64 hold about 0.5 MB in all
+CHAIN_KEPT_MAX = 64
+
+
 def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     """On chain trees every segment family is a single segment, so the Baire
     norm must equal the plain base norm of the coefficient list."""
@@ -105,11 +112,16 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     # p and the base as text, in params and in every replay bundle
     norm = {"p": "0" if params.p is ZERO else rational_str(params.p), "base": repr(base)}
     rng = random.Random(seed)
+    chains = {}
 
     def records():
         for _ in range(cases):
             length = rng.randint(1, max_len)
-            tree = chain_tree(length)
+            tree = chains.get(length)
+            if tree is None:
+                tree = chain_tree(length)
+                if length <= CHAIN_KEPT_MAX:
+                    chains[length] = tree
             x = TreeVector(tree, {
                 node: Fraction(rng.randint(-8, 8), rng.randint(1, 8))
                 for node in tree.nodes if rng.random() < 0.8

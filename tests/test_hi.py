@@ -63,6 +63,29 @@ def test_functional_checks_the_entries_a_caller_gives():
     assert all(type(v) is Fraction for v in g.entries.values())
 
 
+def test_functional_replay_matches_a_fraction_by_fraction_sum():
+    for seed in range(60):
+        rng = random.Random(seed)
+        tree, x = random_case(seed, max_nodes=12, max_support=8)
+        nodes = sorted(tree.nodes)
+        entries = {
+            t: Fraction(rng.randint(-6, 6), rng.randint(6, 12))
+            for t in rng.sample(nodes, rng.randint(0, len(nodes)))
+        }
+        # a node off the tree reads x as 0
+        entries[(99, 99)] = Fraction(1, 7)
+        f = Functional(entries, ("ground", ()))
+        expected = sum((v * x[node] for node, v in f.entries.items()), Fraction(0))
+        assert f(x) == expected and type(f(x)) is Fraction
+    # terms that cancel to 0, and the empty functional
+    t = star_tree(3)
+    x = TreeVector(t, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): 5})
+    f = Functional({(0,): Fraction(2, 3), (1,): -1}, ("ground", ()))
+    assert f(x) == 0 and type(f(x)) is Fraction
+    assert Functional({}, ("ground", ()))(x) == 0
+    assert Functional({(0,): 1}, ("ground", ()))(TreeVector(t, {})) == 0
+
+
 def test_ground_norm_examples():
     t = chain_tree(3)
     x = TreeVector(t, {(): 1, (0,): -2, (0, 0): 1})

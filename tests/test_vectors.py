@@ -369,36 +369,70 @@ def _oracle_segment_power(base, values):
 
 @pytest.mark.parametrize(
     "base, root_exponent",
-    [(BaseNorm.sup(), 1), (BaseNorm.ell(1), 1), (BaseNorm.ell(Fraction(3, 2)), Fraction(2, 3))],
+    [(BaseNorm.sup(), 1), (BaseNorm.ell(1), 1), (BaseNorm.ell(Fraction(3, 2)), Fraction(2, 3)),
+     (BaseNorm.ell(2), Fraction(1, 2)), (BaseNorm.ell(Fraction(7, 6)), Fraction(6, 7))],
 )
 def test_base_norm_power_domain(base, root_exponent, monkeypatch):
     calls = []
 
     def counted(ends, scale, exponent):
-        calls.append(exponent)
+        calls.append((exponent, len(ends)))
         return pow_ends(ends, scale, exponent)
 
     monkeypatch.setattr(vectors, "pow_ends", counted)
     assert base.root_exponent == root_exponent
     rng = random.Random(7)
+    cases = [[]]
     for _ in range(60):
         size = rng.randint(0, 6)
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(size)]
+        if values and rng.random() < 0.5:
+            # a repeated magnitude, of either sign, and an int among Fractions
+            values += [-rng.choice(values), rng.randint(-3, 3)]
+        cases.append(values)
+    for values in cases:
         expected = _oracle_segment_power(base, values)
         terms = [
             (abs(v), abs(v)) if base.kind == "sup" else pow_bounds(abs(v), abs(v), base.q)
             for v in values
         ]
         calls.clear()
-        assert [base.term(abs(v)) for v in values] == terms
         assert base.power_sum(values) == expected
+        # any other q makes one pow_ends call, on the distinct magnitudes
+        if base.term_exponent != 1:
+            assert calls == [(base.q, len({abs(v) for v in values}))]
+        calls.clear()
+        assert [base.power_sum([v]) for v in values] == terms
         assert base.power_sum(iter(values)) == expected
+        assert all(type(bound) is Fraction for bound in base.power_sum(values))
         plo, phi = expected
         agg = (plo, phi) if root_exponent == 1 else pow_bounds(plo, phi, root_exponent)
         assert base.aggregate_abs(values) == agg
         # exact kinds stay in Q without a single root call
         if root_exponent == 1:
             assert calls == []
+
+
+def test_pow_ends_on_a_set_gives_each_end_its_lone_bounds():
+    """The power_sum lemma: on a set of ends, pow_ends gives each end the
+    bounds, as rationals, that it gives the end alone and that pow_bounds
+    gives its reduced value, so each inexact end keeps its own least shift
+    (the width hi - lo) and its own floor root."""
+    rng = random.Random(44)
+    shifts = set()
+    for ends, scale, e in _pow_ends_cases(rng):
+        if e.denominator == 1:
+            continue
+        mscale, bounds = pow_ends(ends, scale, e)
+        for A in ends:
+            lone_scale, lone = pow_ends({A}, scale, e)
+            got = Fraction(bounds[A][0], mscale), Fraction(bounds[A][1], mscale)
+            assert got == (Fraction(lone[A][0], lone_scale), Fraction(lone[A][1], lone_scale))
+            value = Fraction(A, scale)
+            assert got == pow_bounds(value, value, e), (A, scale, e)
+            shifts.add(got[1] - got[0])
+    # exact ends and inexact ends at several shifts were reached
+    assert 0 in shifts and len(shifts) > 3, shifts
 
 
 def test_norm_value_exactness():
@@ -581,6 +615,48 @@ def test_linear_combination_matches_chained_add_scale():
     for coeffs in ([5], [1, 2, 3], []):
         with pytest.raises(ValueError, match="length mismatch"):
             linear_combination(t, [unit_vector(t, (0,)), unit_vector(t, (1,))], coeffs)
+
+
+def _fraction_by_fraction_combination(tree, vectors, coeffs):
+    """The reference sum: every term added to a running Fraction from 0."""
+    acc = {}
+    for v, c in zip(vectors, coeffs):
+        for node, value in v.entries.items():
+            acc[node] = acc.get(node, 0) + Fraction(c) * value
+    return TreeVector(tree, acc)
+
+
+def test_grid_sums_match_fraction_by_fraction_sums():
+    for seed in range(60):
+        rng = random.Random(seed)
+        tree = random_tree(seed=seed, max_nodes=9, max_branch=3)
+        nodes = sorted(tree.nodes)
+        vectors = [
+            TreeVector(tree, {
+                t: Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+                for t in rng.sample(nodes, rng.randint(0, len(nodes)))
+            })
+            for _ in range(rng.randint(1, 4))
+        ]
+        # a vector and its negative cancel on their whole support
+        vectors.append(vectors[0].scale(-1))
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
+        coeffs[-1] = coeffs[0]
+        got = linear_combination(tree, vectors, coeffs)
+        expected = _fraction_by_fraction_combination(tree, vectors, coeffs)
+        assert got == expected and got.ids == expected.ids
+        for v, c in zip(vectors, coeffs):
+            scaled = v.scale(c)
+            assert scaled == _fraction_by_fraction_combination(tree, [v], [c])
+            assert scaled.ids == (v.ids if c else ())
+            assert v.l1() == sum((abs(w) for w in v.entries.values()), Fraction(0))
+            assert type(v.l1()) is Fraction
+    t = star_tree(3)
+    x = TreeVector(t, {(0,): Fraction(1, 2), (2,): -3})
+    for zero in (0, Fraction(0), "0"):
+        assert x.scale(zero) == TreeVector(t, {}) and x.scale(zero).ids == ()
+    assert x.scale("2/3") == TreeVector(t, {(0,): Fraction(1, 3), (2,): -2})
+    assert TreeVector(t, {}).l1() == 0
 
 
 @given(st.dictionaries(st.integers(0, 3), fractions_st, max_size=4))

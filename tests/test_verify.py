@@ -6,7 +6,7 @@ import pytest
 from baire_lab import verify
 from baire_lab.hi import DESK_PAIRS
 from baire_lab.tsirelson import verify_lemma_II1, verify_sandwich18
-from baire_lab.trees import tree_from_json_dict
+from baire_lab.trees import chain_tree, tree_from_json_dict
 from baire_lab.vectors import BaseNorm, NormValue, TreeVector
 from baire_lab.verify import (
     _case_blocks,
@@ -46,6 +46,27 @@ def test_branch_isometry_l2_intervals():
     assert r.digest == (
         "b6ef4153f5051c40b944c8cf43d0e719b8e0fb8fe6672c5580f70cb281537f40"
     )
+
+
+def test_branch_isometry_builds_each_short_chain_once(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return chain_tree(n)
+
+    monkeypatch.setattr(verify, "chain_tree", counted)
+    r = run_branch_isometry(12, cases=60, seed=4)
+    lengths = [rec["length"] for rec in r.records]
+    assert sorted(built) == sorted(set(lengths)) and len(built) < len(lengths)
+    assert r.digest == run_branch_isometry(12, cases=60, seed=4).digest
+    # a chain longer than CHAIN_KEPT_MAX is built for each case that draws it
+    built.clear()
+    r = run_branch_isometry(verify.CHAIN_KEPT_MAX + 3, cases=300, seed=1)
+    lengths = [rec["length"] for rec in r.records]
+    long = [n for n in lengths if n > verify.CHAIN_KEPT_MAX]
+    assert len(set(long)) < len(long)
+    assert sorted(built) == sorted([n for n in set(lengths) if n <= verify.CHAIN_KEPT_MAX] + long)
 
 
 def test_branch_isometry_validates():
