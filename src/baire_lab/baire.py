@@ -47,7 +47,8 @@ exponent:
   once per distinct |x_t|, on the grid scale that call returns;
 - chain aggregates are then sums of integers over scale;
 - M(v) comes from one more pow_ends call, on every distinct end of a
-  chain aggregate over scale, raised to p * root_exponent, on a grid of
+  chain aggregate over scale, raised to p * root_exponent
+  (BaireParams.chain_exponent, fixed once per parameter set), on a grid of
   its own, and is read through the aggregate's id (see Chain reuse);
 - only the root value goes back to Fraction.
 
@@ -95,7 +96,13 @@ def _s_add(a, b):
 
 
 class BaireParams:
-    """p in [1, oo) rational, or ZERO, plus a base norm."""
+    """p in [1, oo) rational, or ZERO, plus a base norm.
+
+    The DP's two exponents are fixed once, in __init__: chain_exponent,
+    p * base.root_exponent, takes a chain's power sum to its p-th power
+    (None for ZERO), and root_exponent takes the DP's power-domain value to
+    the norm, 1/p (base.root_exponent for ZERO).
+    """
 
     def __init__(self, p, base):
         if p is not ZERO:
@@ -109,6 +116,12 @@ class BaireParams:
                 raise ValueError("baire norm needs p >= 1 or p = ZERO")
         self.p = p
         self.base = base
+        if p is ZERO:
+            self.chain_exponent = None
+            self.root_exponent = base.root_exponent
+        else:
+            self.chain_exponent = p * base.root_exponent
+            self.root_exponent = 1 / p
 
     def __repr__(self):
         return "BaireParams(p=%r, base=%r)" % (self.p, self.base)
@@ -182,10 +195,10 @@ def _dp(x, params):
         # aggregates never decrease toward the root, so it holds the max
         hi, lo = chain_agg[0]
         family = segments_from_ids(tree, [ends[0]] if ends[0] else [])
-        return (Fraction(lo, scale), Fraction(hi, scale)), base.root_exponent, family
+        return (Fraction(lo, scale), Fraction(hi, scale)), family
 
     # p-case: M(v) once per distinct chain aggregate, on a grid of its own
-    mscale, bounds = pow_ends(agg_ends, scale, p * base.root_exponent)
+    mscale, bounds = pow_ends(agg_ends, scale, params.chain_exponent)
     seg_hi = [bounds[hi][1] for hi, _ in aggs]
     seg_lo = [bounds[lo][0] for _, lo in aggs]
     parent = tree.parent
@@ -218,12 +231,12 @@ def _dp(x, params):
         elif ends[v]:
             picked.append(ends[v])
     family = segments_from_ids(tree, picked)
-    return (Fraction(lo, mscale), Fraction(hi, mscale)), 1 / p, family
+    return (Fraction(lo, mscale), Fraction(hi, mscale)), family
 
 
 def baire_norm_report(x, params):
-    power, root_exp, family = _dp(x, params)
-    value = NormValue(*pow_bounds(*power, root_exp))
+    power, family = _dp(x, params)
+    value = NormValue(*pow_bounds(*power, params.root_exponent))
     return BaireReport(value, NormValue(*power), family)
 
 

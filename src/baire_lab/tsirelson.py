@@ -141,6 +141,17 @@ and m - 1 >= |B| - 1; by induction the (m - 1)-st iterate of every member
 is its fixed-point value, so the outer max at level m is the fixed-point
 equation itself.
 
+Two-node lemma: a support of at most two nodes has value sup |x_t| at
+every level and at the fixed point (0 for x = 0).  An admissible family
+has k >= 2 disjoint nonempty members, so on two nodes its only candidate
+is the two singletons, each valued at its own |x_t|, whose half-sum
+(|x_s| + |x_t|) / 2 is at most the larger of the two, so the sup wins the
+outer max; on fewer nodes there is no family at all.  So
+`tsirelson_norm` and `tsirelson_iterate` answer such a support as the
+max of its |values|, after the same variant, cap and level checks,
+without a `_Ctx` or an engine; the witness tree and `check_fixed_point`
+still read an engine.
+
 Grid lemma: on a set A every value either engine makes (memo entry,
 run sum, family sum) is a sum of support values over 2^d with
 d <= |A| - 1.  Induction on |A|: the sup has d = 0, and a family halves a
@@ -164,9 +175,11 @@ reads, so a hit builds nothing.  A vector is a value, so the same vector
 hits by identity and an equal one by TreeVector.__eq__.  So the norm,
 witness, fixed-point check and iterates of one vector share one memo, a
 scaled vector (which moves the grid) gets a new engine, and one entry
-keeps memory flat.  Sharing is safe because every memo, `family`, `split`
-and `part` entry is a pure function of its key: the order of calls
-changes no value and no recorded first optimum.
+keeps memory flat; the norm and the iterates of a support of at most two
+nodes (the two-node lemma) neither read nor evict it.  Sharing is safe
+because every memo, `family`, `split` and `part` entry is a pure
+function of its key: the order of calls changes no value and no recorded
+first optimum.
 """
 
 from fractions import Fraction
@@ -181,6 +194,9 @@ INCOMPARABLE = "incomparable"
 STANDARD = "standard"
 
 DEFAULT_SUPPORT_CAP = 14
+
+# the norm of x = 0; a Fraction is immutable, so one is shared
+_ZERO = Fraction(0)
 
 
 class _Ctx:
@@ -497,17 +513,19 @@ class _StdEngine:
         return self.best_split(*self.root, None, 2 * value)[1] is not None
 
 
-def _engine(x, variant):
-    """The engine of `variant` on the support of x, or None if x = 0.  The
-    checks run outside the cache, so a vector over the cap is refused even
-    if a higher cap built its engine, and x = 0 evicts nothing."""
+def _engine(x, variant, least=1):
+    """The engine of `variant` on the support of x, or None if the support
+    has fewer than `least` nodes (x = 0 by default).  The checks run outside
+    the cache, so a vector over the cap is refused even if a higher cap
+    built its engine, and x = 0 evicts nothing.  The norm and the iterates
+    pass least = 3 and answer a smaller support by the two-node lemma, so
+    such a support evicts nothing either."""
     if variant not in (INCOMPARABLE, STANDARD):
         raise ValueError("unknown variant %r" % (variant,))
-    if len(x.entries) > DEFAULT_SUPPORT_CAP:
-        raise ValueError(
-            "support cap exceeded: |supp| = %d > %d" % (len(x.entries), DEFAULT_SUPPORT_CAP)
-        )
-    if not x.entries:
+    n = len(x.entries)
+    if n > DEFAULT_SUPPORT_CAP:
+        raise ValueError("support cap exceeded: |supp| = %d > %d" % (n, DEFAULT_SUPPORT_CAP))
+    if n < least:
         return None
     return _built(variant, x)
 
@@ -517,10 +535,16 @@ def _built(variant, x):
     return (_IncEngine if variant == INCOMPARABLE else _StdEngine)(_Ctx(x))
 
 
+def _sup(x):
+    """The sup norm of x, 0 for x = 0: the value of a support of at most two
+    nodes at every level and at the fixed point (the two-node lemma)."""
+    return max(map(abs, x.entries.values()), default=_ZERO)
+
+
 def tsirelson_norm(x, variant):
     """Exact rational value of the implicit Tsirelson norm."""
-    eng = _engine(x, variant)
-    return Fraction(0) if eng is None else eng.ctx.rational(eng.value())
+    eng = _engine(x, variant, 3)
+    return _sup(x) if eng is None else eng.ctx.rational(eng.value())
 
 
 def tsirelson_iterate(x, variant, m):
@@ -531,8 +555,8 @@ def tsirelson_iterate(x, variant, m):
         raise ValueError("iterate level must be an int, not %r" % (m,))
     if m < 0:
         raise ValueError("iterate level must be >= 0")
-    eng = _engine(x, variant)
-    return Fraction(0) if eng is None else eng.ctx.rational(eng.value(m))
+    eng = _engine(x, variant, 3)
+    return _sup(x) if eng is None else eng.ctx.rational(eng.value(m))
 
 
 def tsirelson_witness_tree(x, variant):

@@ -270,8 +270,14 @@ class NormValue:
     """Exact rational or certified-interval value of a norm."""
 
     def __init__(self, lower, upper=None):
-        lower = Fraction(lower)
-        upper = lower if upper is None else Fraction(upper)
+        # a Fraction is kept as it is, so the reports' Fractions are not
+        # built twice; anything else goes through Fraction()
+        if type(lower) is not Fraction:
+            lower = Fraction(lower)
+        if upper is None:
+            upper = lower
+        elif type(upper) is not Fraction:
+            upper = Fraction(upper)
         if lower > upper:
             raise ValueError("interval with lower > upper")
         self.lower = lower
@@ -299,7 +305,14 @@ class NormValue:
 
 
 class BaseNorm:
-    """The norm applied along a single segment: l_q (rational q >= 1) or sup."""
+    """The norm applied along a single segment: l_q (rational q >= 1) or sup.
+
+    Two exponents are fixed once, in __init__: term_exponent takes |v| to
+    its term, q for l_q and the int 1 for sup, and root_exponent takes a
+    power sum to the norm, the Fraction 1/q for l_q and Fraction(1) for
+    sup.  Every later read is an attribute, so no Fraction is divided per
+    call.
+    """
 
     def __init__(self, kind, q=None):
         if kind == "ell":
@@ -309,9 +322,12 @@ class BaseNorm:
                 raise ValueError("zero denominator in ell_q base norm q %r" % (q,)) from None
             if q < 1:
                 raise ValueError("ell_q base norm needs q >= 1")
-            self.q = q
+            self.q = self.term_exponent = q
+            self.root_exponent = 1 / q
         elif kind == "sup":
             self.q = None
+            self.term_exponent = 1
+            self.root_exponent = Fraction(1)
         else:
             raise ValueError("unknown base norm kind %r" % (kind,))
         self.kind = kind
@@ -323,16 +339,6 @@ class BaseNorm:
     @classmethod
     def sup(cls):
         return cls("sup")
-
-    @property
-    def term_exponent(self):
-        """The exponent that takes |v| to its term: q, or 1 for sup."""
-        return 1 if self.kind == "sup" else self.q
-
-    @property
-    def root_exponent(self):
-        """The exponent that takes a power sum to the norm: 1/q, or 1 for sup."""
-        return Fraction(1) if self.kind == "sup" else 1 / self.q
 
     def __eq__(self, other):
         return isinstance(other, BaseNorm) and (self.kind, self.q) == (other.kind, other.q)

@@ -333,6 +333,46 @@ def test_chain_slot_keeps_the_empty_tree_check():
         assert baire._chains.cache_info() == slot
 
 
+def test_report_divides_no_fraction(monkeypatch):
+    # the exponents are fixed once per parameter set, in BaseNorm and
+    # BaireParams, so a report, cold or warm, divides no Fraction: not 1/q,
+    # not p * (1/q), not 1/p.  Its values are those made before the patch
+    params = [BaireParams(p, BaseNorm.parse(token))
+              for token in ("l1", "l2", "l3/2") for p in (ZERO, 1, Fraction(3, 2), 2)]
+    rng = random.Random(45)
+    vectors = [random_case(rng.randrange(2**32))[1] for _ in range(6)]
+    vectors += [TreeVector(chain_tree(12), {(0,) * d: Fraction(d + 1, 3) for d in range(12)})]
+    want = [_cold(x, p) for x in vectors for p in params]
+
+    def refused(*args):
+        raise AssertionError("a Fraction was divided")
+
+    monkeypatch.setattr(Fraction, "__truediv__", refused)
+    monkeypatch.setattr(Fraction, "__rtruediv__", refused)
+    with pytest.raises(AssertionError, match="divided"):
+        1 / Fraction(2)
+    assert [_cold(x, p) for x in vectors for p in params] == want
+    assert [_fingerprint(baire_norm_report(x, p)) for x in vectors for p in params] == want
+
+
+def test_norm_value_keeps_fractions():
+    # a Fraction end is kept by identity; any other end goes through
+    # Fraction() as before
+    a, b = Fraction(1, 3), Fraction(5, 2)
+    v = NormValue(a, b)
+    assert v.lower is a and v.upper is b
+    w = NormValue(a)
+    assert w.lower is a and w.upper is a
+    for lower, upper in ((1, 2), ("1/3", "5/2"), (1, "5/2"), (a, 3), ("1/3", b)):
+        got = NormValue(lower, upper)
+        assert (got.lower, got.upper) == (Fraction(lower), Fraction(upper))
+        assert type(got.lower) is Fraction and type(got.upper) is Fraction
+    assert NormValue(a, "5/2").lower is a
+    assert NormValue("1/3", b).upper is b
+    with pytest.raises(ValueError, match="lower > upper"):
+        NormValue(b, a)
+
+
 def test_cache_traffic(monkeypatch):
     # (a) the four Tsirelson calls on one vector build one engine, and
     # (c) an equal vector on an equal tree then hits it

@@ -1,0 +1,50 @@
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "split.py")
+sys.path.insert(0, os.path.dirname(TOOL))
+import split  # noqa: E402
+
+
+def test_command_of_keeps_the_subcommand_of_verify_hi_and_gen():
+    assert split.command_of(["verify", "branch", "--cases", "20"]) == "verify branch"
+    assert split.command_of(["hi", "witness", "--pairs", "2:4"]) == "hi witness"
+    assert split.command_of(["gen", "comb", "--n", "3"]) == "gen comb"
+    assert split.command_of(["tsirelson", "--tree", "t.json"]) == "tsirelson"
+
+
+def test_table_orders_by_share():
+    lines = split.table({"calls": {"rank": [0.001, 0.001], "verify hi": [0.003, 0.005]},
+                         "rounds": [0.005, 0.005]})
+    assert lines[0].split() == ["command", "calls", "median_ms", "p90_ms", "share"]
+    assert lines[1].split()[:3] == ["verify", "hi", "2"]
+    assert lines[1].endswith("80.0%") and lines[2].endswith("20.0%")
+    assert lines[3] == "round: 0.005 s mean over 2 rounds"
+
+
+def test_split_of_this_checkout():
+    # one block of calls: 11 single commands and 5 verify calls per round
+    proc = subprocess.run([sys.executable, TOOL, ROOT, "--seed", "1", "--seconds", "0.05",
+                           "--rounds", "2"],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = {" ".join(line.split()[:-4]): line.split()[-4:] for line in lines[1:-1]}
+    assert sorted(rows) == sorted([
+        "tsirelson", "baire", "ground", "rank", "gen chain", "gen comb", "hi witness",
+        "verify branch", "verify hi", "verify tsirelson"])
+    assert sum(int(row[0]) for row in rows.values()) == 2 * 16
+    assert int(rows["tsirelson"][0]) == 2 * 3 and int(rows["baire"][0]) == 2 * 3
+    # each share is rounded to 0.1%, so the ten sum to 100% within 0.5%
+    shares = [float(row[3].rstrip("%")) for row in rows.values()]
+    assert abs(sum(shares) - 100) <= 0.5
+    assert lines[-1].endswith("mean over 2 rounds")
+
+
+def test_rounds_must_be_positive():
+    proc = subprocess.run([sys.executable, TOOL, ROOT, "--seed", "1", "--seconds", "0.05",
+                           "--rounds", "0"],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 2 and "--rounds must be >= 1" in proc.stderr

@@ -421,7 +421,7 @@ def test_engines_read_no_index_past_the_support_size(monkeypatch):
     for i, x in enumerate(cases):
         n = len(x.entries)
         for variant in (INCOMPARABLE, STANDARD):
-            tsirelson_norm(TreeVector(star_tree(2), {(0,): 1}), variant)  # evict the shared engine
+            clear_reuse_slots()  # x's engine is built inside the recording
             asked.clear()
             got = _outputs(x, variant, ("norm", "witness", "check", "iterate"), *_SHARED)
             assert got == want[i, variant], (i, variant)
@@ -482,6 +482,55 @@ def test_matches_reference_engines():
             assert _outputs(x, variant, order, *_SHARED, levels=levels) == want, (variant, x)
 
 
+def test_two_node_supports_match_the_reference_without_an_engine():
+    # the two-node lemma: every support of at most two nodes of a small
+    # random tree, with mixed signs, has the reference's value at the fixed
+    # point and at levels 0..3, in both variants, and the norm and the
+    # iterates neither build nor read an engine; the input checks still
+    # raise first, and the witness and the check, which read an engine,
+    # still agree with the reference
+    rng = random.Random(45)
+    levels = (None, 0, 1, 2, 3)
+    vectors = []
+    for seed in range(8):
+        tree, _ = random_case(rng.randrange(2**32), max_nodes=8)
+        nodes = list(tree.nodes)
+        for size in (0, 1, 2):
+            for supp in itertools.combinations(nodes, size):
+                vectors.append(TreeVector(tree, {
+                    t: Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
+                    for t in supp
+                }))
+    assert {len(x.entries) for x in vectors} == {0, 1, 2}
+    want = {
+        (i, variant, m): reference_norm(x, variant) if m is None else reference_iterate(
+            x, variant, m)
+        for i, x in enumerate(vectors)
+        for variant in (INCOMPARABLE, STANDARD)
+        for m in levels
+    }
+    slot = tsirelson._built.cache_info()
+    for i, x in enumerate(vectors):
+        for variant in (INCOMPARABLE, STANDARD):
+            for m in levels:
+                got = tsirelson_norm(x, variant) if m is None else tsirelson_iterate(x, variant, m)
+                assert type(got) is Fraction and got == want[i, variant, m], (x, variant, m)
+        with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+            tsirelson_norm(x, "bogus")
+        for variant in (INCOMPARABLE, "bogus"):
+            with pytest.raises(ValueError, match=r"^iterate level must be >= 0$"):
+                tsirelson_iterate(x, variant, -1)
+            with pytest.raises(ValueError, match=r"^iterate level must be an int, not True$"):
+                tsirelson_iterate(x, variant, True)
+        with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+            tsirelson_iterate(x, "bogus", 0)
+    assert tsirelson._built.cache_info() == slot
+    for x in vectors:
+        for variant in (INCOMPARABLE, STANDARD):
+            assert tsirelson_witness_tree(x, variant) == reference_witness_tree(x, variant)
+            assert check_fixed_point(x, variant) is reference_check_fixed_point(x, variant) is True
+
+
 def test_incomparable_search_work_is_bounded():
     # the skip-dominance cut leaves 147 memo entries on this case; without
     # it the fixed point fills 5,674
@@ -500,8 +549,10 @@ def test_incomparable_search_work_is_bounded_above_the_cap():
 
 def test_shared_engine_call_order():
     # one engine serves every call on the same vector; the order of the
-    # calls changes no value and no recorded witness
-    other = TreeVector(star_tree(2), {(0,): 1})
+    # calls changes no value and no recorded witness.  `other` has three
+    # nodes, so its norm builds an engine, which evicts x's: the first of
+    # the four calls on x misses and builds x's engine, the rest hit it
+    other = TreeVector(star_tree(3), {(0,): 1, (1,): 1, (2,): 1})
     orders = list(itertools.permutations(("norm", "witness", "check", "iterate")))
     for seed in range(12):
         _, x = random_nonroot_case(seed, max_support=8)
@@ -511,7 +562,9 @@ def test_shared_engine_call_order():
             want = _outputs(x, variant, orders[0], *_REFERENCE)
             for order in orders:
                 tsirelson_norm(other, variant)  # evict the shared engine
+                misses = tsirelson._built.cache_info().misses
                 assert _outputs(x, variant, order, *_SHARED) == want, (seed, order)
+                assert tsirelson._built.cache_info().misses == misses + 1, (seed, order)
 
 
 def test_shared_engine_keeps_input_checks():
@@ -530,8 +583,10 @@ def test_shared_engine_keeps_input_checks():
 
 def test_refused_iterate_level_leaves_the_engine_slot():
     # a negative level is refused before any engine is built, so the shared
-    # slot still holds the last vector's engine, whatever else is wrong
-    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2})
+    # slot still holds the last vector's engine, whatever else is wrong.
+    # x has three nodes and l1 > 2 * sup, so its norm builds an engine (a
+    # support of at most two nodes is answered without one)
+    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2, (5,): 2})
     y = TreeVector(star_tree(4, base_label=4), {(4,): 1, (5,): 1})
     big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
     tsirelson_norm(x, INCOMPARABLE)
@@ -546,8 +601,9 @@ def test_refused_iterate_level_leaves_the_engine_slot():
 
 def test_iterate_level_must_be_an_int():
     # a level that is not an int, a bool among them, is refused before any
-    # other check, as a negative one is, so the slot keeps the last engine
-    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2})
+    # other check, as a negative one is, so the slot keeps the last engine,
+    # the one x's norm built (x has three nodes and l1 > 2 * sup)
+    x = TreeVector(star_tree(3, base_label=3), {(3,): 1, (4,): 2, (5,): 2})
     y = sweep_case(0, 10)
     big = TreeVector(star_tree(15, base_label=15), {(15 + i,): 1 for i in range(15)})
     tsirelson_norm(x, INCOMPARABLE)
@@ -557,6 +613,8 @@ def test_iterate_level_must_be_an_int():
             with pytest.raises(ValueError, match=r"^iterate level must be an int, not "):
                 tsirelson_iterate(z, variant, m)
             assert tsirelson._built.cache_info() == slot
+    tsirelson_norm(x, INCOMPARABLE)
+    assert tsirelson._built.cache_info() == slot._replace(hits=slot.hits + 1)
     assert tsirelson_iterate(y, STANDARD, 1) == Fraction(1373, 280)
 
 
