@@ -91,6 +91,7 @@ as one built with every entry.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 from operator import add
@@ -474,28 +475,55 @@ def dg_upper_bound(x):
     return x.l1()
 
 
-def strict_singularity_witness(n, m):
-    """Ratio between the depth-1 norming-set bound and the ground norm on
-    the sum of the unit vectors at the n leaves of star_tree(n): the
-    finite shadow of the strict singularity of the identity into the
-    ground-norm space.  Its ground, lower, upper and ratio are those of
-    unit vectors on any n pairwise incomparable nodes: no node has a
-    support ancestor, so the window DP sees only m and n."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+# one call of hi witness or verify hi takes at most cli.PAIRS_MAX = 128
+# pairs, so all of its rows stay kept; a row holds about 0.3 KB per leaf
+# (62 KB at n = 192, the CLI's largest), so the kept rows of CLI calls
+# hold under 8 MB
+ROWS_KEPT = 128
+
+
+@lru_cache(maxsize=ROWS_KEPT)
+def _row(n, m):
+    """The parts of strict_singularity_witness(n, m) that no caller gets to
+    change: the nodes as a tuple, ground, lower, upper, ratio (Fractions),
+    and the witness's entries and provenance.  The entries dict is copied
+    for every caller and never handed out."""
     tree = star_tree(n)
     targets = tree.order[1:]
     x = TreeVector(tree, {t: Fraction(1) for t in targets})
     ground = ground_norm(x)
     lower, witness = dg_lower_bound(x, 1, [(m, n)])
     upper = dg_upper_bound(x)
+    return (tuple(targets), ground, lower, upper, lower / ground,
+            witness.entries, witness.provenance)
+
+
+def strict_singularity_witness(n, m):
+    """Ratio between the depth-1 norming-set bound and the ground norm on
+    the sum of the unit vectors at the n leaves of star_tree(n): the
+    finite shadow of the strict singularity of the identity into the
+    ground-norm space.  Its ground, lower, upper and ratio are those of
+    unit vectors on any n pairwise incomparable nodes: no node has a
+    support ancestor, so the window DP sees only m and n.
+
+    n and m are ints (type, not isinstance: an equal float or a bool is
+    refused), checked before the row cache is read.  So the row is a pure
+    function of (n, m), computed once per process for each pair (`_row`,
+    at most ROWS_KEPT rows, least recently used first out); every call
+    gets a fresh dict, node list and witness, so a caller that changes
+    what it got changes no later call's row."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError("n and m must be ints, not %r" % ((n, m),))
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    nodes, ground, lower, upper, ratio, entries, provenance = _row(n, m)
     return {
         "m": m,
         "n": n,
-        "nodes": targets,
+        "nodes": list(nodes),
         "ground": ground,
         "lower": lower,
         "upper": upper,
-        "ratio": lower / ground,
-        "witness": witness,
+        "ratio": ratio,
+        "witness": Functional._of(dict(entries), provenance),
     }

@@ -152,6 +152,21 @@ max of its |values|, after the same variant, cap and level checks,
 without a `_Ctx` or an engine; the witness tree and `check_fixed_point`
 still read an engine.
 
+Antichain lemma: on a support A of pairwise incomparable nodes, the two
+variants have the same value on every subset B of A at every level and
+at the fixed point.  Two disjoint subsets of A are completely
+incomparable, as any two distinct nodes of A are incomparable, and the
+members of a family are disjoint; so a family inside B is
+INCOMPARABLE-admissible exactly when it is STANDARD-admissible.  By
+induction on |B|: at level 0 both values are the sup, and at level m
+each is the max of the sup and half the best sum, over the same
+families, of the level-(m - 1) values of their members, proper subsets of
+B, on which the two variants agree; the fixed point is the level
+|B| - 1 (the level-collapse lemma).  No engine uses it: the INCOMPARABLE
+engine still searches an antichain, and the tests check it there against
+the STANDARD interval DP, which shares none of its code.  Whether the two
+engines record the same first optimal family is not proven.
+
 Grid lemma: on a set A every value either engine makes (memo entry,
 run sum, family sum) is a sum of support values over 2^d with
 d <= |A| - 1.  Induction on |A|: the sup has d = 0, and a family halves a
@@ -633,7 +648,8 @@ def verify_sandwich18(tree, blocks, coeffs):
     b_std = tsirelson_norm(combo, STANDARD)
 
     checks = {
-        # start nodes are pairwise incomparable, so both variants agree there
+        # start nodes are pairwise incomparable, so both variants agree
+        # there (the antichain lemma in the module docstring)
         "index_vector_norms_equal": a_inc == a_std,
         "lemma": a_inc <= b_inc,
         "left": a_std <= b_inc,

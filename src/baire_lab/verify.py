@@ -12,7 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from baire_lab.baire import ZERO, BaireParams, baire_norm
 from baire_lab.hi import strict_singularity_witness
@@ -95,10 +95,19 @@ def _run(experiment, params, cases):
 
 
 # run_branch_isometry builds each chain tree of at most this many nodes
-# once per run and keeps it; a longer one is built per case, since a chain's
-# node tuples grow with the square of its length (about 50 KB at 100 nodes,
-# 36 MB at 3,000), and the kept chains up to 64 hold about 0.5 MB in all
+# once per process and keeps it (_kept_chain); a longer one is built per
+# case, since a chain's node tuples grow with the square of its length
+# (about 50 KB at 100 nodes, 36 MB at 3,000), and the kept chains up to 64
+# hold about 0.5 MB in all
 CHAIN_KEPT_MAX = 64
+
+
+@lru_cache(maxsize=CHAIN_KEPT_MAX)
+def _kept_chain(length):
+    """chain_tree(length), kept for every later run: no runner changes a
+    tree, so one tree serves every case and every run that draws its
+    length."""
+    return chain_tree(length)
 
 
 def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
@@ -112,16 +121,11 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
     # p and the base as text, in params and in every replay bundle
     norm = {"p": "0" if params.p is ZERO else rational_str(params.p), "base": repr(base)}
     rng = random.Random(seed)
-    chains = {}
 
     def records():
         for _ in range(cases):
             length = rng.randint(1, max_len)
-            tree = chains.get(length)
-            if tree is None:
-                tree = chain_tree(length)
-                if length <= CHAIN_KEPT_MAX:
-                    chains[length] = tree
+            tree = _kept_chain(length) if length <= CHAIN_KEPT_MAX else chain_tree(length)
             x = TreeVector(tree, {
                 node: Fraction(rng.randint(-8, 8), rng.randint(1, 8))
                 for node in tree.nodes if rng.random() < 0.8

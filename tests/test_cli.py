@@ -366,6 +366,23 @@ def test_verify_subcommands(tmp_path, capsys):
     assert data["passed"] is True
 
 
+def test_verify_hi_twice_reads_its_rows_from_the_cache(tmp_path, capsys):
+    # the second of two identical calls computes no row and writes the
+    # same digest
+    from baire_lab import hi
+
+    argv = ["verify", "hi", "--pairs", "2:4,2:8,4:16", "--out"]
+    hi._row.cache_clear()
+    digests = []
+    for k in range(2):
+        rep = tmp_path / ("rep%d.json" % k)
+        assert run(capsys, *argv, str(rep))[:2] == (0, "hi_suite: pass\n")
+        digests.append(json.loads(rep.read_text())["digest"])
+        info = hi._row.cache_info()
+        assert (info.misses, info.hits) == (3, 3 * k)
+    assert digests[0] == digests[1]
+
+
 def test_json_booleans_are_not_naturals(tmp_path, capsys):
     # JSON true and false are Python bools, which subclass int: a node
     # [true] would be read as (1,) and printed back as [true]

@@ -309,6 +309,52 @@ def test_strict_singularity_degenerate():
         strict_singularity_witness(4, 1)
 
 
+def test_strict_singularity_refuses_non_ints_before_the_cache():
+    # an equal float or a bool would hit the row of the equal int; the type
+    # check comes first, so each raises before and after that row is kept
+    bad = [(4.0, 2), (4, 2.0), (True, 2), (4, True)]
+    baire_lab.hi._row.cache_clear()
+    for args in bad:
+        with pytest.raises(ValueError, match="must be ints"):
+            strict_singularity_witness(*args)
+    strict_singularity_witness(4, 2)
+    strict_singularity_witness(1, 2)
+    info = baire_lab.hi._row.cache_info()
+    assert info.currsize == 2
+    for args in bad:
+        with pytest.raises(ValueError, match="must be ints"):
+            strict_singularity_witness(*args)
+    assert baire_lab.hi._row.cache_info() == info
+
+
+def test_strict_singularity_rows_are_fresh_per_call():
+    # a caller that changes its row, its nodes or its witness's entries
+    # changes no later call's row, which comes from the cache
+    first = strict_singularity_witness(8, 2)
+    kept = {key: first[key] for key in ("ground", "lower", "upper", "ratio")}
+    nodes, entries = list(first["nodes"]), dict(first["witness"].entries)
+    first["ratio"] = 0
+    first["nodes"].append((99,))
+    first["nodes"][0] = (42,)
+    first["witness"].entries[(0,)] = Fraction(-1)
+    first["witness"].entries.clear()
+    misses = baire_lab.hi._row.cache_info().misses
+    again = strict_singularity_witness(8, 2)
+    assert baire_lab.hi._row.cache_info().misses == misses
+    assert {key: again[key] for key in kept} == kept
+    assert again["nodes"] == nodes and again["witness"].entries == entries
+    assert again["nodes"] is not first["nodes"]
+    assert again["witness"] is not first["witness"]
+    x = TreeVector(star_tree(8), {t: 1 for t in nodes})
+    assert again["witness"](x) == again["lower"]
+
+
+def test_row_cache_holds_one_calls_pairs():
+    from baire_lab.cli import PAIRS_MAX
+
+    assert baire_lab.hi._row.cache_info().maxsize == baire_lab.hi.ROWS_KEPT >= PAIRS_MAX
+
+
 def test_schedule_recurrences():
     s = schedule(3)
     assert s.m == [2, 32, 32**5]

@@ -24,6 +24,24 @@ def test_table_orders_by_share():
     assert lines[3] == "round: 0.005 s mean over 2 rounds"
 
 
+def test_cache_table_lists_each_cache_by_name():
+    lines = split.cache_table({"verify._kept_chain": [80, 0, 10], "hi._row": [10, 2, 5]})
+    assert [line.split() for line in lines] == [
+        ["cache", "hits", "misses", "currsize"], ["hi._row", "10", "2", "5"],
+        ["verify._kept_chain", "80", "0", "10"]]
+
+
+def test_cache_infos_reads_module_level_caches():
+    from baire_lab import cli, hi  # noqa: F401  (cli brings its parser cache)
+
+    hi.strict_singularity_witness(4, 2)
+    infos = split.cache_infos()
+    info = hi._row.cache_info()
+    assert infos["hi._row"] == (info.hits, info.misses, info.currsize)
+    assert "cli._parser" in infos and "tsirelson._built" in infos
+    assert "cli.build_parser" not in infos  # a plain function is no cache
+
+
 def test_split_of_this_checkout():
     # one block of calls: 11 single commands and 5 verify calls per round
     proc = subprocess.run([sys.executable, TOOL, ROOT, "--seed", "1", "--seconds", "0.05",
@@ -31,7 +49,8 @@ def test_split_of_this_checkout():
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    rows = {" ".join(line.split()[:-4]): line.split()[-4:] for line in lines[1:-1]}
+    end = [line.startswith("round: ") for line in lines].index(True)
+    rows = {" ".join(line.split()[:-4]): line.split()[-4:] for line in lines[1:end]}
     assert sorted(rows) == sorted([
         "tsirelson", "baire", "ground", "rank", "gen chain", "gen comb", "hi witness",
         "verify branch", "verify hi", "verify tsirelson"])
@@ -40,7 +59,17 @@ def test_split_of_this_checkout():
     # each share is rounded to 0.1%, so the ten sum to 100% within 0.5%
     shares = [float(row[3].rstrip("%")) for row in rows.values()]
     assert abs(sum(shares) - 100) <= 0.5
-    assert lines[-1].endswith("mean over 2 rounds")
+    assert lines[end].endswith("mean over 2 rounds")
+    # the caches' traffic over the timed rounds: the warm-up round computed
+    # every strict-singularity row and short chain, so the timed rounds
+    # only hit them, and the parser is built once
+    assert lines[end + 1].split() == ["cache", "hits", "misses", "currsize"]
+    caches = {line.split()[0]: [int(v) for v in line.split()[1:]] for line in lines[end + 2:]}
+    assert {"cli._parser", "hi._row", "verify._kept_chain", "tsirelson._built"} <= set(caches)
+    for name in ("cli._parser", "hi._row", "verify._kept_chain"):
+        hits, misses, size = caches[name]
+        assert hits > 0 and misses == 0 and size > 0, name
+    assert caches["cli._parser"][0] == 2 * 16
 
 
 def test_rounds_must_be_positive():

@@ -531,6 +531,36 @@ def test_two_node_supports_match_the_reference_without_an_engine():
             assert check_fixed_point(x, variant) is reference_check_fixed_point(x, variant) is True
 
 
+def test_antichain_incomparable_engine_matches_standard(monkeypatch):
+    # the antichain lemma: on pairwise incomparable supports the two
+    # variants agree at every level and at the fixed point.  The STANDARD
+    # interval DP shares no code with the INCOMPARABLE family search, so it
+    # is an independent oracle here, past the support cap (both engines are
+    # built directly, up to n = 20): stars with small labels, the hard case
+    # for the search, and leaves of random trees, whose indices are large.
+    # Values of one order of magnitude, with mixed signs, let families win
+    rng = random.Random(46)
+    stars = [star_tree(n) for n in (3, 5, 8, 11, 14, 17, 20)] + [star_tree(n, 3) for n in (12, 18)]
+    supports = [(tree, tree.order[1:]) for tree in stars]
+    for seed, n in zip(range(8), (4, 7, 10, 13, 16, 18, 20, 20)):
+        tree = random_tree(seed, 80, 4)
+        leaves = [t for t in tree.leaves() if t != ()]
+        supports.append((tree, sorted(rng.sample(leaves, n), key=tree.id_of.__getitem__)))
+    for tree, nodes in supports:
+        assert not any(comparable(s, t) for s, t in itertools.combinations(nodes, 2))
+        x = TreeVector(tree, {
+            t: Fraction(rng.randint(4, 9), rng.randint(1, 2)) * rng.choice([1, -1]) for t in nodes
+        })
+        engines = {INCOMPARABLE: _IncEngine(_Ctx(x)), STANDARD: _StdEngine(_Ctx(x))}
+        monkeypatch.setattr(tsirelson, "_engine", lambda x, variant, least=1: engines[variant])
+        n = len(nodes)
+        for m in (0, 1, 2, 3, n - 2):
+            assert (tsirelson_iterate(x, INCOMPARABLE, m)
+                    == tsirelson_iterate(x, STANDARD, m)), (n, m)
+        assert tsirelson_norm(x, INCOMPARABLE) == tsirelson_norm(x, STANDARD), n
+        assert check_fixed_point(x, INCOMPARABLE) is check_fixed_point(x, STANDARD) is True
+
+
 def test_incomparable_search_work_is_bounded():
     # the skip-dominance cut leaves 147 memo entries on this case; without
     # it the fixed point fills 5,674

@@ -49,6 +49,8 @@ def test_branch_isometry_l2_intervals():
 
 
 def test_branch_isometry_builds_each_short_chain_once(monkeypatch):
+    # once per process: after a clear, a run builds each short length it
+    # draws once, and a later run builds none of them again
     built = []
 
     def counted(n):
@@ -56,17 +58,25 @@ def test_branch_isometry_builds_each_short_chain_once(monkeypatch):
         return chain_tree(n)
 
     monkeypatch.setattr(verify, "chain_tree", counted)
+    verify._kept_chain.cache_clear()
     r = run_branch_isometry(12, cases=60, seed=4)
     lengths = [rec["length"] for rec in r.records]
     assert sorted(built) == sorted(set(lengths)) and len(built) < len(lengths)
     assert r.digest == run_branch_isometry(12, cases=60, seed=4).digest
+    assert sorted(built) == sorted(set(lengths))
+    assert verify._kept_chain.cache_info().currsize == len(set(lengths))
     # a chain longer than CHAIN_KEPT_MAX is built for each case that draws it
+    verify._kept_chain.cache_clear()
     built.clear()
     r = run_branch_isometry(verify.CHAIN_KEPT_MAX + 3, cases=300, seed=1)
     lengths = [rec["length"] for rec in r.records]
     long = [n for n in lengths if n > verify.CHAIN_KEPT_MAX]
     assert len(set(long)) < len(long)
     assert sorted(built) == sorted([n for n in set(lengths) if n <= verify.CHAIN_KEPT_MAX] + long)
+    # every short length fits: the second run builds only the long ones again
+    built.clear()
+    assert run_branch_isometry(verify.CHAIN_KEPT_MAX + 3, cases=300, seed=1).digest == r.digest
+    assert sorted(built) == sorted(long)
 
 
 def test_branch_isometry_validates():

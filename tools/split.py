@@ -16,8 +16,12 @@ One line per command follows, largest share first: the command (with
 its subcommand for verify, hi and gen), its call count over the R rounds,
 the median and the 90th percentile of one call in ms (inclusive
 quantiles, so it never lies past the slowest call), and its share of
-the summed call time.  A last line gives the mean time of one round.
-The exit code is 1 if the warm-up outputs fail the checks.
+the summed call time.  A line gives the mean time of one round.  Then
+comes one line per functools cache of the imported baire_lab modules
+(a module-level function with cache_info, under its module's short name):
+its hits and misses over the R timed rounds and its size after them, so
+a claim that calls reuse a cached result shows its traffic.  The exit
+code is 1 if the warm-up outputs fail the checks.
 """
 
 import argparse
@@ -39,10 +43,26 @@ def command_of(argv):
     return " ".join(argv[:2]) if argv[0] in SUBCOMMANDS else argv[0]
 
 
+def cache_infos():
+    """{module.name: (hits, misses, currsize)} of every functools cache
+    defined at module level in the imported baire_lab modules."""
+    infos = {}
+    for module_name, module in list(sys.modules.items()):
+        if not module_name.startswith("baire_lab."):
+            continue
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module_name:
+                info = value.cache_info()
+                infos["%s.%s" % (module_name[len("baire_lab."):], name)] = (
+                    info.hits, info.misses, info.currsize)
+    return infos
+
+
 def measure(checkout, seed, seconds, rounds):
     """Run in the fresh process: time checkout's cli_verify cases and print
     one JSON object, {"correct": bool, "calls": {command: [seconds]},
-    "rounds": [seconds]}."""
+    "rounds": [seconds], "caches": {cache: [hits, misses, currsize]}},
+    with each cache's hits and misses counted over the timed rounds."""
     bench = os.path.join(checkout, "bench")
     sys.path[:0] = [os.path.join(checkout, "src"), bench]
     import run  # the checkout's bench/run.py
@@ -64,6 +84,7 @@ def measure(checkout, seed, seconds, rounds):
             correct = False
         calls = {}
         totals = []
+        before = cache_infos()
         for _ in range(rounds):
             total = 0.0
             for command, case in zip(commands, cases):
@@ -74,7 +95,12 @@ def measure(checkout, seed, seconds, rounds):
                 calls.setdefault(command, []).append(elapsed)
                 total += elapsed
             totals.append(total)
-    print(json.dumps({"correct": correct, "calls": calls, "rounds": totals}))
+        # the warm-up imported every module, so each cache is in before
+        caches = {
+            name: [hits - before[name][0], misses - before[name][1], size]
+            for name, (hits, misses, size) in cache_infos().items()
+        }
+    print(json.dumps({"correct": correct, "calls": calls, "rounds": totals, "caches": caches}))
 
 
 def table(result):
@@ -88,6 +114,14 @@ def table(result):
             command, len(times), 1e3 * median(times), 1e3 * p90, 100 * sum(times) / grand))
     rounds = result["rounds"]
     lines.append("round: %.3f s mean over %d rounds" % (sum(rounds) / len(rounds), len(rounds)))
+    return lines
+
+
+def cache_table(caches):
+    """The printed lines of one measure() result's caches, by name."""
+    lines = ["%-24s %8s %8s %8s" % ("cache", "hits", "misses", "currsize")]
+    for name, (hits, misses, size) in sorted(caches.items()):
+        lines.append("%-24s %8d %8d %8d" % (name, hits, misses, size))
     return lines
 
 
@@ -111,7 +145,7 @@ def main(argv=None):
         sys.stderr.write("%s: no result line, exit %d\n%s" % (checkout, proc.returncode, proc.stderr))
         return 2
     sys.stderr.write(proc.stderr)
-    print("\n".join(table(result)))
+    print("\n".join(table(result) + cache_table(result["caches"])))
     return 0 if result["correct"] else 1
 
 
