@@ -1,8 +1,10 @@
 """l_p-Baire sum norms on tree vectors.
 
-The p-norm is the sup, over finite families of pairwise completely
-incomparable segments, of the l_p aggregate of the base-norm values of
-the segments; the 0-variant takes a single segment.  The production path
+For p a rational >= 1, the p-norm is the sup, over finite families of
+pairwise completely incomparable segments, of the l_p aggregate of the
+base-norm values of the segments; the 0-variant, p = 0, takes a single
+segment.  Its p is stored as ZERO, the package's one zero Fraction
+(vectors.ZERO), which this module re-exports.  The production path
 is a bottom-up dynamic program; baire_norm_oracle is the normative
 brute-force reference.
 
@@ -78,17 +80,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix, segments_from_ids
-from baire_lab.vectors import NormValue, pow_bounds, pow_ends
+from baire_lab.vectors import ZERO, NormValue, pow_bounds, pow_ends
 
-
-class _Zero:
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = _Zero()
-
-_EXACT_ZERO = (Fraction(0), Fraction(0))
+_EXACT_ZERO = (ZERO, ZERO)
 
 
 def _s_add(a, b):
@@ -96,8 +90,11 @@ def _s_add(a, b):
 
 
 class BaireParams:
-    """p in [1, oo) rational, or ZERO, plus a base norm.
+    """p, a rational >= 1 or 0, plus a base norm.
 
+    p is read through Fraction, and every zero p is stored as ZERO, the
+    package's one zero (vectors.ZERO), so `params.p is ZERO` marks the
+    0-variant and params.p is always a Fraction.
     The DP's two exponents are fixed once, in __init__: chain_exponent,
     p * base.root_exponent, takes a chain's power sum to its p-th power
     (None for ZERO), and root_exponent takes the DP's power-domain value to
@@ -105,15 +102,14 @@ class BaireParams:
     """
 
     def __init__(self, p, base):
-        if p is not ZERO:
-            try:
-                p = Fraction(p)
-            except ZeroDivisionError:
-                raise ValueError("zero denominator in baire p %r" % (p,)) from None
-            if p == 0:
-                p = ZERO
-            elif p < 1:
-                raise ValueError("baire norm needs p >= 1 or p = ZERO")
+        try:
+            p = Fraction(p)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in baire p %r" % (p,)) from None
+        if p == 0:
+            p = ZERO
+        elif p < 1:
+            raise ValueError("baire norm needs p >= 1 or p = ZERO")
         self.p = p
         self.base = base
         if p is ZERO:

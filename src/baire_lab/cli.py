@@ -52,7 +52,6 @@ from baire_lab.vectors import BaseNorm, TreeVector
 from baire_lab.verify import (
     WITNESS_COLUMNS,
     norm_value_json,
-    rational_str,
     run_branch_isometry,
     run_hi_suite,
     run_tsirelson_suite,
@@ -248,12 +247,12 @@ def cmd_tsirelson(args):
     x = _load_vector(args.vector, tree)
     if args.iterate is not None:
         value = tsirelson_iterate(x, args.variant, args.iterate)
-        data = {"value": rational_str(value), "iterate": args.iterate}
+        data = {"value": str(value), "iterate": args.iterate}
         _emit(data, args, lambda: ["value  %s  (iterate %d)" % (data["value"], args.iterate)])
         return 0
     value = tsirelson_norm(x, args.variant)
     witness = tsirelson_witness_tree(x, args.variant)
-    data = {"value": rational_str(value), "witness_family_tree": witness}
+    data = {"value": str(value), "witness_family_tree": witness}
     _emit(
         data,
         args,
@@ -265,7 +264,7 @@ def cmd_tsirelson(args):
 def cmd_ground(args):
     tree = _load_tree(args.tree)
     x = _load_vector(args.vector, tree)
-    data = {"value": rational_str(ground_norm(x))}
+    data = {"value": str(ground_norm(x))}
     _emit(data, args, lambda: ["value  %s" % data["value"]])
     return 0
 

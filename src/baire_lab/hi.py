@@ -97,7 +97,7 @@ from math import lcm
 from operator import add
 
 from baire_lab.trees import is_prefix, star_tree
-from baire_lab.vectors import TreeVector
+from baire_lab.vectors import ZERO, TreeVector
 
 #: small admissible (m, n) pairs for desk-scale experiments
 DESK_PAIRS = [(2, 4), (2, 8), (2, 16), (4, 64)]
@@ -460,7 +460,7 @@ def dg_lower_bound(x, depth, ops):
         if m < 1 or n < 1:
             raise ValueError("ops entries must be positive")
     if not x.entries:
-        return Fraction(0), Functional({}, ("ground", ()))
+        return ZERO, Functional({}, ("ground", ()))
     search = _Search(x, list(ops), depth)
     total, witness = search.run()
     value = Fraction(total, search.scale)

@@ -446,19 +446,14 @@ def random_tree(seed, max_nodes, max_branch):
     if max_nodes < 1:
         raise ValueError("random_tree needs max_nodes >= 1")
     rng = random.Random(seed)
-    # the nodes, kept sorted so each draw matches the seed, and beside each
-    # one the labels of its children so far
+    # the nodes drawn so far, kept sorted so each draw matches the seed
     order = [()]
-    labels = [set()]
+    seen = {()}
     while len(order) < max_nodes:
-        i = rng.choice(range(len(order)))  # the same draw as rng.choice(order)
-        label = rng.randrange(max_branch)
-        if label not in labels[i]:
-            labels[i].add(label)
-            child = order[i] + (label,)
-            j = bisect.bisect(order, child)
-            order.insert(j, child)
-            labels.insert(j, set())
+        child = rng.choice(order) + (rng.randrange(max_branch),)
+        if child not in seen:
+            seen.add(child)
+            bisect.insort(order, child)
     return FiniteTree(order)
 
 

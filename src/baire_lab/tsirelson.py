@@ -203,15 +203,12 @@ from itertools import accumulate
 from math import gcd
 
 from baire_lab.sequences import FiniteBlockSequence
-from baire_lab.vectors import TreeVector
+from baire_lab.vectors import ZERO, TreeVector
 
 INCOMPARABLE = "incomparable"
 STANDARD = "standard"
 
 DEFAULT_SUPPORT_CAP = 14
-
-# the norm of x = 0; a Fraction is immutable, so one is shared
-_ZERO = Fraction(0)
 
 
 class _Ctx:
@@ -553,7 +550,7 @@ def _built(variant, x):
 def _sup(x):
     """The sup norm of x, 0 for x = 0: the value of a support of at most two
     nodes at every level and at the fixed point (the two-node lemma)."""
-    return max(map(abs, x.entries.values()), default=_ZERO)
+    return max(map(abs, x.entries.values()), default=ZERO)
 
 
 def tsirelson_norm(x, variant):

@@ -53,9 +53,10 @@ RESIDUES_MAX = 2000
 
 _first = itemgetter(0)
 
-# the value of every node off the support; a Fraction is immutable, so one
-# is shared by every lookup
-_ZERO = Fraction(0)
+# the value of every node off the support, and the package's one zero: a
+# Fraction is immutable, so one is shared by every lookup, every empty max
+# and the Baire 0-variant's p (baire.ZERO)
+ZERO = Fraction(0)
 
 
 def integer_nth_root(x, n, start=None):
@@ -461,7 +462,7 @@ class TreeVector:
         return frozenset(self.entries)
 
     def __getitem__(self, node):
-        return self.entries.get(tuple(node), _ZERO)
+        return self.entries.get(tuple(node), ZERO)
 
     def __eq__(self, other):
         return (

@@ -3,8 +3,11 @@
 Each runner builds its cases deterministically from a seed, computes the
 relevant exact quantities, and packages everything into an
 ExperimentReport.  Values are serialized as rational strings ("3/2"),
-never floats; failing cases carry a replayable input bundle so the exact
-failure can be re-fed through the CLI.
+never floats: every value a record holds is already a Fraction (a norm
+value's bounds, a vector's entries, Tsirelson norms, strict-singularity
+rows, BaireParams.p), so str(value) writes it in lowest terms.  Failing
+cases carry a replayable input bundle so the exact failure can be re-fed
+through the CLI.
 """
 
 import hashlib
@@ -14,25 +17,21 @@ import time
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from baire_lab.baire import ZERO, BaireParams, baire_norm
+from baire_lab.baire import BaireParams, baire_norm
 from baire_lab.hi import strict_singularity_witness
 from baire_lab.trees import chain_tree, random_tree, star_tree, tree_to_json_dict
 from baire_lab.tsirelson import INCOMPARABLE, tsirelson_norm, verify_sandwich18
 from baire_lab.vectors import BaseNorm, TreeVector
 
 
-def rational_str(value):
-    return str(Fraction(value))
-
-
 def norm_value_json(v):
     if v.is_exact:
-        return rational_str(v.exact)
-    return [rational_str(v.lower), rational_str(v.upper)]
+        return str(v.exact)
+    return [str(v.lower), str(v.upper)]
 
 
 def vector_to_json_dict(x):
-    return {"entries": [[list(node), rational_str(val)] for node, val in x.entries.items()]}
+    return {"entries": [[list(node), str(val)] for node, val in x.entries.items()]}
 
 
 class ExperimentReport:
@@ -119,7 +118,7 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
         base = BaseNorm.ell(1)
     params = BaireParams(p, base)
     # p and the base as text, in params and in every replay bundle
-    norm = {"p": "0" if params.p is ZERO else rational_str(params.p), "base": repr(base)}
+    norm = {"p": str(params.p), "base": repr(base)}
     rng = random.Random(seed)
 
     def records():
@@ -135,7 +134,7 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
             yield {
                 "length": length,
                 "computed": norm_value_json(got),
-                "expected": [rational_str(exp_lo), rational_str(exp_hi)],
+                "expected": [str(exp_lo), str(exp_hi)],
                 # an exact value overlaps an exact bracket only by equality
                 "ok": got.lower <= exp_hi and exp_lo <= got.upper,
             }, lambda: {"tree": tree_to_json_dict(tree), "vector": vector_to_json_dict(x), **norm}
@@ -158,7 +157,9 @@ def _case_blocks(case_seed):
         tree = random_tree(
             seed=case_seed * 97 + attempt, max_nodes=11, max_branch=3
         )
-        leaves = [t for t in tree.leaves() if t != ()]
+        # 11 nodes give the root a child, so the root is never a leaf; an
+        # 11-node chain has one leaf, hence the retries
+        leaves = tree.leaves()
         if len(leaves) >= 2:
             break
     else:
@@ -201,17 +202,17 @@ def run_tsirelson_suite(cases, seed):
                 "case_seed": case_seed,
                 "blocks": len(blocks),
                 # Lemma II.1 compares exactly these two INCOMPARABLE norms
-                "lemma_lhs": rational_str(q["index_incomparable"]),
-                "lemma_rhs": rational_str(q["combo_incomparable"]),
-                "index_standard": rational_str(q["index_standard"]),
-                "combo_incomparable": rational_str(q["combo_incomparable"]),
-                "combo_standard": rational_str(q["combo_standard"]),
+                "lemma_lhs": str(q["index_incomparable"]),
+                "lemma_rhs": str(q["combo_incomparable"]),
+                "index_standard": str(q["index_standard"]),
+                "combo_incomparable": str(q["combo_incomparable"]),
+                "combo_standard": str(q["combo_standard"]),
                 "checks": sandwich.checks,
                 "ok": sandwich.ok,
             }, lambda: {
                 "tree": tree_to_json_dict(tree),
                 "blocks": [vector_to_json_dict(b) for b in blocks],
-                "coeffs": [rational_str(c) for c in coeffs],
+                "coeffs": [str(c) for c in coeffs],
             }
 
     return _run("tsirelson_suite", {"cases": cases, "seed": seed}, records())
@@ -231,7 +232,7 @@ def run_hi_suite(pairs):
     def records():
         for m, n in pairs:
             row = strict_singularity_witness(n, m)
-            fields = {key: rational_str(row[key]) for key in WITNESS_COLUMNS}
+            fields = {key: str(row[key]) for key in WITNESS_COLUMNS}
             ok = row["ground"] == 1 and row["lower"] >= Fraction(n, m)
             yield ({"m": m, "n": n, **fields, "ok": ok},
                    lambda: {"tree": tree_to_json_dict(star_tree(n)), "m": m, "n": n})

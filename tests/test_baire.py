@@ -43,6 +43,7 @@ from baire_lab.vectors import (
     pow_bounds,
     unit_vector,
 )
+from baire_lab.verify import run_branch_isometry
 from baire_reference import reference_report
 from util import benchmark_size_vectors, clear_reuse_slots, random_case, sweep_case
 
@@ -53,8 +54,11 @@ P0 = BaireParams(ZERO, L1)
 
 
 def test_params_validation():
-    assert BaireParams(0, L1).p is ZERO
-    assert BaireParams(ZERO, L1).p is ZERO
+    # every zero p is the one shared zero, a plain Fraction
+    for p in (0, "0", "0/7", Fraction(0), ZERO):
+        assert BaireParams(p, L1).p is ZERO, p
+    assert type(ZERO) is Fraction and ZERO == 0
+    assert run_branch_isometry(3, cases=2, p=0).params["p"] == "0"
     with pytest.raises(ValueError):
         BaireParams(Fraction(1, 2), L1)
 

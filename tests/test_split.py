@@ -25,10 +25,11 @@ def test_table_orders_by_share():
 
 
 def test_cache_table_lists_each_cache_by_name():
-    lines = split.cache_table({"verify._kept_chain": [80, 0, 10], "hi._row": [10, 2, 5]})
+    lines = split.cache_table({"verify._kept_chain": [80, 0, 10, 64], "hi._row": [10, 2, 5, 128],
+                               "cli._parser": [3, 0, 1, None]})
     assert [line.split() for line in lines] == [
-        ["cache", "hits", "misses", "currsize"], ["hi._row", "10", "2", "5"],
-        ["verify._kept_chain", "80", "0", "10"]]
+        ["cache", "hits", "misses", "currsize", "maxsize"], ["cli._parser", "3", "0", "1", "None"],
+        ["hi._row", "10", "2", "5", "128"], ["verify._kept_chain", "80", "0", "10", "64"]]
 
 
 def test_cache_infos_reads_module_level_caches():
@@ -37,7 +38,8 @@ def test_cache_infos_reads_module_level_caches():
     hi.strict_singularity_witness(4, 2)
     infos = split.cache_infos()
     info = hi._row.cache_info()
-    assert infos["hi._row"] == (info.hits, info.misses, info.currsize)
+    assert infos["hi._row"] == (info.hits, info.misses, info.currsize, info.maxsize)
+    assert infos["hi._row"][3] == hi.ROWS_KEPT and infos["cli._parser"][3] is None
     assert "cli._parser" in infos and "tsirelson._built" in infos
     assert "cli.build_parser" not in infos  # a plain function is no cache
 
@@ -63,8 +65,10 @@ def test_split_of_this_checkout():
     # the caches' traffic over the timed rounds: the warm-up round computed
     # every strict-singularity row and short chain, so the timed rounds
     # only hit them, and the parser is built once
-    assert lines[end + 1].split() == ["cache", "hits", "misses", "currsize"]
-    caches = {line.split()[0]: [int(v) for v in line.split()[1:]] for line in lines[end + 2:]}
+    assert lines[end + 1].split() == ["cache", "hits", "misses", "currsize", "maxsize"]
+    caches = {line.split()[0]: [int(v) for v in line.split()[1:4]] for line in lines[end + 2:]}
+    bounds = {line.split()[0]: line.split()[4] for line in lines[end + 2:]}
+    assert bounds["cli._parser"] == "None" and bounds["hi._row"] == "128"
     assert {"cli._parser", "hi._row", "verify._kept_chain", "tsirelson._built"} <= set(caches)
     for name in ("cli._parser", "hi._row", "verify._kept_chain"):
         hits, misses, size = caches[name]

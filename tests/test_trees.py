@@ -240,6 +240,8 @@ def test_random_tree_is_valid_and_deterministic(seed):
     assert a == _reference_random_tree(seed, 10, 3)
     assert random_tree(seed, 40, 2) == _reference_random_tree(seed, 40, 2)
     assert random_tree(seed, 200, 1) == _reference_random_tree(seed, 200, 1)
+    assert random_tree(seed, 1, 3) == _reference_random_tree(seed, 1, 3)
+    assert random_tree(seed, 25, 5) == _reference_random_tree(seed, 25, 5)
     assert len(a) <= 10
     # prefix closure is FiniteTree's invariant; reconstruct to re-check
     assert FiniteTree(a.nodes) == a

@@ -105,11 +105,28 @@ def test_tsirelson_suite_runs_and_is_deterministic():
     )
 
 
+def _canonical(s):
+    """True iff s is a rational as str(Fraction) writes it: a float, or a
+    string not in lowest terms, fails the round trip."""
+    return str(Fraction(s)) == s
+
+
 def test_tsirelson_suite_records_are_rational_strings():
-    r = run_tsirelson_suite(5, seed=3)
-    for rec in r.records:
-        for key in ("lemma_lhs", "lemma_rhs", "combo_incomparable"):
-            Fraction(rec[key])  # parses, no floats
+    # every rational field of the three suites, not only the Tsirelson one
+    for rec in run_tsirelson_suite(5, seed=3).records:
+        for key in ("lemma_lhs", "lemma_rhs", "index_standard", "combo_incomparable",
+                    "combo_standard"):
+            assert _canonical(rec[key]), key
+    for p, base in ((1, BaseNorm.ell(1)), (2, BaseNorm.ell(2)), (0, BaseNorm.ell(2))):
+        r = run_branch_isometry(6, cases=10, seed=3, p=p, base=base)
+        assert _canonical(r.params["p"])
+        for rec in r.records:
+            computed = rec["computed"]
+            for s in (computed if isinstance(computed, list) else [computed]) + rec["expected"]:
+                assert _canonical(s), rec
+    for rec in run_hi_suite([(2, 4), (3, 9)]).records:
+        for key in verify.WITNESS_COLUMNS:
+            assert _canonical(rec[key]), key
 
 
 def test_tsirelson_failure_bundle_replays():

@@ -19,8 +19,9 @@ quantiles, so it never lies past the slowest call), and its share of
 the summed call time.  A line gives the mean time of one round.  Then
 comes one line per functools cache of the imported baire_lab modules
 (a module-level function with cache_info, under its module's short name):
-its hits and misses over the R timed rounds and its size after them, so
-a claim that calls reuse a cached result shows its traffic.  The exit
+its hits and misses over the R timed rounds, its size after them and its
+bound (maxsize, None for an unbounded cache), so a claim that calls reuse
+a cached result shows its traffic and how much it may keep.  The exit
 code is 1 if the warm-up outputs fail the checks.
 """
 
@@ -44,8 +45,8 @@ def command_of(argv):
 
 
 def cache_infos():
-    """{module.name: (hits, misses, currsize)} of every functools cache
-    defined at module level in the imported baire_lab modules."""
+    """{module.name: (hits, misses, currsize, maxsize)} of every functools
+    cache defined at module level in the imported baire_lab modules."""
     infos = {}
     for module_name, module in list(sys.modules.items()):
         if not module_name.startswith("baire_lab."):
@@ -54,14 +55,14 @@ def cache_infos():
             if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module_name:
                 info = value.cache_info()
                 infos["%s.%s" % (module_name[len("baire_lab."):], name)] = (
-                    info.hits, info.misses, info.currsize)
+                    info.hits, info.misses, info.currsize, info.maxsize)
     return infos
 
 
 def measure(checkout, seed, seconds, rounds):
     """Run in the fresh process: time checkout's cli_verify cases and print
     one JSON object, {"correct": bool, "calls": {command: [seconds]},
-    "rounds": [seconds], "caches": {cache: [hits, misses, currsize]}},
+    "rounds": [seconds], "caches": {cache: [hits, misses, currsize, maxsize]}},
     with each cache's hits and misses counted over the timed rounds."""
     bench = os.path.join(checkout, "bench")
     sys.path[:0] = [os.path.join(checkout, "src"), bench]
@@ -97,8 +98,8 @@ def measure(checkout, seed, seconds, rounds):
             totals.append(total)
         # the warm-up imported every module, so each cache is in before
         caches = {
-            name: [hits - before[name][0], misses - before[name][1], size]
-            for name, (hits, misses, size) in cache_infos().items()
+            name: [hits - before[name][0], misses - before[name][1], size, maxsize]
+            for name, (hits, misses, size, maxsize) in cache_infos().items()
         }
     print(json.dumps({"correct": correct, "calls": calls, "rounds": totals, "caches": caches}))
 
@@ -119,9 +120,9 @@ def table(result):
 
 def cache_table(caches):
     """The printed lines of one measure() result's caches, by name."""
-    lines = ["%-24s %8s %8s %8s" % ("cache", "hits", "misses", "currsize")]
-    for name, (hits, misses, size) in sorted(caches.items()):
-        lines.append("%-24s %8d %8d %8d" % (name, hits, misses, size))
+    lines = ["%-24s %8s %8s %8s %8s" % ("cache", "hits", "misses", "currsize", "maxsize")]
+    for name, (hits, misses, size, maxsize) in sorted(caches.items()):
+        lines.append("%-24s %8d %8d %8d %8s" % (name, hits, misses, size, maxsize))
     return lines
 
 
