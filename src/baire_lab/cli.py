@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: baire, tsirelson, ground, hi, rank, gen, verify.  All
+Subcommands: baire, tsirelson, ground, hi, rank, gen, verify.  Each gen
+shape and each verify suite, like each hi subcommand, takes only the flags
+it reads; any other flag is a usage error.  All
 numeric output is exact rational strings or certified interval
 endpoints; --json switches from aligned text to machine format.  Exit
 codes: 0 pass, 1 verification failure, 2 usage/input error or internal
@@ -283,20 +285,16 @@ def cmd_gen(args):
     if size > DEPTH_MAX:
         raise ValueError("%s %d is too large: %s trees take at most %d"
                          % (flag, size, args.shape, DEPTH_MAX))
-    if args.max_branch < 1:
-        raise ValueError("--max-branch must be >= 1")
-    if args.base_label < 0:
-        raise ValueError("--base-label must be >= 0: node entries are naturals")
-    if args.shape == "chain":
-        tree = chain_tree(args.n)
+    if args.shape == "random":
+        if args.max_branch < 1:
+            raise ValueError("--max-branch must be >= 1")
+        tree = random_tree(seed=args.seed, max_nodes=args.max_nodes, max_branch=args.max_branch)
     elif args.shape == "star":
+        if args.base_label < 0:
+            raise ValueError("--base-label must be >= 0: node entries are naturals")
         tree = star_tree(args.n, base_label=args.base_label)
-    elif args.shape == "comb":
-        tree = comb_tree(args.n)
     else:
-        tree = random_tree(
-            seed=args.seed, max_nodes=args.max_nodes, max_branch=args.max_branch
-        )
+        tree = (chain_tree if args.shape == "chain" else comb_tree)(args.n)
     _write_or_print(tree_to_json_dict(tree), args.out)
     return 0
 
@@ -348,9 +346,9 @@ def cmd_hi(args):
 
 
 def cmd_verify(args):
-    if args.cases < 0:
+    if args.suite != "hi" and args.cases < 0:
         raise ValueError("--cases must be >= 0")
-    if args.cases > CASES_MAX:
+    if args.suite != "hi" and args.cases > CASES_MAX:
         raise ValueError("--cases %d is too large: at most %d" % (args.cases, CASES_MAX))
     if args.suite == "branch" and args.max_len > DEPTH_MAX:
         raise ValueError("--max-len %d is too large: at most %d" % (args.max_len, DEPTH_MAX))
@@ -404,13 +402,16 @@ def build_parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate a tree JSON file")
-    p.add_argument("shape", choices=["chain", "star", "comb", "random"])
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--base-label", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=12)
-    p.add_argument("--max-branch", type=int, default=3)
-    p.add_argument("--out", default=None)
+    shapes = p.add_subparsers(dest="shape", required=True)
+    chain, star, comb, rand = map(shapes.add_parser, ("chain", "star", "comb", "random"))
+    for s in (chain, star, comb):
+        s.add_argument("--n", type=int, default=4)
+    star.add_argument("--base-label", type=int, default=0)
+    rand.add_argument("--seed", type=int, default=0)
+    rand.add_argument("--max-nodes", type=int, default=12)
+    rand.add_argument("--max-branch", type=int, default=3)
+    for s in (chain, star, comb, rand):
+        s.add_argument("--out", default=None)
 
     p = sub.add_parser("hi", help="norming-set witnesses and growth schedule")
     hi_sub = p.add_subparsers(dest="hi_command", required=True)
@@ -421,12 +422,15 @@ def build_parser():
     s.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["branch", "tsirelson", "hi"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100, help="0 to %d" % CASES_MAX)
-    p.add_argument("--max-len", type=int, default=20)
-    p.add_argument("--pairs", default=None)
-    p.add_argument("--out", default=None)
+    suites = p.add_subparsers(dest="suite", required=True)
+    branch, tsir, hi = map(suites.add_parser, ("branch", "tsirelson", "hi"))
+    for s in (branch, tsir):
+        s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--cases", type=int, default=100, help="0 to %d" % CASES_MAX)
+    branch.add_argument("--max-len", type=int, default=20)
+    hi.add_argument("--pairs", default=None)
+    for s in (branch, tsir, hi):
+        s.add_argument("--out", default=None)
 
     return parser
 

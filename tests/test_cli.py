@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from baire_lab import cli, verify
 from baire_lab.cli import (
     CASES_MAX, DEPTH_MAX, EXPONENT_MAX, GRID_BITS_MAX, PAIRS_MAX, PAIRS_NMAX, main)
-from baire_lab.trees import comb_tree, star_tree, tree_to_json_dict
+from baire_lab.trees import comb_tree, random_tree, star_tree, tree_to_json_dict
 from baire_lab.verify import run_hi_suite
 
 
@@ -37,9 +37,13 @@ def test_gen_then_rank(tmp_path, capsys):
 def test_gen_round_trips_through_all_consumers(tmp_path, capsys):
     for shape in ("chain", "star", "comb", "random"):
         t = tmp_path / (shape + ".json")
-        code, _, _ = run(capsys, "gen", shape, "--n", "4", "--out", str(t))
+        # gen random takes no --n: it draws its 12-node default tree
+        size = [] if shape == "random" else ["--n", "4"]
+        code, _, _ = run(capsys, "gen", shape, *size, "--out", str(t))
         assert code == 0
         nodes = json.loads(t.read_text())["nodes"]
+        if shape == "random":
+            assert nodes == tree_to_json_dict(random_tree(0, 12, 3))["nodes"]
         x = tmp_path / (shape + "_x.json")
         write_vector(x, [[nodes[-1], "1"]])
         for sub in (
@@ -79,6 +83,8 @@ def test_baire_exponents_are_bounded(tmp_path, capsys):
         code, out, err = run(capsys, *baire, *flags)
         assert code == 2 and out == "", flags
         assert err.startswith("error: %s " % flags[0]) and "not a rational" in err, flags
+    # a base that is neither sup nor lQ
+    assert run(capsys, *baire, "--base", "x3") == (2, "", "error: unknown base norm token 'x3'\n")
     # on this 3-node chain, --p 1001/1000 --base l2 took 4.6 s and
     # --base l3001/1000 took 27 s
     for flags in (["--p", "1001/1000", "--base", "l2"], ["--base", "l3001/1000"],
@@ -448,6 +454,8 @@ def test_depth_is_bounded(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, "gen", *argv)
             assert code == 2 and out == "", argv
             assert err.startswith("error: %s must be >= " % argv[1]) and "internal" not in err
+    # the lower bound of a size is the builders' own
+    assert run(capsys, "gen", "chain", "--n", "0") == (2, "", "error: chain_tree needs n >= 1\n")
     # the bound itself is allowed (checked on a small bound: a 3,000-entry
     # node takes about 1 s to build)
     monkeypatch.setattr(cli, "DEPTH_MAX", 5)
@@ -670,10 +678,12 @@ PARSE_OK = [
     ["ground", "--vector", "x", "--tree", "t", "--json"],
     ["rank", "--tree", "t"],
     ["gen", "random", "--seed", "3", "--max-nodes", "9", "--out", "o"],
+    ["gen", "star", "--n", "3", "--base-label", "2"],
     ["hi", "witness", "--pairs", "2:4,4:16"],
     ["hi", "schedule", "--jmax", "2", "--json"],
     ["verify", "hi", "--pairs", "2:4", "--out", "o"],
     ["verify", "branch", "--seed", "1", "--cases", "3", "--max-len", "5"],
+    ["verify", "tsirelson", "--seed", "1", "--cases", "3"],
 ]
 # help, and each kind of usage error: an unrecognized argument, a missing
 # one, an invalid choice, an unknown command and none
@@ -681,6 +691,8 @@ PARSE_EXITS = [
     ["--help"],
     ["baire", "-h"],
     ["hi", "witness", "--tree", "t", "--pairs", "2:4"],
+    ["gen", "random", "--n", "4"],
+    ["verify", "hi", "--cases", "3"],
     ["baire", "--vector", "x"],
     ["tsirelson", "--tree", "t", "--vector", "x", "--variant", "bogus"],
     ["bogus-subcommand"],
@@ -704,6 +716,44 @@ def test_dispatch_parses_as_the_full_parser(capsys, argv):
     full = _parsed(capsys, cli.build_parser().parse_args, list(argv))
     assert _parsed(capsys, cli._parse, list(argv)) == full
     assert (full[0][0] == "exit") == (argv in PARSE_EXITS)
+
+
+# the flags each gen shape and each verify suite reads, with a value each
+OWN_FLAGS = {
+    ("gen", "chain"): {"--n": "3", "--out": "o"},
+    ("gen", "comb"): {"--n": "3", "--out": "o"},
+    ("gen", "star"): {"--n": "3", "--base-label": "2", "--out": "o"},
+    ("gen", "random"): {"--seed": "1", "--max-nodes": "5", "--max-branch": "2", "--out": "o"},
+    ("verify", "branch"): {"--seed": "1", "--cases": "2", "--max-len": "5", "--out": "o"},
+    ("verify", "tsirelson"): {"--seed": "1", "--cases": "2", "--out": "o"},
+    ("verify", "hi"): {"--pairs": "2:4", "--out": "o"},
+}
+
+
+def test_each_command_takes_only_its_own_flags(capsys, monkeypatch):
+    # a flag of a sibling shape or suite is refused by the parser, before
+    # any tree is built or any suite is run
+    def never_run(*args, **kwargs):
+        raise AssertionError("a refused call built a tree or ran a suite")
+
+    for name in ("chain_tree", "star_tree", "comb_tree", "random_tree",
+                 "run_branch_isometry", "run_tsirelson_suite", "run_hi_suite"):
+        monkeypatch.setattr(cli, name, never_run)
+    refused = []
+    for (command, leaf), own in OWN_FLAGS.items():
+        values = {flag: value for (c, _), flags in OWN_FLAGS.items() if c == command
+                  for flag, value in flags.items()}
+        for flag in sorted(values.keys() - own.keys()):
+            argv = [command, leaf, flag, values[flag]]
+            refused.append(argv)
+            code, out, err = _outcome(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith("error: unrecognized arguments: %s %s\n" % tuple(argv[2:])), argv
+        # the leaf's own flags are all read
+        args = cli._parse([command, leaf, *(a for pair in own.items() for a in pair)])
+        for flag, value in own.items():
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == value, (leaf, flag)
+    assert len(refused) == 19
 
 
 def test_json_output_builds_no_text(tmp_path, capsys, monkeypatch):

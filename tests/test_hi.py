@@ -50,6 +50,10 @@ def test_even_op_functional():
     for m in (0, Fraction(1, 2), 2.0, True):
         with pytest.raises(ValueError, match="int m >= 1"):
             even_op_functional(m, 4, [f1, f2])
+    with pytest.raises(ValueError, match="at least one functional"):
+        even_op_functional(2, 4, [])
+    with pytest.raises(ValueError, match="parts must be nonzero"):
+        even_op_functional(2, 4, [f1, ground_functional([])])
 
 
 def test_functional_checks_the_entries_a_caller_gives():
@@ -263,6 +267,11 @@ def test_dg_validation():
         dg_lower_bound(x, 1, [])
     with pytest.raises(ValueError):
         dg_lower_bound(x, 1, [(0, 4)])
+    # x = 0 is answered without a search: 0, by an empty ground functional
+    zero = TreeVector(x.tree, {})
+    value, witness = dg_lower_bound(zero, 1, [(2, 4)])
+    assert value == 0 and witness.entries == {} and witness(zero) == 0
+    assert witness.provenance == ("ground", ())
 
 
 @pytest.mark.parametrize("depth, ops", [

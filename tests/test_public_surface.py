@@ -60,6 +60,11 @@ def _choices(parser, dest):
     return action.choices
 
 
+def _options(parser):
+    """The sorted option strings of parser, without -h and --help."""
+    return sorted(o for a in parser._actions if a.dest != "help" for o in a.option_strings)
+
+
 def test_all_is_pinned_and_resolves():
     assert len(PUBLIC_NAMES) == 32
     assert sorted(baire_lab.__all__) == PUBLIC_NAMES
@@ -73,6 +78,20 @@ def test_cli_commands_are_pinned():
     assert sorted(commands) == ["baire", "gen", "ground", "hi", "rank", "tsirelson", "verify"]
     assert sorted(_choices(commands["hi"], "hi_command")) == ["schedule", "witness"]
     assert list(_choices(commands["verify"], "suite")) == ["branch", "tsirelson", "hi"]
+    # each gen shape and each verify suite takes only the flags it reads
+    shapes = {name: _options(p) for name, p in _choices(commands["gen"], "shape").items()}
+    assert shapes == {
+        "chain": ["--n", "--out"],
+        "star": ["--base-label", "--n", "--out"],
+        "comb": ["--n", "--out"],
+        "random": ["--max-branch", "--max-nodes", "--out", "--seed"],
+    }
+    suites = {name: _options(p) for name, p in _choices(commands["verify"], "suite").items()}
+    assert suites == {
+        "branch": ["--cases", "--max-len", "--out", "--seed"],
+        "tsirelson": ["--cases", "--out", "--seed"],
+        "hi": ["--out", "--pairs"],
+    }
 
 
 def test_every_command_has_its_handler():

@@ -76,6 +76,15 @@ def test_enumeration_index_rejects_out_of_alphabet():
         enumeration_index((2,), 1)
 
 
+def test_tree_builders_need_a_node():
+    for build in (chain_tree, star_tree, comb_tree):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^%s needs n >= 1$" % build.__name__):
+                build(n)
+    with pytest.raises(ValueError, match="^random_tree needs max_nodes >= 1$"):
+        random_tree(seed=0, max_nodes=0, max_branch=3)
+
+
 def test_labels_outside_the_naturals_are_refused():
     # star_tree(3, base_label=-2) gave (-1,) the root's index 0 and (-2,)
     # index -1, below its length

@@ -228,6 +228,24 @@ def test_fixed_point_holds():
         _, x = random_nonroot_case(seed, max_support=8)
         for variant in (INCOMPARABLE, STANDARD):
             assert check_fixed_point(x, variant)
+    # a converged value moved off the fixed point fails the check: with 3 at
+    # every node of a 6-leaf star a family wins (9/2 > 3), so one grid step
+    # below is beaten, one above is attained by nothing, and the sup alone
+    # is attained by the sup but beaten by the family
+    t = star_tree(6)
+    x = TreeVector(t, {node: 3 for node in t.nodes})
+    try:
+        for variant in (INCOMPARABLE, STANDARD):
+            assert tsirelson_norm(x, variant) == Fraction(9, 2)
+            eng = tsirelson._built(variant, x)
+            value = eng.memo[eng.root]
+            for wrong in (value - 1, value + 1, max(eng.ctx.vals)):
+                eng.memo[eng.root] = wrong
+                assert not check_fixed_point(x, variant), (variant, wrong)
+            eng.memo[eng.root] = value
+            assert check_fixed_point(x, variant)
+    finally:
+        tsirelson._built.cache_clear()
 
 
 def test_norm_dominates_sup_and_below_half_l1():
@@ -774,6 +792,8 @@ def test_block_sequence_validation():
     comp = [unit_vector(t2, (0,)), unit_vector(t2, (0, 0))]
     with pytest.raises(ValueError):
         verify_lemma_II1(t2, comp, [1, 1])  # comparable supports
+    with pytest.raises(ValueError, match="^block 0 lives on a different tree$"):
+        verify_sandwich18(t2, blocks, [1, 1])
 
 
 def test_standard_part_table_holds_two_or_more_runs():

@@ -201,6 +201,11 @@ def test_integer_nth_root_from_any_start_at_or_above_the_floor():
             assert integer_nth_root((root + 1) ** n - 1, n, root + 1) == root
 
 
+def test_integer_nth_root_rejects_a_negative_radicand():
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        integer_nth_root(-1, 3)
+
+
 def test_root_floor_rejects_nonpositive_input():
     # 0 << k < den for every k: the shift search would never end
     for num, den in ((0, 1), (0, 5), (-1, 1), (1, 0), (1, -1)):
@@ -454,6 +459,10 @@ def test_base_norm_parse():
         BaseNorm.parse("linf")
     with pytest.raises(ValueError):
         BaseNorm.ell(Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^unknown base norm token 'x3'$"):
+        BaseNorm.parse("x3")
+    with pytest.raises(ValueError, match=r"^unknown base norm kind 'bogus'$"):
+        BaseNorm("bogus")
     # a zero denominator was a ZeroDivisionError; every other malformed
     # token is a ValueError
     for token in ("l", "lx", "l0"):
