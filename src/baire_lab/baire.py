@@ -80,7 +80,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from baire_lab.trees import Segment, completely_incomparable, is_prefix, segments_from_ids
-from baire_lab.vectors import ZERO, NormValue, pow_bounds, pow_ends
+from baire_lab.vectors import ZERO, NormValue, pow_bounds, pow_ends, to_fraction
 
 _EXACT_ZERO = (ZERO, ZERO)
 
@@ -92,9 +92,9 @@ def _s_add(a, b):
 class BaireParams:
     """p, a rational >= 1 or 0, plus a base norm.
 
-    p is read through Fraction, and every zero p is stored as ZERO, the
-    package's one zero (vectors.ZERO), so `params.p is ZERO` marks the
-    0-variant and params.p is always a Fraction.
+    p is read through vectors.to_fraction, and every zero p is stored as
+    ZERO, the package's one zero (vectors.ZERO), so `params.p is ZERO` marks
+    the 0-variant and params.p is always a Fraction.
     The DP's two exponents are fixed once, in __init__: chain_exponent,
     p * base.root_exponent, takes a chain's power sum to its p-th power
     (None for ZERO), and root_exponent takes the DP's power-domain value to
@@ -102,10 +102,7 @@ class BaireParams:
     """
 
     def __init__(self, p, base):
-        try:
-            p = Fraction(p)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in baire p %r" % (p,)) from None
+        p = to_fraction(p, "baire p %r", p)
         if p == 0:
             p = ZERO
         elif p < 1:

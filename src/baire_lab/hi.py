@@ -97,7 +97,7 @@ from math import lcm
 from operator import add
 
 from baire_lab.trees import is_prefix, star_tree
-from baire_lab.vectors import ZERO, TreeVector
+from baire_lab.vectors import ZERO, TreeVector, to_fraction
 
 #: small admissible (m, n) pairs for desk-scale experiments
 DESK_PAIRS = [(2, 4), (2, 8), (2, 16), (4, 64)]
@@ -147,7 +147,7 @@ class Functional:
     def __init__(self, entries, provenance):
         clean = {}
         for node, value in entries.items():
-            value = Fraction(value)
+            value = to_fraction(value, "functional entry %r at %r", value, node)
             if value:
                 if abs(value) > 1:
                     raise ValueError(
@@ -175,9 +175,6 @@ class Functional:
         den = lcm(*[d for _, d in products])
         return Fraction(sum(a * (den // d) for a, d in products), den)
 
-    def support(self):
-        return frozenset(self.entries)
-
     def __repr__(self):
         return "Functional(%r)" % (self.provenance,)
 
@@ -196,7 +193,7 @@ def ground_functional(nodes_and_signs):
     for node, sign in entries.items():
         v = _SIGNS.get(sign)
         if v is None:
-            v = Fraction(sign)
+            v = to_fraction(sign, "ground functional sign %r", sign)
             if abs(v) != 1:
                 raise ValueError("ground functional signs must be +-1")
         entries[node] = v
@@ -222,12 +219,11 @@ def even_op_functional(m, n, parts):
     prev_max = None
     entries = {}
     for f in parts:
-        supp = sorted(f.support(), key=enum_key)
-        if not supp:
+        if not f.entries:
             raise ValueError("averaging operation parts must be nonzero")
-        if prev_max is not None and enum_key(supp[0]) <= enum_key(prev_max):
+        if prev_max is not None and min(map(enum_key, f.entries)) <= prev_max:
             raise ValueError("averaging operation parts must be successively supported")
-        prev_max = supp[-1]
+        prev_max = max(map(enum_key, f.entries))
         for node, v in f.entries.items():
             entries[node] = v / m
     return Functional._of(entries, ("even_op", m, n, tuple(p.provenance for p in parts)))

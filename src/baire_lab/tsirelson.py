@@ -149,8 +149,10 @@ is the two singletons, each valued at its own |x_t|, whose half-sum
 outer max; on fewer nodes there is no family at all.  So
 `tsirelson_norm` and `tsirelson_iterate` answer such a support as the
 max of its |values|, after the same variant, cap and level checks,
-without a `_Ctx` or an engine; the witness tree and `check_fixed_point`
-still read an engine.
+without a `_Ctx` or an engine.  The witness tree of such a support is the
+leaf at its first node of largest |x_t|, the one the engine's leaf rule
+picks (the bare value "0" for x = 0), and `check_fixed_point` holds on
+it without a search.
 
 Antichain lemma: on a support A of pairwise incomparable nodes, the two
 variants have the same value on every subset B of A at every level and
@@ -190,8 +192,8 @@ reads, so a hit builds nothing.  A vector is a value, so the same vector
 hits by identity and an equal one by TreeVector.__eq__.  So the norm,
 witness, fixed-point check and iterates of one vector share one memo, a
 scaled vector (which moves the grid) gets a new engine, and one entry
-keeps memory flat; the norm and the iterates of a support of at most two
-nodes (the two-node lemma) neither read nor evict it.  Sharing is safe
+keeps memory flat; none of the four public calls on a support of at most
+two nodes (the two-node lemma) reads or evicts it.  Sharing is safe
 because every memo, `family`, `split` and `part` entry is a pure
 function of its key: the order of calls changes no value and no recorded
 first optimum.
@@ -201,6 +203,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import gcd
+from operator import itemgetter
 
 from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.vectors import ZERO, TreeVector
@@ -209,6 +212,8 @@ INCOMPARABLE = "incomparable"
 STANDARD = "standard"
 
 DEFAULT_SUPPORT_CAP = 14
+
+_second = itemgetter(1)
 
 
 class _Ctx:
@@ -525,19 +530,18 @@ class _StdEngine:
         return self.best_split(*self.root, None, 2 * value)[1] is not None
 
 
-def _engine(x, variant, least=1):
+def _engine(x, variant):
     """The engine of `variant` on the support of x, or None if the support
-    has fewer than `least` nodes (x = 0 by default).  The checks run outside
-    the cache, so a vector over the cap is refused even if a higher cap
-    built its engine, and x = 0 evicts nothing.  The norm and the iterates
-    pass least = 3 and answer a smaller support by the two-node lemma, so
-    such a support evicts nothing either."""
+    has at most two nodes, which the caller answers by the two-node lemma.
+    The checks run outside the cache, so a vector over the cap is refused
+    even if a higher cap built its engine, and a support of at most two
+    nodes evicts nothing."""
     if variant not in (INCOMPARABLE, STANDARD):
         raise ValueError("unknown variant %r" % (variant,))
     n = len(x.entries)
     if n > DEFAULT_SUPPORT_CAP:
         raise ValueError("support cap exceeded: |supp| = %d > %d" % (n, DEFAULT_SUPPORT_CAP))
-    if n < least:
+    if n < 3:
         return None
     return _built(variant, x)
 
@@ -547,16 +551,18 @@ def _built(variant, x):
     return (_IncEngine if variant == INCOMPARABLE else _StdEngine)(_Ctx(x))
 
 
-def _sup(x):
-    """The sup norm of x, 0 for x = 0: the value of a support of at most two
-    nodes at every level and at the fixed point (the two-node lemma)."""
-    return max(map(abs, x.entries.values()), default=ZERO)
+def _top(x):
+    """(t, |x_t|) for the first support node t of largest |x_t|, (None, 0)
+    for x = 0: the sup norm is the value of a support of at most two nodes
+    at every level and at the fixed point, and t its witness leaf (the
+    two-node lemma)."""
+    return max(((t, abs(v)) for t, v in x.entries.items()), key=_second, default=(None, ZERO))
 
 
 def tsirelson_norm(x, variant):
     """Exact rational value of the implicit Tsirelson norm."""
-    eng = _engine(x, variant, 3)
-    return _sup(x) if eng is None else eng.ctx.rational(eng.value())
+    eng = _engine(x, variant)
+    return _top(x)[1] if eng is None else eng.ctx.rational(eng.value())
 
 
 def tsirelson_iterate(x, variant, m):
@@ -567,15 +573,16 @@ def tsirelson_iterate(x, variant, m):
         raise ValueError("iterate level must be an int, not %r" % (m,))
     if m < 0:
         raise ValueError("iterate level must be >= 0")
-    eng = _engine(x, variant, 3)
-    return _sup(x) if eng is None else eng.ctx.rational(eng.value(m))
+    eng = _engine(x, variant)
+    return _top(x)[1] if eng is None else eng.ctx.rational(eng.value(m))
 
 
 def tsirelson_witness_tree(x, variant):
     """Derivation tree of one optimal admissible-family decomposition."""
     eng = _engine(x, variant)
     if eng is None:
-        return {"value": "0"}
+        node, value = _top(x)
+        return {"value": "0"} if node is None else {"value": str(value), "node": list(node)}
     eng.value()
     memo, members, positions = eng.memo, eng.members, eng.positions
     text, vals, nodes = eng.ctx.text, eng.ctx.vals, eng.ctx.nodes

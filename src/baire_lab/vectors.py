@@ -59,6 +59,16 @@ _first = itemgetter(0)
 ZERO = Fraction(0)
 
 
+def to_fraction(value, what, *args):
+    """Fraction(value), the one reader of rationals from outside the package:
+    a zero denominator is a ValueError naming the value, "zero denominator
+    in " + what % args, not a ZeroDivisionError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in " + what % args) from None
+
+
 def integer_nth_root(x, n, start=None):
     """Floor of the n-th root of a nonnegative integer x, by integer Newton
     from start, an integer at least that floor, or from the power of two
@@ -272,13 +282,13 @@ class NormValue:
 
     def __init__(self, lower, upper=None):
         # a Fraction is kept as it is, so the reports' Fractions are not
-        # built twice; anything else goes through Fraction()
+        # built twice; anything else goes through to_fraction
         if type(lower) is not Fraction:
-            lower = Fraction(lower)
+            lower = to_fraction(lower, "norm bound %r", lower)
         if upper is None:
             upper = lower
         elif type(upper) is not Fraction:
-            upper = Fraction(upper)
+            upper = to_fraction(upper, "norm bound %r", upper)
         if lower > upper:
             raise ValueError("interval with lower > upper")
         self.lower = lower
@@ -317,10 +327,7 @@ class BaseNorm:
 
     def __init__(self, kind, q=None):
         if kind == "ell":
-            try:
-                q = Fraction(q)
-            except ZeroDivisionError:
-                raise ValueError("zero denominator in ell_q base norm q %r" % (q,)) from None
+            q = to_fraction(q, "ell_q base norm q %r", q)
             if q < 1:
                 raise ValueError("ell_q base norm needs q >= 1")
             self.q = self.term_exponent = q
@@ -357,11 +364,7 @@ class BaseNorm:
         if token == "sup":
             return BaseNorm.sup()
         if token.startswith("l"):
-            try:
-                q = Fraction(token[1:])
-            except ZeroDivisionError:
-                raise ValueError("zero denominator in base norm token %r" % (token,)) from None
-            return BaseNorm.ell(q)
+            return BaseNorm.ell(to_fraction(token[1:], "base norm token %r", token))
         raise ValueError("unknown base norm token %r" % (token,))
 
     def power_sum(self, values):
@@ -410,7 +413,7 @@ class BaseNorm:
 class TreeVector:
     """Finitely supported rational vector indexed by tree nodes, a value.
 
-    The constructor reads a mapping from tree nodes to values Fraction()
+    The constructor reads a mapping from tree nodes to values to_fraction
     reads; zero values are dropped and a node outside the tree is refused.
     A mapping holds each node once, so reading a repeated node from a file
     is the loader's check (cli._load_vector).
@@ -434,12 +437,7 @@ class TreeVector:
             if i is None:
                 raise ValueError("support node %r is not in the tree" % (node,))
             if not isinstance(value, Fraction):
-                try:
-                    value = Fraction(value)
-                except ZeroDivisionError:
-                    raise ValueError(
-                        "zero denominator in value %r of node %r" % (value, node)
-                    ) from None
+                value = to_fraction(value, "value %r of node %r", value, node)
             if value:
                 items.append((i, value))
         items.sort(key=_first)
@@ -479,7 +477,7 @@ class TreeVector:
         return "TreeVector(%r)" % (list(self.entries.items()),)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = to_fraction(c, "scale factor %r", c)
         return TreeVector(self.tree, {node: c * v for node, v in self.entries.items()})
 
     def l1(self):
@@ -497,7 +495,7 @@ def linear_combination(tree, vectors, coeffs):
     for v, c in zip(vectors, coeffs):
         if v.tree != tree:
             raise ValueError("cannot combine vectors on different trees")
-        c = Fraction(c)
+        c = to_fraction(c, "coefficient %r", c)
         for node, value in v.entries.items():
             old = acc.get(node)
             acc[node] = c * value if old is None else old + c * value
@@ -505,5 +503,5 @@ def linear_combination(tree, vectors, coeffs):
 
 
 def unit_vector(tree, node, value=1):
-    return TreeVector(tree, {tuple(node): Fraction(value)})
+    return TreeVector(tree, {tuple(node): value})
 

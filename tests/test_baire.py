@@ -64,8 +64,12 @@ def test_params_validation():
 
 
 def test_empty_tree_rejected():
-    with pytest.raises(ValueError):
-        baire_norm(TreeVector(FiniteTree([]), {}), P1)
+    empty = TreeVector(FiniteTree([]), {})
+    for norm in (baire_norm, baire_norm_oracle):
+        with pytest.raises(ValueError, match=r"^baire norm of a vector on the empty tree$"):
+            norm(empty, P1)
+    with pytest.raises(ValueError, match=r"^ground norm of a vector on the empty tree$"):
+        ground_norm(empty)
 
 
 def test_single_node():
@@ -414,11 +418,16 @@ def test_cache_traffic(monkeypatch):
 
 @pytest.mark.parametrize("params", [P1, P2, P0], ids=["p1", "p2", "p0"])
 def test_oracle_equivalence_seeded(params):
-    for seed in range(60):
-        _, x = random_case(seed, max_support=6)
+    # the seeded cases, then x = 0, which has no segment: value 0 and the
+    # empty family for every p, the 0-variant among them
+    cases = [random_case(seed, max_support=6)[1] for seed in range(60)]
+    cases.append(TreeVector(star_tree(2), {}))
+    for seed, x in enumerate(cases):
         got = baire_norm_report(x, params).power
         want = baire_norm_oracle_report(x, params, cap=8).power
         assert got == want, (seed, sorted(x.entries.items()))
+    zero = baire_norm_oracle_report(cases[-1], params)
+    assert zero.value == zero.power == 0 and zero.family == []
 
 
 MATRIX_BASES = ["sup", "l1", "l2", "l3/2"]

@@ -30,7 +30,7 @@ from util import HI_OPS, HI_WINDOWS, benchmark_size_vectors, random_case, window
 
 def test_ground_functional_validation():
     f = ground_functional([((), 1), ((0,), -1)])
-    assert f.support() == {(), (0,)}
+    assert set(f.entries) == {(), (0,)}
     with pytest.raises(ValueError):
         ground_functional([((0,), 1), ((1,), 1)])  # not a chain
     with pytest.raises(ValueError):

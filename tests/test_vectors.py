@@ -23,7 +23,7 @@ from baire_lab.vectors import (
 )
 from baire_lab import vectors
 from baire_lab.baire import BaireParams, baire_norm_oracle_report, baire_norm_report
-from baire_lab.hi import dg_lower_bound, ground_norm
+from baire_lab.hi import Functional, dg_lower_bound, ground_functional, ground_norm
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
@@ -485,6 +485,20 @@ def test_zero_denominators_in_library_values_are_value_errors():
         TreeVector(t, {(0,): "1/0"})
     with pytest.raises(ValueError, match=r"^zero denominator in value '2/0' of node \(1,\)$"):
         TreeVector(t, {(0,): 1, (1,): "2/0"})
+    # every other public reader of outside rationals goes through the same
+    # vectors.to_fraction, so "1/0" is a ValueError that names the value
+    x = unit_vector(t, (0,))
+    for make, message in (
+        (lambda: x.scale("1/0"), r"scale factor '1/0'"),
+        (lambda: linear_combination(t, [x], ["1/0"]), r"coefficient '1/0'"),
+        (lambda: unit_vector(t, (), "1/0"), r"value '1/0' of node \(\)"),
+        (lambda: NormValue("1/0"), r"norm bound '1/0'"),
+        (lambda: NormValue(1, "2/0"), r"norm bound '2/0'"),
+        (lambda: Functional({(): "1/0"}, ()), r"functional entry '1/0' at \(\)"),
+        (lambda: ground_functional([((), "1/0")]), r"ground functional sign '1/0'"),
+    ):
+        with pytest.raises(ValueError, match="^zero denominator in %s$" % message):
+            make()
 
 
 def test_aggregate_abs_exact_kinds():

@@ -19,6 +19,11 @@ from baire_lab.verify import (
 def test_branch_isometry_trivial_length_one():
     r = run_branch_isometry(1, cases=10, seed=0)
     assert r.passed and len(r.records) == 10
+    # the base enters the params, and so the digest, as its repr
+    r = run_branch_isometry(1, cases=10, seed=0, base=BaseNorm.sup())
+    assert r.passed and r.params == {
+        "max_len": 1, "cases": 10, "seed": 0, "p": "1", "base": "BaseNorm.sup()",
+    }
 
 
 # pinned: report bytes must not drift across refactors of the base norm
