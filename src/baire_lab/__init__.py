@@ -28,6 +28,7 @@ from baire_lab.baire import BaireParams, ZERO, baire_norm, baire_norm_oracle
 from baire_lab.tsirelson import (
     INCOMPARABLE,
     STANDARD,
+    FiniteBlockSequence,
     tsirelson_iterate,
     tsirelson_norm,
 )
@@ -38,7 +39,6 @@ from baire_lab.hi import (
     schedule,
     strict_singularity_witness,
 )
-from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.verify import (
     ExperimentReport,
     run_branch_isometry,

@@ -86,7 +86,7 @@ DEPTH_MAX = 3000
 
 # verify branch and verify tsirelson hold every record until the report is
 # written; at this bound branch takes about 13 s and 87 MB peak RSS, and
-# tsirelson about 41 s and 155 MB (one child process each, Python 3.11,
+# tsirelson about 29 s and 155 MB (one child process each, Python 3.11,
 # 2-core x86-64 container)
 CASES_MAX = 100_000
 

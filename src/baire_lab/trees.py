@@ -222,10 +222,6 @@ class FiniteTree:
         """Enumeration index of a node under this tree's alphabet bound."""
         return enumeration_index(tuple(node), self.alphabet_bound)
 
-    def leaves(self):
-        """The leaves in enumeration order."""
-        return [t for t, kids in zip(self.order, self.kids) if not kids]
-
 
 def make_tree(paths):
     """Prefix closure of the given paths, as a FiniteTree."""

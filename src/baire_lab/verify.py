@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 from baire_lab.baire import BaireParams, baire_norm
 from baire_lab.hi import strict_singularity_witness
-from baire_lab.trees import chain_tree, random_tree, star_tree, tree_to_json_dict
+from baire_lab.trees import chain_tree, make_tree, star_tree, tree_to_json_dict
 from baire_lab.tsirelson import INCOMPARABLE, tsirelson_norm, verify_sandwich18
 from baire_lab.vectors import BaseNorm, TreeVector
 
@@ -149,34 +149,26 @@ def run_branch_isometry(max_len, cases=100, seed=0, p=1, base=None):
 def _case_blocks(case_seed):
     """Deterministic (tree, normalized blocks, coeffs) for one suite case.
 
-    Blocks sit on consecutive leaf groups (leaves are pairwise
-    incomparable and enumeration-sorted, so the windows increase), and
-    each is scaled to exact norm 1.
+    Block i is a top node, a root child's label followed by i random
+    labels, and one child of it: its two nodes are comparable.  Each block
+    sits under its own root child, so the blocks are pairwise completely
+    incomparable.  Block i ends at depth i + 2, where block i + 1 starts
+    under a larger root label, so the windows increase.  The tree is the
+    prefix closure of the blocks, and each block is scaled to exact norm 1.
     """
-    for attempt in range(64):
-        tree = random_tree(
-            seed=case_seed * 97 + attempt, max_nodes=11, max_branch=3
-        )
-        # 11 nodes give the root a child, so the root is never a leaf; an
-        # 11-node chain has one leaf, hence the retries
-        leaves = tree.leaves()
-        if len(leaves) >= 2:
-            break
-    else:
-        raise RuntimeError("could not generate a usable tree")
     rng = random.Random(case_seed)
-    count = rng.randint(2, min(3, len(leaves)))
-    cuts = sorted(rng.sample(range(1, len(leaves)), count - 1))
-    groups = [
-        leaves[a:b] for a, b in zip([0] + cuts, cuts + [len(leaves)])
-    ]
+    labels = sorted(rng.sample(range(4), rng.randint(2, 3)))
+    supports = []
+    for i, label in enumerate(labels):
+        top = (label,) + tuple(rng.randrange(3) for _ in range(i))
+        supports.append((top, top + (rng.randrange(3),)))
+    tree = make_tree([bottom for _, bottom in supports])
     blocks = []
-    for group in groups:
-        group = group[:2]  # keep supports small; windows stay increasing
+    for support in supports:
         entries = {
             t: Fraction(rng.randint(1, 6), rng.randint(1, 6))
             * rng.choice([1, -1])
-            for t in group
+            for t in support
         }
         b = TreeVector(tree, entries)
         b = b.scale(1 / tsirelson_norm(b, INCOMPARABLE))
@@ -189,7 +181,8 @@ def _case_blocks(case_seed):
 
 
 def run_tsirelson_suite(cases, seed):
-    """Block-sequence inequality checks over seeded random trees."""
+    """Block-sequence inequality checks over seeded cases of two to three
+    blocks, each a node and one of its children (_case_blocks)."""
     rng = random.Random(seed)
 
     def records():

@@ -26,8 +26,8 @@ from baire_lab.trees import (
     random_tree,
     star_tree,
 )
-from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.tsirelson import (
+    FiniteBlockSequence,
     INCOMPARABLE,
     STANDARD,
     check_fixed_point,

@@ -6,9 +6,8 @@ import pytest
 
 from baire_lab.baire import ZERO, BaireParams, baire_norm
 from baire_lab.hi import ground_norm
-from baire_lab.sequences import FiniteBlockSequence
 from baire_lab.trees import chain_tree, star_tree
-from baire_lab.tsirelson import INCOMPARABLE, STANDARD, tsirelson_norm
+from baire_lab.tsirelson import INCOMPARABLE, STANDARD, FiniteBlockSequence, tsirelson_norm
 from baire_lab.vectors import BaseNorm, TreeVector, linear_combination, unit_vector
 
 

@@ -30,6 +30,7 @@ from baire_lab.trees import (
     tree_to_json_dict,
 )
 from baire_lab.vectors import TreeVector
+from util import leaves
 
 nodes_st = st.lists(st.integers(0, 4), max_size=5).map(tuple)
 
@@ -149,7 +150,7 @@ def _assert_arena(tree):
 
     for t in order:
         assert tree.children(t) == children(t)
-    assert tree.leaves() == [t for t in order if not children(t)]
+    assert leaves(tree) == [t for t in order if not children(t)]
 
 
 def test_children_sorted():
@@ -162,14 +163,14 @@ def test_children_sorted():
 
 def test_leaves_and_chains():
     t = comb_tree(3)
-    leaves = set(t.leaves())
-    assert (1,) in leaves
-    assert len(leaves) == sum(not kids for kids in t.kids)
+    found = set(leaves(t))
+    assert (1,) in found
+    assert len(found) == sum(not kids for kids in t.kids)
     # segments_from_ids(tree, (root id, leaf id) pairs): the prefixes of each leaf, in order
     for tree in (t, comb_tree(40), random_tree(7, 80, 3)):
-        chains = segments_from_ids(tree, [(0, tree.id_of[leaf]) for leaf in tree.leaves()])
+        chains = segments_from_ids(tree, [(0, tree.id_of[leaf]) for leaf in leaves(tree)])
         assert all(ch.chain[0] == () for ch in chains)
-        expected = [[leaf[:i] for i in range(len(leaf) + 1)] for leaf in tree.leaves()]
+        expected = [[leaf[:i] for i in range(len(leaf) + 1)] for leaf in leaves(tree)]
         assert [ch.chain for ch in chains] == expected
         assert chains == [Segment(tree, c) for c in expected]
 
@@ -552,7 +553,7 @@ def test_closure_entries_of_the_shapes():
             listed = _listed(tree)
             rng.shuffle(listed)
             assert closure_entries(listed) == entries
-            assert closure_entries(tree.leaves()) == entries
+            assert closure_entries(leaves(tree)) == entries
     assert closure_entries([]) == closure_entries([()]) == 0
 
 

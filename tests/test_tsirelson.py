@@ -43,7 +43,7 @@ from tsirelson_reference import (
     reference_norm,
     reference_witness_tree,
 )
-from util import clear_reuse_slots, random_case, random_nonroot_case, sweep_case
+from util import clear_reuse_slots, leaves, random_case, random_nonroot_case, sweep_case
 
 
 def naive_iterates(x, variant):
@@ -563,8 +563,8 @@ def test_antichain_incomparable_engine_matches_standard(monkeypatch):
     supports = [(tree, tree.order[1:]) for tree in stars]
     for seed, n in zip(range(8), (4, 7, 10, 13, 16, 18, 20, 20)):
         tree = random_tree(seed, 80, 4)
-        leaves = [t for t in tree.leaves() if t != ()]
-        supports.append((tree, sorted(rng.sample(leaves, n), key=tree.id_of.__getitem__)))
+        found = [t for t in leaves(tree) if t != ()]
+        supports.append((tree, sorted(rng.sample(found, n), key=tree.id_of.__getitem__)))
     for tree, nodes in supports:
         assert not any(comparable(s, t) for s, t in itertools.combinations(nodes, 2))
         x = TreeVector(tree, {
@@ -823,7 +823,7 @@ def _singleton_start_cases():
         for base in (n, n + 2):
             tree = star_tree(n, base_label=base)
             for _ in range(2):
-                yield TreeVector(tree, {t: rng.choice((1, 2)) for t in tree.leaves()})
+                yield TreeVector(tree, {t: rng.choice((1, 2)) for t in leaves(tree)})
     for seed in range(40):
         tree = random_tree(seed, 24, 2)
         nodes = tree.order[1:]
@@ -862,7 +862,7 @@ def test_standard_all_singleton_starts_fill_no_part_table():
     # interval splits into singletons and nothing reaches partition; a scan
     # over every start fills 22 part entries here (11 at each level)
     t = star_tree(12, base_label=12)
-    x = TreeVector(t, {leaf: 1 for leaf in t.leaves()})
+    x = TreeVector(t, {leaf: 1 for leaf in leaves(t)})
     assert tsirelson_norm(x, STANDARD) == 6
     assert len(tsirelson_witness_tree(x, STANDARD)["family"]) == 12
     assert check_fixed_point(x, STANDARD)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from baire_lab import verify
+from baire_lab import tsirelson, verify
 from baire_lab.hi import DESK_PAIRS
-from baire_lab.tsirelson import verify_lemma_II1, verify_sandwich18
-from baire_lab.trees import chain_tree, tree_from_json_dict
+from baire_lab.tsirelson import FiniteBlockSequence, verify_lemma_II1, verify_sandwich18
+from baire_lab.trees import chain_tree, is_prefix, make_tree, tree_from_json_dict
 from baire_lab.vectors import BaseNorm, NormValue, TreeVector
 from baire_lab.verify import (
     _case_blocks,
@@ -94,6 +94,13 @@ def test_tsirelson_suite_vacuous():
     assert r.passed and r.records == []
 
 
+# run_tsirelson_suite(25, seed) digests, by seed
+TSIRELSON_DIGESTS = {
+    1: "e849d83b5ad5d39733016ea4e0774a29db9e2e5c8abf00f7600d05e41b266363",
+    2: "e52cb248e396fb4245c32d14b6077b2e18d973333c08ee223c83938903307350",
+}
+
+
 def test_tsirelson_suite_runs_and_is_deterministic():
     a = run_tsirelson_suite(25, seed=1)
     b = run_tsirelson_suite(25, seed=1)
@@ -102,12 +109,42 @@ def test_tsirelson_suite_runs_and_is_deterministic():
     c = run_tsirelson_suite(25, seed=2)
     assert c.digest != a.digest
     # pinned: report bytes must not drift across refactors
-    assert a.digest == (
-        "adccec93cbbb34146a427c4b23a8571a781950c91c472e0f60df1ef63e1301b7"
-    )
-    assert c.digest == (
-        "b3e5a6053031da30bef73690d9a39190ac0eccc8adcee56d99a74da009e1f51e"
-    )
+    assert a.digest == TSIRELSON_DIGESTS[1]
+    assert c.digest == TSIRELSON_DIGESTS[2]
+
+
+def test_case_blocks_are_comparable_pairs_under_their_own_root_children():
+    for case_seed in range(200):
+        tree, blocks, _ = _case_blocks(case_seed)
+        supports = [list(b.entries) for b in blocks]
+        for support in supports:
+            assert len(support) == 2 and is_prefix(*support), support
+        assert len({top[0] for top, _ in supports}) == len(blocks)
+        assert tree == make_tree([t for support in supports for t in support])
+        assert FiniteBlockSequence(blocks).starts == [top for top, _ in supports]
+    # the blocks' comparable nodes tell the two variants apart
+    records = run_tsirelson_suite(100, seed=1).records
+    assert sum(r["combo_incomparable"] != r["combo_standard"] for r in records) >= 30
+
+
+def test_tsirelson_suite_sees_the_incomparability_restriction(monkeypatch):
+    # with every support node comparable only with itself, INCOMPARABLE
+    # takes the STANDARD families, and the pinned digest must move
+    assert run_tsirelson_suite(25, seed=1).digest == TSIRELSON_DIGESTS[1]
+    init = tsirelson._IncEngine.__init__
+
+    def singleton_comp(self, ctx):
+        init(self, ctx)
+        self.comp = [1 << i for i in range(ctx.n)]
+
+    monkeypatch.setattr(tsirelson._IncEngine, "__init__", singleton_comp)
+    # an engine built before the patch must not serve the mutant run, nor
+    # one built by it a later test
+    tsirelson._built.cache_clear()
+    try:
+        assert run_tsirelson_suite(25, seed=1).digest != TSIRELSON_DIGESTS[1]
+    finally:
+        tsirelson._built.cache_clear()
 
 
 def _canonical(s):

@@ -23,6 +23,11 @@ def random_case(seed, max_nodes=10, max_support=8, max_branch=3):
     return tree, TreeVector(tree, entries)
 
 
+def leaves(tree):
+    """The leaves of a tree, in enumeration order."""
+    return [t for t, kids in zip(tree.order, tree.kids) if not kids]
+
+
 def sweep_case(seed, n):
     """The Tsirelson sweep case of support size n: n nodes of a 2n-node
     random tree with positive entries of numerator and denominator <= 9."""
